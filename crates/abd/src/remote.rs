@@ -266,51 +266,36 @@ struct ReplicaConn {
 #[derive(Debug)]
 enum ConnectError {
     /// The socket never opened.
-    Dial(String),
+    Dial,
     /// The socket opened but the `Hello`/`HelloAck` exchange failed
     /// (timeout, damaged bytes, version mismatch, typed refusal).
-    Handshake(String),
+    Handshake,
 }
 
 /// Dials and handshakes one connection; returns the stream ready for
 /// full-duplex traffic.
 fn connect(shared: &ConnShared) -> Result<WireStream, ConnectError> {
-    let mut stream = shared
-        .endpoint
-        .dial()
-        .map_err(|e| ConnectError::Dial(format!("dial {}: {e}", shared.endpoint)))?;
-    let hs = |detail: String| ConnectError::Handshake(detail);
+    let mut stream = shared.endpoint.dial().map_err(|_| ConnectError::Dial)?;
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(|e| hs(format!("handshake timeout setup: {e}")))?;
+        .map_err(|_| ConnectError::Handshake)?;
     let hello = Frame::Hello {
         version: PROTOCOL_VERSION,
         client: shared.client,
     }
     .encode();
-    write_frame(&mut stream, &hello, shared.max_frame).map_err(|e| hs(format!("hello: {e}")))?;
+    write_frame(&mut stream, &hello, shared.max_frame).map_err(|_| ConnectError::Handshake)?;
     let ack = match read_frame(&mut stream, shared.max_frame) {
-        Ok(FrameRead::Frame(body)) => {
-            Frame::decode(&body).map_err(|e| hs(format!("handshake decode: {e}")))?
-        }
-        Ok(FrameRead::Eof) => return Err(hs("replica closed during handshake".into())),
-        Err(e) => return Err(hs(format!("handshake read: {e}"))),
+        Ok(FrameRead::Frame(body)) => Frame::decode(&body).ok(),
+        // The replica closed, or the bytes were damaged, mid-handshake.
+        Ok(FrameRead::Eof) | Err(_) => None,
     };
-    match ack {
-        Frame::HelloAck { version, .. } if version == PROTOCOL_VERSION => {}
-        Frame::HelloAck { version, .. } => {
-            return Err(hs(format!(
-                "replica speaks protocol v{version}, client v{PROTOCOL_VERSION}"
-            )))
-        }
-        Frame::Error { code, detail, .. } => {
-            return Err(hs(format!("replica refused: {code}: {detail}")))
-        }
-        other => return Err(hs(format!("unexpected handshake reply: {}", other.kind_name()))),
+    // A version mismatch, a typed refusal (`Frame::Error`) and any other
+    // reply all fail the handshake alike.
+    if !matches!(ack, Some(Frame::HelloAck { version, .. }) if version == PROTOCOL_VERSION) {
+        return Err(ConnectError::Handshake);
     }
-    stream
-        .set_read_timeout(None)
-        .map_err(|e| hs(format!("handshake timeout clear: {e}")))?;
+    stream.set_read_timeout(None).map_err(|_| ConnectError::Handshake)?;
     Ok(stream)
 }
 
@@ -361,7 +346,7 @@ fn manager_loop(out: Receiver<OutMsg>, shared: Arc<ConnShared>) {
         let stream = match connect(&shared) {
             Ok(stream) => stream,
             Err(error) => {
-                if matches!(error, ConnectError::Handshake(_)) {
+                if matches!(error, ConnectError::Handshake) {
                     shared.wire.handshake_failures.inc();
                 }
                 // Failed dial: drop (and count) anything queued while we
@@ -455,7 +440,8 @@ fn manager_loop(out: Receiver<OutMsg>, shared: Arc<ConnShared>) {
 }
 
 /// The ABD transport over real sockets: one persistent, self-healing
-/// connection per `snapshotd` replica. See the [module docs](self).
+/// connection per `snapshotd` replica (`remote.rs`'s module docs describe
+/// the connection life cycle).
 pub struct RemoteTransport {
     conns: Vec<ReplicaConn>,
     kind: &'static str,

@@ -15,8 +15,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use snapshot_core::{CoreError, Deadline, RequestCtx, ScanStats, SnapshotView, TrySnapshotCore};
-use snapshot_obs::{SpanId, SpanKind, SpanStatus};
+use snapshot_core::{CoreError, RequestCtx, ScanStats, SnapshotView, TrySnapshotCore};
+use snapshot_obs::{SpanKind, SpanStatus};
 use snapshot_registers::{CachePadded, ProcessId};
 use snapshot_wire::{Reader, WireError, WireValue};
 
@@ -168,62 +168,42 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
         LaneGuard { flag: &self.busy[i] }
     }
 
-    /// One collect: read all `n` registers. Any starved quorum phase
-    /// aborts the collect with a typed error; `deadline` caps each
-    /// register read's quorum waits. When `parent` names a span (a traced
-    /// request's collect), the pass runs inside a
-    /// [`SpanKind::QuorumQuery`] span on the network's trace, so a
-    /// flight recording attributes a starved scan to its quorum wait.
+    /// One collect: read the given registers (all `n` for a full scan,
+    /// the `k` requested ones for a subset scan). Any starved quorum
+    /// phase aborts the collect with a typed error; `ctx.deadline` caps
+    /// each register read's quorum waits. The pass runs inside a
+    /// [`SpanKind::QuorumQuery`] span on the transport's trace, parented
+    /// under `ctx.span` and noting how many registers it touched — so a
+    /// flight recording attributes a starved scan to its quorum wait, and
+    /// shows `k`, not `n`, for a subset.
     fn collect(
         &self,
         lane: ProcessId,
-        deadline: Deadline,
-        parent: SpanId,
+        registers: impl ExactSizeIterator<Item = usize>,
+        ctx: RequestCtx,
     ) -> Result<Vec<AbdRecord<V>>, CoreError> {
-        let span = self.transport.trace().span(lane.get(), SpanKind::QuorumQuery, parent);
-        span.note("registers", self.n as u64);
-        let out: Result<Vec<AbdRecord<V>>, CoreError> = (0..self.n)
-            .map(|j| self.regs[j].try_read_by(lane, deadline).map_err(core_error))
-            .collect();
-        span.end(if out.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
-        out
-    }
-
-    /// One **subset** collect: read only the requested registers, inside
-    /// a [`SpanKind::QuorumQuery`] span noting how many it touched — the
-    /// flight recorder shows `k`, not `n`, which is the whole point.
-    fn collect_subset(
-        &self,
-        lane: ProcessId,
-        segments: &[usize],
-        deadline: Deadline,
-        parent: SpanId,
-    ) -> Result<Vec<AbdRecord<V>>, CoreError> {
-        let span = self.transport.trace().span(lane.get(), SpanKind::QuorumQuery, parent);
-        span.note("registers", segments.len() as u64);
-        let out: Result<Vec<AbdRecord<V>>, CoreError> = segments
-            .iter()
-            .map(|&j| self.regs[j].try_read_by(lane, deadline).map_err(core_error))
+        let span = self.transport.trace().span(lane.get(), SpanKind::QuorumQuery, ctx.span);
+        span.note("registers", registers.len() as u64);
+        let out: Result<Vec<AbdRecord<V>>, CoreError> = registers
+            .map(|j| self.regs[j].try_read_by(lane, ctx.deadline).map_err(core_error))
             .collect();
         span.end(if out.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
         out
     }
 
     /// `procedure scan_i` of Figure 2, fallibly. The caller holds the
-    /// lane claim. `parent` is the request's collect span
-    /// ([`SpanId::NONE`] for untraced callers).
+    /// lane claim.
     fn scan_inner(
         &self,
         lane: ProcessId,
-        deadline: Deadline,
-        parent: SpanId,
+        ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
         let n = self.n;
         let mut moved = vec![0u8; n];
         let mut stats = ScanStats::default();
         loop {
-            let a = self.collect(lane, deadline, parent)?; // line 1
-            let b = self.collect(lane, deadline, parent)?; // line 2
+            let a = self.collect(lane, 0..n, ctx)?; // line 1
+            let b = self.collect(lane, 0..n, ctx)?; // line 2
             stats.double_collects += 1;
             stats.reads += 2 * n as u64;
             debug_assert!(
@@ -319,75 +299,31 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
         true
     }
 
-    fn try_scan(&self, lane: ProcessId) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        self.try_scan_by(lane, Deadline::none())
+    /// Every quorum wait underneath is capped at `ctx.deadline`, so a scan
+    /// that cannot finish in the caller's budget surfaces
+    /// [`CoreError::Unavailable`] fast instead of waiting out the full
+    /// per-phase `op_timeout` repeatedly. Quorum passes run inside
+    /// [`SpanKind::QuorumQuery`] spans parented under `ctx.span` (no-ops
+    /// when the transport's trace is disabled).
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
+        let _guard = self.claim(lane);
+        self.scan_inner(lane, ctx)
     }
 
+    /// A deadline-cut write is *indeterminate* exactly like a
+    /// quorum-starved one; its sequence number is consumed either way, so
+    /// a retry never reuses one. The embedded scan's quorum passes and the
+    /// final register write run inside [`SpanKind::QuorumQuery`] /
+    /// [`SpanKind::QuorumStore`] spans parented under `ctx.span`.
     fn try_update(
         &self,
         lane: ProcessId,
         segment: usize,
         value: V,
-    ) -> Result<ScanStats, CoreError> {
-        self.try_update_by(lane, segment, value, Deadline::none())
-    }
-
-    fn try_certified_read(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-    ) -> Result<Option<(V, u64)>, CoreError> {
-        self.try_certified_read_by(reader, segment, Deadline::none())
-    }
-
-    /// A deadline-aware scan: every quorum wait underneath is capped at
-    /// `deadline`, so a scan that cannot finish in the caller's budget
-    /// surfaces [`CoreError::Unavailable`] fast instead of waiting out
-    /// the full per-phase `op_timeout` repeatedly.
-    fn try_scan_by(
-        &self,
-        lane: ProcessId,
-        deadline: Deadline,
-    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        self.try_scan_ctx(lane, deadline, RequestCtx::none())
-    }
-
-    /// The context-carrying scan: quorum passes run inside
-    /// [`SpanKind::QuorumQuery`] spans parented under the request's
-    /// collect span (no-ops when the network's trace is disabled or the
-    /// context is empty).
-    fn try_scan_ctx(
-        &self,
-        lane: ProcessId,
-        deadline: Deadline,
-        ctx: RequestCtx,
-    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        let _guard = self.claim(lane);
-        self.scan_inner(lane, deadline, ctx.span)
-    }
-
-    /// A deadline-aware update. A deadline-cut write is *indeterminate*
-    /// exactly like a quorum-starved one; its sequence number is consumed
-    /// either way, so a retry never reuses one.
-    fn try_update_by(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: V,
-        deadline: Deadline,
-    ) -> Result<ScanStats, CoreError> {
-        self.try_update_ctx(lane, segment, value, deadline, RequestCtx::none())
-    }
-
-    /// The context-carrying update: the embedded scan's quorum passes and
-    /// the final register write run inside [`SpanKind::QuorumQuery`] /
-    /// [`SpanKind::QuorumStore`] spans parented under the request's span.
-    fn try_update_ctx(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: V,
-        deadline: Deadline,
         ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
         assert_eq!(
@@ -396,63 +332,17 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
             "single-writer construction: lane {lane} cannot update segment {segment}"
         );
         let _guard = self.claim(lane);
-        let (view, mut stats) = self.scan_inner(lane, deadline, ctx.span)?; // Fig. 2 update line 1
+        let (view, mut stats) = self.scan_inner(lane, ctx)?; // Fig. 2 update line 1
         let seq = self.seqs[lane.get()].fetch_add(1, Ordering::Relaxed) + 1;
         let store = self.transport.trace().span(lane.get(), SpanKind::QuorumStore, ctx.span);
         store.note("seq", seq);
         let written = self.regs[lane.get()]
-            .try_write_by(lane, AbdRecord { value, seq, view }, deadline) // line 2
+            .try_write_by(lane, AbdRecord { value, seq, view }, ctx.deadline) // line 2
             .map_err(core_error);
         store.end(if written.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
         written?;
         stats.writes += 1;
         Ok(stats)
-    }
-
-    /// Figure 2's `seq` is the ABA-free certificate: strictly monotone
-    /// under the single-writer discipline, so no two writes of a segment
-    /// ever share it. Deadline-aware like
-    /// [`try_scan_by`](TrySnapshotCore::try_scan_by).
-    fn try_certified_read_by(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-        deadline: Deadline,
-    ) -> Result<Option<(V, u64)>, CoreError> {
-        self.try_certified_read_ctx(reader, segment, deadline, RequestCtx::none())
-    }
-
-    /// The context-carrying certified read: the single register read runs
-    /// inside a [`SpanKind::QuorumQuery`] span under the request's span.
-    fn try_certified_read_ctx(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-        deadline: Deadline,
-        ctx: RequestCtx,
-    ) -> Result<Option<(V, u64)>, CoreError> {
-        assert!(segment < self.n, "segment {segment} out of range ({} segments)", self.n);
-        let span = self.transport.trace().span(reader.get(), SpanKind::QuorumQuery, ctx.span);
-        let read = self.regs[segment].try_read_by(reader, deadline).map_err(core_error);
-        span.end(if read.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
-        Ok(Some(read.map(|r| (r.value, r.seq))?))
-    }
-
-    fn try_scan_subset(
-        &self,
-        lane: ProcessId,
-        segments: &[usize],
-    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
-        self.try_scan_subset_by(lane, segments, Deadline::none())
-    }
-
-    fn try_scan_subset_by(
-        &self,
-        lane: ProcessId,
-        segments: &[usize],
-        deadline: Deadline,
-    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
-        self.try_scan_subset_ctx(lane, segments, deadline, RequestCtx::none())
     }
 
     /// Figure 2's scan over only the requested registers: each round is
@@ -466,11 +356,10 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
     /// `2k + 1` rounds, so this always returns `Ok(Some(..))` — or a
     /// typed error when a quorum phase starves, exactly like the full
     /// scan.
-    fn try_scan_subset_ctx(
+    fn try_scan_subset(
         &self,
         lane: ProcessId,
         segments: &[usize],
-        deadline: Deadline,
         ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
@@ -481,8 +370,8 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
         let mut moved = vec![0u8; k];
         let mut stats = ScanStats::default();
         loop {
-            let a = self.collect_subset(lane, segments, deadline, ctx.span)?;
-            let b = self.collect_subset(lane, segments, deadline, ctx.span)?;
+            let a = self.collect(lane, segments.iter().copied(), ctx)?;
+            let b = self.collect(lane, segments.iter().copied(), ctx)?;
             stats.double_collects += 1;
             stats.reads += 2 * k as u64;
             debug_assert!(
@@ -522,7 +411,11 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    use snapshot_core::Deadline;
+
     use crate::{NetworkConfig, RetryPolicy};
+
+    const NONE: RequestCtx = RequestCtx::none();
 
     fn fast_net(replicas: usize) -> Arc<Network> {
         Arc::new(Network::with_config(
@@ -542,24 +435,11 @@ mod tests {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 3, 0u32);
         let p1 = ProcessId::new(1);
-        core.try_update(p1, 1, 11).unwrap();
-        let (view, stats) = core.try_scan(p1).unwrap();
+        let _ = core.try_update(p1, 1, 11, NONE).unwrap();
+        let (view, stats) = core.try_scan(p1, NONE).unwrap();
         assert_eq!(view.to_vec(), vec![0, 11, 0]);
         assert!(stats.double_collects >= 1);
         assert_eq!(stats.reads % 6, 0, "collects touch all 3 registers");
-    }
-
-    #[test]
-    fn certificates_move_with_every_write() {
-        let net = fast_net(3);
-        let core = AbdSnapshotCore::new(&net, 2, 0u32);
-        let p0 = ProcessId::new(0);
-        let (v, c1) = core.try_certified_read(p0, 0).unwrap().unwrap();
-        assert_eq!(v, 0);
-        core.try_update(p0, 0, 7).unwrap();
-        let (v, c2) = core.try_certified_read(p0, 0).unwrap().unwrap();
-        assert_eq!(v, 7);
-        assert!(c2 > c1, "certificate must move with every write");
     }
 
     #[test]
@@ -567,16 +447,16 @@ mod tests {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 2, 0u32);
         let p0 = ProcessId::new(0);
-        core.try_update(p0, 0, 1).unwrap();
+        let _ = core.try_update(p0, 0, 1, NONE).unwrap();
 
         net.partition(&[0, 1]); // majority gone
-        let err = core.try_scan(p0).unwrap_err();
+        let err = core.try_scan(p0, NONE).unwrap_err();
         assert!(err.retryable(), "quorum loss must be retryable: {err}");
-        let err = core.try_update(p0, 0, 2).unwrap_err();
+        let err = core.try_update(p0, 0, 2, NONE).unwrap_err();
         assert!(err.retryable());
 
         net.heal();
-        let (view, _) = core.try_scan(p0).unwrap();
+        let (view, _) = core.try_scan(p0, NONE).unwrap();
         // The partitioned update was indeterminate; either outcome is
         // linearizable, and the register must answer again.
         assert!(view[0] == 1 || view[0] == 2, "view {:?}", view.to_vec());
@@ -587,23 +467,26 @@ mod tests {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 1, 0u32);
         let p0 = ProcessId::new(0);
-        core.try_update(p0, 0, 1).unwrap();
-        let (_, c1) = core.try_certified_read(p0, 0).unwrap().unwrap();
+        let _ = core.try_update(p0, 0, 1, NONE).unwrap();
+        let seq = |core: &AbdSnapshotCore<u32>| {
+            core.regs[0].try_read_by(p0, Deadline::none()).unwrap().seq
+        };
+        let c1 = seq(&core);
 
         net.partition(&[0, 1, 2]);
-        assert!(core.try_update(p0, 0, 2).is_err());
+        assert!(core.try_update(p0, 0, 2, NONE).is_err());
         net.heal();
 
-        core.try_update(p0, 0, 3).unwrap();
-        let (v, c2) = core.try_certified_read(p0, 0).unwrap().unwrap();
-        assert_eq!(v, 3);
-        // Certificates stay strictly monotone across the error. (The
+        let _ = core.try_update(p0, 0, 3, NONE).unwrap();
+        assert_eq!(core.try_scan(p0, NONE).unwrap().0[0], 3);
+        let c2 = seq(&core);
+        // Sequence numbers stay strictly monotone across the error. (The
         // blackout starved the update's *embedded scan*, before the seq
         // allocation — nothing consumed. A write-phase failure would have
         // consumed its seq: the `fetch_add` makes reuse impossible either
         // way.)
         assert_eq!(c2, c1 + 1);
-        assert!(c2 > c1, "certificate must move on the successful retry");
+        assert!(c2 > c1, "the sequence number must move on the successful retry");
     }
 
     #[test]
@@ -618,12 +501,12 @@ mod tests {
         net.partition(&[0, 1]);
         let started = std::time::Instant::now();
         let err = core
-            .try_scan_by(p0, Deadline::after(Duration::from_millis(25)))
+            .try_scan(p0, RequestCtx::by(Deadline::after(Duration::from_millis(25))))
             .unwrap_err();
         assert!(err.retryable(), "deadline expiry is the retryable boundary: {err}");
         assert!(started.elapsed() < Duration::from_secs(2));
         net.heal();
-        assert!(core.try_scan(p0).is_ok(), "lane released, core answers again");
+        assert!(core.try_scan(p0, NONE).is_ok(), "lane released, core answers again");
     }
 
     #[test]
@@ -631,9 +514,9 @@ mod tests {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 2, 0u32);
         let p0 = ProcessId::new(0);
-        core.try_update(p0, 0, 5).unwrap();
+        let _ = core.try_update(p0, 0, 5, NONE).unwrap();
         net.poison();
-        let err = core.try_scan(p0).unwrap_err();
+        let err = core.try_scan(p0, NONE).unwrap_err();
         assert!(!err.retryable(), "poisoned fleet must be terminal: {err}");
     }
 
@@ -642,9 +525,9 @@ mod tests {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 8, 0u32);
         let p3 = ProcessId::new(3);
-        let _ = core.try_update(p3, 3, 33).unwrap();
+        let _ = core.try_update(p3, 3, 33, NONE).unwrap();
         let (values, stats) = core
-            .try_scan_subset(ProcessId::new(0), &[3, 6])
+            .try_scan_subset(ProcessId::new(0), &[3, 6], NONE)
             .unwrap()
             .expect("the single-writer emulation always serves subsets");
         assert_eq!(values, vec![33, 0]);
@@ -658,10 +541,10 @@ mod tests {
         let core = AbdSnapshotCore::new(&net, 4, 0u32);
         let p0 = ProcessId::new(0);
         net.partition(&[0, 1]);
-        let err = core.try_scan_subset(p0, &[1, 2]).unwrap_err();
+        let err = core.try_scan_subset(p0, &[1, 2], NONE).unwrap_err();
         assert!(err.retryable(), "quorum loss must be retryable: {err}");
         net.heal();
-        assert!(core.try_scan_subset(p0, &[1, 2]).unwrap().is_some());
+        assert!(core.try_scan_subset(p0, &[1, 2], NONE).unwrap().is_some());
     }
 
     #[test]
@@ -670,9 +553,9 @@ mod tests {
         let core = AbdSnapshotCore::new(&net, 2, 0u32);
         let p0 = ProcessId::new(0);
         net.partition(&[0, 1, 2]);
-        assert!(core.try_scan(p0).is_err());
+        assert!(core.try_scan(p0, NONE).is_err());
         net.heal();
         // The lane is reusable after the error.
-        assert!(core.try_scan(p0).is_ok());
+        assert!(core.try_scan(p0, NONE).is_ok());
     }
 }

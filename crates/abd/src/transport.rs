@@ -141,7 +141,8 @@ pub trait Phase {
 ///
 /// Implementations must be usable from many threads at once (each lane
 /// of a snapshot core runs phases concurrently), hence `Send + Sync`.
-/// See the [module docs](self) for the two implementations.
+/// The two implementations are the simulated [`Network`](crate::Network)
+/// and [`RemoteTransport`](crate::RemoteTransport).
 pub trait Transport: Send + Sync + 'static {
     /// Number of replicas in the fleet.
     fn replicas(&self) -> usize;

@@ -54,11 +54,12 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use snapshot_abd::{AbdSnapshotCore, Network, NetworkConfig, RemoteConfig, RemoteTransport, Transport};
+use snapshot_bench::scripted::ScanHook;
 use snapshot_bench::tracked::{self, BenchEntry, BenchReport};
 use snapshot_bench::trend;
 use snapshot_core::{
     BoundedSnapshot, CoreError, LockSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle,
-    ScanStats, SnapshotView, SwSnapshot, SwSnapshotHandle, TrySnapshotCore, UnboundedSnapshot,
+    SwSnapshot, SwSnapshotHandle, TrySnapshotCore, UnboundedSnapshot,
 };
 use snapshot_registers::ProcessId;
 use snapshot_service::{HealthConfig, RetryConfig, ServiceConfig, ServiceError, SnapshotService};
@@ -411,9 +412,8 @@ fn zipf_sample(cdf: &[f64], raw: u64) -> usize {
 /// segment — legal on every backing) with `scan_subset` over either a
 /// rotating window of `subset_len` segments or (under
 /// [`Workload::PartialScanZipf`]) `subset_len` distinct zipf-skewed
-/// segments, exercising native subset scans, certified collects, shard
-/// coalescing, and the projected-full-scan fallback depending on the
-/// backing construction.
+/// segments, exercising native subset scans, shard coalescing, and the
+/// projected-full-scan fallback depending on the backing construction.
 fn time_service<C: TrySnapshotCore<u64>>(
     core: C,
     threads: usize,
@@ -656,60 +656,21 @@ fn time_abd_tcp_durable(threads: usize, iters: u64) -> u128 {
 /// (2 of every 8 scans err `Unavailable`, counted globally): enough
 /// sustained error rate to trip the service's windowed breaker, with
 /// enough successes in between for the half-open ramp to close it
-/// again. Updates and certified reads stay healthy, so single-shard
+/// again. Updates and native subset scans stay healthy, so single-shard
 /// partials and health probes always succeed — the shape of a shard
 /// that is degrading, not dead.
-struct BurstyCore {
-    inner: UnboundedSnapshot<u64>,
-    scans: AtomicU64,
-}
-
-impl BurstyCore {
-    fn new(lanes: usize) -> Self {
-        BurstyCore { inner: UnboundedSnapshot::new(lanes, 0u64), scans: AtomicU64::new(0) }
-    }
-}
-
-impl TrySnapshotCore<u64> for BurstyCore {
-    fn segments(&self) -> usize {
-        TrySnapshotCore::segments(&self.inner)
-    }
-
-    fn lanes(&self) -> usize {
-        TrySnapshotCore::lanes(&self.inner)
-    }
-
-    fn single_writer(&self) -> bool {
-        TrySnapshotCore::single_writer(&self.inner)
-    }
-
-    fn try_scan(&self, lane: ProcessId) -> Result<(SnapshotView<u64>, ScanStats), CoreError> {
-        if self.scans.fetch_add(1, Ordering::Relaxed) % 8 < 2 {
+fn bursty_core(lanes: usize) -> impl TrySnapshotCore<u64> {
+    let scans = AtomicU64::new(0);
+    ScanHook::new(UnboundedSnapshot::new(lanes, 0u64), move |inner, lane, ctx| {
+        if scans.fetch_add(1, Ordering::Relaxed) % 8 < 2 {
             return Err(CoreError::Unavailable { reason: "injected collect blip".into() });
         }
-        self.inner.try_scan(lane)
-    }
-
-    fn try_update(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: u64,
-    ) -> Result<ScanStats, CoreError> {
-        self.inner.try_update(lane, segment, value)
-    }
-
-    fn try_certified_read(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        self.inner.try_certified_read(reader, segment)
-    }
+        inner.try_scan(lane, ctx)
+    })
 }
 
 /// Times one sample of the `degraded-shard` workload: the service fronts
-/// a [`BurstyCore`] with a fast-cycling breaker (short cooldown, short
+/// a [`bursty_core`] with a fast-cycling breaker (short cooldown, short
 /// ramp interval), and every thread alternates updates with full scans.
 /// Scans answered with `Backend`, `Degraded`, or a view all count as one
 /// completed operation — the point of the cell is the cost of the
@@ -717,7 +678,7 @@ impl TrySnapshotCore<u64> for BurstyCore {
 /// panic or a hang is the only wrong answer.
 fn time_degraded(threads: usize, iters: u64) -> u128 {
     let service = SnapshotService::with_config(
-        BurstyCore::new(threads),
+        bursty_core(threads),
         ServiceConfig {
             retry: RetryConfig { max_attempts: 2, ..RetryConfig::default() },
             health: HealthConfig {

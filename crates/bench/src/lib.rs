@@ -13,6 +13,9 @@
 //!   composite-register constructions (the paper's Section 6 comparison
 //!   baseline);
 //! * [`report`] — plain-text table rendering for the `experiments` binary;
+//! * [`scripted`] — wrapper cores that intercept full scans (held
+//!   collects, injected outages) for the service tests and the
+//!   `degraded-shard` bench cell;
 //! * [`tracked`] — the `snapbench` JSON report format (schema
 //!   `snapbench/v1`) and its regression comparator;
 //! * [`trend`] — the multi-generation trend barometer over every
@@ -29,5 +32,6 @@
 pub mod anderson_model;
 pub mod harness;
 pub mod report;
+pub mod scripted;
 pub mod tracked;
 pub mod trend;

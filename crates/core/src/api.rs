@@ -177,7 +177,7 @@ impl HandleRegistry {
     }
 
     /// Claims `pid`'s slot for the lifetime of the returned guard —
-    /// the panic-safe transient claim the `core_scan_subset` paths use
+    /// the panic-safe transient claim the `try_scan_subset` paths use
     /// instead of constructing a full per-process handle.
     pub(crate) fn claim_guard(&self, pid: ProcessId) -> LaneClaim<'_> {
         self.claim(pid);

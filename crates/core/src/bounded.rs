@@ -8,7 +8,7 @@ use snapshot_registers::{
 };
 
 use crate::api::HandleRegistry;
-use crate::{ScanStats, SnapshotView, SwSnapshot, SwSnapshotHandle};
+use crate::{CoreError, RequestCtx, ScanStats, SnapshotView, SwSnapshot, SwSnapshotHandle};
 
 /// Contents of register `r_i` in Figure 3: `(value, p-bit vector, toggle,
 /// view)`, written in one atomic register write.
@@ -163,7 +163,7 @@ impl<V: RegisterValue, B: Backend> fmt::Debug for BoundedSnapshot<V, B> {
     }
 }
 
-impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for BoundedSnapshot<V, B> {
+impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for BoundedSnapshot<V, B> {
     fn segments(&self) -> usize {
         self.n
     }
@@ -176,28 +176,27 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for BoundedSnapshot<V,
         true
     }
 
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-        self.handle(lane).scan_with_stats()
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        _ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
+        Ok(self.handle(lane).scan_with_stats())
     }
 
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
+    fn try_update(
+        &self,
+        lane: ProcessId,
+        segment: usize,
+        value: V,
+        _ctx: RequestCtx,
+    ) -> Result<ScanStats, CoreError> {
         assert_eq!(
             segment,
             lane.get(),
             "single-writer construction: lane {lane} cannot update segment {segment}"
         );
-        self.handle(lane).update_with_stats(value)
-    }
-
-    /// Figure 3 deliberately keeps no per-write key — the `(p_i, toggle)`
-    /// handshake pair recurs after two writes (the ABA the bounded proof
-    /// works around with move counting), so it cannot serve as an ABA-free
-    /// certificate. Partial scans over this construction go through
-    /// [`core_scan_subset`](crate::SnapshotCore::core_scan_subset), which
-    /// runs the handshake protocol natively over the subset instead.
-    fn certified_read(&self, _reader: ProcessId, segment: usize) -> Option<(V, u64)> {
-        assert!(segment < self.n, "segment {segment} out of range");
-        None
+        Ok(self.handle(lane).update_with_stats(value))
     }
 
     /// Figure 3's scan restricted to the requested registers. The
@@ -215,12 +214,13 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for BoundedSnapshot<V,
     /// update — embedded full scan included — ran inside it: one extra
     /// read of that register yields a borrowable view, projected onto the
     /// subset. At most `2k + 1` rounds over `k` registers — `O(k)` work,
-    /// and always `Some`.
-    fn core_scan_subset(
+    /// and always `Ok(Some(..))`.
+    fn try_scan_subset(
         &self,
         lane: ProcessId,
         segments: &[usize],
-    ) -> Option<(Vec<V>, ScanStats)> {
+        _ctx: RequestCtx,
+    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
@@ -259,7 +259,7 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for BoundedSnapshot<V,
             let unmoved =
                 |x: usize| a[x].0 == q_local[x] && b[x].0 == q_local[x] && a[x].1 == b[x].1;
             if (0..k).all(unmoved) {
-                return Some((b.into_iter().map(|(_, _, v)| v).collect(), stats));
+                return Ok(Some((b.into_iter().map(|(_, _, v)| v).collect(), stats)));
             }
             for x in 0..k {
                 if !unmoved(x) {
@@ -269,7 +269,7 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for BoundedSnapshot<V,
                         let view =
                             self.regs[segments[x]].read_with(lane, |r| r.view.clone());
                         let values = segments.iter().map(|&j| view[j].clone()).collect();
-                        return Some((values, stats));
+                        return Ok(Some((values, stats)));
                     }
                     moved[x] += 1;
                 }

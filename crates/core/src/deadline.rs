@@ -12,6 +12,8 @@
 //! call nesting: a retry loop, the coalescing rendezvous and the ABD
 //! quorum waits below it all measure themselves against the same instant,
 //! and the remaining budget shrinks monotonically as the request descends.
+//! It travels as the `deadline` field of [`RequestCtx`](crate::RequestCtx),
+//! the one value every layer hands to the next.
 
 use std::fmt;
 use std::time::{Duration, Instant};

@@ -1,23 +1,27 @@
-//! Fallible object-level operations.
+//! The object-level interface a request-serving front-end multiplexes
+//! over.
 //!
-//! The paper's constructions assume registers that never fail, so
-//! [`SnapshotCore`] is infallible. Emulated registers (the ABD
-//! message-passing emulation of Section 6) are *live only while a majority
-//! of replicas is reachable*: a register operation issued past that
-//! boundary must surface an error, not hang or panic. [`TrySnapshotCore`]
-//! is the fallible twin of [`SnapshotCore`] — same lanes/segments
-//! contract, every operation returns `Result<_, CoreError>` — and the
-//! [`impl_try_snapshot_core!`](crate::impl_try_snapshot_core) forwarding
-//! macro lifts any infallible core into it (applied here to every
-//! construction in this crate), so one service front-end serves both.
+//! The per-process handle traits ([`SwSnapshot`](crate::SwSnapshot) /
+//! [`MwSnapshot`](crate::MwSnapshot)) are the right shape for a process
+//! that *owns* its algorithm state, but a front-end (`snapshot-service`)
+//! multiplexes many short-lived requests over one object: it needs
+//! operations that take `&self` plus a lane. [`TrySnapshotCore`] is that
+//! interface — three operations (scan, update, partial scan), each taking
+//! the request's [`RequestCtx`] and returning `Result<_, CoreError>`.
+//!
+//! The paper's constructions assume registers that never fail, and the
+//! four in-process constructions of this crate implement the trait with
+//! operations that never err. Emulated registers (the ABD
+//! message-passing emulation of Section 6) are *live only while a
+//! majority of replicas is reachable*: a register operation issued past
+//! that boundary must surface an error, not hang or panic — which is why
+//! the one interface is the fallible one.
 
 use std::fmt;
 
-use snapshot_registers::{Backend, ProcessId, RegisterValue};
+use snapshot_registers::ProcessId;
 
-#[cfg(doc)]
-use crate::SnapshotCore;
-use crate::{Deadline, RequestCtx, ScanStats, SnapshotView};
+use crate::{RequestCtx, ScanStats, SnapshotView};
 
 /// Why a fallible snapshot operation could not complete.
 ///
@@ -74,28 +78,36 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// Fallible twin of [`SnapshotCore`]: the same object-level contract
-/// (lanes, segments, the single-writer discipline, certified reads) with
-/// every operation returning `Result<_, CoreError>`.
+/// Object-level entry points the service layer multiplexes over.
+///
+/// A **lane** is a process id reserved for one service client; every call
+/// names the lane on whose behalf it runs. Implementations claim the
+/// lane's per-process state transiently (the service guarantees at most
+/// one in-flight operation per lane, exactly the discipline the handle
+/// registry enforces).
+///
+/// Every operation takes the request's [`RequestCtx`]. A core whose steps
+/// can stall (message-passing register emulations) caps its internal
+/// waits at `ctx.deadline`, erring [`Unavailable`](CoreError::Unavailable)
+/// once it passes, and parents the spans of its register phases under
+/// `ctx.span`. The in-process constructions ignore it: they complete in a
+/// bounded number of their own steps (wait-freedom), so there is nothing
+/// for a deadline to cut short and no internal phase worth a span.
 ///
 /// Contract violations (a lane out of range, a busy lane, a single-writer
-/// update to a foreign segment) still panic — they are caller bugs the
-/// service layer validates away before calling, not runtime faults.
-/// `CoreError` is reserved for the backing losing liveness mid-operation.
-///
-/// Every infallible [`SnapshotCore`] in this crate is a `TrySnapshotCore`
-/// via a forwarding impl (its operations simply never err), so service
-/// code written against this trait serves the in-process constructions
-/// unchanged. Wrapper cores in other crates opt in with
-/// [`impl_try_snapshot_core!`](crate::impl_try_snapshot_core).
+/// update to a foreign segment) panic — they are caller bugs the service
+/// layer validates away before calling, not runtime faults. `CoreError`
+/// is reserved for the backing losing liveness mid-operation.
 pub trait TrySnapshotCore<V>: Send + Sync {
-    /// Number of memory segments a scan covers.
+    /// Number of memory segments a scan covers (`n` for the single-writer
+    /// constructions, `m` words for the multi-writer one).
     fn segments(&self) -> usize;
 
     /// Number of lanes (process ids) available to clients.
     fn lanes(&self) -> usize;
 
-    /// True if updates are restricted to the lane's own segment.
+    /// True if updates are restricted to the lane's own segment (the
+    /// single-writer discipline of Sections 3–4).
     fn single_writer(&self) -> bool;
 
     /// Runs one full scan on behalf of `lane`.
@@ -104,330 +116,131 @@ pub trait TrySnapshotCore<V>: Send + Sync {
     ///
     /// Panics if `lane` is out of range or has another operation in
     /// flight.
-    fn try_scan(&self, lane: ProcessId) -> Result<(SnapshotView<V>, ScanStats), CoreError>;
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError>;
 
     /// Writes `value` to `segment` on behalf of `lane`.
     ///
-    /// On `Err` the update is *indeterminate*: it may yet become visible
-    /// (linearizability checkers must treat it as pending).
+    /// On `Err` the update is *indeterminate* whether the cause was the
+    /// backing or the deadline: a write cut off mid-quorum may yet become
+    /// visible (linearizability checkers must treat it as pending).
     ///
     /// # Panics
     ///
     /// Panics if `segment` is out of range, if `lane` is out of range or
-    /// busy, or if the construction is single-writer and `segment != lane`.
-    fn try_update(&self, lane: ProcessId, segment: usize, value: V)
-        -> Result<ScanStats, CoreError>;
+    /// busy, or if the construction is [single-writer](Self::single_writer)
+    /// and `segment != lane` — the service validates and surfaces a typed
+    /// error before calling.
+    fn try_update(
+        &self,
+        lane: ProcessId,
+        segment: usize,
+        value: V,
+        ctx: RequestCtx,
+    ) -> Result<ScanStats, CoreError>;
 
-    /// Reads `segment` once, returning its value and an ABA-free write
-    /// certificate, or `Ok(None)` if this construction cannot certify
-    /// individual segments (see [`SnapshotCore::certified_read`]).
+    /// Runs one **native partial scan** on behalf of `lane`: a
+    /// linearizable picture of exactly the requested `segments`, at a
+    /// cost proportional to the touched segments rather than the whole
+    /// object.
+    ///
+    /// `segments` must be non-empty, strictly increasing, and in range —
+    /// the service layer canonicalizes before calling. The returned
+    /// values are in `segments` order.
+    ///
+    /// `Ok(None)` means "no certified subset view this time" and is not
+    /// an error: either the core has no native partial-scan path (the
+    /// default), or a bounded interference budget ran out (the
+    /// multi-writer construction under heavy subset contention). The
+    /// caller falls back to a projected full scan, whose termination the
+    /// paper proves. Constructions with a helping discipline on the
+    /// subset (the single-writer ones borrow an interfering updater's
+    /// embedded view, per the Kallimanis–Kanellou lead/helping idea)
+    /// finish within `2k + 1` double collects over `k` segments and
+    /// always return `Some`.
     ///
     /// # Panics
     ///
-    /// Panics if `segment` is out of range.
-    fn try_certified_read(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-    ) -> Result<Option<(V, u64)>, CoreError>;
-
-    /// Like [`try_scan`](Self::try_scan), bounded by `deadline`: a core
-    /// whose steps can stall (message-passing register emulations) caps
-    /// its internal waits at the deadline and errs
-    /// [`Unavailable`](CoreError::Unavailable) once it passes.
-    ///
-    /// The default ignores the deadline and forwards to `try_scan` — an
-    /// in-process core completes in a bounded number of its own steps
-    /// (wait-freedom), so there is nothing to cut short. Deadline-aware
-    /// cores (`snapshot-abd`'s `AbdSnapshotCore`) override this.
-    fn try_scan_by(
-        &self,
-        lane: ProcessId,
-        _deadline: Deadline,
-    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        self.try_scan(lane)
-    }
-
-    /// Like [`try_update`](Self::try_update), bounded by `deadline`
-    /// (same default-forwarding contract as [`try_scan_by`](Self::try_scan_by)).
-    ///
-    /// On `Err` the update stays *indeterminate* whether the cause was
-    /// the backing or the deadline — a write cut off mid-quorum may yet
-    /// become visible.
-    fn try_update_by(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: V,
-        _deadline: Deadline,
-    ) -> Result<ScanStats, CoreError> {
-        self.try_update(lane, segment, value)
-    }
-
-    /// Like [`try_certified_read`](Self::try_certified_read), bounded by
-    /// `deadline` (same default-forwarding contract as
-    /// [`try_scan_by`](Self::try_scan_by)).
-    fn try_certified_read_by(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-        _deadline: Deadline,
-    ) -> Result<Option<(V, u64)>, CoreError> {
-        self.try_certified_read(reader, segment)
-    }
-
-    /// Like [`try_scan_by`](Self::try_scan_by), additionally carrying the
-    /// caller's [`RequestCtx`] so a core that emits causal spans can
-    /// parent its register phases under the request's span.
-    ///
-    /// The default drops the context and forwards to `try_scan_by` — an
-    /// in-process core's collect is a handful of register reads with no
-    /// internal phase worth a span of its own. Cores with observable
-    /// internal waits (`snapshot-abd`'s `AbdSnapshotCore` quorum phases)
-    /// override this.
-    fn try_scan_ctx(
-        &self,
-        lane: ProcessId,
-        deadline: Deadline,
-        _ctx: RequestCtx,
-    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        self.try_scan_by(lane, deadline)
-    }
-
-    /// Like [`try_update_by`](Self::try_update_by), carrying the caller's
-    /// [`RequestCtx`] (same default-forwarding contract as
-    /// [`try_scan_ctx`](Self::try_scan_ctx)).
-    fn try_update_ctx(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: V,
-        deadline: Deadline,
-        _ctx: RequestCtx,
-    ) -> Result<ScanStats, CoreError> {
-        self.try_update_by(lane, segment, value, deadline)
-    }
-
-    /// Like [`try_certified_read_by`](Self::try_certified_read_by),
-    /// carrying the caller's [`RequestCtx`] (same default-forwarding
-    /// contract as [`try_scan_ctx`](Self::try_scan_ctx)).
-    fn try_certified_read_ctx(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-        deadline: Deadline,
-        _ctx: RequestCtx,
-    ) -> Result<Option<(V, u64)>, CoreError> {
-        self.try_certified_read_by(reader, segment, deadline)
-    }
-
-    /// Runs one native partial scan of `segments` (non-empty, strictly
-    /// increasing, in range) on behalf of `lane` — the fallible twin of
-    /// [`SnapshotCore::core_scan_subset`].
-    ///
-    /// `Ok(None)` means no certified subset view is available (no native
-    /// path, or its bounded interference budget ran out) and the caller
-    /// should fall back; it is not an error. The default returns
-    /// `Ok(None)`, so manually-implemented fallible cores keep compiling
-    /// and simply stay on the fallback path until they override it.
+    /// Panics if `lane` is out of range or busy, or if `segments`
+    /// violates the canonical-form contract (debug assertions).
     fn try_scan_subset(
         &self,
         lane: ProcessId,
         segments: &[usize],
+        ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
-        let _ = (lane, segments);
+        let _ = (lane, segments, ctx);
         Ok(None)
     }
-
-    /// Like [`try_scan_subset`](Self::try_scan_subset), bounded by
-    /// `deadline` (same default-forwarding contract as
-    /// [`try_scan_by`](Self::try_scan_by)).
-    fn try_scan_subset_by(
-        &self,
-        lane: ProcessId,
-        segments: &[usize],
-        _deadline: Deadline,
-    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
-        self.try_scan_subset(lane, segments)
-    }
-
-    /// Like [`try_scan_subset_by`](Self::try_scan_subset_by), carrying
-    /// the caller's [`RequestCtx`] (same default-forwarding contract as
-    /// [`try_scan_ctx`](Self::try_scan_ctx)).
-    fn try_scan_subset_ctx(
-        &self,
-        lane: ProcessId,
-        segments: &[usize],
-        deadline: Deadline,
-        _ctx: RequestCtx,
-    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
-        self.try_scan_subset_by(lane, segments, deadline)
-    }
 }
-
-/// Implements [`TrySnapshotCore`] for a type by forwarding to its
-/// (infallible) [`SnapshotCore`] impl — the lifted operations simply never
-/// err.
-///
-/// A blanket `impl<T: SnapshotCore<V>> TrySnapshotCore<V> for T` is ruled
-/// out by coherence: fallible cores in other crates (`snapshot-abd`'s
-/// `AbdSnapshotCore`) need their own generic `TrySnapshotCore<V>` impl,
-/// and next to a blanket impl that is E0119 — a downstream crate could
-/// legally write `impl SnapshotCore<Local> for AbdSnapshotCore<Local>`
-/// and make the two overlap. So the lift is opt-in per type: this macro
-/// generates the forwarding impl, and every construction in this crate
-/// already invokes it. Wrapper cores elsewhere invoke it as
-///
-/// ```
-/// use snapshot_core::SnapshotCore;
-///
-/// struct Logged<C>(C);
-/// # impl<V, C: SnapshotCore<V>> SnapshotCore<V> for Logged<C> {
-/// #     fn segments(&self) -> usize { self.0.segments() }
-/// #     fn lanes(&self) -> usize { self.0.lanes() }
-/// #     fn single_writer(&self) -> bool { self.0.single_writer() }
-/// #     fn core_scan(&self, lane: snapshot_registers::ProcessId)
-/// #         -> (snapshot_core::SnapshotView<V>, snapshot_core::ScanStats)
-/// #     { self.0.core_scan(lane) }
-/// #     fn core_update(&self, lane: snapshot_registers::ProcessId, segment: usize, value: V)
-/// #         -> snapshot_core::ScanStats
-/// #     { self.0.core_update(lane, segment, value) }
-/// #     fn certified_read(&self, reader: snapshot_registers::ProcessId, segment: usize)
-/// #         -> Option<(V, u64)>
-/// #     { self.0.certified_read(reader, segment) }
-/// # }
-/// snapshot_core::impl_try_snapshot_core!([V, C: SnapshotCore<V>] V, Logged<C>);
-/// ```
-///
-/// The bracketed list is the impl's generic parameters, followed by the
-/// value type and the implementing type; the macro adds a
-/// `where $ty: SnapshotCore<$value>` clause, so the type must already
-/// implement the infallible trait. The invoking crate must depend on
-/// `snapshot-registers` (for `ProcessId` in the generated signatures).
-#[macro_export]
-macro_rules! impl_try_snapshot_core {
-    ([$($gen:tt)*] $v:ty, $ty:ty) => {
-        impl<$($gen)*> $crate::TrySnapshotCore<$v> for $ty
-        where
-            $ty: $crate::SnapshotCore<$v>,
-        {
-            fn segments(&self) -> usize {
-                $crate::SnapshotCore::segments(self)
-            }
-
-            fn lanes(&self) -> usize {
-                $crate::SnapshotCore::lanes(self)
-            }
-
-            fn single_writer(&self) -> bool {
-                $crate::SnapshotCore::single_writer(self)
-            }
-
-            fn try_scan(
-                &self,
-                lane: ::snapshot_registers::ProcessId,
-            ) -> Result<($crate::SnapshotView<$v>, $crate::ScanStats), $crate::CoreError>
-            {
-                Ok($crate::SnapshotCore::core_scan(self, lane))
-            }
-
-            fn try_update(
-                &self,
-                lane: ::snapshot_registers::ProcessId,
-                segment: usize,
-                value: $v,
-            ) -> Result<$crate::ScanStats, $crate::CoreError> {
-                Ok($crate::SnapshotCore::core_update(self, lane, segment, value))
-            }
-
-            fn try_certified_read(
-                &self,
-                reader: ::snapshot_registers::ProcessId,
-                segment: usize,
-            ) -> Result<Option<($v, u64)>, $crate::CoreError> {
-                Ok($crate::SnapshotCore::certified_read(self, reader, segment))
-            }
-
-            fn try_scan_subset(
-                &self,
-                lane: ::snapshot_registers::ProcessId,
-                segments: &[usize],
-            ) -> Result<Option<(Vec<$v>, $crate::ScanStats)>, $crate::CoreError> {
-                Ok($crate::SnapshotCore::core_scan_subset(self, lane, segments))
-            }
-        }
-    };
-}
-
-// Lift every infallible construction in this crate.
-crate::impl_try_snapshot_core!(
-    [V: RegisterValue, B: Backend] V, crate::UnboundedSnapshot<V, B>
-);
-crate::impl_try_snapshot_core!(
-    [V: RegisterValue, B: Backend] V, crate::BoundedSnapshot<V, B>
-);
-crate::impl_try_snapshot_core!([V: RegisterValue] V, crate::LockSnapshot<V>);
-crate::impl_try_snapshot_core!(
-    [V: RegisterValue, B: Backend, BM: Backend] V, crate::MultiWriterSnapshot<V, B, BM>
-);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BoundedSnapshot, UnboundedSnapshot};
+    use crate::{
+        BoundedSnapshot, LockSnapshot, MultiWriterSnapshot, SwSnapshot, UnboundedSnapshot,
+    };
 
     #[test]
-    fn forwarding_impls_cover_infallible_cores() {
-        fn exercise(core: &dyn TrySnapshotCore<u32>) {
-            let lane = ProcessId::new(0);
-            core.try_update(lane, 0, 5).unwrap();
-            let (view, _) = core.try_scan(lane).unwrap();
-            assert_eq!(view[0], 5);
-        }
-        exercise(&UnboundedSnapshot::new(2, 0u32));
-        exercise(&BoundedSnapshot::new(2, 0u32));
-        exercise(&crate::LockSnapshot::new(2, 0u32));
-    }
-
-    #[test]
-    fn forwarded_certified_read() {
-        let snap = UnboundedSnapshot::new(2, 0u32);
-        let lane = ProcessId::new(0);
-        TrySnapshotCore::try_update(&snap, lane, 0, 9).unwrap();
-        let (v, _cert) = snap.try_certified_read(lane, 0).unwrap().unwrap();
-        assert_eq!(v, 9);
-        // Bounded cores certify nothing, fallibly too.
-        let b = BoundedSnapshot::new(2, 0u32);
-        assert_eq!(b.try_certified_read(lane, 0).unwrap(), None);
-    }
-
-    #[test]
-    fn deadline_defaults_forward_and_ignore_the_budget() {
-        // In-process cores are wait-free: an already-expired deadline must
-        // not stop them (the default methods forward unconditionally).
-        let snap = UnboundedSnapshot::new(2, 0u32);
-        let lane = ProcessId::new(0);
-        let expired = Deadline::at(std::time::Instant::now());
-        snap.try_update_by(lane, 0, 3, expired).unwrap();
-        let (view, _) = snap.try_scan_by(lane, expired).unwrap();
-        assert_eq!(view[0], 3);
-        let (v, _) = snap.try_certified_read_by(lane, 0, expired).unwrap().unwrap();
-        assert_eq!(v, 3);
-    }
-
-    #[test]
-    fn ctx_defaults_forward_and_drop_the_context() {
-        // The ctx-threaded methods default through the deadline-bounded
-        // ones, so an untraced in-process core behaves identically.
-        let snap = UnboundedSnapshot::new(2, 0u32);
+    fn all_four_constructions_serve_the_three_operations() {
         let lane = ProcessId::new(0);
         let ctx = RequestCtx::none();
-        assert!(!ctx.is_traced());
-        snap.try_update_ctx(lane, 0, 7, Deadline::none(), ctx).unwrap();
-        let (view, _) = snap.try_scan_ctx(lane, Deadline::none(), ctx).unwrap();
-        assert_eq!(view[0], 7);
-        let (v, _) = snap.try_certified_read_ctx(lane, 0, Deadline::none(), ctx).unwrap().unwrap();
-        assert_eq!(v, 7);
+        let unb = UnboundedSnapshot::new(3, 0u32);
+        let bnd = BoundedSnapshot::new(3, 0u32);
+        let lck = LockSnapshot::new(3, 0u32);
+        let mw = MultiWriterSnapshot::new(3, 3, 0u32);
+        let cores: [(&dyn TrySnapshotCore<u32>, bool); 4] =
+            [(&unb, true), (&bnd, true), (&lck, true), (&mw, false)];
+        for (core, single_writer) in cores {
+            assert_eq!(core.single_writer(), single_writer);
+            assert_eq!((core.segments(), core.lanes()), (3, 3));
+            let _ = core.try_update(lane, 0, 7, ctx).unwrap();
+            assert_eq!(core.try_scan(lane, ctx).unwrap().0[0], 7);
+            let (values, stats) = core
+                .try_scan_subset(lane, &[0, 2], ctx)
+                .unwrap()
+                .expect("quiescent native subset scans always certify");
+            assert_eq!(values, vec![7, 0]);
+            assert!(!stats.borrowed);
+            // The lane is released again: a full scan still works.
+            assert_eq!(core.try_scan(lane, ctx).unwrap().0[0], 7);
+        }
+    }
+
+    #[test]
+    fn multiwriter_lanes_write_any_word_and_subsets_cost_o_k() {
+        let mw = MultiWriterSnapshot::new(2, 5, 0u32);
+        let ctx = RequestCtx::none();
+        assert_eq!((mw.segments(), mw.lanes()), (5, 2));
+        let _ = mw.try_update(ProcessId::new(1), 3, 9, ctx).unwrap();
+        // Version-filtered over the epoch backend: a quiescent subset
+        // scan certifies on the first probe round.
+        let (values, stats) =
+            mw.try_scan_subset(ProcessId::new(0), &[1, 3], ctx).unwrap().expect("quiescent");
+        assert_eq!(values, vec![0, 9]);
+        assert!(stats.reads <= 6, "O(k) cost: {} reads for k = 2", stats.reads);
+    }
+
+    #[test]
+    #[should_panic(expected = "single-writer")]
+    fn single_writer_update_rejects_foreign_segments() {
+        let snap = UnboundedSnapshot::new(2, 0u32);
+        let _ = snap.try_update(ProcessId::new(0), 1, 5, RequestCtx::none());
+    }
+
+    #[test]
+    fn transient_claims_leave_the_lane_reusable() {
+        let snap = UnboundedSnapshot::new(2, 0u32);
+        let lane = ProcessId::new(0);
+        for k in 1..=5 {
+            let _ = snap.try_update(lane, 0, k, RequestCtx::none()).unwrap();
+            assert_eq!(snap.try_scan(lane, RequestCtx::none()).unwrap().0[0], k);
+        }
+        // The ordinary handle interface still works afterwards.
+        let _h = snap.handle(lane);
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //! [`Backend`]: snapshot_registers::Backend
 //!
 //! The unbounded, bounded, multi-writer and locked constructions also
-//! implement [`SnapshotCore`] — the object-level multiplexing interface
-//! (`&self` operations plus per-segment collect hooks) that the
-//! `snapshot-service` front-end serves many concurrent clients over. Its
-//! fallible twin [`TrySnapshotCore`] (every construction here gets a
-//! forwarding impl; wrapper cores opt in with
-//! [`impl_try_snapshot_core!`]) lets the same front-end run over emulated registers
-//! whose operations can fail — see `snapshot-abd`'s `AbdSnapshotCore`.
+//! implement [`TrySnapshotCore`] — the object-level multiplexing
+//! interface (`&self` scan / update / partial scan, each taking a lane and
+//! the request's [`RequestCtx`]) that the `snapshot-service` front-end
+//! serves many concurrent clients over. Its operations return `Result` so
+//! the same front-end also runs over emulated registers whose operations
+//! can fail — see `snapshot-abd`'s `AbdSnapshotCore`; the in-process
+//! constructions never err.
 //!
 //! # Quickstart
 //!
@@ -69,7 +69,6 @@ mod deadline;
 mod double_collect;
 mod fallible;
 mod locked;
-mod multiplex;
 mod multiwriter;
 mod unbounded;
 mod view;
@@ -78,7 +77,6 @@ pub use api::{MwSnapshot, MwSnapshotHandle, ScanStats, SwSnapshot, SwSnapshotHan
 pub use ctx::RequestCtx;
 pub use deadline::Deadline;
 pub use fallible::{CoreError, TrySnapshotCore};
-pub use multiplex::SnapshotCore;
 pub use bounded::{BoundedHandle, BoundedSnapshot};
 pub use double_collect::{DoubleCollectHandle, DoubleCollectSnapshot};
 pub use locked::{LockHandle, LockSnapshot};

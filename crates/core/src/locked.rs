@@ -4,7 +4,7 @@ use parking_lot::RwLock;
 use snapshot_registers::{CachePadded, ProcessId, RegisterValue};
 
 use crate::api::HandleRegistry;
-use crate::{ScanStats, SnapshotView, SwSnapshot, SwSnapshotHandle};
+use crate::{CoreError, RequestCtx, ScanStats, SnapshotView, SwSnapshot, SwSnapshotHandle};
 
 /// A coarse-grained **lock-based** snapshot baseline: the whole memory
 /// behind one reader-writer lock.
@@ -74,7 +74,7 @@ impl<V> fmt::Debug for LockSnapshot<V> {
     }
 }
 
-impl<V: RegisterValue> crate::SnapshotCore<V> for LockSnapshot<V> {
+impl<V: RegisterValue> crate::TrySnapshotCore<V> for LockSnapshot<V> {
     fn segments(&self) -> usize {
         self.n
     }
@@ -87,43 +87,45 @@ impl<V: RegisterValue> crate::SnapshotCore<V> for LockSnapshot<V> {
         true
     }
 
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-        self.handle(lane).scan_with_stats()
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        _ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
+        Ok(self.handle(lane).scan_with_stats())
     }
 
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
+    fn try_update(
+        &self,
+        lane: ProcessId,
+        segment: usize,
+        value: V,
+        _ctx: RequestCtx,
+    ) -> Result<ScanStats, CoreError> {
         assert_eq!(
             segment,
             lane.get(),
             "single-writer construction: lane {lane} cannot update segment {segment}"
         );
-        self.handle(lane).update_with_stats(value)
-    }
-
-    /// The baseline keeps no per-segment versions, so a single read has
-    /// no certificate to return; subset reads go through
-    /// [`core_scan_subset`](crate::SnapshotCore::core_scan_subset), which
-    /// projects under the lock.
-    fn certified_read(&self, _reader: ProcessId, segment: usize) -> Option<(V, u64)> {
-        assert!(segment < self.n, "segment {segment} out of range");
-        None
+        Ok(self.handle(lane).update_with_stats(value))
     }
 
     /// A lock-scoped projection: the read lock makes the whole memory
     /// instantaneous, so copying only the requested segments out of it is
     /// trivially a partial snapshot — and clones `k` values instead of
     /// `n`, which is the entire point for wide objects.
-    fn core_scan_subset(
+    fn try_scan_subset(
         &self,
         lane: ProcessId,
         segments: &[usize],
-    ) -> Option<(Vec<V>, ScanStats)> {
+        _ctx: RequestCtx,
+    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
         let _lane = self.registry.claim_guard(lane);
         let mem = self.mem.read();
-        Some((segments.iter().map(|&s| mem[s].clone()).collect(), ScanStats::default()))
+        Ok(Some((segments.iter().map(|&s| mem[s].clone()).collect(), ScanStats::default())))
     }
 }
 

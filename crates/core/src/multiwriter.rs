@@ -7,7 +7,7 @@ use snapshot_registers::{
 };
 
 use crate::api::HandleRegistry;
-use crate::{MwSnapshot, MwSnapshotHandle, ScanStats, SnapshotView};
+use crate::{CoreError, MwSnapshot, MwSnapshotHandle, RequestCtx, ScanStats, SnapshotView};
 
 /// Sentinel for "no process": the `id` of the initial register contents.
 const NO_WRITER: usize = usize::MAX;
@@ -246,7 +246,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> fmt::Debug for MultiWriterSnapsh
     }
 }
 
-impl<V: RegisterValue, B: Backend, BM: Backend> crate::SnapshotCore<V>
+impl<V: RegisterValue, B: Backend, BM: Backend> crate::TrySnapshotCore<V>
     for MultiWriterSnapshot<V, B, BM>
 {
     fn segments(&self) -> usize {
@@ -261,24 +261,22 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::SnapshotCore<V>
         false
     }
 
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-        self.handle(lane).scan_with_stats()
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        _ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
+        Ok(self.handle(lane).scan_with_stats())
     }
 
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
-        self.handle(lane).update_with_stats(segment, value)
-    }
-
-    /// Figure 4's value records carry `(id, toggle)` — `2n` distinct keys
-    /// that recur under ABA, not a per-write-unique certificate.
-    /// Per-segment certification therefore needs the *register backend's*
-    /// version filter (see [`core_scan_subset`]); a single logical read
-    /// has nothing ABA-free to return.
-    ///
-    /// [`core_scan_subset`]: crate::SnapshotCore::core_scan_subset
-    fn certified_read(&self, _reader: ProcessId, segment: usize) -> Option<(V, u64)> {
-        assert!(segment < self.m, "segment {segment} out of range");
-        None
+    fn try_update(
+        &self,
+        lane: ProcessId,
+        segment: usize,
+        value: V,
+        _ctx: RequestCtx,
+    ) -> Result<ScanStats, CoreError> {
+        Ok(self.handle(lane).update_with_stats(segment, value))
     }
 
     /// Version-filtered subset collect over the requested value words.
@@ -297,14 +295,15 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::SnapshotCore<V>
     /// discipline to finish against sustained subset writes (a view
     /// borrow needs the full three-blame protocol over all words), so
     /// this path is **bounded, not wait-free**: after a few contended
-    /// rounds it returns `None` and the caller falls back to the
+    /// rounds it returns `Ok(None)` and the caller falls back to the
     /// projected full scan, whose termination Lemma 5.2 proves. Hintless
-    /// backends (mutex cells, gated simulation) also return `None`.
-    fn core_scan_subset(
+    /// backends (mutex cells, gated simulation) also return `Ok(None)`.
+    fn try_scan_subset(
         &self,
         lane: ProcessId,
         segments: &[usize],
-    ) -> Option<(Vec<V>, ScanStats)> {
+        _ctx: RequestCtx,
+    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.m), "segment out of range");
@@ -314,13 +313,13 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::SnapshotCore<V>
         let _lane = self.registry.claim_guard(lane);
         let slots: Vec<&BM::Cell<MwRecord<V>>> =
             segments.iter().map(|&w| &*self.vals[w]).collect();
-        match subset_collect(lane, &slots, MAX_ROUNDS) {
+        Ok(match subset_collect(lane, &slots, MAX_ROUNDS) {
             SubsetOutcome::Clean { records, rounds, reads } => Some((
                 records.into_iter().map(|r| r.value).collect(),
                 ScanStats { double_collects: rounds, borrowed: false, reads, writes: 0 },
             )),
             SubsetOutcome::Unsupported | SubsetOutcome::Contended { .. } => None,
-        }
+        })
     }
 }
 

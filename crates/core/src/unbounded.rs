@@ -7,7 +7,7 @@ use snapshot_registers::{
 };
 
 use crate::api::HandleRegistry;
-use crate::{ScanStats, SnapshotView, SwSnapshot, SwSnapshotHandle};
+use crate::{CoreError, RequestCtx, ScanStats, SnapshotView, SwSnapshot, SwSnapshotHandle};
 
 /// Contents of register `r_i` in Figure 2: `(value, seq, view)` written in
 /// one atomic register write.
@@ -155,7 +155,7 @@ impl<V: RegisterValue, B: Backend> fmt::Debug for UnboundedSnapshot<V, B> {
     }
 }
 
-impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for UnboundedSnapshot<V, B> {
+impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for UnboundedSnapshot<V, B> {
     fn segments(&self) -> usize {
         self.n
     }
@@ -168,24 +168,27 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for UnboundedSnapshot<
         true
     }
 
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-        self.handle(lane).scan_with_stats()
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        _ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
+        Ok(self.handle(lane).scan_with_stats())
     }
 
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
+    fn try_update(
+        &self,
+        lane: ProcessId,
+        segment: usize,
+        value: V,
+        _ctx: RequestCtx,
+    ) -> Result<ScanStats, CoreError> {
         assert_eq!(
             segment,
             lane.get(),
             "single-writer construction: lane {lane} cannot update segment {segment}"
         );
-        self.handle(lane).update_with_stats(value)
-    }
-
-    /// Figure 2's `seq` is exactly the certificate the contract asks for:
-    /// the single-writer discipline makes it strictly monotone, so no two
-    /// writes of a segment ever share it.
-    fn certified_read(&self, reader: ProcessId, segment: usize) -> Option<(V, u64)> {
-        Some(self.regs[segment].read_with(reader, |r| (r.value.clone(), r.seq)))
+        Ok(self.handle(lane).update_with_stats(value))
     }
 
     /// Figure 2's scan run over only the requested registers. Equal `seq`
@@ -200,12 +203,13 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for UnboundedSnapshot<
     /// is projected onto the subset (Observation 2). Pigeonhole: at most
     /// `2k + 1` double collects over `k` registers — `O(k)` reads,
     /// independent of `n`, and the helping rule means this never returns
-    /// `None`.
-    fn core_scan_subset(
+    /// `Ok(None)`.
+    fn try_scan_subset(
         &self,
         lane: ProcessId,
         segments: &[usize],
-    ) -> Option<(Vec<V>, ScanStats)> {
+        _ctx: RequestCtx,
+    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
@@ -228,7 +232,7 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for UnboundedSnapshot<
                 stats.double_collects
             );
             if (0..k).all(|x| a[x] == b[x].0) {
-                return Some((b.into_iter().map(|(_, v)| v).collect(), stats));
+                return Ok(Some((b.into_iter().map(|(_, v)| v).collect(), stats)));
             }
             for x in 0..k {
                 if a[x] != b[x].0 {
@@ -238,7 +242,7 @@ impl<V: RegisterValue, B: Backend> crate::SnapshotCore<V> for UnboundedSnapshot<
                         let view =
                             self.regs[segments[x]].read_with(lane, |r| r.view.clone());
                         let values = segments.iter().map(|&j| view[j].clone()).collect();
-                        return Some((values, stats));
+                        return Ok(Some((values, stats)));
                     }
                     moved[x] += 1;
                 }

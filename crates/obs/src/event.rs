@@ -90,29 +90,6 @@ impl RegOp {
     }
 }
 
-/// Why a partial scan abandoned its certified/native subset path and
-/// projected a full scan instead (payload of
-/// [`Event::PartialFallback`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FallbackReason {
-    /// The backing offers neither a native subset scan nor certified
-    /// reads — the projected full scan is the only correct answer.
-    Uncertified,
-    /// A subset path exists but interference exhausted its round budget
-    /// before two clean passes.
-    Contended,
-}
-
-impl FallbackReason {
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            FallbackReason::Uncertified => "uncertified",
-            FallbackReason::Contended => "contended",
-        }
-    }
-}
-
 impl fmt::Display for RegOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -392,21 +369,21 @@ pub enum Event {
     PartialCollect {
         /// Number of segments the caller requested.
         segments: usize,
-        /// Certified collect passes performed (0 when the construction
-        /// offers no certified reads and the service fell back directly).
+        /// Double collects the backing's native subset scan ran (0 when
+        /// the request fell back, joined a cohort, or covered every
+        /// segment and was served as a full scan).
         rounds: u32,
         /// Whether the partial scan fell back to projecting a full scan.
         fallback: bool,
     },
-    /// A partial scan fell back to projecting a full scan, with the
-    /// reason. Emitted alongside the summarizing
-    /// [`PartialCollect`](Event::PartialCollect) so dashboards can split
-    /// "backing cannot certify" from "subset too contended".
+    /// A partial scan's native subset path yielded nothing (the backing
+    /// has none, or its interference budget ran out) and the collect fell
+    /// back to projecting a full scan. Emitted by the request that ran
+    /// the collect, alongside the summarizing
+    /// [`PartialCollect`](Event::PartialCollect).
     PartialFallback {
-        /// Number of segments the caller requested.
+        /// Number of segments the collect covered.
         segments: usize,
-        /// Why the certified/native subset path yielded nothing.
-        reason: FallbackReason,
     },
     /// A fallible backing core returned an error to the service layer
     /// (e.g. an ABD quorum phase starved without a majority).
@@ -698,8 +675,8 @@ impl fmt::Display for Event {
             Event::PartialCollect { segments, rounds, fallback } => {
                 write!(f, "partial_collect(segments={segments}, rounds={rounds}, fallback={fallback})")
             }
-            Event::PartialFallback { segments, reason } => {
-                write!(f, "partial_fallback(segments={segments}, reason={})", reason.name())
+            Event::PartialFallback { segments } => {
+                write!(f, "partial_fallback(segments={segments})")
             }
             Event::BackendError { attempt, retryable } => {
                 write!(f, "backend_error(attempt={attempt}, retryable={retryable})")

@@ -92,9 +92,8 @@ fn push_payload(out: &mut String, event: &Event) {
             push_field(out, "rounds", rounds);
             push_field(out, "fallback", fallback);
         }
-        Event::PartialFallback { segments, reason } => {
+        Event::PartialFallback { segments } => {
             push_field(out, "segments", segments);
-            push_str_field(out, "reason", reason.name());
         }
         Event::BackendError { attempt, retryable } => {
             push_field(out, "attempt", attempt);

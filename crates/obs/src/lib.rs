@@ -67,8 +67,7 @@ mod spantree;
 mod trace;
 
 pub use event::{
-    AbdPhaseKind, Algo, Event, FallbackReason, RegOp, RoundOutcome, SpanKind, SpanStatus,
-    TraceEvent,
+    AbdPhaseKind, Algo, Event, RegOp, RoundOutcome, SpanKind, SpanStatus, TraceEvent,
 };
 pub use export::{chrome_tracing, json_lines};
 pub use flight::{DumpCause, FlightDump, FlightRecorder};

@@ -116,8 +116,6 @@ pub(crate) enum Entry<'a, T> {
     /// error, fanned out to the cohort. The caller decides whether to
     /// re-enter (a fresh entry re-elects) or surface the error.
     Failed {
-        /// The generation of the failed collect.
-        generation: u64,
         /// The error the leader's collect died with.
         error: CoreError,
     },
@@ -191,9 +189,8 @@ impl<T: Clone> Coalescer<T> {
                 return Entry::Joined { generation, view, lead_span: s.view_span };
             }
             if s.failed > my_gen {
-                let generation = s.failed;
                 let error = s.error.clone().expect("failed generation without an error");
-                return Entry::Failed { generation, error };
+                return Entry::Failed { error };
             }
             // Deadline before leadership: an out-of-budget request must
             // not start a collect it has no time to run.
@@ -427,7 +424,7 @@ mod tests {
                             t.fail(unavailable());
                             None
                         }
-                        Entry::Failed { generation, error } => Some((generation, error)),
+                        Entry::Failed { error } => Some(error),
                         Entry::Joined { .. } => panic!("nothing publishable"),
                         Entry::Expired => panic!("unbounded deadlines never expire"),
                     })
@@ -440,8 +437,7 @@ mod tests {
             let results: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
             let fanned: Vec<_> = results.iter().flatten().collect();
             assert_eq!(fanned.len(), 2, "exactly one waiter led, two got the fan-out");
-            for (generation, error) in fanned {
-                assert_eq!(*generation, 2);
+            for error in fanned {
                 assert_eq!(*error, unavailable());
             }
         });

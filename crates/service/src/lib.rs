@@ -2,12 +2,13 @@
 //!
 //! The constructions in [`snapshot_core`] give each process a private
 //! handle to one shared snapshot object. This crate puts a *service* in
-//! front of any of them ([`TrySnapshotCore`] is the adapter trait —
-//! every infallible [`SnapshotCore`] construction carries a forwarding
-//! impl (wrappers opt in via `snapshot_core::impl_try_snapshot_core!`),
-//! and fallible message-passing cores such as `snapshot-abd`'s
-//! `AbdSnapshotCore` plug in directly) and adds the things a shared
-//! front-end can provide that the raw objects cannot:
+//! front of any of them
+//! ([`TrySnapshotCore`](snapshot_core::TrySnapshotCore) is the one
+//! interface — the in-process constructions implement it with operations
+//! that never err, and fallible message-passing cores such as
+//! `snapshot-abd`'s `AbdSnapshotCore` implement it with typed errors) and
+//! adds the things a shared front-end can provide that the raw objects
+//! cannot:
 //!
 //! ## Scan coalescing
 //!
@@ -27,17 +28,18 @@
 //! ## Partial scans
 //!
 //! [`ServiceClient::scan_subset`] returns an atomic picture of just the
-//! requested segments. Where the backing construction exposes ABA-free
-//! per-segment certificates ([`SnapshotCore::certified_read`] — the
-//! unbounded construction's sequence numbers qualify; bounded handshake
-//! bits do not), the service runs a *projected double collect*: two
-//! adjacent passes over the subset with unchanged certificates certify
-//! that no write to those segments completed in between, which is
-//! Observation 1 restricted to the projection. Otherwise it falls back to
-//! projecting a full scan — still wait-free, because the constructions'
-//! own scans are. `snapshot-lin` ships a projected sequential spec
-//! (`check_partial_history`) so these histories can be checked by the
-//! Wing & Gong backtracking checker.
+//! requested segments. The service asks the backing for a *native* subset
+//! scan
+//! ([`try_scan_subset`](snapshot_core::TrySnapshotCore::try_scan_subset)
+//! — a double collect over just the touched registers: two adjacent
+//! passes with unchanged per-slot keys certify that no write to those
+//! segments completed in between, which is Observation 1 restricted to
+//! the projection; every in-tree construction has one). Where the backing
+//! has none, or its bounded interference budget ran out, the service
+//! falls back to projecting a full scan — still wait-free, because the
+//! constructions' own scans are. `snapshot-lin` ships a projected
+//! sequential spec (`check_partial_history`) so these histories can be
+//! checked by the Wing & Gong backtracking checker.
 //!
 //! ## Sharding and admission control
 //!

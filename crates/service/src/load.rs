@@ -141,8 +141,8 @@ pub struct LoadReport {
     /// past a floor and the leader at ≥ 2× the mean).
     pub hot_shard: Option<usize>,
     /// Permille of served partial scans that did **not** fall back to a
-    /// projected full scan — native subset scans and certified collects
-    /// both count as certified. 1000 until the first partial is served
+    /// projected full scan — they were served natively, joined a cohort,
+    /// or covered every segment. 1000 until the first partial is served
     /// (a quiet service reads as healthy); a sagging ratio means subset
     /// traffic is paying full-scan cost and the backing (or contention
     /// profile) deserves a look.

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use snapshot_core::{CoreError, Deadline, RequestCtx, ScanStats, SnapshotView, TrySnapshotCore};
 use snapshot_obs::{
-    Counter, Event, FallbackReason, Gauge, Histogram, LatencySummary, Registry, SpanId, SpanKind,
-    SpanStatus, Trace,
+    Counter, Event, Gauge, Histogram, LatencySummary, Registry, SpanId, SpanKind, SpanStatus,
+    Trace,
 };
 use snapshot_registers::{CachePadded, ProcessId, RegisterValue};
 
@@ -22,9 +22,9 @@ use crate::ServiceError;
 /// Tuning knobs for a [`SnapshotService`].
 ///
 /// Values are normalized at construction: `shards` is clamped into
-/// `[1, segments]`, `max_inflight` and `max_partial_rounds` to at
-/// least 1 (`retry.max_attempts` is treated as at least 1 at use, and
-/// the health window is clamped into `[1, 64]` by the breaker).
+/// `[1, segments]`, `max_inflight` to at least 1 (`retry.max_attempts`
+/// is treated as at least 1 at use, and the health window is clamped
+/// into `[1, 64]` by the breaker).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Number of shards the segments are partitioned into (contiguous
@@ -38,9 +38,6 @@ pub struct ServiceConfig {
     /// scan runs its own collect — the "solo" mode the equivalence tests
     /// compare against.
     pub coalesce: bool,
-    /// Certified-collect passes a partial scan attempts before falling
-    /// back to a projected full scan (the wait-free escape hatch).
-    pub max_partial_rounds: u32,
     /// Retry budget applied when the backing core returns a retryable
     /// [`CoreError`] (infallible in-process cores never do).
     pub retry: RetryConfig,
@@ -54,7 +51,6 @@ impl Default for ServiceConfig {
             shards: 4,
             max_inflight: 256,
             coalesce: true,
-            max_partial_rounds: 8,
             retry: RetryConfig::default(),
             health: HealthConfig::default(),
         }
@@ -75,12 +71,9 @@ pub struct ServiceStats {
     /// True if a partial scan fell back to projecting a full scan.
     pub fallback_full: bool,
     /// True if a partial scan was served by the backing's **native**
-    /// subset scan (`core_scan_subset` — O(touched segments)) rather
-    /// than service-level certified collects or a projected full scan.
+    /// subset scan (`try_scan_subset` — O(touched segments)) rather than
+    /// a projected full scan.
     pub native_subset: bool,
-    /// Certified-collect passes a partial scan performed (0 for full
-    /// scans and for fallbacks that never certified).
-    pub certified_rounds: u32,
     /// Attempts the retry budget consumed *before* the one that
     /// succeeded (0 when the first attempt went through — always 0 for
     /// infallible in-process cores).
@@ -151,7 +144,8 @@ struct Metrics {
     partial_native: Counter,
     fallback_full: Counter,
     /// Permille of served partial scans that did *not* fall back to a
-    /// projected full scan; 1000 while no partial has been served.
+    /// projected full scan (the name predates the native path; a metric
+    /// name is a format); 1000 while no partial has been served.
     partial_certified_ratio: Gauge,
     overloaded: Counter,
     abdicated: Counter,
@@ -214,15 +208,38 @@ impl Metrics {
     }
 }
 
-/// Which shards' health gates an operation touches.
+/// Which shards an operation touches (for health gating and accounting).
 #[derive(Clone, Copy)]
 enum Shards<'a> {
     /// Every shard (full scans read all segments).
     All,
-    /// One shard (updates, shard-confined partials).
+    /// One shard (updates, probes, shard-confined partials).
     One(usize),
     /// An explicit sorted set (multi-shard subsets).
     Set(&'a [usize]),
+}
+
+impl<'a> Shards<'a> {
+    /// The shard indices, in increasing order, given `count` shards.
+    fn iter(self, count: usize) -> impl Iterator<Item = usize> + 'a {
+        let (range, set): (_, &[usize]) = match self {
+            Shards::All => (0..count, &[]),
+            Shards::One(s) => (s..s + 1, &[]),
+            Shards::Set(set) => (0..0, set),
+        };
+        range.chain(set.iter().copied())
+    }
+}
+
+/// One client request as the service threads it down to the core: the
+/// lane it runs on, its [`RequestCtx`] (the deadline, and the span the
+/// current layer parents its work under), and the budget the deadline was
+/// derived from (reported by [`ServiceError::DeadlineExceeded`]).
+#[derive(Clone, Copy)]
+struct Request {
+    lane: ProcessId,
+    ctx: RequestCtx,
+    budget: Duration,
 }
 
 /// Why one attempt inside [`SnapshotService::run_with_retry`] ended
@@ -242,44 +259,6 @@ impl From<CoreError> for AttemptError {
     fn from(e: CoreError) -> Self {
         AttemptError::Backend(e)
     }
-}
-
-/// How a service-level certified collect over a subset ended.
-enum CertifiedOutcome<V> {
-    /// Two adjacent passes matched: `values` is an instantaneous picture
-    /// of the subset.
-    Certified { values: Vec<V>, rounds: u32, stats: ScanStats },
-    /// The construction offers no certified reads (and reported no
-    /// native subset path before this): only a projected full scan can
-    /// serve the subset.
-    Uncertified,
-    /// Certified reads exist but interference exhausted the round
-    /// budget (`max_partial_rounds`).
-    Contended,
-}
-
-impl<V> CertifiedOutcome<V> {
-    /// The trace-visible reason when this outcome forces a projected
-    /// full-scan fallback (never called on `Certified`).
-    fn reason(&self) -> FallbackReason {
-        match self {
-            CertifiedOutcome::Contended => FallbackReason::Contended,
-            _ => FallbackReason::Uncertified,
-        }
-    }
-}
-
-/// How a subset (or shard-range) collect was served: the values plus the
-/// provenance the per-request [`ServiceStats`] report.
-struct SubsetServe<V> {
-    values: Arc<[V]>,
-    /// Certified passes (native double collects or service-level rounds).
-    rounds: u32,
-    /// Served by the backing's native O(touched) subset scan.
-    native: bool,
-    /// Fell back to a projected full scan.
-    fallback: bool,
-    stats: ScanStats,
 }
 
 /// Per-op-class latency quantiles, distilled from the service's log₂-µs
@@ -326,12 +305,10 @@ impl Drop for GateClaims<'_> {
 /// A concurrent front-end over one snapshot object.
 ///
 /// The service multiplexes many clients onto any [`TrySnapshotCore`]
-/// backing — every infallible in-process [`SnapshotCore`] construction
-/// qualifies via its forwarding impl
-/// (`snapshot_core::impl_try_snapshot_core!` lifts custom wrappers too),
-/// and fallible message-passing cores (`snapshot-abd`'s
-/// `AbdSnapshotCore`) plug in directly — adding four things the raw
-/// object does not have:
+/// backing — the four in-process constructions of `snapshot-core` (whose
+/// operations never err) and fallible message-passing cores
+/// (`snapshot-abd`'s `AbdSnapshotCore`) alike — adding four things the
+/// raw object does not have:
 ///
 /// * **scan coalescing** — concurrent full scans rendezvous so one
 ///   double-collect pass serves a whole cohort (the `coalesce` module
@@ -340,11 +317,11 @@ impl Drop for GateClaims<'_> {
 /// * **partial scans** — [`ServiceClient::scan_subset`] returns an
 ///   atomic picture of just the requested segments: served by the
 ///   backing's **native** O(touched-segments) subset scan when it offers
-///   one (`core_scan_subset` — all four in-process constructions and the
-///   ABD core do), via service-level certified per-segment collects
-///   otherwise, with a projected full scan as the always-correct escape
-///   hatch (each fallback is traced as [`Event::PartialFallback`] and
-///   sags the `service.partial.certified_ratio` gauge);
+///   one (`try_scan_subset` — all four in-process constructions and the
+///   ABD core do), with a projected full scan as the always-correct,
+///   wait-free second rung (each fallback is traced as
+///   [`Event::PartialFallback`] and sags the
+///   `service.partial.certified_ratio` gauge);
 /// * **admission control** — a bounded in-flight budget with typed
 ///   [`ServiceError::Overloaded`] rejections instead of unbounded
 ///   queueing;
@@ -368,8 +345,6 @@ impl Drop for GateClaims<'_> {
 /// Clients are claimed per lane with [`client`](Self::client); the
 /// service itself is `Sync` and meant to be shared by reference across
 /// threads.
-///
-/// [`SnapshotCore`]: snapshot_core::SnapshotCore
 pub struct SnapshotService<V: RegisterValue, C: TrySnapshotCore<V>> {
     core: C,
     cfg: ServiceConfig,
@@ -413,7 +388,6 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             shards: map.shards(),
             max_inflight: config.max_inflight.max(1),
             coalesce: config.coalesce,
-            max_partial_rounds: config.max_partial_rounds.max(1),
             retry: config.retry,
             health: config.health,
         };
@@ -513,9 +487,9 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     }
 
     /// Permille of served partial scans that did **not** fall back to a
-    /// projected full scan (native subset scans and service-level
-    /// certified collects both count as certified). Reads 1000 until the
-    /// first partial is served, so a quiet service reports healthy.
+    /// projected full scan — they were served natively, joined a cohort,
+    /// or covered every segment. Reads 1000 until the first partial is
+    /// served, so a quiet service reports healthy.
     ///
     /// The same number is exported as the
     /// `service.partial.certified_ratio` gauge and carried in
@@ -600,13 +574,14 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         self.clock.now_us()
     }
 
-    /// Wait-free admission check: takes an in-flight slot or rejects.
-    fn admit(&self) -> Result<Admitted<'_, V, C>, ServiceError> {
+    /// Wait-free admission check: takes an in-flight slot for `lane`'s
+    /// request or rejects it.
+    fn admit(&self, lane: ProcessId) -> Result<Admitted<'_, V, C>, ServiceError> {
         let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
         if prev >= self.cfg.max_inflight {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
             self.metrics.overloaded.inc();
-            self.trace.emit(0, Event::ServiceOverload { inflight: prev });
+            self.trace.emit(lane.get(), Event::ServiceOverload { inflight: prev });
             return Err(ServiceError::Overloaded { inflight: prev, budget: self.cfg.max_inflight });
         }
         self.metrics.inflight.add(1);
@@ -620,12 +595,12 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     fn gate(
         &self,
         lane: ProcessId,
-        shards: impl IntoIterator<Item = usize>,
+        shards: Shards<'_>,
         priority: Priority,
     ) -> Result<GateClaims<'_>, ServiceError> {
         let now = self.now_us();
         let mut claims = GateClaims { health: &self.health, claimed: Vec::new() };
-        for s in shards {
+        for s in shards.iter(self.health.len()) {
             match self.health[s].check(now, priority, &self.cfg.health) {
                 Gate::Admit => {}
                 Gate::Probe => claims.claimed.push(s),
@@ -661,32 +636,22 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     fn record_ok(&self, shards: Shards<'_>, latency: Duration) {
         let cfg = &self.cfg.health;
         let now = self.now_us();
-        let one = |s: usize| {
+        for s in shards.iter(self.health.len()) {
             if self.health[s].on_success(now, cfg) {
                 self.note_breaker_trip(s);
             }
             self.load[s].record_hit(latency);
-        };
-        match shards {
-            Shards::All => (0..self.health.len()).for_each(one),
-            Shards::One(s) => one(s),
-            Shards::Set(set) => set.iter().copied().for_each(one),
         }
     }
 
     fn record_err(&self, shards: Shards<'_>, retryable: bool) {
         let now = self.now_us();
         let cfg = &self.cfg.health;
-        let one = |s: usize| {
+        for s in shards.iter(self.health.len()) {
             if self.health[s].on_failure(retryable, now, cfg) {
                 self.note_breaker_trip(s);
             }
             self.load[s].record_error();
-        };
-        match shards {
-            Shards::All => (0..self.health.len()).for_each(one),
-            Shards::One(s) => one(s),
-            Shards::Set(set) => set.iter().copied().for_each(one),
         }
     }
 
@@ -714,42 +679,63 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             .emit(lane.get(), Event::BackendError { attempt, retryable: error.retryable() });
     }
 
-    /// One core scan with health/metrics accounting, its wait capped by
-    /// the request's deadline. `ctx` carries the collect span the scan
-    /// runs under, so a fallible core can parent its quorum phases.
-    fn core_scan_recorded(
+    /// Runs one core operation with health/metrics accounting: the
+    /// outcome feeds the breakers and load rows of `shards`, and an error
+    /// is counted and traced as this request's own backend error.
+    fn recorded<T>(
         &self,
         lane: ProcessId,
         attempt: u32,
         shards: Shards<'_>,
-        deadline: Deadline,
-        ctx: RequestCtx,
-    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
+        op: impl FnOnce() -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
         let started = Instant::now();
-        match self.core.try_scan_ctx(lane, deadline, ctx) {
-            Ok(out) => {
-                self.record_ok(shards, started.elapsed());
-                Ok(out)
-            }
-            Err(e) => {
-                self.note_backend_error(lane, attempt, &e, shards);
-                Err(e)
-            }
+        let out = op();
+        match &out {
+            Ok(_) => self.record_ok(shards, started.elapsed()),
+            Err(e) => self.note_backend_error(lane, attempt, e, shards),
         }
+        out
     }
 
     /// Accounting shared by every deadline expiry: typed error, metric,
     /// trace event.
-    fn deadline_exceeded(&self, lane: ProcessId, attempts: u32, budget: Duration) -> ServiceError {
+    fn deadline_exceeded(&self, req: Request, attempts: u32) -> ServiceError {
+        let budget = req.budget;
         self.metrics.deadline_exceeded.inc();
         self.trace.emit(
-            lane.get(),
+            req.lane.get(),
             Event::DeadlineExceeded {
                 attempts,
                 budget_us: budget.as_micros().min(u128::from(u64::MAX)) as u64,
             },
         );
         ServiceError::DeadlineExceeded { attempts, budget }
+    }
+
+    /// What every request does once validated: fail fast if the budget is
+    /// already spent, take an in-flight slot, pass the health gates of
+    /// `shards`, then `run` — timed into `latency` when the op class has
+    /// a histogram.
+    fn admitted<T>(
+        &self,
+        req: Request,
+        shards: Shards<'_>,
+        priority: Priority,
+        latency: Option<&Histogram>,
+        run: impl FnOnce() -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        if req.ctx.deadline.expired() {
+            return Err(self.deadline_exceeded(req, 0));
+        }
+        let _slot = self.admit(req.lane)?;
+        let _claims = self.gate(req.lane, shards, priority)?;
+        let start = Instant::now();
+        let out = run();
+        if let Some(latency) = latency {
+            latency.record(start.elapsed());
+        }
+        out
     }
 
     /// Drives `attempt_fn` under the configured retry budget *and* the
@@ -761,38 +747,36 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     /// coalescing wait timed out), and before a backoff that would sleep
     /// past it — each mapping to [`ServiceError::DeadlineExceeded`].
     ///
-    /// Each attempt runs inside its own [`SpanKind::Attempt`] span (the
-    /// id is handed to `attempt_fn` so the attempt's collect/park spans
-    /// nest under it), and each backoff sleep inside a
-    /// [`SpanKind::Backoff`] span — both children of `parent`, so a
-    /// stalled request's flight recording names the phase that ate the
-    /// budget.
+    /// Each attempt runs inside its own [`SpanKind::Attempt`] span
+    /// (`attempt_fn` receives the request's context re-parented under it,
+    /// so the attempt's collect/park spans nest there), and each backoff
+    /// sleep inside a [`SpanKind::Backoff`] span — both children of
+    /// `req.ctx.span`, so a stalled request's flight recording names the
+    /// phase that ate the budget.
     fn run_with_retry<T>(
         &self,
-        lane: ProcessId,
-        deadline: Deadline,
-        budget: Duration,
-        parent: SpanId,
-        mut attempt_fn: impl FnMut(u32, SpanId) -> Result<T, AttemptError>,
+        req: Request,
+        mut attempt_fn: impl FnMut(u32, RequestCtx) -> Result<T, AttemptError>,
     ) -> Result<T, ServiceError> {
+        let Request { lane, ctx, .. } = req;
         let retry = self.cfg.retry;
         let mut backoff = retry.initial_backoff;
         let mut attempts = 0u32;
         loop {
-            if deadline.expired() {
-                return Err(self.deadline_exceeded(lane, attempts, budget));
+            if ctx.deadline.expired() {
+                return Err(self.deadline_exceeded(req, attempts));
             }
             attempts += 1;
-            let span = self.trace.span(lane.get(), SpanKind::Attempt, parent);
+            let span = self.trace.span(lane.get(), SpanKind::Attempt, ctx.span);
             span.note("attempt", u64::from(attempts));
-            let error = match attempt_fn(attempts, span.id()) {
+            let error = match attempt_fn(attempts, ctx.under(span.id())) {
                 Ok(v) => {
                     span.end(SpanStatus::Ok);
                     return Ok(v);
                 }
                 Err(AttemptError::Expired) => {
                     span.end(SpanStatus::Expired);
-                    return Err(self.deadline_exceeded(lane, attempts, budget));
+                    return Err(self.deadline_exceeded(req, attempts));
                 }
                 Err(AttemptError::Backend(e)) => {
                     span.end(SpanStatus::Error);
@@ -804,13 +788,13 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
                 self.trace.emit(lane.get(), Event::RetryExhausted { attempts });
                 return Err(ServiceError::Backend { attempts, error });
             }
-            if deadline.remaining().is_some_and(|left| left <= backoff) {
+            if ctx.deadline.remaining().is_some_and(|left| left <= backoff) {
                 // The backoff would sleep past the deadline: fail fast
                 // instead of napping into a guaranteed expiry.
-                return Err(self.deadline_exceeded(lane, attempts, budget));
+                return Err(self.deadline_exceeded(req, attempts));
             }
             self.metrics.retries.inc();
-            let pause = self.trace.span(lane.get(), SpanKind::Backoff, parent);
+            let pause = self.trace.span(lane.get(), SpanKind::Backoff, ctx.span);
             pause.note("backoff_us", backoff.as_micros().min(u128::from(u64::MAX)) as u64);
             std::thread::sleep(backoff);
             pause.end(SpanStatus::Ok);
@@ -818,280 +802,39 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         }
     }
 
-    /// One full scan, coalesced when enabled, under the retry budget.
-    /// Counts toward `service.scan.solo` (ran the collect) or
-    /// `service.scan.coalesced` (joined someone else's).
-    fn full_scan(
-        &self,
-        lane: ProcessId,
-        deadline: Deadline,
-        budget: Duration,
-        parent: SpanId,
-    ) -> Result<(SnapshotView<V>, ServiceStats), ServiceError> {
-        self.run_with_retry(lane, deadline, budget, parent, |attempt, span| {
-            self.scan_attempt(lane, attempt, deadline, span)
-        })
-    }
-
-    /// One attempt of a full scan: join, fail over, or lead-and-collect.
-    /// `parent` is the attempt span: the rendezvous park and the lead's
-    /// collect open as its children, and a joiner's park records a
-    /// `follows` edge to the lead's collect span.
-    fn scan_attempt(
+    /// One attempt's collect, through a rendezvous or alone. `ctx.span`
+    /// is the attempt span: the park and the collect open as its
+    /// children.
+    ///
+    /// With a `rendezvous` (a coalescer plus, for a shard's, the shard
+    /// index noted on the collect span) the request joins a cohort, fails
+    /// over with the leader's error, or leads: a leader runs `collect`
+    /// and publishes the value to the cohort — or, on an error, fans it
+    /// out so no waiter parks forever behind a dead collect. A joiner's
+    /// park records a `follows` edge to the lead's collect span. Without
+    /// one, `collect` simply runs under its own collect span.
+    ///
+    /// `collect` reports how it served in a [`ServiceStats`]; the
+    /// generation and retry count are filled in here. Counts toward
+    /// `service.scan.solo` (ran the collect) or `service.scan.coalesced`
+    /// (joined someone else's).
+    fn collect_attempt<T: Clone>(
         &self,
         lane: ProcessId,
         attempt: u32,
-        deadline: Deadline,
-        parent: SpanId,
-    ) -> Result<(SnapshotView<V>, ServiceStats), AttemptError> {
+        rendezvous: Option<(&Coalescer<T>, Option<usize>)>,
+        ctx: RequestCtx,
+        collect: impl FnOnce(RequestCtx) -> Result<(T, ServiceStats), CoreError>,
+    ) -> Result<(T, ServiceStats), AttemptError> {
         let retries = attempt - 1;
-        if !self.cfg.coalesce {
-            let collect = self.trace.span(lane.get(), SpanKind::Collect, parent);
-            let ctx = RequestCtx::under(collect.id());
-            return match self.core_scan_recorded(lane, attempt, Shards::All, deadline, ctx) {
-                Ok((view, stats)) => {
-                    collect.end(SpanStatus::Ok);
-                    self.metrics.solo.inc();
-                    Ok((view, ServiceStats { retries, underlying: stats, ..ServiceStats::default() }))
-                }
-                Err(e) => {
-                    collect.end(SpanStatus::Error);
-                    Err(e.into())
-                }
-            };
-        }
-        let park = self.trace.span(lane.get(), SpanKind::CoalescePark, parent);
-        match self.global.enter(deadline) {
-            Entry::Expired => {
-                park.end(SpanStatus::Expired);
-                Err(AttemptError::Expired)
-            }
-            Entry::Joined { generation, view, lead_span } => {
-                park.follows_from(SpanId::from_raw(lead_span));
-                park.end(SpanStatus::Ok);
-                self.metrics.coalesced.inc();
-                self.trace.emit(lane.get(), Event::CoalesceJoin { generation });
-                Ok((
-                    view,
-                    ServiceStats { coalesced: true, generation, retries, ..ServiceStats::default() },
-                ))
-            }
-            Entry::Failed { error, .. } => {
-                // The leader elected to serve this request died; its error
-                // reaches us through the rendezvous. It already did the
-                // health/backend accounting — we only consume our own
-                // retry budget on it.
-                park.end(SpanStatus::Error);
-                self.metrics.cohort_errors.inc();
-                Err(error.into())
-            }
-            Entry::Lead(token) => {
-                park.end(SpanStatus::Ok);
-                let generation = token.generation();
-                self.trace.emit(lane.get(), Event::CoalesceLead { generation });
-                let collect = self.trace.span(lane.get(), SpanKind::Collect, parent);
-                collect.note("generation", generation);
-                let ctx = RequestCtx::under(collect.id());
-                match self.core_scan_recorded(lane, attempt, Shards::All, deadline, ctx) {
-                    Ok((view, stats)) => {
-                        let collect_span = collect.id().raw();
-                        collect.end(SpanStatus::Ok);
-                        token.publish(view.clone(), collect_span);
-                        self.metrics.solo.inc();
-                        Ok((
-                            view,
-                            ServiceStats {
-                                generation,
-                                retries,
-                                underlying: stats,
-                                ..ServiceStats::default()
-                            },
-                        ))
-                    }
-                    Err(e) => {
-                        // Cohort-safe abdication: fan the error out so no
-                        // waiter parks forever behind this dead collect.
-                        collect.end(SpanStatus::Error);
-                        self.metrics.abdicated.inc();
-                        self.trace.emit(lane.get(), Event::CoalesceAbdicate { generation });
-                        token.fail(e.clone());
-                        Err(e.into())
-                    }
-                }
-            }
-        }
-    }
-
-    /// Double collect over `subset` using certified reads: two adjacent
-    /// passes whose certificates all match make the second pass an
-    /// instantaneous picture of the subset (Observation 1 projected —
-    /// certificates are ABA-free, so unchanged certificates mean *no
-    /// write at all* completed in between). The service-level layer
-    /// behind constructions without a native subset path; backend errors
-    /// surface as `Err`.
-    fn certified_collect(
-        &self,
-        lane: ProcessId,
-        subset: &[usize],
-        deadline: Deadline,
-        ctx: RequestCtx,
-    ) -> Result<CertifiedOutcome<V>, CoreError> {
-        let mut stats = ScanStats::default();
-        let read_all = |stats: &mut ScanStats| -> Result<Option<Vec<(V, u64)>>, CoreError> {
-            stats.reads += subset.len() as u64;
-            subset
-                .iter()
-                .map(|&s| self.core.try_certified_read_ctx(lane, s, deadline, ctx))
-                .collect()
-        };
-        let Some(mut prev) = read_all(&mut stats)? else {
-            return Ok(CertifiedOutcome::Uncertified);
-        };
-        for round in 1..=self.cfg.max_partial_rounds {
-            let Some(next) = read_all(&mut stats)? else {
-                return Ok(CertifiedOutcome::Uncertified);
-            };
-            let clean = prev.iter().zip(&next).all(|(a, b)| a.1 == b.1);
-            if clean {
-                stats.double_collects = round;
-                let values = next.into_iter().map(|(v, _)| v).collect();
-                return Ok(CertifiedOutcome::Certified { values, rounds: round, stats });
-            }
-            prev = next;
-        }
-        Ok(CertifiedOutcome::Contended)
-    }
-
-    /// One native subset scan on the backing, if it offers one.
-    /// `Ok(None)` means "no certified subset view this time" — either the
-    /// construction has no native path, or a bounded interference budget
-    /// ran out — and the caller proceeds to service-level certified
-    /// collects and the projected-full-scan escape hatch.
-    fn native_collect(
-        &self,
-        lane: ProcessId,
-        subset: &[usize],
-        deadline: Deadline,
-        ctx: RequestCtx,
-    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
-        let out = self.core.try_scan_subset_ctx(lane, subset, deadline, ctx)?;
-        if out.is_some() {
-            self.metrics.partial_native.inc();
-        }
-        Ok(out)
-    }
-
-    /// Produces the value range of one shard: the backing's native subset
-    /// scan over the range when it has one, a certified collect
-    /// otherwise, and a projected full collect as the escape hatch — run
-    /// directly on the core (not through the global rendezvous: a shard
-    /// leader must make progress without waiting on other leaders).
-    fn shard_collect(
-        &self,
-        lane: ProcessId,
-        shard: usize,
-        attempt: u32,
-        deadline: Deadline,
-        ctx: RequestCtx,
-    ) -> Result<SubsetServe<V>, CoreError> {
-        let range = self.map.range(shard);
-        let segs: Vec<usize> = range.clone().collect();
-        let started = Instant::now();
-        match self.native_collect(lane, &segs, deadline, ctx) {
-            Ok(Some((values, stats))) => {
-                self.record_ok(Shards::One(shard), started.elapsed());
-                return Ok(SubsetServe {
-                    values: values.into(),
-                    rounds: stats.double_collects,
-                    native: true,
-                    fallback: false,
-                    stats,
-                });
-            }
-            Ok(None) => {}
-            Err(e) => {
-                self.note_backend_error(lane, attempt, &e, Shards::One(shard));
-                return Err(e);
-            }
-        }
-        match self.certified_collect(lane, &segs, deadline, ctx) {
-            Ok(CertifiedOutcome::Certified { values, rounds, stats }) => {
-                self.record_ok(Shards::One(shard), started.elapsed());
-                Ok(SubsetServe { values: values.into(), rounds, native: false, fallback: false, stats })
-            }
-            Ok(outcome) => {
-                self.trace.emit(
-                    lane.get(),
-                    Event::PartialFallback { segments: segs.len(), reason: outcome.reason() },
-                );
-                let (view, stats) =
-                    self.core_scan_recorded(lane, attempt, Shards::One(shard), deadline, ctx)?;
-                Ok(SubsetServe {
-                    values: view[range].iter().cloned().collect(),
-                    rounds: 0,
-                    native: false,
-                    fallback: true,
-                    stats,
-                })
-            }
-            Err(e) => {
-                self.note_backend_error(lane, attempt, &e, Shards::One(shard));
-                Err(e)
-            }
-        }
-    }
-
-    /// The partial-scan brain: single-shard subsets go through the
-    /// shard's rendezvous; anything else runs a direct certified collect,
-    /// falling back to a projected full collect (wait-free: the full scan
-    /// is the constructions' own bounded algorithm). `covered` is the
-    /// sorted set of shards the subset touches (for health accounting).
-    fn partial_scan(
-        &self,
-        lane: ProcessId,
-        subset: &[usize],
-        covered: &[usize],
-        deadline: Deadline,
-        budget: Duration,
-        parent: SpanId,
-    ) -> Result<(PartialView<V>, ServiceStats), ServiceError> {
-        let segments = self.core.segments();
-        if subset.len() == segments {
-            // Full coverage: this *is* a full scan, serve it as one (the
-            // full-scan path owns its retry budget).
-            let (view, stats) = self.full_scan(lane, deadline, budget, parent)?;
-            let values: Arc<[V]> = view.iter().cloned().collect();
-            return Ok((PartialView::new(subset, values), stats));
-        }
-        self.run_with_retry(lane, deadline, budget, parent, |attempt, span| {
-            self.partial_attempt(lane, subset, covered, attempt, deadline, span)
-        })
-    }
-
-    /// One attempt of a non-full-coverage partial scan. `parent` is the
-    /// attempt span (see [`scan_attempt`](Self::scan_attempt) for the
-    /// park/collect span discipline, identical here).
-    fn partial_attempt(
-        &self,
-        lane: ProcessId,
-        subset: &[usize],
-        covered: &[usize],
-        attempt: u32,
-        deadline: Deadline,
-        parent: SpanId,
-    ) -> Result<(PartialView<V>, ServiceStats), AttemptError> {
-        let retries = attempt - 1;
-        if self.cfg.coalesce {
-            if let Some(shard) = self.map.shard_containing(subset) {
-                let start = self.map.range(shard).start;
-                let project = |range_values: &[V]| -> Arc<[V]> {
-                    subset.iter().map(|&s| range_values[s - start].clone()).collect()
-                };
-                let park = self.trace.span(lane.get(), SpanKind::CoalescePark, parent);
-                return match self.shards[shard].enter(deadline) {
+        let token = match rendezvous {
+            None => None,
+            Some((coalescer, _)) => {
+                let park = self.trace.span(lane.get(), SpanKind::CoalescePark, ctx.span);
+                match coalescer.enter(ctx.deadline) {
                     Entry::Expired => {
                         park.end(SpanStatus::Expired);
-                        Err(AttemptError::Expired)
+                        return Err(AttemptError::Expired);
                     }
                     Entry::Joined { generation, view, lead_span } => {
                         park.follows_from(SpanId::from_raw(lead_span));
@@ -1104,122 +847,177 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
                             retries,
                             ..ServiceStats::default()
                         };
-                        Ok((PartialView::new(subset, project(&view)), stats))
+                        return Ok((view, stats));
                     }
-                    Entry::Failed { error, .. } => {
+                    Entry::Failed { error } => {
+                        // The leader elected to serve this request died;
+                        // its error reaches us through the rendezvous. It
+                        // already did the health/backend accounting — we
+                        // only consume our own retry budget on it.
                         park.end(SpanStatus::Error);
                         self.metrics.cohort_errors.inc();
-                        Err(error.into())
+                        return Err(error.into());
                     }
                     Entry::Lead(token) => {
                         park.end(SpanStatus::Ok);
                         let generation = token.generation();
                         self.trace.emit(lane.get(), Event::CoalesceLead { generation });
-                        let collect = self.trace.span(lane.get(), SpanKind::Collect, parent);
-                        collect.note("generation", generation);
-                        collect.note("shard", shard as u64);
-                        let ctx = RequestCtx::under(collect.id());
-                        match self.shard_collect(lane, shard, attempt, deadline, ctx) {
-                            Ok(serve) => {
-                                let collect_span = collect.id().raw();
-                                collect.end(SpanStatus::Ok);
-                                token.publish(serve.values.clone(), collect_span);
-                                self.metrics.solo.inc();
-                                let stats = ServiceStats {
-                                    generation,
-                                    fallback_full: serve.fallback,
-                                    native_subset: serve.native,
-                                    certified_rounds: serve.rounds,
-                                    retries,
-                                    underlying: serve.stats,
-                                    ..ServiceStats::default()
-                                };
-                                Ok((PartialView::new(subset, project(&serve.values)), stats))
-                            }
-                            Err(e) => {
-                                collect.end(SpanStatus::Error);
-                                self.metrics.abdicated.inc();
-                                self.trace.emit(lane.get(), Event::CoalesceAbdicate { generation });
-                                token.fail(e.clone());
-                                Err(e.into())
-                            }
-                        }
-                    }
-                };
-            }
-        }
-        let started = Instant::now();
-        let collect = self.trace.span(lane.get(), SpanKind::Collect, parent);
-        let ctx = RequestCtx::under(collect.id());
-        // Native first: the backing reads exactly the touched segments.
-        match self.native_collect(lane, subset, deadline, ctx) {
-            Ok(Some((values, stats))) => {
-                collect.end(SpanStatus::Ok);
-                self.record_ok(Shards::Set(covered), started.elapsed());
-                self.metrics.solo.inc();
-                let stats = ServiceStats {
-                    native_subset: true,
-                    certified_rounds: stats.double_collects,
-                    retries,
-                    underlying: stats,
-                    ..ServiceStats::default()
-                };
-                return Ok((PartialView::new(subset, values.into()), stats));
-            }
-            Ok(None) => {}
-            Err(e) => {
-                collect.end(SpanStatus::Error);
-                self.note_backend_error(lane, attempt, &e, Shards::Set(covered));
-                return Err(e.into());
-            }
-        }
-        match self.certified_collect(lane, subset, deadline, ctx) {
-            Ok(CertifiedOutcome::Certified { values, rounds, stats }) => {
-                collect.end(SpanStatus::Ok);
-                self.record_ok(Shards::Set(covered), started.elapsed());
-                self.metrics.solo.inc();
-                let stats = ServiceStats {
-                    certified_rounds: rounds,
-                    retries,
-                    underlying: stats,
-                    ..ServiceStats::default()
-                };
-                Ok((PartialView::new(subset, values.into()), stats))
-            }
-            Ok(outcome) => {
-                // Projected full-collect fallback, run directly on the
-                // core: the outer loop owns the retry budget, and routing
-                // it through the global rendezvous would stack a second
-                // budget on top.
-                self.trace.emit(
-                    lane.get(),
-                    Event::PartialFallback { segments: subset.len(), reason: outcome.reason() },
-                );
-                match self.core_scan_recorded(lane, attempt, Shards::Set(covered), deadline, ctx) {
-                    Ok((view, stats)) => {
-                        collect.end(SpanStatus::Ok);
-                        self.metrics.solo.inc();
-                        let values: Arc<[V]> = subset.iter().map(|&s| view[s].clone()).collect();
-                        let stats = ServiceStats {
-                            fallback_full: true,
-                            retries,
-                            underlying: stats,
-                            ..ServiceStats::default()
-                        };
-                        Ok((PartialView::new(subset, values), stats))
-                    }
-                    Err(e) => {
-                        collect.end(SpanStatus::Error);
-                        Err(e.into())
+                        Some(token)
                     }
                 }
             }
+        };
+        let generation = token.as_ref().map_or(0, |t| t.generation());
+        let span = self.trace.span(lane.get(), SpanKind::Collect, ctx.span);
+        if let Some((_, shard)) = rendezvous {
+            span.note("generation", generation);
+            if let Some(shard) = shard {
+                span.note("shard", shard as u64);
+            }
+        }
+        match collect(ctx.under(span.id())) {
+            Ok((value, stats)) => {
+                let collect_span = span.id().raw();
+                span.end(SpanStatus::Ok);
+                if let Some(token) = token {
+                    token.publish(value.clone(), collect_span);
+                }
+                self.metrics.solo.inc();
+                Ok((value, ServiceStats { generation, retries, ..stats }))
+            }
             Err(e) => {
-                collect.end(SpanStatus::Error);
-                self.note_backend_error(lane, attempt, &e, Shards::Set(covered));
+                span.end(SpanStatus::Error);
+                if let Some(token) = token {
+                    // Cohort-safe abdication: fan the error out so no
+                    // waiter parks forever behind this dead collect.
+                    self.metrics.abdicated.inc();
+                    self.trace.emit(lane.get(), Event::CoalesceAbdicate { generation });
+                    token.fail(e.clone());
+                }
                 Err(e.into())
             }
         }
+    }
+
+    /// One full scan, coalesced on the global rendezvous when enabled,
+    /// under the retry budget.
+    fn full_scan(&self, req: Request) -> Result<(SnapshotView<V>, ServiceStats), ServiceError> {
+        let lane = req.lane;
+        let rendezvous = self.cfg.coalesce.then_some((&*self.global, None));
+        self.run_with_retry(req, |attempt, ctx| {
+            self.collect_attempt(lane, attempt, rendezvous, ctx, |ctx| {
+                let (view, underlying) =
+                    self.recorded(lane, attempt, Shards::All, || self.core.try_scan(lane, ctx))?;
+                Ok((view, ServiceStats { underlying, ..ServiceStats::default() }))
+            })
+        })
+    }
+
+    /// The partial-scan ladder over `segments` (canonical; a requested
+    /// subset, or a shard's whole range when a shard leader collects for
+    /// its cohort), run directly on the core — not through the global
+    /// rendezvous: a shard leader must make progress without waiting on
+    /// other leaders, and the caller's retry loop owns the one budget.
+    ///
+    /// Two rungs: the backing's **native** subset scan reads exactly the
+    /// touched segments; when it has none, or its bounded interference
+    /// budget ran out (`Ok(None)`), a full scan is projected onto the
+    /// segments — wait-free, being the constructions' own bounded
+    /// algorithm. `shards` is what the segments touch, for health
+    /// accounting.
+    fn collect_subset(
+        &self,
+        lane: ProcessId,
+        segments: &[usize],
+        shards: Shards<'_>,
+        attempt: u32,
+        ctx: RequestCtx,
+    ) -> Result<(Arc<[V]>, ServiceStats), CoreError> {
+        let started = Instant::now();
+        match self.core.try_scan_subset(lane, segments, ctx) {
+            Ok(Some((values, underlying))) => {
+                self.metrics.partial_native.inc();
+                self.record_ok(shards, started.elapsed());
+                let stats =
+                    ServiceStats { native_subset: true, underlying, ..ServiceStats::default() };
+                Ok((values.into(), stats))
+            }
+            Ok(None) => {
+                self.trace
+                    .emit(lane.get(), Event::PartialFallback { segments: segments.len() });
+                let (view, underlying) =
+                    self.recorded(lane, attempt, shards, || self.core.try_scan(lane, ctx))?;
+                let stats =
+                    ServiceStats { fallback_full: true, underlying, ..ServiceStats::default() };
+                Ok((segments.iter().map(|&s| view[s].clone()).collect(), stats))
+            }
+            Err(e) => {
+                self.note_backend_error(lane, attempt, &e, shards);
+                Err(e)
+            }
+        }
+    }
+
+    /// A partial scan of the canonical `subset` under the retry budget.
+    /// With coalescing on, a subset confined to one shard goes through
+    /// that shard's rendezvous: the leader collects the shard's whole
+    /// range and every cohort member projects its own subset out of it.
+    /// Anything else collects exactly the subset. `covered` is the sorted
+    /// set of shards the subset touches (for health accounting).
+    fn partial_scan(
+        &self,
+        req: Request,
+        subset: &[usize],
+        covered: &[usize],
+    ) -> Result<(PartialView<V>, ServiceStats), ServiceError> {
+        let lane = req.lane;
+        if subset.len() == self.core.segments() {
+            // Full coverage: this *is* a full scan, serve it as one.
+            let (view, stats) = self.full_scan(req)?;
+            let values: Arc<[V]> = view.iter().cloned().collect();
+            return Ok((PartialView::new(subset, values), stats));
+        }
+        let shard = self.map.shard_containing(subset).filter(|_| self.cfg.coalesce);
+        self.run_with_retry(req, |attempt, ctx| {
+            let (values, stats) = match shard {
+                Some(shard) => {
+                    let range = self.map.range(shard);
+                    let rendezvous = Some((&*self.shards[shard], Some(shard)));
+                    let (in_range, stats) =
+                        self.collect_attempt(lane, attempt, rendezvous, ctx, |ctx| {
+                            let segments: Vec<usize> = range.clone().collect();
+                            self.collect_subset(lane, &segments, Shards::One(shard), attempt, ctx)
+                        })?;
+                    (subset.iter().map(|&s| in_range[s - range.start].clone()).collect(), stats)
+                }
+                None => self.collect_attempt(lane, attempt, None, ctx, |ctx| {
+                    self.collect_subset(lane, subset, Shards::Set(covered), attempt, ctx)
+                })?,
+            };
+            Ok((PartialView::new(subset, values), stats))
+        })
+    }
+
+    /// Accounting for one admitted partial scan, served or not: the
+    /// `service.scan.partial` counter, and for a served one the
+    /// fallback pair behind the certified-ratio gauge plus the
+    /// summarizing [`Event::PartialCollect`].
+    fn note_partial(&self, lane: ProcessId, segments: usize, served: Option<&ServiceStats>) {
+        self.metrics.partial.inc();
+        let Some(stats) = served else { return };
+        self.partial_served.fetch_add(1, Ordering::Relaxed);
+        if stats.fallback_full {
+            self.partial_fallbacks.fetch_add(1, Ordering::Relaxed);
+            self.metrics.fallback_full.inc();
+        }
+        self.metrics
+            .partial_certified_ratio
+            .set(self.partial_certified_permille().min(i64::MAX as u64) as i64);
+        let rounds = if stats.native_subset { stats.underlying.double_collects } else { 0 };
+        self.trace.emit(
+            lane.get(),
+            Event::PartialCollect { segments, rounds, fallback: stats.fallback_full },
+        );
     }
 
     fn check_segment(&self, segment: usize) -> Result<(), ServiceError> {
@@ -1293,125 +1091,75 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
         self.service
     }
 
-    /// A full scan: an instantaneous view of all segments.
-    pub fn scan(&mut self) -> Result<SnapshotView<V>, ServiceError> {
-        self.scan_with_stats().map(|(view, _)| view)
+    /// The skeleton every verb shares: opens the request's root span of
+    /// `kind`, derives its deadline from `budget` (`None` = the configured
+    /// retry deadline, [`RetryConfig::deadline`]), runs `body`, and closes
+    /// the span with the typed outcome. The root span opens before
+    /// validation, admission and the deadline check, so rejects, sheds
+    /// and instant expiries still appear in the request's tree.
+    fn request<T>(
+        &self,
+        kind: SpanKind,
+        budget: Option<Duration>,
+        body: impl FnOnce(Request) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let svc = self.service;
+        let budget = budget.unwrap_or(svc.cfg.retry.deadline);
+        let root = svc.trace.root_span(self.lane.get(), kind);
+        let ctx = RequestCtx::by(Deadline::after(budget)).under(root.id());
+        let out = body(Request { lane: self.lane, ctx, budget });
+        root.end(status_of(&out));
+        out
     }
 
-    /// Like [`scan`](Self::scan), but under an explicit wall-clock
-    /// budget: the request either completes within `budget` or returns
-    /// [`ServiceError::DeadlineExceeded`] — it never parks past it. The
-    /// deadline is carried through admission, the coalescing rendezvous
-    /// (a waiter honors its *own* budget, never the leader's), retry
-    /// backoffs, and a fallible backend's quorum waits.
-    pub fn scan_within(&mut self, budget: Duration) -> Result<SnapshotView<V>, ServiceError> {
-        self.scan_budgeted(Deadline::after(budget), budget).map(|(view, _)| view)
+    /// A full scan: an instantaneous view of all segments.
+    pub fn scan(&mut self) -> Result<SnapshotView<V>, ServiceError> {
+        self.scan_with_stats(None).map(|(view, _)| view)
     }
 
     /// Like [`scan`](Self::scan), also reporting how the request was
-    /// served. The default budget is the retry deadline
-    /// ([`RetryConfig::deadline`]).
+    /// served, under an explicit wall-clock `budget` (`None` = the
+    /// configured retry deadline): the request either completes within it
+    /// or returns [`ServiceError::DeadlineExceeded`] — it never parks
+    /// past it. The deadline is carried through admission, the coalescing
+    /// rendezvous (a waiter honors its *own* budget, never the leader's),
+    /// retry backoffs, and a fallible backend's quorum waits.
     pub fn scan_with_stats(
         &mut self,
-    ) -> Result<(SnapshotView<V>, ServiceStats), ServiceError> {
-        let budget = self.service.cfg.retry.deadline;
-        self.scan_budgeted(Deadline::after(budget), budget)
-    }
-
-    fn scan_budgeted(
-        &mut self,
-        deadline: Deadline,
-        budget: Duration,
+        budget: Option<Duration>,
     ) -> Result<(SnapshotView<V>, ServiceStats), ServiceError> {
         let svc = self.service;
-        // The root span opens before admission and the deadline check, so
-        // sheds and instant expiries still appear in the request's tree.
-        let root = svc.trace.root_span(self.lane.get(), SpanKind::Scan);
-        let out = (|| {
-            if deadline.expired() {
-                return Err(svc.deadline_exceeded(self.lane, 0, budget));
-            }
-            let _slot = svc.admit()?;
-            let _claims = svc.gate(self.lane, 0..svc.map.shards(), Priority::Full)?;
-            let start = Instant::now();
-            let out = svc.full_scan(self.lane, deadline, budget, root.id());
-            svc.metrics.scan_latency.record(start.elapsed());
-            out
-        })();
-        root.end(status_of(&out));
-        out
+        self.request(SpanKind::Scan, budget, |req| {
+            let latency = Some(&svc.metrics.scan_latency);
+            svc.admitted(req, Shards::All, Priority::Full, latency, || svc.full_scan(req))
+        })
     }
 
     /// A partial scan: an instantaneous picture of `segments` only
     /// (deduplicated and sorted; the view reports the canonical order).
     pub fn scan_subset(&mut self, segments: &[usize]) -> Result<PartialView<V>, ServiceError> {
-        self.scan_subset_with_stats(segments).map(|(view, _)| view)
-    }
-
-    /// Like [`scan_subset`](Self::scan_subset) under an explicit
-    /// wall-clock budget (see [`scan_within`](Self::scan_within) for the
-    /// deadline rules).
-    pub fn scan_subset_within(
-        &mut self,
-        segments: &[usize],
-        budget: Duration,
-    ) -> Result<PartialView<V>, ServiceError> {
-        self.subset_budgeted(segments, Deadline::after(budget), budget).map(|(view, _)| view)
+        self.scan_subset_with_stats(segments, None).map(|(view, _)| view)
     }
 
     /// Like [`scan_subset`](Self::scan_subset), also reporting how the
-    /// request was served.
+    /// request was served, under an explicit wall-clock `budget` (see
+    /// [`scan_with_stats`](Self::scan_with_stats) for the deadline rules).
     pub fn scan_subset_with_stats(
         &mut self,
         segments: &[usize],
-    ) -> Result<(PartialView<V>, ServiceStats), ServiceError> {
-        let budget = self.service.cfg.retry.deadline;
-        self.subset_budgeted(segments, Deadline::after(budget), budget)
-    }
-
-    fn subset_budgeted(
-        &mut self,
-        segments: &[usize],
-        deadline: Deadline,
-        budget: Duration,
+        budget: Option<Duration>,
     ) -> Result<(PartialView<V>, ServiceStats), ServiceError> {
         let svc = self.service;
-        let root = svc.trace.root_span(self.lane.get(), SpanKind::PartialScan);
-        let out = (|| {
+        self.request(SpanKind::PartialScan, budget, |req| {
             let subset = svc.canonical_subset(segments)?;
             let covered = svc.covered_shards(&subset);
-            if deadline.expired() {
-                return Err(svc.deadline_exceeded(self.lane, 0, budget));
-            }
-            let _slot = svc.admit()?;
-            let _claims = svc.gate(self.lane, covered.iter().copied(), Priority::Partial)?;
-            let start = Instant::now();
-            let out =
-                svc.partial_scan(self.lane, &subset, &covered, deadline, budget, root.id());
-            svc.metrics.partial.inc();
-            svc.metrics.partial_latency.record(start.elapsed());
-            if let Ok((_, stats)) = &out {
-                svc.partial_served.fetch_add(1, Ordering::Relaxed);
-                if stats.fallback_full {
-                    svc.partial_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    svc.metrics.fallback_full.inc();
-                }
-                svc.metrics
-                    .partial_certified_ratio
-                    .set(svc.partial_certified_permille().min(i64::MAX as u64) as i64);
-                svc.trace.emit(
-                    self.lane.get(),
-                    Event::PartialCollect {
-                        segments: subset.len(),
-                        rounds: stats.certified_rounds,
-                        fallback: stats.fallback_full,
-                    },
-                );
-            }
-            out
-        })();
-        root.end(status_of(&out));
-        out
+            let latency = Some(&svc.metrics.partial_latency);
+            svc.admitted(req, Shards::Set(&covered), Priority::Partial, latency, || {
+                let out = svc.partial_scan(req, &subset, &covered);
+                svc.note_partial(req.lane, subset.len(), out.as_ref().ok().map(|(_, s)| s));
+                out
+            })
+        })
     }
 
     /// Writes `value` to `segment`.
@@ -1425,81 +1173,44 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
     /// same value, which is idempotent at the snapshot level). This is
     /// the same boundary an ABD write that loses its quorum sits on.
     pub fn update(&mut self, segment: usize, value: V) -> Result<(), ServiceError> {
-        self.update_with_stats(segment, value).map(|_| ())
-    }
-
-    /// Like [`update`](Self::update) under an explicit wall-clock budget
-    /// (see [`scan_within`](Self::scan_within) for the deadline rules).
-    /// A [`ServiceError::DeadlineExceeded`] whose attempt count is
-    /// nonzero is **indeterminate**, exactly like a failed
-    /// [`Backend`](ServiceError::Backend) update.
-    pub fn update_within(
-        &mut self,
-        segment: usize,
-        value: V,
-        budget: Duration,
-    ) -> Result<(), ServiceError> {
-        self.update_budgeted(segment, value, Deadline::after(budget), budget).map(|_| ())
+        self.update_with_stats(segment, value, None).map(|_| ())
     }
 
     /// Like [`update`](Self::update), also reporting the embedded scan's
-    /// statistics.
+    /// statistics, under an explicit wall-clock `budget` (see
+    /// [`scan_with_stats`](Self::scan_with_stats) for the deadline rules).
+    /// A [`ServiceError::DeadlineExceeded`] whose attempt count is
+    /// nonzero is **indeterminate**, exactly like a failed
+    /// [`Backend`](ServiceError::Backend) update.
     pub fn update_with_stats(
         &mut self,
         segment: usize,
         value: V,
-    ) -> Result<ScanStats, ServiceError> {
-        let budget = self.service.cfg.retry.deadline;
-        self.update_budgeted(segment, value, Deadline::after(budget), budget)
-    }
-
-    fn update_budgeted(
-        &mut self,
-        segment: usize,
-        value: V,
-        deadline: Deadline,
-        budget: Duration,
+        budget: Option<Duration>,
     ) -> Result<ScanStats, ServiceError> {
         let svc = self.service;
-        let root = svc.trace.root_span(self.lane.get(), SpanKind::Update);
-        let out = (|| {
+        self.request(SpanKind::Update, budget, |req| {
             svc.check_segment(segment)?;
-            if svc.core.single_writer() && segment != self.lane.get() {
-                return Err(ServiceError::NotOwner { lane: self.lane.get(), segment });
+            if svc.core.single_writer() && segment != req.lane.get() {
+                return Err(ServiceError::NotOwner { lane: req.lane.get(), segment });
             }
-            if deadline.expired() {
-                return Err(svc.deadline_exceeded(self.lane, 0, budget));
-            }
-            let _slot = svc.admit()?;
-            let shard = svc.map.shard_of(segment);
-            let _claims = svc.gate(self.lane, [shard], Priority::Bulk)?;
-            let start = Instant::now();
-            let out = svc.run_with_retry(self.lane, deadline, budget, root.id(), |attempt, span| {
-                let op_start = Instant::now();
-                let ctx = RequestCtx::under(span);
-                match svc.core.try_update_ctx(self.lane, segment, value.clone(), deadline, ctx) {
-                    Ok(stats) => {
-                        svc.record_ok(Shards::One(shard), op_start.elapsed());
-                        Ok(stats)
-                    }
-                    Err(e) => {
-                        svc.note_backend_error(self.lane, attempt, &e, Shards::One(shard));
-                        Err(e.into())
-                    }
-                }
-            });
-            svc.metrics.update_latency.record(start.elapsed());
-            out
-        })();
-        root.end(status_of(&out));
-        out
+            let shards = Shards::One(svc.map.shard_of(segment));
+            let latency = Some(&svc.metrics.update_latency);
+            svc.admitted(req, shards, Priority::Bulk, latency, || {
+                svc.run_with_retry(req, |attempt, ctx| {
+                    let update = || svc.core.try_update(req.lane, segment, value.clone(), ctx);
+                    Ok(svc.recorded(req.lane, attempt, shards, update)?)
+                })
+            })
+        })
     }
 
     /// A single-shard health probe: the cheapest read that produces
-    /// backend evidence for `shard`'s breaker. Probe-class traffic is the
-    /// first class a half-open breaker re-admits, so probing a degraded
-    /// shard drives its recovery instead of waiting for organic traffic
-    /// to ramp it.
+    /// backend evidence for `shard`'s breaker — a native subset scan of
+    /// the shard's first segment, or a full scan where the backing has no
+    /// native path. Probe-class traffic is the first class a half-open
+    /// breaker re-admits, so probing a degraded shard drives its recovery
+    /// instead of waiting for organic traffic to ramp it.
     ///
     /// # Panics
     ///
@@ -1511,40 +1222,18 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
             "shard {shard} out of range ({} shards)",
             svc.map.shards()
         );
-        let budget = svc.cfg.retry.deadline;
-        let deadline = Deadline::after(budget);
-        let root = svc.trace.root_span(self.lane.get(), SpanKind::Probe);
-        let out = (|| {
-            let _slot = svc.admit()?;
-            let _claims = svc.gate(self.lane, [shard], Priority::Probe)?;
-            let segment = svc.map.range(shard).start;
-            svc.run_with_retry(self.lane, deadline, budget, root.id(), |attempt, span| {
-                let started = Instant::now();
-                let ctx = RequestCtx::under(span);
-                let outcome = match svc.core.try_certified_read_ctx(
-                    self.lane, segment, deadline, ctx,
-                ) {
-                    Ok(Some(_)) => Ok(()),
-                    // No certified reads: fall back to a full collect run
-                    // directly on the core (still evidence the shard's
-                    // backend answers).
-                    Ok(None) => svc.core.try_scan_ctx(self.lane, deadline, ctx).map(|_| ()),
-                    Err(e) => Err(e),
-                };
-                match outcome {
-                    Ok(()) => {
-                        svc.record_ok(Shards::One(shard), started.elapsed());
-                        Ok(())
-                    }
-                    Err(e) => {
-                        svc.note_backend_error(self.lane, attempt, &e, Shards::One(shard));
-                        Err(e.into())
-                    }
-                }
+        let segment = svc.map.range(shard).start;
+        self.request(SpanKind::Probe, None, |req| {
+            svc.admitted(req, Shards::One(shard), Priority::Probe, None, || {
+                svc.run_with_retry(req, |attempt, ctx| {
+                    let probe = || match svc.core.try_scan_subset(req.lane, &[segment], ctx)? {
+                        Some(_) => Ok(()),
+                        None => svc.core.try_scan(req.lane, ctx).map(|_| ()),
+                    };
+                    Ok(svc.recorded(req.lane, attempt, Shards::One(shard), probe)?)
+                })
             })
-        })();
-        root.end(status_of(&out));
-        out
+        })
     }
 }
 
@@ -1564,6 +1253,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> std::fmt::Debug for ServiceClient<
 mod tests {
     use super::*;
     use snapshot_core::{BoundedSnapshot, LockSnapshot, MultiWriterSnapshot, UnboundedSnapshot};
+    use snapshot_obs::RingSink;
 
     #[test]
     fn quiescent_scan_and_update_round_trip() {
@@ -1581,7 +1271,7 @@ mod tests {
         let mut c3 = svc.client(3);
         c0.update(0, 7).unwrap();
         c3.update(3, 9).unwrap();
-        let (view, stats) = c0.scan_subset_with_stats(&[3, 0]).unwrap();
+        let (view, stats) = c0.scan_subset_with_stats(&[3, 0], None).unwrap();
         assert_eq!(view.segments(), &[0, 3]);
         assert_eq!(view.values(), &[7, 9]);
         assert_eq!(view.get(3), Some(&9));
@@ -1630,83 +1320,26 @@ mod tests {
         assert_eq!(c.scan_subset(&[4]).unwrap().values(), &[44]);
     }
 
-    /// A backing with no certified reads *and* no native subset path —
-    /// the shape the projected-full-scan escape hatch exists for (every
-    /// in-tree construction now serves subsets natively, so tests reach
-    /// the fallback through this wrapper).
-    struct Opaque<C>(C);
-
-    impl<V, C: snapshot_core::SnapshotCore<V>> snapshot_core::SnapshotCore<V> for Opaque<C> {
-        fn segments(&self) -> usize {
-            self.0.segments()
-        }
-        fn lanes(&self) -> usize {
-            self.0.lanes()
-        }
-        fn single_writer(&self) -> bool {
-            self.0.single_writer()
-        }
-        fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-            self.0.core_scan(lane)
-        }
-        fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
-            self.0.core_update(lane, segment, value)
-        }
-        fn certified_read(&self, _reader: ProcessId, _segment: usize) -> Option<(V, u64)> {
-            None
-        }
-        // `core_scan_subset` keeps its default: no native subset path.
-    }
-    snapshot_core::impl_try_snapshot_core!(
-        [V, C: snapshot_core::SnapshotCore<V>] V, Opaque<C>
-    );
-
     #[test]
     fn bounded_and_locked_backings_serve_subsets_natively() {
-        // Previously fallback-only constructions (no certified reads) now
-        // answer subsets through their native O(touched) scans.
+        // The handshake and lock constructions answer subsets through
+        // their native O(touched) scans, on both service paths.
         let svc = SnapshotService::with_config(
             BoundedSnapshot::new(4, 0u32),
             ServiceConfig { shards: 2, ..ServiceConfig::default() },
         );
         let mut c = svc.client(0);
         c.update(0, 5).unwrap();
-        let (view, stats) = c.scan_subset_with_stats(&[0, 3]).unwrap(); // spans both shards
+        let (view, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap(); // spans both shards
         assert_eq!(view.values(), &[5, 0]);
         assert!(stats.native_subset);
         assert!(!stats.fallback_full);
 
-        let (view, stats) = c.scan_subset_with_stats(&[0, 1]).unwrap(); // single shard
+        let (view, stats) = c.scan_subset_with_stats(&[0, 1], None).unwrap(); // single shard
         assert_eq!(view.values(), &[5, 0]);
         assert!(stats.native_subset, "shard leaders use the native path too");
         assert!(!stats.fallback_full);
         assert_eq!(svc.partial_certified_permille(), 1000);
-    }
-
-    #[test]
-    fn uncertified_backings_fall_back_to_projected_full_scans() {
-        // An opaque core (no certified reads, no native subset path): a
-        // multi-shard subset must fall back (single-shard ones are
-        // coalesced via the shard rendezvous, also fallback-collected by
-        // the leader), and the certified ratio sags to zero.
-        let svc = SnapshotService::with_config(
-            Opaque(BoundedSnapshot::new(4, 0u32)),
-            ServiceConfig { shards: 2, ..ServiceConfig::default() },
-        );
-        let mut c = svc.client(0);
-        c.update(0, 5).unwrap();
-        let (view, stats) = c.scan_subset_with_stats(&[0, 3]).unwrap(); // spans both shards
-        assert_eq!(view.values(), &[5, 0]);
-        assert!(stats.fallback_full);
-        assert!(!stats.native_subset);
-        assert_eq!(stats.certified_rounds, 0);
-
-        let (view, stats) = c.scan_subset_with_stats(&[0, 1]).unwrap(); // single shard
-        assert_eq!(view.values(), &[5, 0]);
-        assert!(stats.fallback_full, "shard leader must report its fallback");
-        assert_eq!(svc.partial_certified_permille(), 0);
-        let report = svc.load_report();
-        assert_eq!(report.partial_certified_permille, 0);
     }
 
     #[test]
@@ -1723,10 +1356,10 @@ mod tests {
         let svc = SnapshotService::new(UnboundedSnapshot::new(3, 0u32));
         let mut c = svc.client(0);
         c.update(0, 1).unwrap();
-        let (view, stats) = c.scan_subset_with_stats(&[0, 1, 2]).unwrap();
+        let (view, stats) = c.scan_subset_with_stats(&[0, 1, 2], None).unwrap();
         assert_eq!(view.values(), &[1, 0, 0]);
         assert!(!stats.fallback_full);
-        assert_eq!(stats.certified_rounds, 0);
+        assert!(!stats.native_subset, "served by the full-scan path");
     }
 
     #[test]
@@ -1739,7 +1372,7 @@ mod tests {
         .with_registry(&registry);
         let mut c = svc.client(0);
         for _ in 0..5 {
-            let (_, stats) = c.scan_with_stats().unwrap();
+            let (_, stats) = c.scan_with_stats(None).unwrap();
             assert!(!stats.coalesced);
             assert_eq!(stats.retries, 0, "infallible cores never consume retries");
         }
@@ -1754,25 +1387,35 @@ mod tests {
         // generation rule forces a fresh collect every time.
         let svc = SnapshotService::new(UnboundedSnapshot::new(2, 0u32));
         let mut c = svc.client(0);
-        let (_, s1) = c.scan_with_stats().unwrap();
-        let (_, s2) = c.scan_with_stats().unwrap();
+        let (_, s1) = c.scan_with_stats(None).unwrap();
+        let (_, s2) = c.scan_with_stats(None).unwrap();
         assert!(!s1.coalesced && !s2.coalesced);
         assert!(s2.generation > s1.generation);
     }
 
     #[test]
     fn inflight_budget_rejects_with_typed_error() {
+        let sink = Arc::new(RingSink::new(2, 16));
         let svc = SnapshotService::with_config(
             UnboundedSnapshot::new(2, 0u32),
             ServiceConfig { max_inflight: 1, ..ServiceConfig::default() },
-        );
+        )
+        .with_trace(Trace::new(sink.clone()));
         // Hold the only slot by faking an admitted request.
-        let slot = svc.admit().unwrap();
-        let mut c = svc.client(0);
+        let slot = svc.admit(ProcessId::new(0)).unwrap();
+        let mut c = svc.client(1);
         assert_eq!(
             c.scan().unwrap_err(),
             ServiceError::Overloaded { inflight: 1, budget: 1 }
         );
+        // The shed is attributed to the lane that was refused, not lane 0.
+        let sheds: Vec<usize> = sink
+            .drain()
+            .iter()
+            .filter(|e| matches!(e.event, Event::ServiceOverload { inflight: 1 }))
+            .map(|e| e.pid)
+            .collect();
+        assert_eq!(sheds, vec![1]);
         drop(slot);
         assert!(c.scan().is_ok());
     }
@@ -1791,7 +1434,7 @@ mod tests {
     fn zero_budget_requests_fail_fast_with_deadline_exceeded() {
         let svc = SnapshotService::new(UnboundedSnapshot::new(4, 0u64));
         let mut c = svc.client(0);
-        match c.scan_within(Duration::ZERO).unwrap_err() {
+        match c.scan_with_stats(Some(Duration::ZERO)).unwrap_err() {
             ServiceError::DeadlineExceeded { attempts, budget } => {
                 assert_eq!(attempts, 0, "the request never reached the backend");
                 assert_eq!(budget, Duration::ZERO);
@@ -1799,17 +1442,18 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         assert!(matches!(
-            c.scan_subset_within(&[1], Duration::ZERO),
+            c.scan_subset_with_stats(&[1], Some(Duration::ZERO)),
             Err(ServiceError::DeadlineExceeded { .. })
         ));
         assert!(matches!(
-            c.update_within(0, 7, Duration::ZERO),
+            c.update_with_stats(0, 7, Some(Duration::ZERO)),
             Err(ServiceError::DeadlineExceeded { .. })
         ));
         // Sane budgets succeed against an in-process (wait-free) core.
-        assert!(c.scan_within(Duration::from_secs(5)).is_ok());
-        assert!(c.scan_subset_within(&[1], Duration::from_secs(5)).is_ok());
-        assert!(c.update_within(0, 7, Duration::from_secs(5)).is_ok());
+        let sane = Some(Duration::from_secs(5));
+        assert!(c.scan_with_stats(sane).is_ok());
+        assert!(c.scan_subset_with_stats(&[1], sane).is_ok());
+        assert!(c.update_with_stats(0, 7, sane).is_ok());
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn main() {
     // the request comes back as a typed `DeadlineExceeded`, and the
     // flight recorder freezes a dump of the spans leading up to the
     // expiry.
-    match client.scan_subset_within(&[1], Duration::from_millis(5)) {
+    match client.scan_subset_with_stats(&[1], Some(Duration::from_millis(5))) {
         Err(ServiceError::DeadlineExceeded { .. }) => {
             println!("scan (5ms deadline budget)   : DeadlineExceeded under the blackout");
         }
@@ -158,7 +158,8 @@ fn main() {
     // Every operation can also carry a wall-clock budget: it completes
     // within the budget or returns a typed `DeadlineExceeded` — it never
     // parks past its deadline, even coalesced behind a slower leader.
-    let view = client.scan_within(Duration::from_secs(1)).expect("healthy quorum is fast");
+    let (view, _) =
+        client.scan_with_stats(Some(Duration::from_secs(1))).expect("healthy quorum is fast");
     assert_eq!(view[0], 11);
     println!("scan (1s deadline budget)    : {:?}", &view[..]);
 

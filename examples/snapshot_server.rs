@@ -29,7 +29,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use snapshot_core::{ScanStats, SnapshotCore, SnapshotView, UnboundedSnapshot};
+use snapshot_core::{
+    CoreError, RequestCtx, ScanStats, SnapshotView, TrySnapshotCore, UnboundedSnapshot,
+};
 use snapshot_obs::{Event, Registry, RingSink, Trace};
 use snapshot_registers::ProcessId;
 use snapshot_service::{ServiceConfig, ServiceError, SnapshotService};
@@ -43,7 +45,7 @@ struct SlowCore<C> {
     collect_delay: Duration,
 }
 
-impl<V, C: SnapshotCore<V>> SnapshotCore<V> for SlowCore<C> {
+impl<V, C: TrySnapshotCore<V>> TrySnapshotCore<V> for SlowCore<C> {
     fn segments(&self) -> usize {
         self.inner.segments()
     }
@@ -56,21 +58,34 @@ impl<V, C: SnapshotCore<V>> SnapshotCore<V> for SlowCore<C> {
         self.inner.single_writer()
     }
 
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
         std::thread::sleep(self.collect_delay);
-        self.inner.core_scan(lane)
+        self.inner.try_scan(lane, ctx)
     }
 
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
-        self.inner.core_update(lane, segment, value)
+    fn try_update(
+        &self,
+        lane: ProcessId,
+        segment: usize,
+        value: V,
+        ctx: RequestCtx,
+    ) -> Result<ScanStats, CoreError> {
+        self.inner.try_update(lane, segment, value, ctx)
     }
 
-    fn certified_read(&self, reader: ProcessId, segment: usize) -> Option<(V, u64)> {
-        self.inner.certified_read(reader, segment)
+    fn try_scan_subset(
+        &self,
+        lane: ProcessId,
+        segments: &[usize],
+        ctx: RequestCtx,
+    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
+        self.inner.try_scan_subset(lane, segments, ctx)
     }
 }
-
-snapshot_core::impl_try_snapshot_core!([V, C: SnapshotCore<V>] V, SlowCore<C>);
 
 const SEGMENTS: usize = 8;
 const OPS_PER_CLIENT: u64 = 2_000;
@@ -193,8 +208,8 @@ fn main() {
     println!("partial : {}", latency.partial);
     println!("update  : {}", latency.update);
     println!(
-        "partial certified ratio: {} permille (native subset scans and \
-         certified collects vs projected-full fallbacks)",
+        "partial certified ratio: {} permille (served natively vs \
+         projected-full fallbacks)",
         service.partial_certified_permille()
     );
 

@@ -18,7 +18,7 @@
 //!   gate shed the request before it touched a register) — never a
 //!   panic, never a hang.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -26,9 +26,8 @@ use snapshot_abd::{
     AbdSnapshotCore, Dwell, FaultPlan, LinkFault, Nemesis, NemesisEvent, Network, NetworkConfig,
     RetryPolicy,
 };
-use snapshot_core::{
-    CoreError, ScanStats, SnapshotCore, SnapshotView, TrySnapshotCore, UnboundedSnapshot,
-};
+use snapshot_bench::scripted::{gated_core, Gate, ScanHook};
+use snapshot_core::{CoreError, TrySnapshotCore, UnboundedSnapshot};
 use snapshot_lin::{check_history, Recorder};
 use snapshot_obs::{
     DumpCause, FanoutSink, FlightRecorder, Registry, RingSink, SpanForest, SpanStatus, Trace,
@@ -254,7 +253,7 @@ fn nemesis_subset_scans_return_projections_or_typed_errors() {
                         s.sort_unstable();
                         s
                     };
-                    match client.scan_subset_with_stats(&subset) {
+                    match client.scan_subset_with_stats(&subset, None) {
                         Ok((view, _)) => {
                             assert_eq!(view.segments(), subset.as_slice());
                             assert_eq!(view.len(), subset.len());
@@ -277,7 +276,7 @@ fn nemesis_subset_scans_return_projections_or_typed_errors() {
     let mut probe = service.client(0);
     let start = Instant::now();
     loop {
-        match probe.scan_subset_with_stats(&[0, 2]) {
+        match probe.scan_subset_with_stats(&[0, 2], None) {
             Ok((view, stats)) => {
                 assert_eq!(view.segments(), &[0, 2]);
                 assert!(stats.native_subset, "healed ABD serves subsets natively");
@@ -341,7 +340,7 @@ fn blackout_flight_dump_attributes_the_stall_to_a_named_phase() {
     let mut saw_expiry = false;
     let mut saw_trip = false;
     while start.elapsed() < Duration::from_secs(10) && !(saw_expiry && saw_trip) {
-        match client.scan_within(Duration::from_millis(3)) {
+        match client.scan_with_stats(Some(Duration::from_millis(3))) {
             Err(ServiceError::DeadlineExceeded { .. }) => saw_expiry = true,
             Err(ServiceError::Backend { .. } | ServiceError::Degraded { .. }) | Ok(_) => {}
             Err(other) => panic!("unexpected error {other:?}"),
@@ -400,87 +399,18 @@ fn blackout_flight_dump_attributes_the_stall_to_a_named_phase() {
 // Deterministic cohort fan-out (scripted backend, no timing luck)
 // ---------------------------------------------------------------------------
 
-/// Scripted fallible core: `try_scan` parks (spinning) while `gate` is
-/// set, then fails while `fail_remaining > 0`. Implements
-/// `TrySnapshotCore` directly, so the service's whole failure path runs
-/// without a network in the loop.
-struct ScriptedCore {
-    inner: UnboundedSnapshot<u64>,
-    gate: Arc<AtomicBool>,
-    entered: Arc<AtomicUsize>,
-    fail_remaining: AtomicUsize,
-}
-
-impl ScriptedCore {
-    fn new(n: usize, failures: usize) -> Self {
-        ScriptedCore {
-            inner: UnboundedSnapshot::new(n, 0u64),
-            gate: Arc::new(AtomicBool::new(false)),
-            entered: Arc::new(AtomicUsize::new(0)),
-            fail_remaining: AtomicUsize::new(failures),
-        }
-    }
-
-    fn take_failure(&self) -> bool {
-        self.fail_remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| r.checked_sub(1))
-            .is_ok()
-    }
-}
-
-impl TrySnapshotCore<u64> for ScriptedCore {
-    // Fully qualified: `UnboundedSnapshot` implements both `SnapshotCore`
-    // and `TrySnapshotCore`, so bare method calls on it are ambiguous.
-    fn segments(&self) -> usize {
-        SnapshotCore::segments(&self.inner)
-    }
-
-    fn lanes(&self) -> usize {
-        SnapshotCore::lanes(&self.inner)
-    }
-
-    fn single_writer(&self) -> bool {
-        SnapshotCore::single_writer(&self.inner)
-    }
-
-    fn try_scan(&self, lane: ProcessId) -> Result<(SnapshotView<u64>, ScanStats), CoreError> {
-        self.entered.fetch_add(1, Ordering::SeqCst);
-        while self.gate.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        if self.take_failure() {
-            return Err(CoreError::Unavailable { reason: "scripted outage".into() });
-        }
-        Ok(self.inner.core_scan(lane))
-    }
-
-    fn try_update(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: u64,
-    ) -> Result<ScanStats, CoreError> {
-        if self.take_failure() {
-            return Err(CoreError::Unavailable { reason: "scripted outage".into() });
-        }
-        Ok(self.inner.core_update(lane, segment, value))
-    }
-
-    fn try_certified_read(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        Ok(self.inner.certified_read(reader, segment))
-    }
+/// Scripted fallible core: full scans park (spinning) while the gate is
+/// held, then fail while failures remain — so the service's whole failure
+/// path runs without a network in the loop.
+fn scripted_core(n: usize, failures: usize) -> (impl TrySnapshotCore<u64>, Gate) {
+    gated_core(UnboundedSnapshot::new(n, 0u64), failures)
 }
 
 #[test]
 fn failed_leader_fans_errors_to_the_whole_cohort_within_budget() {
     const CLIENTS: usize = 6;
-    let core = ScriptedCore::new(CLIENTS, usize::MAX / 2); // outage outlasts every budget
-    let gate = core.gate.clone();
-    let entered = core.entered.clone();
+    let (core, Gate { held: gate, entered, .. }) =
+        scripted_core(CLIENTS, usize::MAX / 2); // outage outlasts every budget
     gate.store(true, Ordering::SeqCst);
 
     let registry = Registry::new();
@@ -570,7 +500,7 @@ fn ladder_health(cooldown: Duration) -> HealthConfig {
 #[test]
 fn health_gate_trips_sheds_probes_and_recovers() {
     let cooldown = Duration::from_millis(40);
-    let core = ScriptedCore::new(2, 2); // exactly two failures, then healthy
+    let (core, _) = scripted_core(2, 2); // exactly two failures, then healthy
     let registry = Registry::new();
     let service = SnapshotService::with_config(
         core,
@@ -689,53 +619,14 @@ fn healthy_abd_service_matches_in_process_semantics() {
 
 /// A core whose scans fail every *second* call: a slowly degrading shard
 /// at a steady 50% error rate that never fails twice in a row.
-struct AlternatingCore {
-    inner: UnboundedSnapshot<u64>,
-    calls: AtomicUsize,
-}
-
-impl AlternatingCore {
-    fn new(n: usize) -> Self {
-        AlternatingCore { inner: UnboundedSnapshot::new(n, 0u64), calls: AtomicUsize::new(0) }
-    }
-}
-
-impl TrySnapshotCore<u64> for AlternatingCore {
-    fn segments(&self) -> usize {
-        SnapshotCore::segments(&self.inner)
-    }
-
-    fn lanes(&self) -> usize {
-        SnapshotCore::lanes(&self.inner)
-    }
-
-    fn single_writer(&self) -> bool {
-        SnapshotCore::single_writer(&self.inner)
-    }
-
-    fn try_scan(&self, lane: ProcessId) -> Result<(SnapshotView<u64>, ScanStats), CoreError> {
-        if self.calls.fetch_add(1, Ordering::SeqCst) % 2 == 1 {
+fn alternating_core(n: usize) -> impl TrySnapshotCore<u64> {
+    let calls = AtomicUsize::new(0);
+    ScanHook::new(UnboundedSnapshot::new(n, 0u64), move |inner, lane, ctx| {
+        if calls.fetch_add(1, Ordering::SeqCst) % 2 == 1 {
             return Err(CoreError::Unavailable { reason: "degrading shard".into() });
         }
-        Ok(self.inner.core_scan(lane))
-    }
-
-    fn try_update(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: u64,
-    ) -> Result<ScanStats, CoreError> {
-        Ok(self.inner.core_update(lane, segment, value))
-    }
-
-    fn try_certified_read(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        Ok(self.inner.certified_read(reader, segment))
-    }
+        inner.try_scan(lane, ctx)
+    })
 }
 
 #[test]
@@ -745,7 +636,7 @@ fn slow_degrading_shard_trips_the_windowed_breaker() {
     // count, so any trip threshold of two or more never fires (shown
     // directly on a raw breaker below). The windowed breaker sees the
     // 50% error rate itself and trips at the volume guard.
-    let core = AlternatingCore::new(2);
+    let core = alternating_core(2);
     let registry = Registry::new();
     let service = SnapshotService::with_config(
         core,
@@ -804,9 +695,8 @@ fn slow_degrading_shard_trips_the_windowed_breaker() {
 fn deadline_soak_parked_requests_complete_or_expire_within_budget() {
     const CLIENTS: usize = 6;
     let budget = Duration::from_millis(30);
-    let core = ScriptedCore::new(CLIENTS, 0); // healthy once the gate opens
-    let gate = core.gate.clone();
-    let entered = core.entered.clone();
+    let (core, Gate { held: gate, entered, .. }) =
+        scripted_core(CLIENTS, 0); // healthy once the gate opens
     gate.store(true, Ordering::SeqCst);
 
     let registry = Registry::new();
@@ -825,7 +715,10 @@ fn deadline_soak_parked_requests_complete_or_expire_within_budget() {
             let service = &service;
             let results = &results;
             s.spawn(move || {
-                let r = service.client(lane).scan_within(budget).map(|view| view.len());
+                let r = service
+                    .client(lane)
+                    .scan_with_stats(Some(budget))
+                    .map(|(view, _)| view.len());
                 results.lock().unwrap().push(r);
             });
         }

@@ -1,6 +1,6 @@
 //! Native partial snapshots, exercised directly on the cores.
 //!
-//! Two claims are checked here. **Cost**: a quiescent `core_scan_subset`
+//! Two claims are checked here. **Cost**: a quiescent `try_scan_subset`
 //! over k segments of an n-segment object performs O(k) register
 //! operations, not O(n) — counted independently by the instrumentation
 //! layer's `OpCounters`, with n = 64 and k = 2 so a full-collect
@@ -13,11 +13,14 @@
 use std::sync::{Arc, Mutex};
 
 use snapshot_core::{
-    BoundedSnapshot, MultiWriterSnapshot, SnapshotCore, UnboundedSnapshot,
+    BoundedSnapshot, MultiWriterSnapshot, RequestCtx, TrySnapshotCore, UnboundedSnapshot,
 };
 use snapshot_lin::{check_partial_history, PartialOp, WgOp, WgResult};
 use snapshot_obs::Clock;
 use snapshot_registers::{EpochBackend, Instrumented, OpCounters, ProcessId};
+
+/// In-process cores are wait-free: no deadline to cut, no span to parent.
+const NONE: RequestCtx = RequestCtx::none();
 
 // ---------------------------------------------------------------------------
 // O(touched) cost, counted by the instrumentation layer
@@ -37,9 +40,10 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
         let backend =
             Instrumented::new(EpochBackend::new()).with_counters(Arc::clone(&counters));
         let object = UnboundedSnapshot::with_backend(N, 0u64, &backend);
-        let _ = object.core_update(ProcessId::new(5), 5, 55);
+        let _ = object.try_update(ProcessId::new(5), 5, 55, NONE).unwrap();
         let before = counters.snapshot(lane);
-        let (values, stats) = object.core_scan_subset(lane, &subset).expect("native");
+        let (values, stats) =
+            object.try_scan_subset(lane, &subset, NONE).unwrap().expect("native");
         let delta = counters.snapshot(lane) - before;
         assert_eq!(values, vec![55, 0]);
         assert!(!stats.borrowed);
@@ -55,9 +59,10 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
         let backend =
             Instrumented::new(EpochBackend::new()).with_counters(Arc::clone(&counters));
         let object = BoundedSnapshot::with_backend(N, 0u64, &backend);
-        let _ = object.core_update(ProcessId::new(5), 5, 55);
+        let _ = object.try_update(ProcessId::new(5), 5, 55, NONE).unwrap();
         let before = counters.snapshot(lane);
-        let (values, stats) = object.core_scan_subset(lane, &subset).expect("native");
+        let (values, stats) =
+            object.try_scan_subset(lane, &subset, NONE).unwrap().expect("native");
         let delta = counters.snapshot(lane) - before;
         assert_eq!(values, vec![55, 0]);
         assert!(!stats.borrowed);
@@ -72,9 +77,10 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
         let backend =
             Instrumented::new(EpochBackend::new()).with_counters(Arc::clone(&counters));
         let object = MultiWriterSnapshot::with_backend(2, N, 0u64, &backend);
-        let _ = object.core_update(ProcessId::new(1), 5, 55);
+        let _ = object.try_update(ProcessId::new(1), 5, 55, NONE).unwrap();
         let before = counters.snapshot(lane);
-        let (values, stats) = object.core_scan_subset(lane, &subset).expect("quiescent");
+        let (values, stats) =
+            object.try_scan_subset(lane, &subset, NONE).unwrap().expect("quiescent");
         let delta = counters.snapshot(lane) - before;
         assert_eq!(values, vec![55, 0]);
         assert!(delta.reads <= 2 * k, "O(k) reads, not O({N}): {}", delta.reads);
@@ -112,7 +118,11 @@ impl XorShift {
 /// Drives every lane with a seeded mix of updates and native subset
 /// scans directly on `core`, recording a `PartialOp` history on one
 /// shared logical clock, and returns the checker's verdict.
-fn run_native_history<C: SnapshotCore<u64>>(core: C, seed: u64, ops_per_thread: usize) -> WgResult {
+fn run_native_history<C: TrySnapshotCore<u64>>(
+    core: C,
+    seed: u64,
+    ops_per_thread: usize,
+) -> WgResult {
     let single_writer = core.single_writer();
     let words = core.segments();
     let threads = core.lanes();
@@ -133,7 +143,7 @@ fn run_native_history<C: SnapshotCore<u64>>(core: C, seed: u64, ops_per_thread: 
                         let word = if single_writer { lane } else { rng.below(words) };
                         let value = ((lane as u64) << 32) | (k as u64 + 1);
                         let inv = clock.tick();
-                        let _ = core.core_update(pid, word, value);
+                        let _ = core.try_update(pid, word, value, NONE).unwrap();
                         let res = Some(clock.tick());
                         ops.lock().unwrap().push(WgOp {
                             pid,
@@ -148,14 +158,14 @@ fn run_native_history<C: SnapshotCore<u64>>(core: C, seed: u64, ops_per_thread: 
                         subset.sort_unstable();
                         subset.dedup();
                         let inv = clock.tick();
-                        let view = match core.core_scan_subset(pid, &subset) {
+                        let view = match core.try_scan_subset(pid, &subset, NONE).unwrap() {
                             Some((values, _)) => values,
                             // The bounded interference budget ran out (the
                             // multi-writer path under heavy contention):
                             // project a full scan, exactly as the service
                             // fallback does.
                             None => {
-                                let (full, _) = core.core_scan(pid);
+                                let (full, _) = core.try_scan(pid, NONE).unwrap();
                                 subset.iter().map(|&s| full[s]).collect()
                             }
                         };

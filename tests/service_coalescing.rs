@@ -37,60 +37,12 @@ use std::sync::Arc;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use proptest::test_runner::{Config, RngAlgorithm, TestRng, TestRunner};
-use snapshot_core::{
-    CoreError, ScanStats, SnapshotCore, SnapshotView, TrySnapshotCore, UnboundedSnapshot,
-};
+use snapshot_bench::scripted::{gated_core, Gate, ScanHook};
+use snapshot_core::{ScanStats, TrySnapshotCore, UnboundedSnapshot};
 use snapshot_lin::{check_history, Recorder, WgResult};
 use snapshot_obs::Registry;
 use snapshot_registers::{EpochBackend, Instrumented, OpCounters, ProcessId};
 use snapshot_service::{HealthConfig, RetryConfig, ServiceConfig, ServiceError, SnapshotService};
-
-// ---------------------------------------------------------------------------
-// A core wrapper that can hold a scan open at a controlled point
-// ---------------------------------------------------------------------------
-
-/// Delegates to the wrapped core, but `core_scan` parks (spinning) while
-/// `blocked` is set and counts entries — the staging handle the
-/// deterministic cohort tests need.
-struct Blocking<C> {
-    inner: C,
-    blocked: Arc<AtomicBool>,
-    scans_entered: Arc<AtomicUsize>,
-}
-
-impl<V, C: SnapshotCore<V>> SnapshotCore<V> for Blocking<C> {
-    // Fully qualified: with both `SnapshotCore` and `TrySnapshotCore`
-    // implemented, bare `self.inner.segments()` is ambiguous.
-    fn segments(&self) -> usize {
-        SnapshotCore::segments(&self.inner)
-    }
-
-    fn lanes(&self) -> usize {
-        SnapshotCore::lanes(&self.inner)
-    }
-
-    fn single_writer(&self) -> bool {
-        SnapshotCore::single_writer(&self.inner)
-    }
-
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-        self.scans_entered.fetch_add(1, Ordering::SeqCst);
-        while self.blocked.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        self.inner.core_scan(lane)
-    }
-
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
-        self.inner.core_update(lane, segment, value)
-    }
-
-    fn certified_read(&self, reader: ProcessId, segment: usize) -> Option<(V, u64)> {
-        self.inner.certified_read(reader, segment)
-    }
-}
-
-snapshot_core::impl_try_snapshot_core!([V, C: SnapshotCore<V>] V, Blocking<C>);
 
 type CountedUnbounded = UnboundedSnapshot<u64, Instrumented<EpochBackend>>;
 
@@ -118,23 +70,19 @@ fn coalesced_cohort_costs_two_collects_not_k() {
     let solo_cost = reads_per_solo_scan(n);
 
     let (object, counters) = counted_object(n);
-    let blocked = Arc::new(AtomicBool::new(true));
-    let scans_entered = Arc::new(AtomicUsize::new(0));
+    // A gated wrapper holds the leader's scan open at a controlled point.
+    let (core, Gate { held: blocked, entered: scans_entered, .. }) = gated_core(object, 0);
+    blocked.store(true, Ordering::SeqCst);
     let registry = Registry::new();
-    let service = SnapshotService::new(Blocking {
-        inner: object,
-        blocked: blocked.clone(),
-        scans_entered: scans_entered.clone(),
-    })
-    .with_registry(&registry);
+    let service = SnapshotService::new(core).with_registry(&registry);
 
     let mut stats = Vec::new();
     std::thread::scope(|s| {
         // The leader: elected for generation 1, held open inside its
-        // collect by the blocked wrapper.
+        // collect by the gated wrapper.
         let leader = s.spawn(|| {
             let mut client = service.client(0);
-            client.scan_with_stats().expect("within budget").1
+            client.scan_with_stats(None).expect("within budget").1
         });
         while scans_entered.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
@@ -148,7 +96,7 @@ fn coalesced_cohort_costs_two_collects_not_k() {
                 let service = &service;
                 s.spawn(move || {
                     let mut client = service.client(lane);
-                    client.scan_with_stats().expect("within budget").1
+                    client.scan_with_stats(None).expect("within budget").1
                 })
             })
             .collect();
@@ -196,11 +144,11 @@ fn coalesced_cohort_costs_two_collects_not_k() {
 #[test]
 fn full_budget_rejects_with_overloaded() {
     let (object, _counters) = counted_object(3);
-    let blocked = Arc::new(AtomicBool::new(true));
-    let scans_entered = Arc::new(AtomicUsize::new(0));
+    let (core, Gate { held: blocked, entered: scans_entered, .. }) = gated_core(object, 0);
+    blocked.store(true, Ordering::SeqCst);
     let registry = Registry::new();
     let service = SnapshotService::with_config(
-        Blocking { inner: object, blocked: blocked.clone(), scans_entered: scans_entered.clone() },
+        core,
         ServiceConfig { max_inflight: 2, ..ServiceConfig::default() },
     )
     .with_registry(&registry);
@@ -282,62 +230,26 @@ fn run_service_history(plans: &[Plan], coalesce: bool) -> WgResult {
 // The generation rule under writers (adversarial staging)
 // ---------------------------------------------------------------------------
 
-/// Delegates to the wrapped core, but `core_scan` completes the inner
-/// collect and then parks (spinning) *before returning* while `held` is
-/// set. This stages the adversarial window the generation rule exists
-/// for: a finished-but-unpublished collect whose reads all predate
-/// whatever happens during the hold.
-struct HoldAfterCollect<C> {
-    inner: C,
-    held: Arc<AtomicBool>,
-    collects_done: Arc<AtomicUsize>,
-}
-
-impl<V, C: SnapshotCore<V>> SnapshotCore<V> for HoldAfterCollect<C> {
-    // Fully qualified: with both `SnapshotCore` and `TrySnapshotCore`
-    // implemented, bare `self.inner.segments()` is ambiguous.
-    fn segments(&self) -> usize {
-        SnapshotCore::segments(&self.inner)
-    }
-
-    fn lanes(&self) -> usize {
-        SnapshotCore::lanes(&self.inner)
-    }
-
-    fn single_writer(&self) -> bool {
-        SnapshotCore::single_writer(&self.inner)
-    }
-
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-        let out = self.inner.core_scan(lane);
-        self.collects_done.fetch_add(1, Ordering::SeqCst);
-        while self.held.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        out
-    }
-
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
-        self.inner.core_update(lane, segment, value)
-    }
-
-    fn certified_read(&self, reader: ProcessId, segment: usize) -> Option<(V, u64)> {
-        self.inner.certified_read(reader, segment)
-    }
-}
-
-snapshot_core::impl_try_snapshot_core!([V, C: SnapshotCore<V>] V, HoldAfterCollect<C>);
-
 #[test]
 fn generation_rule_never_hands_out_a_pre_request_view_under_writers() {
     const MARKER: u64 = 0xFEED;
     let held = Arc::new(AtomicBool::new(true));
     let collects_done = Arc::new(AtomicUsize::new(0));
-    let service = SnapshotService::new(HoldAfterCollect {
-        inner: UnboundedSnapshot::new(3, 0u64),
-        held: held.clone(),
-        collects_done: collects_done.clone(),
-    });
+    // The core completes its collect and then parks (spinning) *before
+    // returning* while `held` is set. This stages the adversarial window
+    // the generation rule exists for: a finished-but-unpublished collect
+    // whose reads all predate whatever happens during the hold.
+    let service = SnapshotService::new(ScanHook::new(UnboundedSnapshot::new(3, 0u64), {
+        let (held, collects_done) = (held.clone(), collects_done.clone());
+        move |inner, lane, ctx| {
+            let out = inner.try_scan(lane, ctx);
+            collects_done.fetch_add(1, Ordering::SeqCst);
+            while held.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            out
+        }
+    }));
 
     std::thread::scope(|s| {
         // Leader: its collect observes segment 1 = 0, completes, and is
@@ -348,7 +260,7 @@ fn generation_rule_never_hands_out_a_pre_request_view_under_writers() {
         }
 
         // A writer finishes an update *while the stale view is parked*.
-        // The update's embedded scan is direct (not via core_scan), so it
+        // The update's embedded scan is direct (not via try_scan), so it
         // is not held.
         service.client(1).update(1, MARKER).expect("own segment");
 
@@ -357,7 +269,7 @@ fn generation_rule_never_hands_out_a_pre_request_view_under_writers() {
         // leader's parked view does not.
         let late = s.spawn(|| {
             let mut client = service.client(2);
-            client.scan_with_stats().expect("within budget")
+            client.scan_with_stats(None).expect("within budget")
         });
         while service.coalescing_waiters() == 0 {
             std::thread::yield_now();
@@ -384,63 +296,14 @@ fn generation_rule_never_hands_out_a_pre_request_view_under_writers() {
 // Abdication accounting with a scripted flaky backend
 // ---------------------------------------------------------------------------
 
-/// A fallible core that fails its first `failures` scans with a retryable
-/// error, then recovers. Implements `TrySnapshotCore` directly (it is not
-/// a `SnapshotCore` at all — fallibility is native, not lifted).
-struct Flaky {
-    inner: UnboundedSnapshot<u64>,
-    remaining: AtomicUsize,
-}
-
-impl TrySnapshotCore<u64> for Flaky {
-    // Fully qualified: with both `SnapshotCore` and `TrySnapshotCore`
-    // implemented, bare `self.inner.segments()` is ambiguous.
-    fn segments(&self) -> usize {
-        SnapshotCore::segments(&self.inner)
-    }
-
-    fn lanes(&self) -> usize {
-        SnapshotCore::lanes(&self.inner)
-    }
-
-    fn single_writer(&self) -> bool {
-        SnapshotCore::single_writer(&self.inner)
-    }
-
-    fn try_scan(&self, lane: ProcessId) -> Result<(SnapshotView<u64>, ScanStats), CoreError> {
-        if self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| r.checked_sub(1))
-            .is_ok()
-        {
-            return Err(CoreError::Unavailable { reason: "scripted outage".into() });
-        }
-        Ok(self.inner.core_scan(lane))
-    }
-
-    fn try_update(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: u64,
-    ) -> Result<ScanStats, CoreError> {
-        Ok(self.inner.core_update(lane, segment, value))
-    }
-
-    fn try_certified_read(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        Ok(self.inner.certified_read(reader, segment))
-    }
-}
-
 #[test]
 fn leader_failures_count_as_abdications_not_solo_leads() {
+    // A flaky backend: its first two scans fail with a retryable error,
+    // then it recovers.
+    let (flaky, Gate { failures: remaining, .. }) = gated_core(UnboundedSnapshot::new(2, 0u64), 2);
     let registry = Registry::new();
     let service = SnapshotService::with_config(
-        Flaky { inner: UnboundedSnapshot::new(2, 0u64), remaining: AtomicUsize::new(2) },
+        flaky,
         ServiceConfig {
             retry: RetryConfig {
                 max_attempts: 3,
@@ -454,7 +317,7 @@ fn leader_failures_count_as_abdications_not_solo_leads() {
     .with_registry(&registry);
 
     let mut client = service.client(0);
-    let (view, stats) = client.scan_with_stats().expect("third attempt succeeds");
+    let (view, stats) = client.scan_with_stats(None).expect("third attempt succeeds");
     assert_eq!(view.len(), 2);
     assert_eq!(stats.retries, 2, "two failed attempts before the success");
 
@@ -470,7 +333,7 @@ fn leader_failures_count_as_abdications_not_solo_leads() {
 
     // The budget is finite: with the outage longer than max_attempts the
     // error surfaces typed, and exhaustion is counted.
-    service.backing().remaining.store(10, Ordering::SeqCst);
+    remaining.store(10, Ordering::SeqCst);
     let err = client.scan().unwrap_err();
     assert!(matches!(err, ServiceError::Backend { attempts: 3, .. }), "{err:?}");
     assert_eq!(registry.counter("service.fault.retry_exhausted").get(), 1);

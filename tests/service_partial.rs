@@ -1,25 +1,28 @@
 //! Partial scans through the service, checked against the projected
 //! sequential spec.
 //!
-//! The service serves `scan_subset` four ways — the backing's native
+//! The service serves `scan_subset` three ways — the backing's native
 //! O(touched-segments) subset scan (all in-tree constructions),
-//! service-level certified per-segment double collects, shard-coalesced
-//! range views, and projected full scans (the wait-free fallback, the
-//! only option for a backing with neither a native path nor
-//! certificates) — and all four must produce views that are
-//! instantaneous pictures of the requested projection. The concurrent
-//! tests record every operation with a shared logical clock and hand the
-//! histories to the Wing & Gong checker under
-//! `snapshot_lin::check_partial_history`.
+//! shard-coalesced range views, and projected full scans (the wait-free
+//! second rung, the only option for a backing without a native path) —
+//! and all three must produce views that are instantaneous pictures of
+//! the requested projection. The concurrent tests record every operation
+//! with a shared logical clock and hand the histories to the Wing & Gong
+//! checker under `snapshot_lin::check_partial_history`; the ladder test
+//! checks from the `service.partial.*` counters that the two rungs are
+//! total — every partial request is accounted to exactly one way of
+//! being served.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
+use snapshot_abd::{AbdSnapshotCore, Network, NetworkConfig};
 use snapshot_core::{
-    BoundedSnapshot, MultiWriterSnapshot, ScanStats, SnapshotCore, SnapshotView,
-    TrySnapshotCore, UnboundedSnapshot,
+    BoundedSnapshot, CoreError, LockSnapshot, MultiWriterSnapshot, RequestCtx, ScanStats,
+    SnapshotView, TrySnapshotCore, UnboundedSnapshot,
 };
 use snapshot_lin::{check_partial_history, PartialOp, WgOp, WgResult};
-use snapshot_obs::Clock;
+use snapshot_obs::{Clock, Registry};
 use snapshot_registers::ProcessId;
 use snapshot_service::{ServiceConfig, SnapshotService};
 
@@ -45,11 +48,11 @@ fn quiescent_partial_scans_equal_the_projected_full_scan() {
     }
 }
 
-/// A backing with no certified reads and no native subset path: the
-/// projected-full-scan fallback is its only way to answer a subset.
+/// A backing with no native subset path (`try_scan_subset` keeps its
+/// default): the projected full scan is its only way to answer a subset.
 struct Opaque<C>(C);
 
-impl<V, C: SnapshotCore<V>> SnapshotCore<V> for Opaque<C> {
+impl<V, C: TrySnapshotCore<V>> TrySnapshotCore<V> for Opaque<C> {
     fn segments(&self) -> usize {
         self.0.segments()
     }
@@ -59,18 +62,23 @@ impl<V, C: SnapshotCore<V>> SnapshotCore<V> for Opaque<C> {
     fn single_writer(&self) -> bool {
         self.0.single_writer()
     }
-    fn core_scan(&self, lane: ProcessId) -> (SnapshotView<V>, ScanStats) {
-        self.0.core_scan(lane)
+    fn try_scan(
+        &self,
+        lane: ProcessId,
+        ctx: RequestCtx,
+    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
+        self.0.try_scan(lane, ctx)
     }
-    fn core_update(&self, lane: ProcessId, segment: usize, value: V) -> ScanStats {
-        self.0.core_update(lane, segment, value)
+    fn try_update(
+        &self,
+        lane: ProcessId,
+        segment: usize,
+        value: V,
+        ctx: RequestCtx,
+    ) -> Result<ScanStats, CoreError> {
+        self.0.try_update(lane, segment, value, ctx)
     }
-    fn certified_read(&self, _reader: ProcessId, _segment: usize) -> Option<(V, u64)> {
-        None
-    }
-    // `core_scan_subset` keeps its default: no native subset path.
 }
-snapshot_core::impl_try_snapshot_core!([V, C: SnapshotCore<V>] V, Opaque<C>);
 
 #[test]
 fn native_and_fallback_paths_report_themselves() {
@@ -81,35 +89,155 @@ fn native_and_fallback_paths_report_themselves() {
         ServiceConfig { coalesce: false, ..ServiceConfig::default() },
     );
     let mut c = native.client(0);
-    let (_, stats) = c.scan_subset_with_stats(&[0, 3]).unwrap();
+    let (_, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap();
     assert!(stats.native_subset);
     assert!(!stats.fallback_full);
-    assert!(stats.certified_rounds >= 1);
-    assert_eq!(stats.underlying.reads, 2 * 2 * u64::from(stats.certified_rounds));
+    assert!(stats.underlying.double_collects >= 1);
+    assert_eq!(stats.underlying.reads, 2 * 2 * u64::from(stats.underlying.double_collects));
 
-    // Bounded: no ABA-free certificates, but the subset handshake gives
-    // it a native path too — no fallback anymore.
+    // Bounded: no per-write sequence numbers, but the subset handshake
+    // gives it a native path too.
     let bounded = SnapshotService::with_config(
         BoundedSnapshot::new(4, 0u64),
         ServiceConfig { coalesce: false, ..ServiceConfig::default() },
     );
     let mut c = bounded.client(0);
-    let (_, stats) = c.scan_subset_with_stats(&[0, 3]).unwrap();
+    let (_, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap();
     assert!(stats.native_subset);
     assert!(!stats.fallback_full);
 
-    // Opaque wrapper: neither certificates nor a native path, so the
-    // service projects a full scan instead.
+    // Opaque wrapper: no native path, so the service projects a full
+    // scan instead.
     let fallback = SnapshotService::with_config(
         Opaque(BoundedSnapshot::new(4, 0u64)),
         ServiceConfig { coalesce: false, ..ServiceConfig::default() },
     );
     let mut c = fallback.client(0);
-    let (_, stats) = c.scan_subset_with_stats(&[0, 3]).unwrap();
+    let (_, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap();
     assert!(stats.fallback_full);
     assert!(!stats.native_subset);
-    assert_eq!(stats.certified_rounds, 0);
     assert!(stats.underlying.reads > 0, "the fallback runs a real collect");
+}
+
+#[test]
+fn opaque_backings_fall_back_on_both_service_paths() {
+    // With coalescing on, a multi-shard subset collects directly and a
+    // single-shard one through the shard rendezvous; over a backing with
+    // no native path both must fall back, the shard leader must report
+    // it, and the certified ratio sags to zero.
+    let svc = SnapshotService::with_config(
+        Opaque(BoundedSnapshot::new(4, 0u32)),
+        ServiceConfig { shards: 2, ..ServiceConfig::default() },
+    );
+    let mut c = svc.client(0);
+    c.update(0, 5).unwrap();
+    let (view, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap(); // spans both shards
+    assert_eq!(view.values(), &[5, 0]);
+    assert!(stats.fallback_full);
+    assert!(!stats.native_subset);
+
+    let (view, stats) = c.scan_subset_with_stats(&[0, 1], None).unwrap(); // single shard
+    assert_eq!(view.values(), &[5, 0]);
+    assert!(stats.fallback_full, "shard leader must report its fallback");
+    assert_eq!(svc.partial_certified_permille(), 0);
+    assert_eq!(svc.load_report().partial_certified_permille, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The two-rung ladder is total
+// ---------------------------------------------------------------------------
+
+/// How the `service.partial.*` counters split the partial requests of one
+/// [`ladder_tally`] run.
+struct LadderTally {
+    /// `service.scan.partial`: partial requests admitted.
+    partial: u64,
+    /// `service.partial.native`: native subset collects run.
+    native: u64,
+    /// `service.partial.fallback_full`: requests served by a projected
+    /// full scan.
+    fallback: u64,
+    /// Requests that ran neither rung: they joined a shard cohort, or
+    /// covered every segment and were served as a full scan.
+    other: u64,
+}
+
+/// Every lane of a service over `core` (4 segments, 2 shards) alternates
+/// an update with a subset scan — a one-shard pair, a two-shard pair,
+/// full coverage in turn — concurrently with the others.
+fn ladder_tally<C: TrySnapshotCore<u64>>(core: C, rounds: usize) -> LadderTally {
+    let single_writer = core.single_writer();
+    let words = core.segments();
+    assert_eq!(words, 4);
+    let lanes = core.lanes();
+    let registry = Registry::new();
+    let service =
+        SnapshotService::with_config(core, ServiceConfig { shards: 2, ..ServiceConfig::default() })
+            .with_registry(&registry);
+    let other = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for lane in 0..lanes {
+            let (service, other) = (&service, &other);
+            s.spawn(move || {
+                let mut client = service.client(lane);
+                for k in 0..rounds {
+                    let word = if single_writer { lane } else { (lane + k) % words };
+                    client.update(word, ((lane as u64) << 32) | (k as u64 + 1)).expect("update");
+                    let subset: &[usize] = match k % 3 {
+                        0 => &[0, 1],
+                        1 => &[0, 3],
+                        _ => &[0, 1, 2, 3],
+                    };
+                    let (_, stats) =
+                        client.scan_subset_with_stats(subset, None).expect("valid subset");
+                    assert!(!(stats.native_subset && stats.fallback_full), "one rung per request");
+                    if !stats.native_subset && !stats.fallback_full {
+                        other.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    let tally = LadderTally {
+        partial: registry.counter("service.scan.partial").get(),
+        native: registry.counter("service.partial.native").get(),
+        fallback: registry.counter("service.partial.fallback_full").get(),
+        other: other.into_inner(),
+    };
+    assert_eq!(tally.partial, (lanes * rounds) as u64);
+    assert_eq!(
+        tally.native + tally.fallback + tally.other,
+        tally.partial,
+        "every partial request is served exactly one way: native {} + fallback {} + other {}",
+        tally.native,
+        tally.fallback,
+        tally.other
+    );
+    tally
+}
+
+#[test]
+fn the_two_rung_ladder_is_total_over_every_backing() {
+    // Helping natives are wait-free: the second rung is never taken.
+    let network = Arc::new(Network::with_config(NetworkConfig::new(3)));
+    let wait_free = [
+        ("unbounded", ladder_tally(UnboundedSnapshot::new(4, 0u64), 60)),
+        ("bounded", ladder_tally(BoundedSnapshot::new(4, 0u64), 60)),
+        ("locked", ladder_tally(LockSnapshot::new(4, 0u64), 60)),
+        ("abd-sim", ladder_tally(AbdSnapshotCore::new(&network, 4, 0u64), 12)),
+    ];
+    for (name, tally) in wait_free {
+        assert_eq!(tally.fallback, 0, "{name}: a wait-free native path never falls back");
+        assert!(tally.native > 0, "{name}");
+    }
+    // The multi-writer native path is bounded, not wait-free: it may
+    // give up under contention, and the identity is all that must hold.
+    ladder_tally(MultiWriterSnapshot::new(4, 4, 0u64), 60);
+    // No native path at all: the projected full scan serves everything
+    // that neither joined a cohort nor was a full scan to begin with.
+    let opaque = ladder_tally(Opaque(BoundedSnapshot::new(4, 0u64)), 60);
+    assert_eq!(opaque.native, 0);
+    assert!(opaque.fallback > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -157,7 +285,7 @@ fn run_partial_history<C: TrySnapshotCore<u64>>(core: C, ops_per_thread: usize) 
                         1 => {
                             // A wrapping two-segment window: sometimes one
                             // shard (coalesced range view), sometimes two
-                            // (direct certified collect or fallback).
+                            // (direct native collect or fallback).
                             let subset = {
                                 let a = (lane + k) % words;
                                 let b = (a + 1) % words;
@@ -193,12 +321,12 @@ fn run_partial_history<C: TrySnapshotCore<u64>>(core: C, ops_per_thread: usize) 
 }
 
 #[test]
-fn concurrent_partial_history_linearizes_on_the_certified_path() {
+fn concurrent_partial_history_linearizes_on_the_unbounded_native_path() {
     for round in 0..4 {
         let verdict = run_partial_history(UnboundedSnapshot::new(3, 0u64), 9);
         assert!(
             matches!(verdict, WgResult::Linearizable { .. }),
-            "round {round}: certified-path history rejected: {verdict:?}"
+            "round {round}: unbounded-native history rejected: {verdict:?}"
         );
     }
 }

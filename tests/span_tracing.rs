@@ -19,77 +19,24 @@
 //!   `QuorumStore` spans nest under the service's collect and attempt
 //!   spans.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use snapshot_abd::{AbdSnapshotCore, Network, NetworkConfig};
-use snapshot_core::{
-    CoreError, ScanStats, SnapshotCore, SnapshotView, TrySnapshotCore, UnboundedSnapshot,
-};
+use snapshot_bench::scripted::{gated_core, Gate};
+use snapshot_core::{TrySnapshotCore, UnboundedSnapshot};
 use snapshot_obs::{
     chrome_tracing, DumpCause, FanoutSink, FlightRecorder, RingSink, SpanForest, SpanKind,
     SpanStatus, Trace,
 };
-use snapshot_registers::ProcessId;
 use snapshot_service::{HealthConfig, ServiceConfig, ServiceError, SnapshotService};
 
-/// Core whose scans spin while `gate` is set: the deterministic way to
-/// hold a coalescing lead inside its collect so a cohort piles up
-/// behind it (same pattern as the nemesis suite's `ScriptedCore`).
-struct GateCore {
-    inner: UnboundedSnapshot<u64>,
-    gate: Arc<AtomicBool>,
-    entered: Arc<AtomicUsize>,
-}
-
-impl GateCore {
-    fn new(n: usize) -> Self {
-        GateCore {
-            inner: UnboundedSnapshot::new(n, 0u64),
-            gate: Arc::new(AtomicBool::new(false)),
-            entered: Arc::new(AtomicUsize::new(0)),
-        }
-    }
-}
-
-impl TrySnapshotCore<u64> for GateCore {
-    fn segments(&self) -> usize {
-        SnapshotCore::segments(&self.inner)
-    }
-
-    fn lanes(&self) -> usize {
-        SnapshotCore::lanes(&self.inner)
-    }
-
-    fn single_writer(&self) -> bool {
-        SnapshotCore::single_writer(&self.inner)
-    }
-
-    fn try_scan(&self, lane: ProcessId) -> Result<(SnapshotView<u64>, ScanStats), CoreError> {
-        self.entered.fetch_add(1, Ordering::SeqCst);
-        while self.gate.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        Ok(self.inner.core_scan(lane))
-    }
-
-    fn try_update(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: u64,
-    ) -> Result<ScanStats, CoreError> {
-        Ok(self.inner.core_update(lane, segment, value))
-    }
-
-    fn try_certified_read(
-        &self,
-        reader: ProcessId,
-        segment: usize,
-    ) -> Result<Option<(u64, u64)>, CoreError> {
-        Ok(self.inner.certified_read(reader, segment))
-    }
+/// Core whose scans spin while the gate is held: the deterministic way
+/// to hold a coalescing lead inside its collect so a cohort piles up
+/// behind it (same pattern as the nemesis suite's scripted core).
+fn gate_core(n: usize) -> (impl TrySnapshotCore<u64>, Gate) {
+    gated_core(UnboundedSnapshot::new(n, 0u64), 0)
 }
 
 #[test]
@@ -109,7 +56,7 @@ fn span_forest_invariants_hold_across_traced_operations() {
     client.probe_shard(0).unwrap();
     // A zero budget expires at admission: the root span must still open
     // (and end Expired) so the expiry is visible in the tree.
-    match client.scan_within(Duration::ZERO).unwrap_err() {
+    match client.scan_with_stats(Some(Duration::ZERO)).unwrap_err() {
         ServiceError::DeadlineExceeded { .. } => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -148,9 +95,7 @@ fn span_forest_invariants_hold_across_traced_operations() {
 #[test]
 fn coalesced_joiner_parks_follow_the_leads_collect_span() {
     const CLIENTS: usize = 4;
-    let core = GateCore::new(CLIENTS);
-    let gate = core.gate.clone();
-    let entered = core.entered.clone();
+    let (core, Gate { held: gate, entered, .. }) = gate_core(CLIENTS);
     gate.store(true, Ordering::SeqCst);
 
     let sink = Arc::new(RingSink::new(CLIENTS, 4096));
@@ -216,9 +161,7 @@ fn coalesced_joiner_parks_follow_the_leads_collect_span() {
 #[test]
 fn flight_recorder_dump_contains_the_expired_requests_span_path() {
     const CLIENTS: usize = 2;
-    let core = GateCore::new(CLIENTS);
-    let gate = core.gate.clone();
-    let entered = core.entered.clone();
+    let (core, Gate { held: gate, entered, .. }) = gate_core(CLIENTS);
     gate.store(true, Ordering::SeqCst);
 
     let ring = Arc::new(RingSink::new(CLIENTS, 1024));
@@ -240,7 +183,8 @@ fn flight_recorder_dump_contains_the_expired_requests_span_path() {
         }
         // The joiner parks behind the held collect carrying its own small
         // budget; it must expire while the lead is still stuck.
-        let err = service.client(1).scan_within(Duration::from_millis(20)).unwrap_err();
+        let budget = Some(Duration::from_millis(20));
+        let err = service.client(1).scan_with_stats(budget).unwrap_err();
         assert!(matches!(err, ServiceError::DeadlineExceeded { .. }), "{err:?}");
         gate.store(false, Ordering::SeqCst);
         lead.join().unwrap();
