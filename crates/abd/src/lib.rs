@@ -23,7 +23,10 @@
 //!   multi-writer atomic register over the replicas: two-phase writes
 //!   (query the majority for the max tag, then store a higher tag) and
 //!   two-phase reads (query, then write back the maximum before
-//!   returning, preventing new/old inversion). Each phase retransmits to
+//!   returning, preventing new/old inversion — skipped when the query
+//!   quorum was unanimous, since the maximum is then already on a
+//!   majority), over a batch of registers at a time
+//!   ([`AbdRegister::read_many`]). Each phase retransmits to
 //!   silent replicas under capped exponential backoff ([`RetryPolicy`]),
 //!   replicas dedupe retries by request id, and liveness failures surface
 //!   as typed [`AbdError`]s via [`AbdRegister::try_read`] /

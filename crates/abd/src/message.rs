@@ -1,8 +1,7 @@
 use std::any::Any;
-use std::fmt;
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
+use crate::transport::{PhaseRequest, ReplyInbox};
 
 /// Identifier of one emulated register within a [`Network`].
 ///
@@ -61,93 +60,24 @@ pub struct Tag {
 /// `Clone + Send + Sync` value type share one replica fleet).
 pub type ErasedValue = Arc<dyn Any + Send + Sync>;
 
-/// A client-to-replica request.
+/// A client-to-replica message on the simulated network.
 ///
 /// `Clone` so the fault-injection layer can duplicate deliveries and the
-/// client can retransmit: both paths reuse the same reply channel and
+/// client can retransmit: both paths reuse the same reply inbox and
 /// request id, and replicas answer every delivery (re-acking is how a
-/// client whose *reply* was dropped ever completes).
-#[derive(Clone)]
+/// client whose *reply* was dropped ever completes). The phase request is
+/// shared, not copied, between the replicas it is broadcast to.
+#[derive(Clone, Debug)]
 pub(crate) enum Request {
-    /// "Send me your `(tag, value)` for this register."
-    Query {
+    /// One delivery of a quorum-phase request; the replica pushes its
+    /// [`Reply`](crate::Reply) onto `reply`.
+    Phase {
         id: RequestId,
-        register: RegisterId,
-        reply: Sender<Response>,
-    },
-    /// "Store this `(tag, value)` if it exceeds yours, then ack."
-    Store {
-        id: RequestId,
-        register: RegisterId,
-        tag: Tag,
-        value: ErasedValue,
-        reply: Sender<Response>,
+        request: Arc<PhaseRequest>,
+        reply: Arc<ReplyInbox>,
     },
     /// Orderly shutdown of the replica thread.
     Shutdown,
-}
-
-impl fmt::Debug for Request {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Request::Query { id, register, .. } => f
-                .debug_struct("Query")
-                .field("id", id)
-                .field("register", register)
-                .finish(),
-            Request::Store {
-                id, register, tag, ..
-            } => f
-                .debug_struct("Store")
-                .field("id", id)
-                .field("register", register)
-                .field("tag", tag)
-                .finish(),
-            Request::Shutdown => f.write_str("Shutdown"),
-        }
-    }
-}
-
-/// A replica-to-client response, stamped with the replying replica's index
-/// and the request id it answers.
-///
-/// Clients count *distinct* replicas per id toward the quorum, so
-/// duplicated or re-acked replies are harmless.
-#[derive(Clone)]
-pub(crate) struct Response {
-    /// Index of the replying replica.
-    pub from: usize,
-    /// The request id this reply answers.
-    pub id: RequestId,
-    /// The payload.
-    pub body: ResponseBody,
-}
-
-/// Payload of a [`Response`].
-#[derive(Clone)]
-pub(crate) enum ResponseBody {
-    /// Current `(tag, value)` held by the replica (value absent if the
-    /// replica has never stored this register).
-    QueryReply {
-        tag: Tag,
-        value: Option<ErasedValue>,
-    },
-    /// Store acknowledged.
-    StoreAck,
-}
-
-impl fmt::Debug for Response {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("Response");
-        s.field("from", &self.from).field("id", &self.id);
-        match &self.body {
-            ResponseBody::QueryReply { tag, value } => s
-                .field("tag", tag)
-                .field("has_value", &value.is_some())
-                .finish(),
-            ResponseBody::StoreAck => s.field("body", &"StoreAck").finish(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,17 +95,29 @@ mod tests {
 
     #[test]
     fn requests_are_cloneable_for_duplication_and_retransmit() {
-        let (tx, _rx) = crossbeam::channel::unbounded();
-        let req = Request::Store {
+        let req = Request::Phase {
             id: RequestId(7),
-            register: RegisterId(0),
-            tag: Tag { seq: 1, writer: 0 },
-            value: Arc::new(5u32) as ErasedValue,
-            reply: tx,
+            request: Arc::new(PhaseRequest::Query {
+                registers: vec![RegisterId(0)],
+            }),
+            reply: Arc::new(ReplyInbox::new(2)),
         };
-        let dup = req.clone();
-        match (req, dup) {
-            (Request::Store { id: a, .. }, Request::Store { id: b, .. }) => assert_eq!(a, b),
+        match (req.clone(), req) {
+            (
+                Request::Phase {
+                    id: a,
+                    request: ra,
+                    reply: ia,
+                },
+                Request::Phase {
+                    id: b,
+                    request: rb,
+                    reply: ib,
+                },
+            ) => {
+                assert_eq!(a, b);
+                assert!(Arc::ptr_eq(&ra, &rb) && Arc::ptr_eq(&ia, &ib));
+            }
             _ => unreachable!(),
         }
     }

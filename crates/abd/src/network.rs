@@ -1,3 +1,4 @@
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -11,9 +12,9 @@ use rand::{RngExt, SeedableRng};
 use snapshot_obs::{Registry, Trace};
 
 use crate::fault::{FaultPlan, LinkFault};
-use crate::message::{ErasedValue, Request, RequestId, Response, ResponseBody};
+use crate::message::{Request, RequestId};
 use crate::stats::{Counters, LatencySnapshot, NetworkStats};
-use crate::transport::{Payload, Phase, PhaseRequest, Reply, ReplyBody, Transport};
+use crate::transport::{Payload, Phase, PhaseRequest, Reply, ReplyBody, ReplyInbox, Transport};
 use crate::{RegisterId, Tag};
 
 /// How many recently seen request ids each replica remembers for
@@ -206,7 +207,7 @@ impl Drop for PanicFlag {
 /// thread.
 struct ReplicaCore {
     index: usize,
-    store: HashMap<RegisterId, (Tag, ErasedValue)>,
+    store: HashMap<RegisterId, (Tag, Payload)>,
     seen: HashSet<RequestId>,
     seen_order: VecDeque<RequestId>,
     crashed: Arc<AtomicBool>,
@@ -275,65 +276,55 @@ impl ReplicaCore {
             self.counters.messages_dropped.inc();
             return;
         }
-        match request {
-            Request::Query {
-                id,
-                register,
-                reply,
-            } => {
+        let Request::Phase { id, request, reply } = request else {
+            return;
+        };
+        let body = match &*request {
+            PhaseRequest::Query { registers } => {
                 // Queries are read-only: dedup only records the id; every
                 // delivery is (re-)answered with the current state, which
                 // is what lets a client whose reply was lost make progress.
                 self.note_seen(id);
-                let (tag, value) = match self.store.get(&register) {
-                    Some((t, v)) => (*t, Some(Arc::clone(v))),
-                    None => (Tag::default(), None),
-                };
-                self.reply(
-                    &reply,
-                    Response {
-                        from: self.index,
-                        id,
-                        body: ResponseBody::QueryReply { tag, value },
-                    },
-                );
+                ReplyBody::Values(
+                    registers
+                        .iter()
+                        .map(|register| match self.store.get(register) {
+                            Some((tag, value)) => (*tag, Some(value.clone())),
+                            None => (Tag::default(), None),
+                        })
+                        .collect(),
+                )
             }
-            Request::Store {
-                id,
-                register,
-                tag,
-                value,
-                reply,
-            } => {
+            PhaseRequest::Store { entries } => {
                 if self.note_seen(id) {
-                    let entry = self.store.entry(register);
-                    match entry {
-                        std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                            if tag > occupied.get().0 {
-                                occupied.insert((tag, value));
+                    for (register, tag, value) in entries {
+                        match self.store.entry(*register) {
+                            Entry::Occupied(mut occupied) => {
+                                if *tag > occupied.get().0 {
+                                    occupied.insert((*tag, value.clone()));
+                                }
                             }
-                        }
-                        std::collections::hash_map::Entry::Vacant(vacant) => {
-                            vacant.insert((tag, value));
+                            Entry::Vacant(vacant) => {
+                                vacant.insert((*tag, value.clone()));
+                            }
                         }
                     }
                 } else {
                     // Duplicate delivery (link duplication or client
-                    // retransmission): skip the apply, but re-ack — the
-                    // first ack may have been lost.
+                    // retransmission): skip the whole batch, but re-ack —
+                    // the first ack may have been lost.
                     self.counters.duplicates_suppressed.inc();
                 }
-                self.reply(
-                    &reply,
-                    Response {
-                        from: self.index,
-                        id,
-                        body: ResponseBody::StoreAck,
-                    },
-                );
+                ReplyBody::Ack
             }
-            Request::Shutdown => {}
-        }
+        };
+        self.reply(
+            &reply,
+            Reply {
+                from: self.index,
+                body,
+            },
+        );
     }
 
     /// Records `id` as seen; returns `true` the first time.
@@ -350,13 +341,13 @@ impl ReplicaCore {
         true
     }
 
-    fn reply(&mut self, to: &Sender<Response>, response: Response) {
+    fn reply(&mut self, to: &ReplyInbox, reply: Reply) {
         let reply_drop = self.link.fault.read().reply_drop;
         if self.link.cut_outbound.load(Ordering::Acquire) || self.chance(reply_drop) {
             self.counters.messages_dropped.inc();
             return;
         }
-        let _ = to.send(response);
+        to.push(reply);
     }
 
     /// Ages the holdback buffer by one arrival and delivers everything
@@ -751,92 +742,30 @@ impl fmt::Debug for Network {
     }
 }
 
-/// Converts a seam payload into the erased form replicas store. A wire
-/// payload is boxed as `Any` holding the `Arc<[u8]>` itself, so a
-/// register with a wire codec can run over the simulated network for
-/// differential testing — the bytes round-trip untouched.
-fn payload_to_erased(payload: &Payload) -> ErasedValue {
-    match payload {
-        Payload::Erased(v) => Arc::clone(v),
-        Payload::Bytes(b) => Arc::new(Arc::clone(b)) as ErasedValue,
-    }
-}
-
-/// The inverse conversion for replies: a stored `Arc<[u8]>` surfaces as
-/// a byte payload, anything else stays erased.
-fn erased_to_payload(value: ErasedValue) -> Payload {
-    match value.downcast::<Arc<[u8]>>() {
-        Ok(bytes) => Payload::Bytes(Arc::clone(&bytes)),
-        Err(value) => Payload::Erased(value),
-    }
-}
-
 /// One in-flight quorum phase on the simulated network: a private reply
-/// channel, with the request id stamped on every (re)transmission so
-/// replicas dedupe and the engine can discard mismatched replies.
+/// inbox, with the request id stamped on every (re)transmission so
+/// replicas dedupe.
 struct SimPhase<'a> {
     net: &'a Network,
     id: RequestId,
-    request: PhaseRequest,
-    tx: Sender<Response>,
-    rx: crossbeam::channel::Receiver<Response>,
-}
-
-impl SimPhase<'_> {
-    fn make_request(&self) -> Request {
-        match &self.request {
-            PhaseRequest::Query { register } => Request::Query {
-                id: self.id,
-                register: *register,
-                reply: self.tx.clone(),
-            },
-            PhaseRequest::Store {
-                register,
-                tag,
-                payload,
-            } => Request::Store {
-                id: self.id,
-                register: *register,
-                tag: *tag,
-                value: payload_to_erased(payload),
-                reply: self.tx.clone(),
-            },
-        }
-    }
+    request: Arc<PhaseRequest>,
+    inbox: Arc<ReplyInbox>,
 }
 
 impl Phase for SimPhase<'_> {
     fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize {
-        let request = self.make_request();
-        self.net.send_where(|i| include(i), || request.clone())
+        self.net.send_where(
+            |i| include(i),
+            || Request::Phase {
+                id: self.id,
+                request: Arc::clone(&self.request),
+                reply: Arc::clone(&self.inbox),
+            },
+        )
     }
 
     fn recv_deadline(&mut self, deadline: std::time::Instant) -> Option<Reply> {
-        loop {
-            match self.rx.recv_deadline(deadline) {
-                Ok(response) => {
-                    debug_assert_eq!(
-                        response.id, self.id,
-                        "reply channels are per-phase; ids cannot mix"
-                    );
-                    if response.id != self.id {
-                        continue;
-                    }
-                    let body = match response.body {
-                        ResponseBody::QueryReply { tag, value } => ReplyBody::Value {
-                            tag,
-                            payload: value.map(erased_to_payload),
-                        },
-                        ResponseBody::StoreAck => ReplyBody::Ack,
-                    };
-                    return Some(Reply {
-                        from: response.from,
-                        body,
-                    });
-                }
-                Err(_) => return None,
-            }
-        }
+        self.inbox.recv_deadline(deadline)
     }
 }
 
@@ -881,13 +810,11 @@ impl Transport for Network {
     }
 
     fn begin_phase(&self, id: RequestId, request: PhaseRequest) -> Box<dyn Phase + '_> {
-        let (tx, rx) = unbounded();
         Box::new(SimPhase {
             net: self,
             id,
-            request,
-            tx,
-            rx,
+            request: Arc::new(request),
+            inbox: Arc::new(ReplyInbox::new(self.quorum())),
         })
     }
 

@@ -93,7 +93,10 @@ impl<V> fmt::Debug for Codec<V> {
 /// * **read()** — phase 1: query, majority, take the maximum `(tag, v)`;
 ///   phase 2: *write back* that maximum to a majority before returning
 ///   (so any read starting after this one completes sees a tag at least
-///   as large: no new/old inversion).
+///   as large: no new/old inversion) — skipped when the whole query
+///   quorum already answered with that one tag, because then the maximum
+///   *is* on a majority. [`read_many`](Self::read_many) reads a batch of
+///   registers in the same two rounds.
 ///
 /// Any two majorities intersect, which is the whole proof sketch: a read's
 /// query majority intersects every completed write's store majority, so
@@ -184,17 +187,60 @@ impl<V: Clone + Send + Sync + 'static> AbdRegister<V> {
     /// [`AbdError::QuorumUnavailable`] instead of waiting out the full
     /// [`op_timeout`](crate::NetworkConfig::op_timeout).
     pub fn try_read_by(&self, reader: ProcessId, deadline: Deadline) -> Result<V, AbdError> {
-        let (tag, value) = self.query_majority(reader, deadline)?;
-        match value {
-            Some(payload) => {
-                // Write-back before returning: later reads must not see an
-                // older maximum. The payload is forwarded as received — no
-                // decode/re-encode round trip.
-                self.store_majority(reader, tag, payload.clone(), deadline)?;
-                self.codec.decode(self.id, &payload)
-            }
-            None => Ok(self.init.clone()),
+        let mut values = Self::read_many(&[self], reader, deadline)?;
+        Ok(values.pop().expect("one value per register read"))
+    }
+
+    /// Reads a batch of registers of one transport in one query round and
+    /// at most one store round, returning their values in order — each
+    /// register's read is the ABD read (it linearizes on its own; the
+    /// batch as a whole is a collect, not a snapshot).
+    ///
+    /// The store round writes back, in one request, exactly the registers
+    /// whose query quorum disagreed on the tag; a register all of whose
+    /// `quorum()` replies carried one tag already has that maximum on a
+    /// majority, and when every register is so the round is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the registers do not share one transport.
+    pub fn read_many(
+        registers: &[&AbdRegister<V>],
+        reader: ProcessId,
+        deadline: Deadline,
+    ) -> Result<Vec<V>, AbdError> {
+        let Some(first) = registers.first() else {
+            return Ok(Vec::new());
+        };
+        let transport = &*first.transport;
+        assert!(
+            registers
+                .iter()
+                .all(|r| Arc::ptr_eq(&r.transport, &first.transport)),
+            "a batched read runs over one transport"
+        );
+        let ids: Vec<RegisterId> = registers.iter().map(|r| r.id).collect();
+        let queried = query_many(transport, reader, deadline, &ids)?;
+        // Write-back before returning: later reads must not see an older
+        // maximum. Payloads are forwarded as received — no decode /
+        // re-encode round trip.
+        let write_back: Vec<(RegisterId, Tag, Payload)> = ids
+            .iter()
+            .zip(&queried)
+            .filter(|(_, q)| q.disagreed)
+            .filter_map(|(id, q)| Some((*id, q.best.0, q.best.1.clone()?)))
+            .collect();
+        if !write_back.is_empty() {
+            store_many(transport, reader, deadline, &write_back)?;
         }
+        registers
+            .iter()
+            .zip(&queried)
+            .map(|(register, q)| match &q.best.1 {
+                Some(payload) => register.codec.decode(register.id, payload),
+                None => Ok(register.init.clone()),
+            })
+            .collect()
     }
 
     /// Writes the register, returning a typed error instead of panicking
@@ -216,157 +262,18 @@ impl<V: Clone + Send + Sync + 'static> AbdRegister<V> {
         value: V,
         deadline: Deadline,
     ) -> Result<(), AbdError> {
-        let (max_tag, _) = self.query_majority(writer, deadline)?;
+        let transport = &*self.transport;
+        let queried = query_many(transport, writer, deadline, &[self.id])?;
         let tag = Tag {
-            seq: max_tag.seq + 1,
+            seq: queried[0].best.0.seq + 1,
             writer: writer.get(),
         };
-        self.store_majority(writer, tag, self.codec.encode(value), deadline)
-    }
-
-    /// Phase 1 of both operations: query all, await a majority, return the
-    /// maximum `(tag, value)` seen (value `None` = still the initial
-    /// value).
-    fn query_majority(
-        &self,
-        pid: ProcessId,
-        caller_deadline: Deadline,
-    ) -> Result<(Tag, Option<Payload>), AbdError> {
-        let mut best: (Tag, Option<Payload>) = (Tag::default(), None);
-        self.run_quorum_phase(
-            pid,
-            AbdPhase::Query,
-            caller_deadline,
-            PhaseRequest::Query { register: self.id },
-            |body| match body {
-                ReplyBody::Value { tag, payload } => {
-                    fold_max_tag(&mut best, tag, payload);
-                    true
-                }
-                ReplyBody::Ack | ReplyBody::Error { .. } => false,
-            },
-        )?;
-        Ok(best)
-    }
-
-    /// Phase 2: store `(tag, value)` everywhere, await a majority of acks.
-    fn store_majority(
-        &self,
-        pid: ProcessId,
-        tag: Tag,
-        payload: Payload,
-        caller_deadline: Deadline,
-    ) -> Result<(), AbdError> {
-        self.run_quorum_phase(
-            pid,
-            AbdPhase::Store,
-            caller_deadline,
-            PhaseRequest::Store {
-                register: self.id,
-                tag,
-                payload,
-            },
-            |body| matches!(body, ReplyBody::Ack),
+        store_many(
+            transport,
+            writer,
+            deadline,
+            &[(self.id, tag, self.codec.encode(value))],
         )
-    }
-
-    /// One quorum phase: broadcast the request, collect replies from
-    /// distinct replicas (duplicates discarded) until a majority accepted,
-    /// retransmitting to silent replicas under capped exponential backoff,
-    /// and giving up with [`AbdError::QuorumUnavailable`] at the
-    /// configured operation timeout.
-    ///
-    /// `on_reply` returns whether the reply was of the expected kind; only
-    /// accepted replies count toward the quorum (a typed
-    /// [`ReplyBody::Error`] never does). `pid` is the client process
-    /// running the phase, used to attribute trace events.
-    /// `caller_deadline` caps the phase's wait below the configured
-    /// `op_timeout`: whichever bound arrives first ends the phase with
-    /// [`AbdError::QuorumUnavailable`].
-    fn run_quorum_phase(
-        &self,
-        pid: ProcessId,
-        phase: AbdPhase,
-        caller_deadline: Deadline,
-        request: PhaseRequest,
-        mut on_reply: impl FnMut(ReplyBody) -> bool,
-    ) -> Result<(), AbdError> {
-        let transport = &*self.transport;
-        // Fail fast on a poisoned fleet: no broadcast, no backoff, no
-        // timeout wait — retries against a panicked replica thread (or an
-        // explicitly poisoned network) can never succeed.
-        if transport.poisoned() {
-            return Err(AbdError::NetworkPoisoned);
-        }
-        let id = transport.fresh_request_id();
-        let started = Instant::now();
-        let deadline = caller_deadline.cap(started + transport.op_timeout());
-        let needed = transport.quorum();
-        let retry = transport.retry_policy().clone();
-        let mut acked = vec![false; transport.replicas()];
-        let mut acks = 0usize;
-        let kind = match phase {
-            AbdPhase::Query => AbdPhaseKind::Query,
-            AbdPhase::Store => AbdPhaseKind::Store,
-        };
-        transport.trace().emit(pid.get(), Event::AbdPhaseStart { phase: kind });
-
-        let mut quorum = transport.begin_phase(id, request);
-        quorum.send_where(&mut |_| true);
-        let mut backoff = retry.initial_backoff;
-        let mut attempt = 0u32;
-        loop {
-            let wake = deadline.min(Instant::now() + backoff);
-            while let Some(reply) = quorum.recv_deadline(wake) {
-                if reply.from >= acked.len() || acked[reply.from] {
-                    continue;
-                }
-                let from = reply.from;
-                if !on_reply(reply.body) {
-                    continue;
-                }
-                acked[from] = true;
-                acks += 1;
-                if acks >= needed {
-                    let elapsed = started.elapsed();
-                    transport.record_quorum_latency(elapsed);
-                    transport.trace().emit(
-                        pid.get(),
-                        Event::AbdQuorumReached {
-                            phase: kind,
-                            acks,
-                            elapsed_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-                        },
-                    );
-                    return Ok(());
-                }
-            }
-            if Instant::now() >= deadline {
-                transport
-                    .trace()
-                    .emit(pid.get(), Event::AbdQuorumFailed { phase: kind, acks, needed });
-                return Err(AbdError::QuorumUnavailable {
-                    phase,
-                    acks,
-                    needed,
-                    elapsed: started.elapsed(),
-                });
-            }
-            // A fleet poisoned mid-phase cannot answer any more: stop
-            // retransmitting instead of spinning until the timeout.
-            if transport.poisoned() {
-                return Err(AbdError::NetworkPoisoned);
-            }
-            // Messages may have been dropped: retransmit (same request id,
-            // so replicas dedupe) to every replica still silent.
-            attempt += 1;
-            let resent = quorum.send_where(&mut |i| !acked[i]);
-            transport.note_retries(resent as u64);
-            transport
-                .trace()
-                .emit(pid.get(), Event::AbdRetransmit { phase: kind, attempt, resent });
-            backoff = retry.next_backoff(backoff, id, attempt);
-        }
     }
 }
 
@@ -425,6 +332,250 @@ impl<V> fmt::Debug for AbdRegister<V> {
             .field("transport", &self.transport.kind())
             .field("codec", &self.codec)
             .finish()
+    }
+}
+
+/// What the query phase concluded about one register.
+#[derive(Clone, Default)]
+struct Queried {
+    /// The maximum `(tag, value)` over the quorum's replies (value `None`
+    /// = still the initial value).
+    best: (Tag, Option<Payload>),
+    /// The tag of the first accepted reply.
+    first: Option<Tag>,
+    /// Whether any accepted reply carried a tag other than `first`. When
+    /// none did, `best` is already stored on a majority: every replica of
+    /// the quorum holds it (or something newer) and never goes back, so
+    /// any later query quorum intersects them and sees at least `best` —
+    /// the write-back would add nothing.
+    disagreed: bool,
+}
+
+impl Queried {
+    fn fold(&mut self, tag: Tag, value: Option<Payload>) {
+        match self.first {
+            None => self.first = Some(tag),
+            Some(first) => self.disagreed |= first != tag,
+        }
+        fold_max_tag(&mut self.best, tag, value);
+    }
+}
+
+/// How a quorum phase ended, short of an error.
+enum PhaseEnd {
+    /// A majority accepted.
+    Quorum,
+    /// Replicas refused the batch (or their reply to it) as over the
+    /// frame cap and the rest cannot, or within the first backoff did
+    /// not, form a majority (only reported for a batch of more than one
+    /// register): halve it and run the halves as separate phases.
+    TooLarge,
+}
+
+/// The query phase over a batch of registers: one round asking every
+/// replica for all of them, awaiting a majority, folding each register's
+/// replies into its [`Queried`]. An oversize batch degrades into halves.
+fn query_many(
+    transport: &dyn Transport,
+    pid: ProcessId,
+    deadline: Deadline,
+    registers: &[RegisterId],
+) -> Result<Vec<Queried>, AbdError> {
+    let mut out = vec![Queried::default(); registers.len()];
+    let end = run_quorum_phase(
+        transport,
+        pid,
+        AbdPhase::Query,
+        deadline,
+        PhaseRequest::Query {
+            registers: registers.to_vec(),
+        },
+        |body| match body {
+            ReplyBody::Values(values) if values.len() == out.len() => {
+                for (queried, (tag, value)) in out.iter_mut().zip(values) {
+                    queried.fold(tag, value);
+                }
+                true
+            }
+            _ => false,
+        },
+    )?;
+    if let PhaseEnd::TooLarge = end {
+        let (front, back) = registers.split_at(registers.len() / 2);
+        out = query_many(transport, pid, deadline, front)?;
+        out.extend(query_many(transport, pid, deadline, back)?);
+    }
+    Ok(out)
+}
+
+/// The store phase over a batch of registers: one round storing every
+/// `(tag, value)` everywhere, awaiting a majority of acks. An oversize
+/// batch degrades into halves.
+fn store_many(
+    transport: &dyn Transport,
+    pid: ProcessId,
+    deadline: Deadline,
+    entries: &[(RegisterId, Tag, Payload)],
+) -> Result<(), AbdError> {
+    let end = run_quorum_phase(
+        transport,
+        pid,
+        AbdPhase::Store,
+        deadline,
+        PhaseRequest::Store {
+            entries: entries.to_vec(),
+        },
+        |body| matches!(body, ReplyBody::Ack),
+    )?;
+    if let PhaseEnd::TooLarge = end {
+        let (front, back) = entries.split_at(entries.len() / 2);
+        store_many(transport, pid, deadline, front)?;
+        store_many(transport, pid, deadline, back)?;
+    }
+    Ok(())
+}
+
+/// One quorum phase: broadcast the request, collect replies from
+/// distinct replicas (duplicates discarded) until a majority accepted,
+/// retransmitting to silent replicas under capped exponential backoff,
+/// and giving up with [`AbdError::QuorumUnavailable`] at the configured
+/// operation timeout.
+///
+/// `on_reply` returns whether the reply was of the expected kind; only
+/// accepted replies count toward the quorum (a typed [`ReplyBody::Error`]
+/// never does), and the phase returns on the `quorum()`-th. `pid` is the
+/// client process running the phase, used to attribute trace events.
+/// `caller_deadline` caps the phase's wait below the configured
+/// `op_timeout`: whichever bound arrives first ends the phase with
+/// [`AbdError::QuorumUnavailable`].
+fn run_quorum_phase(
+    transport: &dyn Transport,
+    pid: ProcessId,
+    phase: AbdPhase,
+    caller_deadline: Deadline,
+    request: PhaseRequest,
+    mut on_reply: impl FnMut(ReplyBody) -> bool,
+) -> Result<PhaseEnd, AbdError> {
+    // Fail fast on a poisoned fleet: no broadcast, no backoff, no
+    // timeout wait — retries against a panicked replica thread (or an
+    // explicitly poisoned network) can never succeed.
+    if transport.poisoned() {
+        return Err(AbdError::NetworkPoisoned);
+    }
+    let id = transport.fresh_request_id();
+    let started = Instant::now();
+    let deadline = caller_deadline.cap(started + transport.op_timeout());
+    let needed = transport.quorum();
+    let retry = transport.retry_policy().clone();
+    // Replicas done with this request: accepted, or refused it for good.
+    let mut acked = vec![false; transport.replicas()];
+    let mut acks = 0usize;
+    let mut refusals = 0usize;
+    let kind = match phase {
+        AbdPhase::Query => AbdPhaseKind::Query,
+        AbdPhase::Store => AbdPhaseKind::Store,
+    };
+    // A single register is the smallest request there is: a refusal of
+    // it as too large is final, and times out like any other refusal.
+    let divisible = request.len() > 1;
+    transport
+        .trace()
+        .emit(pid.get(), Event::AbdPhaseStart { phase: kind });
+
+    let mut quorum = transport.begin_phase(id, request);
+    quorum.send_where(&mut |_| true);
+    let mut backoff = retry.initial_backoff;
+    let mut attempt = 0u32;
+    loop {
+        let wake = deadline.min(Instant::now() + backoff);
+        while let Some(reply) = quorum.recv_deadline(wake) {
+            if reply.from >= acked.len() || acked[reply.from] {
+                continue;
+            }
+            if divisible
+                && matches!(
+                    reply.body,
+                    ReplyBody::Error {
+                        too_large: true,
+                        ..
+                    }
+                )
+            {
+                // The same bytes would be refused again: this replica is
+                // not retransmitted to. The phase goes on while the others
+                // can still form a majority (one replica with a smaller cap
+                // or a larger stored value costs nothing); once they cannot
+                // — here, or below when they stay silent past the first
+                // backoff — the batch is split. Not a failed quorum, so no
+                // event: the halves open phases of their own.
+                acked[reply.from] = true;
+                refusals += 1;
+                if acked.len() - refusals < needed {
+                    return Ok(PhaseEnd::TooLarge);
+                }
+                continue;
+            }
+            let from = reply.from;
+            if !on_reply(reply.body) {
+                continue;
+            }
+            acked[from] = true;
+            acks += 1;
+            if acks >= needed {
+                let elapsed = started.elapsed();
+                transport.record_quorum_latency(elapsed);
+                transport.trace().emit(
+                    pid.get(),
+                    Event::AbdQuorumReached {
+                        phase: kind,
+                        acks,
+                        elapsed_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+                    },
+                );
+                return Ok(PhaseEnd::Quorum);
+            }
+        }
+        if Instant::now() >= deadline {
+            transport.trace().emit(
+                pid.get(),
+                Event::AbdQuorumFailed {
+                    phase: kind,
+                    acks,
+                    needed,
+                },
+            );
+            return Err(AbdError::QuorumUnavailable {
+                phase,
+                acks,
+                needed,
+                elapsed: started.elapsed(),
+            });
+        }
+        // A fleet poisoned mid-phase cannot answer any more: stop
+        // retransmitting instead of spinning until the timeout.
+        if transport.poisoned() {
+            return Err(AbdError::NetworkPoisoned);
+        }
+        // A majority needs a replica that is silent (down, or its link
+        // lossy) while another already refused the batch as too large:
+        // smaller batches can succeed now, retransmitting this one may not.
+        if refusals > 0 {
+            return Ok(PhaseEnd::TooLarge);
+        }
+        // Messages may have been dropped: retransmit (same request id,
+        // so replicas dedupe) to every replica still silent.
+        attempt += 1;
+        let resent = quorum.send_where(&mut |i| !acked[i]);
+        transport.note_retries(resent as u64);
+        transport.trace().emit(
+            pid.get(),
+            Event::AbdRetransmit {
+                phase: kind,
+                attempt,
+                resent,
+            },
+        );
+        backoff = retry.next_backoff(backoff, id, attempt);
     }
 }
 
@@ -646,6 +797,22 @@ mod tests {
             reg.try_write(P0, k).expect("majority is connected");
             assert_eq!(reg.try_read(P1).unwrap(), k);
         }
+        // The batched path under the same plan: dropped replies leave the
+        // inbox short of its quorum (the backoff timer picks those up),
+        // duplicated ones overshoot it; no collect may hang or misread.
+        let others: Vec<AbdRegister<u32>> = (0..3)
+            .map(|i| AbdRegister::new(Arc::clone(&net), i))
+            .collect();
+        let mut refs: Vec<&AbdRegister<u32>> = others.iter().collect();
+        refs.push(&reg);
+        for k in 21..=30u32 {
+            others[k as usize % 3]
+                .try_write(P0, k)
+                .expect("majority is connected");
+            let values = AbdRegister::read_many(&refs, P1, Deadline::none()).unwrap();
+            assert_eq!(values[k as usize % 3], k);
+            assert_eq!(values[3], 20);
+        }
         let stats = net.stats();
         assert!(stats.messages_dropped > 0, "{stats:?}");
         assert!(stats.messages_duplicated > 0, "{stats:?}");
@@ -668,9 +835,12 @@ mod tests {
         reg.write(P0, 7);
         assert_eq!(reg.read(P1), 7);
 
-        // write = query + store; read = query + write-back store.
-        assert_eq!(sink.count("abd_phase_start"), 4);
-        assert_eq!(sink.count("abd_quorum_reached"), 4);
+        // write = query + store; read = query, plus a write-back store
+        // only if its quorum included a replica the write's majority
+        // skipped and that still held the old tag.
+        let phases = sink.count("abd_phase_start");
+        assert!((3..=4).contains(&phases), "{phases} phases");
+        assert_eq!(sink.count("abd_quorum_reached"), phases);
         assert_eq!(sink.count("abd_quorum_failed"), 0);
 
         // The same traffic is visible through both the legacy stats view
@@ -678,12 +848,353 @@ mod tests {
         // (sim and real transports share every other key).
         let sent = registry.counter("abd.messages_sent").get();
         assert_eq!(sent, net.stats().messages_sent);
-        assert!(sent >= 12, "four quorum phases x three replicas, got {sent}");
+        assert!(
+            sent >= 9,
+            "at least three quorum phases x three replicas, got {sent}"
+        );
         assert_eq!(
             registry.histogram("abd.quorum_latency_us").snapshot().count(),
             net.quorum_latency().count(),
         );
         assert_eq!(registry.gauge("abd.transport.sim").get(), 1);
+    }
+
+    /// The kinds of the phases `ring` saw start, in order (drains it).
+    fn phases_started(ring: &snapshot_obs::RingSink) -> Vec<AbdPhaseKind> {
+        ring.drain()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                Event::AbdPhaseStart { phase } => Some(phase),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn ring_traced_net(replicas: usize) -> (Arc<Network>, Arc<snapshot_obs::RingSink>) {
+        use snapshot_obs::{RingSink, Sink, Trace};
+        let ring = Arc::new(RingSink::new(4, 256));
+        let net = Arc::new(Network::with_config(
+            NetworkConfig::new(replicas).with_trace(Trace::new(Arc::clone(&ring) as Arc<dyn Sink>)),
+        ));
+        (net, ring)
+    }
+
+    #[test]
+    fn a_unanimous_read_is_one_round_and_sends_no_store() {
+        let (net, ring) = ring_traced_net(3);
+        let reg = AbdRegister::new(Arc::clone(&net), 0u32);
+        // The write's store sits in all three replica inboxes before the
+        // write returns, and a healthy link is FIFO: whichever two
+        // replicas answer the read first, both already hold the new tag.
+        reg.write(P0, 7);
+        let _ = ring.drain();
+        let sent = net.messages_sent();
+        assert_eq!(reg.read(P1), 7);
+        assert_eq!(
+            net.messages_sent() - sent,
+            3,
+            "one query broadcast, nothing else"
+        );
+        assert_eq!(phases_started(&ring), vec![AbdPhaseKind::Query]);
+    }
+
+    #[test]
+    fn a_disagreeing_quorum_writes_back_before_returning_so_no_later_read_inverts() {
+        let (net, ring) = ring_traced_net(3);
+        let reg = AbdRegister::new(Arc::clone(&net), 0u32);
+        reg.write(P0, 1); // "old", on a majority
+
+        // Leave "new" on replica 0 alone: the other two never get the
+        // store, so its phase starves (an indeterminate write).
+        let new_tag = Tag { seq: 9, writer: 0 };
+        net.partition_inbound(&[1, 2]);
+        let starved = store_many(
+            &*net,
+            P0,
+            Deadline::after(Duration::from_millis(30)),
+            &[(reg.id(), new_tag, erase(2))],
+        );
+        assert!(
+            matches!(starved, Err(AbdError::QuorumUnavailable { .. })),
+            "{starved:?}"
+        );
+        net.heal();
+
+        // Reader A's quorum is {0, 1}: it sees {new, old}, and must store
+        // new on a majority before returning it.
+        net.partition(&[2]);
+        let _ = ring.drain();
+        assert_eq!(reg.read(P1), 2);
+        assert_eq!(
+            phases_started(&ring),
+            vec![AbdPhaseKind::Query, AbdPhaseKind::Store]
+        );
+        net.heal();
+
+        // Reader B is confined to the two replicas the write never
+        // reached: A's write-back put new on one of them, so B must
+        // return new.
+        net.partition(&[0]);
+        assert_eq!(reg.read(ProcessId::new(2)), 2, "new/old inversion");
+    }
+
+    #[test]
+    fn read_many_is_one_query_round_and_one_store_round_for_the_disagreeing_only() {
+        let (net, ring) = ring_traced_net(3);
+        let regs: Vec<AbdRegister<u32>> = (0..4)
+            .map(|i| AbdRegister::new(Arc::clone(&net), i))
+            .collect();
+        net.partition(&[2]);
+        for (i, reg) in regs.iter().enumerate().skip(1) {
+            reg.write(P0, 10 + i as u32); // regs[0] stays at its initial value
+        }
+        // Replica 2 missed every write; a reader confined to {1, 2} sees
+        // disagreement on the three written registers and none on regs[0].
+        net.heal();
+        net.partition(&[0]);
+        let refs: Vec<&AbdRegister<u32>> = regs.iter().collect();
+        let _ = ring.drain();
+        let sent = net.messages_sent();
+        let values = AbdRegister::read_many(&refs, P1, Deadline::none()).unwrap();
+        assert_eq!(values, vec![0, 11, 12, 13]);
+        assert_eq!(
+            phases_started(&ring),
+            vec![AbdPhaseKind::Query, AbdPhaseKind::Store]
+        );
+        assert_eq!(
+            net.messages_sent() - sent,
+            6,
+            "two broadcasts for four registers"
+        );
+        // The write-back made the quorum unanimous: the next collect is one round.
+        let values = AbdRegister::read_many(&refs, P1, Deadline::none()).unwrap();
+        assert_eq!(values, vec![0, 11, 12, 13]);
+        assert_eq!(phases_started(&ring), vec![AbdPhaseKind::Query]);
+        assert!(AbdRegister::<u32>::read_many(&[], P1, Deadline::none())
+            .unwrap()
+            .is_empty());
+    }
+
+    /// What replica `.0` replies to a delivery of `.1` (`None` = silence).
+    type Script = dyn Fn(usize, &PhaseRequest) -> Option<ReplyBody> + Send + Sync;
+
+    /// A transport whose replicas answer synchronously from a script.
+    /// Replies are pushed in replica order.
+    struct Scripted {
+        replicas: usize,
+        answer: Box<Script>,
+        /// Every request a phase was begun for.
+        begun: std::sync::Mutex<Vec<PhaseRequest>>,
+        registry: Arc<snapshot_obs::Registry>,
+        /// Counts the events of `trace` by name.
+        events: Arc<snapshot_obs::CountingSink>,
+        trace: snapshot_obs::Trace,
+        retry: RetryPolicy,
+        next: std::sync::atomic::AtomicU64,
+    }
+
+    impl Scripted {
+        fn new(
+            replicas: usize,
+            answer: impl Fn(usize, &PhaseRequest) -> Option<ReplyBody> + Send + Sync + 'static,
+        ) -> Self {
+            let events = Arc::new(snapshot_obs::CountingSink::new());
+            Scripted {
+                replicas,
+                answer: Box::new(answer),
+                begun: Default::default(),
+                registry: Default::default(),
+                trace: snapshot_obs::Trace::new(Arc::clone(&events) as Arc<dyn snapshot_obs::Sink>),
+                events,
+                retry: RetryPolicy::default(),
+                next: Default::default(),
+            }
+        }
+    }
+
+    struct ScriptedPhase<'a> {
+        transport: &'a Scripted,
+        request: PhaseRequest,
+        inbox: crate::transport::ReplyInbox,
+    }
+
+    impl crate::Phase for ScriptedPhase<'_> {
+        fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize {
+            let addressed: Vec<usize> = (0..self.transport.replicas)
+                .filter(|&i| include(i))
+                .collect();
+            for &from in &addressed {
+                if let Some(body) = (self.transport.answer)(from, &self.request) {
+                    self.inbox.push(crate::Reply { from, body });
+                }
+            }
+            addressed.len()
+        }
+
+        fn recv_deadline(&mut self, deadline: Instant) -> Option<crate::Reply> {
+            self.inbox.recv_deadline(deadline)
+        }
+    }
+
+    impl Transport for Scripted {
+        fn replicas(&self) -> usize {
+            self.replicas
+        }
+        fn kind(&self) -> &'static str {
+            "scripted"
+        }
+        fn op_timeout(&self) -> Duration {
+            Duration::from_millis(50)
+        }
+        fn retry_policy(&self) -> &RetryPolicy {
+            &self.retry
+        }
+        fn registry(&self) -> &Arc<snapshot_obs::Registry> {
+            &self.registry
+        }
+        fn trace(&self) -> &snapshot_obs::Trace {
+            &self.trace
+        }
+        fn allocate_register(&self) -> RegisterId {
+            RegisterId(self.fresh_request_id().0)
+        }
+        fn fresh_request_id(&self) -> crate::RequestId {
+            crate::RequestId(self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
+        }
+        fn begin_phase(
+            &self,
+            _id: crate::RequestId,
+            request: PhaseRequest,
+        ) -> Box<dyn crate::Phase + '_> {
+            self.begun.lock().unwrap().push(request.clone());
+            Box::new(ScriptedPhase {
+                transport: self,
+                request,
+                inbox: crate::transport::ReplyInbox::new(self.quorum()),
+            })
+        }
+        fn note_retries(&self, _n: u64) {}
+        fn record_quorum_latency(&self, _elapsed: Duration) {}
+    }
+
+    fn refused(too_large: bool) -> ReplyBody {
+        ReplyBody::Error {
+            too_large,
+            detail: String::from("scripted refusal"),
+        }
+    }
+
+    #[test]
+    fn an_error_among_the_first_two_replies_leaves_the_phase_to_complete_on_the_third() {
+        // Replica 0 refuses, so the quorum-th push wakes the client one
+        // accepted reply short; the third reply must still end the phase.
+        let transport = Arc::new(Scripted::new(3, |from, request| match (from, request) {
+            (0, _) => Some(refused(false)),
+            (_, PhaseRequest::Query { registers }) => Some(ReplyBody::Values(
+                registers
+                    .iter()
+                    .map(|_| (Tag { seq: 4, writer: 1 }, Some(erase(44))))
+                    .collect(),
+            )),
+            (_, PhaseRequest::Store { .. }) => Some(ReplyBody::Ack),
+        }));
+        let reg = AbdRegister::with_transport(Arc::clone(&transport) as Arc<dyn Transport>, 0u32);
+        let started = Instant::now();
+        assert_eq!(reg.try_read(P0).unwrap(), 44);
+        assert!(
+            started.elapsed() < Duration::from_millis(40),
+            "no backoff, no timeout"
+        );
+        assert_eq!(
+            transport.begun.lock().unwrap().len(),
+            1,
+            "unanimous: no store round"
+        );
+        // An indivisible request refused as too large is refused for
+        // good: with two such replicas there is no quorum.
+        let transport = Arc::new(Scripted::new(3, |from, _| {
+            (from > 0).then(|| refused(true))
+        }));
+        let reg = AbdRegister::with_transport(Arc::clone(&transport) as Arc<dyn Transport>, 0u32);
+        assert!(matches!(
+            reg.try_read(P0),
+            Err(AbdError::QuorumUnavailable { acks: 0, .. })
+        ));
+    }
+
+    /// Reads five registers in one `read_many` over three scripted
+    /// replicas, where replica `i` refuses any batch of more than `caps[i]`
+    /// registers as too large (`None` = the replica is silent), and
+    /// returns the sizes of the phases that were begun.
+    fn batch_sizes_under_caps(caps: [Option<usize>; 3]) -> (Vec<usize>, Arc<Scripted>) {
+        let transport = Arc::new(Scripted::new(3, move |from, request| {
+            let cap = caps[from]?;
+            Some(match request {
+                _ if request.len() > cap => refused(true),
+                PhaseRequest::Query { registers } => ReplyBody::Values(
+                    registers
+                        .iter()
+                        .map(|r| (Tag { seq: 1, writer: 0 }, Some(erase(100 + r.0 as u32))))
+                        .collect(),
+                ),
+                PhaseRequest::Store { .. } => ReplyBody::Ack,
+            })
+        }));
+        let regs: Vec<AbdRegister<u32>> = (0..5)
+            .map(|_| AbdRegister::with_transport(Arc::clone(&transport) as Arc<dyn Transport>, 0))
+            .collect();
+        let refs: Vec<&AbdRegister<u32>> = regs.iter().collect();
+        let values = AbdRegister::read_many(&refs, P0, Deadline::none()).unwrap();
+        let ids: Vec<u32> = regs.iter().map(|r| r.id().0 as u32).collect();
+        assert_eq!(
+            values,
+            ids.iter().map(|id| 100 + id).collect::<Vec<_>>(),
+            "order kept"
+        );
+        let sizes = transport
+            .begun
+            .lock()
+            .unwrap()
+            .iter()
+            .map(PhaseRequest::len)
+            .collect();
+        (sizes, transport)
+    }
+
+    #[test]
+    fn a_batch_refused_as_too_large_is_halved_down_to_what_fits() {
+        // Every replica takes at most two registers per request.
+        let (sizes, transport) = batch_sizes_under_caps([Some(2); 3]);
+        // 5 → (2, 3 → (1, 2)): refused batches, then the pieces that fit.
+        assert_eq!(sizes, vec![5, 2, 3, 1, 2]);
+        // A split is not a failed quorum: the refused batches end with no
+        // event, the pieces that fit each reach theirs.
+        assert_eq!(transport.events.count("abd_phase_start"), 5);
+        assert_eq!(transport.events.count("abd_quorum_reached"), 3);
+        assert_eq!(transport.events.count("abd_quorum_failed"), 0);
+    }
+
+    #[test]
+    fn one_refusing_replica_does_not_split_a_batch_the_others_can_serve() {
+        // Replica 0 has the small cap; 1 and 2 are a majority without it.
+        let started = Instant::now();
+        let (sizes, transport) = batch_sizes_under_caps([Some(2), Some(8), Some(8)]);
+        assert_eq!(sizes, vec![5], "one query round, no split, no store");
+        assert!(started.elapsed() < Duration::from_millis(40), "no timeout");
+        assert_eq!(transport.events.count("abd_quorum_reached"), 1);
+        assert_eq!(transport.events.count("abd_retransmit"), 0);
+    }
+
+    #[test]
+    fn a_refusal_plus_a_silent_replica_splits_after_the_first_backoff() {
+        // Replica 2 is down: the majority {0, 1} needs the refusing
+        // replica, so the batch must shrink to what replica 0 takes — after
+        // one backoff of waiting for replica 2, not at the 50 ms timeout.
+        let started = Instant::now();
+        let (sizes, transport) = batch_sizes_under_caps([Some(2), Some(8), None]);
+        assert_eq!(sizes, vec![5, 2, 3, 1, 2]);
+        assert!(started.elapsed() < Duration::from_millis(40), "no timeout");
+        assert_eq!(transport.events.count("abd_quorum_failed"), 0);
     }
 
     #[test]

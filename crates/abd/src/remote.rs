@@ -44,14 +44,17 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use snapshot_obs::{Counter, Event, Registry, Trace};
 use snapshot_wire::{
-    read_frame, write_frame, Endpoint, Frame, FrameIoError, FrameRead, WireStream, WireTag,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    read_frame, write_frame, Endpoint, ErrorCode, Frame, FrameIoError, FrameRead, StoreEntry,
+    WireStream, WireTag, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
 use crate::message::{RegisterId, RequestId, Tag};
 use crate::network::RetryPolicy;
 use crate::stats::{Counters, LatencySnapshot, NetworkStats};
-use crate::transport::{Payload, Phase, PhaseRequest, Reply, ReplyBody, Transport};
+use crate::transport::{Payload, Phase, PhaseRequest, Reply, ReplyBody, ReplyInbox, Transport};
+
+/// Reply routes of the phases in flight, by request id.
+type Pending = Arc<Mutex<HashMap<u64, Arc<ReplyInbox>>>>;
 
 /// How long the handshake may wait for the replica's `HelloAck`.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -189,7 +192,7 @@ struct ConnShared {
     replica: usize,
     endpoint: Endpoint,
     connected: AtomicBool,
-    pending: Arc<Mutex<HashMap<u64, Sender<Reply>>>>,
+    pending: Pending,
     counters: Arc<Counters>,
     wire: WireCounters,
     trace: Trace,
@@ -206,20 +209,29 @@ impl ConnShared {
     fn route(&self, frame: Frame) {
         self.wire.frames_in.inc();
         let (id, body) = match frame {
-            Frame::QueryReply { id, tag, value } => (
+            Frame::QueryReply { id, values } => (
                 id,
-                ReplyBody::Value {
-                    tag: Tag {
-                        seq: tag.seq,
-                        writer: tag.writer as usize,
-                    },
-                    payload: value.map(|v| Payload::Bytes(Arc::from(v.into_boxed_slice()))),
-                },
+                ReplyBody::Values(
+                    values
+                        .into_iter()
+                        .map(|(tag, value)| {
+                            let tag = Tag {
+                                seq: tag.seq,
+                                writer: tag.writer as usize,
+                            };
+                            (
+                                tag,
+                                value.map(|v| Payload::Bytes(Arc::from(v.into_boxed_slice()))),
+                            )
+                        })
+                        .collect(),
+                ),
             ),
             Frame::StoreAck { id } => (id, ReplyBody::Ack),
             Frame::Error { id, code, detail } if id != 0 => (
                 id,
                 ReplyBody::Error {
+                    too_large: code == ErrorCode::TooLarge,
                     detail: format!("{code}: {detail}"),
                 },
             ),
@@ -232,8 +244,8 @@ impl ConnShared {
             }
         };
         let route = self.pending.lock().expect("pending route map").get(&id).cloned();
-        if let Some(tx) = route {
-            let _ = tx.send(Reply {
+        if let Some(inbox) = route {
+            inbox.push(Reply {
                 from: self.replica,
                 body,
             });
@@ -451,7 +463,7 @@ pub struct RemoteTransport {
     registry: Arc<Registry>,
     trace: Trace,
     counters: Arc<Counters>,
-    pending: Arc<Mutex<HashMap<u64, Sender<Reply>>>>,
+    pending: Pending,
     next_register: AtomicU64,
     next_request: AtomicU64,
 }
@@ -487,7 +499,7 @@ impl RemoteTransport {
         registry.gauge(&format!("abd.transport.{kind}")).set(1);
         let counters = Arc::new(Counters::new(&registry));
         let wire = WireCounters::new(&registry);
-        let pending: Arc<Mutex<HashMap<u64, Sender<Reply>>>> = Arc::default();
+        let pending = Pending::default();
         let conns = config
             .endpoints
             .iter()
@@ -610,15 +622,13 @@ impl fmt::Debug for RemoteTransport {
 }
 
 /// One in-flight quorum phase on the wire: the request frame encoded
-/// once, a private reply channel routed by request id.
+/// once, a private reply inbox routed by request id (which also takes
+/// the synthetic refusals of a frame that exceeds the wire cap).
 struct RemotePhase<'a> {
     transport: &'a RemoteTransport,
     id: RequestId,
     frame: Arc<[u8]>,
-    /// Loopback sender for synthetic replies (used to refuse a frame
-    /// that exceeds the wire cap without touching any connection).
-    tx: Sender<Reply>,
-    rx: Receiver<Reply>,
+    inbox: Arc<ReplyInbox>,
 }
 
 impl Drop for RemotePhase<'_> {
@@ -637,16 +647,18 @@ impl Phase for RemotePhase<'_> {
         // refuses it locally with `TooLarge` before touching the stream.
         // Don't churn the healthy connections — answer each addressed
         // replica with a typed refusal (which never counts toward a
-        // quorum) and count the drops.
+        // quorum, and tells the engine to try a smaller batch) and count
+        // the drops.
         if self.frame.len() > self.transport.max_frame as usize {
             let mut refused = 0usize;
             for (i, conn) in self.transport.conns.iter().enumerate() {
                 if include(i) {
                     self.transport.counters.messages_dropped.inc();
                     conn.shared.wire.oversize_dropped.inc();
-                    let _ = self.tx.send(Reply {
+                    self.inbox.push(Reply {
                         from: i,
                         body: ReplyBody::Error {
+                            too_large: true,
                             detail: format!(
                                 "request frame of {} bytes exceeds the {}-byte wire cap",
                                 self.frame.len(),
@@ -671,7 +683,7 @@ impl Phase for RemotePhase<'_> {
     }
 
     fn recv_deadline(&mut self, deadline: Instant) -> Option<Reply> {
-        self.rx.recv_deadline(deadline).ok()
+        self.inbox.recv_deadline(deadline)
     }
 }
 
@@ -722,52 +734,50 @@ impl Transport for RemoteTransport {
 
     fn begin_phase(&self, id: RequestId, request: PhaseRequest) -> Box<dyn Phase + '_> {
         let frame = match &request {
-            PhaseRequest::Query { register } => {
-                let (lane, segment) = register.lane_segment();
-                Frame::Query {
-                    id: id.0,
-                    lane,
-                    segment,
-                }
-            }
-            PhaseRequest::Store {
-                register,
-                tag,
-                payload,
-            } => {
-                let (lane, segment) = register.lane_segment();
-                let value = payload
-                    .as_bytes()
-                    .expect("wire transports carry only Payload::Bytes (requires_bytes)")
-                    .to_vec();
-                Frame::Store {
-                    id: id.0,
-                    lane,
-                    segment,
-                    tag: WireTag {
-                        seq: tag.seq,
-                        // Writer ids above u32 would alias on the wire
-                        // and corrupt tag tie-break ordering; refuse
-                        // loudly rather than truncate silently.
-                        writer: u32::try_from(tag.writer)
-                            .expect("writer id exceeds the wire format's u32 range"),
-                    },
-                    value,
-                }
-            }
+            PhaseRequest::Query { registers } => Frame::Query {
+                id: id.0,
+                registers: registers.iter().map(|r| r.lane_segment()).collect(),
+            },
+            PhaseRequest::Store { entries } => Frame::Store {
+                id: id.0,
+                entries: entries
+                    .iter()
+                    .map(|(register, tag, payload)| {
+                        let (lane, segment) = register.lane_segment();
+                        StoreEntry {
+                            lane,
+                            segment,
+                            tag: WireTag {
+                                seq: tag.seq,
+                                // Writer ids above u32 would alias on the
+                                // wire and corrupt tag tie-break ordering;
+                                // refuse loudly rather than truncate
+                                // silently.
+                                writer: u32::try_from(tag.writer)
+                                    .expect("writer id exceeds the wire format's u32 range"),
+                            },
+                            value: payload
+                                .as_bytes()
+                                .expect(
+                                    "wire transports carry only Payload::Bytes (requires_bytes)",
+                                )
+                                .to_vec(),
+                        }
+                    })
+                    .collect(),
+            },
         };
         let frame: Arc<[u8]> = Arc::from(frame.encode().into_boxed_slice());
-        let (tx, rx) = unbounded();
+        let inbox = Arc::new(ReplyInbox::new(self.quorum()));
         self.pending
             .lock()
             .expect("pending route map")
-            .insert(id.0, tx.clone());
+            .insert(id.0, Arc::clone(&inbox));
         Box::new(RemotePhase {
             transport: self,
             id,
             frame,
-            tx,
-            rx,
+            inbox,
         })
     }
 

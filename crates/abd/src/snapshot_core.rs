@@ -91,8 +91,8 @@ fn core_error(e: AbdError) -> CoreError {
 /// register write of `(value, seq + 1, view)` — wait-free in register
 /// operations by the paper's pigeonhole bound of `n + 1` double collects.
 ///
-/// Every register operation is two quorum phases that can starve: a drop,
-/// partition, or crashed majority surfaces as
+/// Every collect and every register write is up to two quorum phases that
+/// can starve: a drop, partition, or crashed majority surfaces as
 /// [`CoreError::Unavailable`] (retryable — heal the network and try
 /// again), and a poisoned fleet as [`CoreError::Failed`] (terminal). An
 /// errored update is *indeterminate*: the write may have reached some
@@ -169,13 +169,14 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
     }
 
     /// One collect: read the given registers (all `n` for a full scan,
-    /// the `k` requested ones for a subset scan). Any starved quorum
-    /// phase aborts the collect with a typed error; `ctx.deadline` caps
-    /// each register read's quorum waits. The pass runs inside a
-    /// [`SpanKind::QuorumQuery`] span on the transport's trace, parented
-    /// under `ctx.span` and noting how many registers it touched — so a
-    /// flight recording attributes a starved scan to its quorum wait, and
-    /// shows `k`, not `n`, for a subset.
+    /// the `k` requested ones for a subset scan) as one batched register
+    /// read — one query round, and one store round only for registers
+    /// whose quorum disagreed. A starved quorum phase aborts the collect
+    /// with a typed error; `ctx.deadline` caps each phase's wait. The
+    /// pass runs inside a [`SpanKind::QuorumQuery`] span on the
+    /// transport's trace, parented under `ctx.span` and noting how many
+    /// registers it touched — so a flight recording attributes a starved
+    /// scan to its quorum wait, and shows `k`, not `n`, for a subset.
     fn collect(
         &self,
         lane: ProcessId,
@@ -184,9 +185,8 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
     ) -> Result<Vec<AbdRecord<V>>, CoreError> {
         let span = self.transport.trace().span(lane.get(), SpanKind::QuorumQuery, ctx.span);
         span.note("registers", registers.len() as u64);
-        let out: Result<Vec<AbdRecord<V>>, CoreError> = registers
-            .map(|j| self.regs[j].try_read_by(lane, ctx.deadline).map_err(core_error))
-            .collect();
+        let regs: Vec<&AbdRegister<AbdRecord<V>>> = registers.map(|j| &self.regs[j]).collect();
+        let out = AbdRegister::read_many(&regs, lane, ctx.deadline).map_err(core_error);
         span.end(if out.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
         out
     }
@@ -346,8 +346,8 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
     }
 
     /// Figure 2's scan over only the requested registers: each round is
-    /// two subset collects — `2k` quorum reads instead of `2n`, the
-    /// dominant cost in a message-passing emulation. Equal sequence
+    /// two subset collects — `2k` registers read instead of `2n`, in
+    /// frames `k/n` the size. Equal sequence
     /// numbers across the passes certify the second pass (each register
     /// provably took no write over a window containing the instant
     /// between them); a lane observed moving twice completed an update
@@ -545,6 +545,68 @@ mod tests {
         assert!(err.retryable(), "quorum loss must be retryable: {err}");
         net.heal();
         assert!(core.try_scan_subset(p0, &[1, 2], NONE).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_collect_too_large_for_one_frame_degrades_into_smaller_ones() {
+        use crate::{RemoteConfig, RemoteTransport};
+        use snapshot_wire::{Endpoint, ReplicaServer, ServerConfig};
+
+        // Eight records of up to ~400 bytes: each fits a 1 KiB frame,
+        // all eight (or lanes 4..8 alone) do not.
+        const MAX_FRAME: u32 = 1024;
+        let servers: Vec<ReplicaServer> = (0..3u32)
+            .map(|i| {
+                let mut path = std::env::temp_dir();
+                path.push(format!("abd-core-oversize-{}-{i}.sock", std::process::id()));
+                let _ = std::fs::remove_file(&path);
+                ReplicaServer::spawn(
+                    ServerConfig::new(Endpoint::Uds(path), i).with_max_frame(MAX_FRAME),
+                )
+                .expect("spawning replica server")
+            })
+            .collect();
+        let transport = Arc::new(RemoteTransport::connect(
+            RemoteConfig::new(servers.iter().map(|s| s.endpoint().clone()).collect())
+                .with_op_timeout(Duration::from_secs(5))
+                .with_max_frame(MAX_FRAME),
+        ));
+        assert!(transport.wait_connected(3, Duration::from_secs(5)));
+        let core = AbdSnapshotCore::remote(
+            Arc::clone(&transport) as Arc<dyn Transport>,
+            8,
+            String::new(),
+        );
+        let value = |lane: usize| format!("lane-{lane}-{}", "x".repeat(33));
+        for lane in 0..8 {
+            let _ = core
+                .try_update(ProcessId::new(lane), lane, value(lane), NONE)
+                .unwrap();
+        }
+        let (view, stats) = core.try_scan(ProcessId::new(0), NONE).unwrap();
+        assert_eq!(view.to_vec(), (0..8).map(value).collect::<Vec<_>>());
+        assert_eq!(
+            stats.reads, 16,
+            "registers read, however many frames carried them"
+        );
+
+        let refused: u64 = servers
+            .iter()
+            .map(|s| s.registry().counter("snapshotd.errors_sent").get())
+            .sum();
+        assert!(
+            refused > 0,
+            "the full-width reply must have been refused as too large"
+        );
+        assert_eq!(transport.connected_replicas(), 3);
+        assert_eq!(
+            transport.registry().counter("abd.wire.disconnects").get(),
+            0,
+            "an oversize reply is a typed refusal, not a dropped connection"
+        );
+        drop(core);
+        drop(transport);
+        drop(servers);
     }
 
     #[test]

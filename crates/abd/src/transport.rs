@@ -21,14 +21,17 @@
 //! One quorum phase is one [`Transport::begin_phase`] call: the returned
 //! [`Phase`] owns the request id's reply route for its lifetime —
 //! [`Phase::send_where`] (re)transmits to a chosen subset of replicas
-//! and [`Phase::recv_deadline`] awaits the next reply. Values cross the
-//! seam as [`Payload`]s: in-process transports pass type-erased `Arc`s
+//! and [`Phase::recv_deadline`] awaits the next reply. A request names a
+//! *batch* of registers (a single-register operation is a batch of one),
+//! so a whole collect is one phase. Values cross the seam as
+//! [`Payload`]s: in-process transports pass type-erased `Arc`s
 //! untouched, wire transports require encoded bytes
 //! ([`Transport::requires_bytes`]) which the register layer produces via
 //! its wire codec.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use snapshot_obs::{Registry, Trace};
@@ -66,23 +69,33 @@ impl fmt::Debug for Payload {
     }
 }
 
-/// The client side of one quorum-phase request.
+/// The client side of one quorum-phase request, over a batch of
+/// registers.
 #[derive(Clone, Debug)]
 pub enum PhaseRequest {
-    /// Phase 1: "send me your `(tag, value)` for this register."
+    /// Phase 1: "send me your `(tag, value)` for each of these
+    /// registers", answered positionally by [`ReplyBody::Values`].
     Query {
-        /// The register being read.
-        register: RegisterId,
+        /// The registers being read.
+        registers: Vec<RegisterId>,
     },
-    /// Phase 2: "store this `(tag, value)` if it exceeds yours, then ack."
+    /// Phase 2: "store each `(tag, value)` that exceeds yours, then ack"
+    /// — applied at most once per request id, as one batch.
     Store {
-        /// The register being written.
-        register: RegisterId,
-        /// The tag under which the value is stored.
-        tag: Tag,
-        /// The value.
-        payload: Payload,
+        /// The registers being written, each with the tag its value is
+        /// stored under.
+        entries: Vec<(RegisterId, Tag, Payload)>,
     },
+}
+
+impl PhaseRequest {
+    /// How many registers the request names.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            PhaseRequest::Query { registers } => registers.len(),
+            PhaseRequest::Store { entries } => entries.len(),
+        }
+    }
 }
 
 /// One replica's answer to a phase request.
@@ -97,23 +110,97 @@ pub struct Reply {
 /// Payload of a [`Reply`].
 #[derive(Clone, Debug)]
 pub enum ReplyBody {
-    /// A query answer: the replica's current `(tag, value)` (`None`
-    /// value = it has never stored this register).
-    Value {
-        /// The stored tag.
-        tag: Tag,
-        /// The stored value, if any.
-        payload: Option<Payload>,
-    },
+    /// A query answer: the replica's current `(tag, value)` for each
+    /// register of the request, in request order (`None` value = it has
+    /// never stored that register).
+    Values(Vec<(Tag, Option<Payload>)>),
     /// A store acknowledged.
     Ack,
     /// The replica refused the request (a typed wire error frame, or a
     /// transport-level failure attributed to one replica). Never counts
     /// toward a quorum.
     Error {
+        /// The request, or the reply it asked for, exceeds the frame
+        /// cap: a smaller batch may still fit.
+        too_large: bool,
         /// Human-readable refusal, for diagnostics.
         detail: String,
     },
+}
+
+/// The reply inbox of one phase, latched on the quorum: replica threads
+/// (or wire reader threads) [`push`](Self::push), the phase's client
+/// [`recv_deadline`](Self::recv_deadline)s.
+///
+/// A reply short of the quorum cannot end the phase, so it is queued
+/// without waking the client; the push that brings the count to the
+/// quorum wakes it, and so does every push after that (a duplicate or an
+/// [`ReplyBody::Error`] among the first `quorum` replies leaves the
+/// phase waiting for one more). Waking once per phase instead of once
+/// per reply keeps the client from competing for a CPU with the replica
+/// whose reply it is still waiting for.
+#[derive(Debug)]
+pub(crate) struct ReplyInbox {
+    state: Mutex<InboxState>,
+    ready: Condvar,
+    quorum: usize,
+}
+
+#[derive(Debug, Default)]
+struct InboxState {
+    replies: VecDeque<Reply>,
+    /// Replies ever pushed (drained ones included).
+    pushed: usize,
+}
+
+impl ReplyInbox {
+    /// An empty inbox whose client sleeps until `quorum` replies arrived.
+    pub fn new(quorum: usize) -> Self {
+        ReplyInbox {
+            state: Mutex::default(),
+            ready: Condvar::new(),
+            quorum,
+        }
+    }
+
+    /// Queues one reply, waking the client if the quorum is now reached.
+    pub fn push(&self, reply: Reply) {
+        let reached = {
+            // A panicking pusher cannot leave the queue half-updated.
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.replies.push_back(reply);
+            state.pushed += 1;
+            state.pushed >= self.quorum
+        };
+        if reached {
+            self.ready.notify_one();
+        }
+    }
+
+    /// The next queued reply; with none queued, sleeps until woken or
+    /// `deadline`, then returns what is queued by then (`None` = nothing).
+    pub fn recv_deadline(&self, deadline: Instant) -> Option<Reply> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(reply) = state.replies.pop_front() {
+                return Some(reply);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            let (guard, timeout) = self
+                .ready
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = guard;
+            if timeout.timed_out() {
+                // Replies short of the quorum were queued silently: hand
+                // them over, so the engine retransmits only to the silent.
+                return state.replies.pop_front();
+            }
+        }
+    }
 }
 
 /// One in-flight quorum phase on some transport.
@@ -129,10 +216,12 @@ pub trait Phase {
     /// on each retransmission (`include` = the still-silent).
     fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize;
 
-    /// Awaits the next reply to this phase, until `deadline`. `None`
-    /// means the deadline passed (the engine decides whether to
-    /// retransmit or give up); duplicated replies may be delivered and
-    /// are the engine's to discard.
+    /// Awaits the next reply to this phase, until `deadline`: a queued
+    /// reply is returned at once, otherwise the caller sleeps until the
+    /// phase's reply inbox wakes it or the deadline passes. `None`
+    /// means the deadline passed with nothing queued (the engine decides
+    /// whether to retransmit or give up); duplicated replies may be
+    /// delivered and are the engine's to discard.
     fn recv_deadline(&mut self, deadline: Instant) -> Option<Reply>;
 }
 
@@ -209,4 +298,93 @@ pub trait Transport: Send + Sync + 'static {
     /// Records one completed quorum phase's latency (the
     /// `abd.quorum_latency_us` histogram).
     fn record_quorum_latency(&self, elapsed: Duration);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ack(from: usize) -> Reply {
+        Reply {
+            from,
+            body: ReplyBody::Ack,
+        }
+    }
+
+    #[test]
+    fn queued_replies_are_handed_over_without_waiting_even_short_of_the_quorum() {
+        let inbox = ReplyInbox::new(2);
+        let far = Instant::now() + Duration::from_secs(30);
+        inbox.push(ack(1));
+        assert_eq!(inbox.recv_deadline(far).map(|r| r.from), Some(1));
+        // Nothing queued and the deadline already passed: no sleep.
+        assert!(inbox.recv_deadline(Instant::now()).is_none());
+    }
+
+    #[test]
+    fn the_quorum_completing_push_is_never_a_lost_wake_up() {
+        // Pusher and client race from a standing start, over and over: in
+        // whichever order the pushes and the client's sleeps interleave,
+        // the client must hold all `quorum` replies long before its
+        // deadline — a lost wake-up would leave it asleep until then.
+        for round in 0..500usize {
+            let quorum = 2 + round % 2;
+            let inbox = Arc::new(ReplyInbox::new(quorum));
+            let far = Instant::now() + Duration::from_secs(20);
+            let pusher = {
+                let inbox = Arc::clone(&inbox);
+                std::thread::spawn(move || {
+                    for from in 0..quorum {
+                        if round % 3 == 0 {
+                            std::thread::yield_now();
+                        }
+                        inbox.push(ack(from));
+                    }
+                })
+            };
+            let started = Instant::now();
+            let mut got = 0;
+            while got < quorum {
+                assert!(
+                    inbox.recv_deadline(far).is_some(),
+                    "round {round}: deadline hit"
+                );
+                got += 1;
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "round {round}: the client slept through the quorum-th push"
+            );
+            pusher.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn every_push_past_the_quorum_wakes_the_client_again() {
+        // The first `quorum` replies may hold a duplicate or a refusal,
+        // so the client goes back to sleep one accepted reply short: the
+        // next push must wake it, not be queued silently.
+        let inbox = Arc::new(ReplyInbox::new(2));
+        let far = Instant::now() + Duration::from_secs(20);
+        inbox.push(ack(0));
+        inbox.push(ack(0));
+        assert!(inbox.recv_deadline(far).is_some() && inbox.recv_deadline(far).is_some());
+        let (asleep_tx, asleep_rx) = std::sync::mpsc::channel();
+        let client = {
+            let inbox = Arc::clone(&inbox);
+            std::thread::spawn(move || {
+                asleep_tx.send(()).unwrap();
+                let started = Instant::now();
+                (inbox.recv_deadline(far).map(|r| r.from), started.elapsed())
+            })
+        };
+        asleep_rx.recv().unwrap();
+        inbox.push(ack(1));
+        let (from, waited) = client.join().unwrap();
+        assert_eq!(from, Some(1));
+        assert!(
+            waited < Duration::from_secs(10),
+            "the third push was queued silently"
+        );
+    }
 }

@@ -527,7 +527,7 @@ mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame, FrameRead, DEFAULT_MAX_FRAME};
     use crate::net::Endpoint;
-    use crate::proto::{Frame, WireTag, PROTOCOL_VERSION};
+    use crate::proto::{Frame, StoreEntry, WireTag, PROTOCOL_VERSION};
     use crate::server::{ReplicaServer, ServerConfig};
 
     #[test]
@@ -557,10 +557,12 @@ mod tests {
         }
         let store = Frame::Store {
             id: 2,
-            lane: 0,
-            segment: 0,
-            tag: WireTag { seq: 1, writer: 0 },
-            value: vec![5],
+            entries: vec![StoreEntry {
+                lane: 0,
+                segment: 0,
+                tag: WireTag { seq: 1, writer: 0 },
+                value: vec![5],
+            }],
         };
         write_frame(&mut c, &store.encode(), DEFAULT_MAX_FRAME).unwrap();
         match read_frame(&mut c, DEFAULT_MAX_FRAME).unwrap() {

@@ -49,7 +49,7 @@ pub use error::WireError;
 pub use frame::{read_frame, write_frame, FrameIoError, FrameRead, DEFAULT_MAX_FRAME};
 pub use hostile::{drive_phases, HostileKnobs, HostilePhase, HostileProfile, HostileProxy, HostileStream};
 pub use net::{Endpoint, WireListener, WireStream};
-pub use proto::{ErrorCode, Frame, WireTag, PROTOCOL_VERSION};
+pub use proto::{ErrorCode, Frame, StoreEntry, WireTag, PROTOCOL_VERSION};
 pub use server::{ReplicaServer, ServerConfig};
 pub use store::{
     FsyncPolicy, RecoveryPolicy, RecoverySummary, ReplicaStore, StoreConfig, StoreError,

@@ -10,16 +10,19 @@
 //! |------|--------------|-----------------------------------------------------------|
 //! | 1    | `Hello`      | magic `[u8;4]`, version `u16`, client `u32`               |
 //! | 2    | `HelloAck`   | magic `[u8;4]`, version `u16`, replica `u32`              |
-//! | 3    | `Query`      | id `u64`, lane `u32`, segment `u32`                       |
-//! | 4    | `Store`      | id `u64`, lane `u32`, segment `u32`, tag, value `bytes`   |
-//! | 5    | `QueryReply` | id `u64`, tag, present `u8`, \[value `bytes`\]            |
+//! | 3    | `Query`      | id `u64`, count `u32`, count × (lane `u32`, segment `u32`) |
+//! | 4    | `Store`      | id `u64`, count `u32`, count × (lane `u32`, segment `u32`, tag, value `bytes`) |
+//! | 5    | `QueryReply` | id `u64`, count `u32`, count × (tag, present `u8`, \[value `bytes`\]) |
 //! | 6    | `StoreAck`   | id `u64`                                                  |
 //! | 7    | `Error`      | id `u64`, code `u16`, detail `string`                     |
 //!
 //! where `tag` is seq `u64` + writer `u32`, and `bytes`/`string` are
 //! `u32`-length-prefixed. Registers are addressed as `(lane, segment)`
 //! pairs — the snapshot construction's own coordinates — so a replica
-//! dump is legible without a register-id allocation table.
+//! dump is legible without a register-id allocation table. A request
+//! names a batch of registers (a single-register operation is a batch of
+//! one) and a `QueryReply` answers positionally; every `count` is checked
+//! against the bytes that remain before anything is allocated for it.
 
 use std::fmt;
 
@@ -34,8 +37,16 @@ pub const MAGIC: [u8; 4] = *b"SNAP";
 /// v2 added the per-frame body CRC-32 to the framing layer; a v1 peer
 /// desyncs at the first frame and is dropped before the handshake can
 /// even report the mismatch, which is the correct outcome for an
-/// incompatible framing.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// incompatible framing. v3 made `Query`/`Store`/`QueryReply` carry a
+/// batch of registers; a v2 peer is refused at `Hello` with
+/// [`ErrorCode::Unsupported`].
+pub const PROTOCOL_VERSION: u16 = 3;
+
+/// Fewest bytes one entry of a batched frame can occupy: what a `count`
+/// is checked against before a vector is sized by it.
+const MIN_QUERY_ENTRY: usize = 8;
+const MIN_STORE_ENTRY: usize = 8 + 12 + 4;
+const MIN_REPLY_ENTRY: usize = 12 + 1;
 
 const KIND_HELLO: u8 = 1;
 const KIND_HELLO_ACK: u8 = 2;
@@ -67,6 +78,36 @@ impl WireTag {
             writer: r.u32()?,
         })
     }
+}
+
+/// One register's `(tag, value)` inside a batched [`Frame::Store`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoreEntry {
+    /// The register's lane coordinate.
+    pub lane: u32,
+    /// The register's segment coordinate.
+    pub segment: u32,
+    /// The ABD timestamp of the value.
+    pub tag: WireTag,
+    /// The encoded register value.
+    pub value: Vec<u8>,
+}
+
+/// Reads the `count` opening a batch, refusing one the remaining bytes
+/// cannot hold (at `min_entry` bytes apiece) before it sizes anything.
+fn batch_count(
+    r: &mut Reader<'_>,
+    field: &'static str,
+    min_entry: usize,
+) -> Result<usize, WireError> {
+    let count = r.u32()?;
+    if count as usize > r.remaining() / min_entry {
+        return Err(WireError::BadLength {
+            field,
+            len: u64::from(count),
+        });
+    }
+    Ok(count as usize)
 }
 
 /// Typed error classes an [`Frame::Error`] reply carries.
@@ -134,10 +175,11 @@ impl fmt::Display for ErrorCode {
 /// One protocol message.
 ///
 /// A connection opens with `Hello`/`HelloAck` (magic + version check),
-/// then carries any number of `Query`/`Store` requests answered by
-/// `QueryReply`/`StoreAck`/`Error`, matched by request id. Requests are
-/// retransmission-safe: replicas dedupe `Store` by id and answer every
-/// `Query` delivery, exactly like the simulated network's replicas.
+/// then carries any number of `Query`/`Store` requests, each over a
+/// batch of registers, answered by `QueryReply`/`StoreAck`/`Error`,
+/// matched by request id. Requests are retransmission-safe: replicas
+/// dedupe `Store` by id and answer every `Query` delivery, exactly like
+/// the simulated network's replicas.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
     /// Client opening handshake.
@@ -154,37 +196,28 @@ pub enum Frame {
         /// The replica's index in the cluster.
         replica: u32,
     },
-    /// "Send me your `(tag, value)` for this register."
+    /// "Send me your `(tag, value)` for each of these registers."
     Query {
         /// Request id (dedup + reply matching).
         id: u64,
-        /// The register's lane coordinate.
-        lane: u32,
-        /// The register's segment coordinate.
-        segment: u32,
+        /// The registers' `(lane, segment)` coordinates.
+        registers: Vec<(u32, u32)>,
     },
-    /// "Store this `(tag, value)` if it exceeds yours, then ack."
+    /// "Store each `(tag, value)` that exceeds yours, then ack."
     Store {
         /// Request id (dedup + reply matching).
         id: u64,
-        /// The register's lane coordinate.
-        lane: u32,
-        /// The register's segment coordinate.
-        segment: u32,
-        /// The ABD timestamp of the value.
-        tag: WireTag,
-        /// The encoded register value.
-        value: Vec<u8>,
+        /// The registers, tags and encoded values.
+        entries: Vec<StoreEntry>,
     },
     /// Reply to [`Frame::Query`]: the replica's current `(tag, value)`
-    /// (`value` absent if it has never stored this register).
+    /// for each register asked about, in request order (a value is
+    /// absent if the replica has never stored that register).
     QueryReply {
         /// The request id this answers.
         id: u64,
-        /// The replica's current tag for the register.
-        tag: WireTag,
-        /// The encoded value, if any.
-        value: Option<Vec<u8>>,
+        /// The current tag and encoded value, per register.
+        values: Vec<(WireTag, Option<Vec<u8>>)>,
     },
     /// Reply to [`Frame::Store`]: applied (or recognized as a duplicate
     /// and re-acked).
@@ -222,35 +255,38 @@ impl Frame {
                 out.extend_from_slice(&version.to_le_bytes());
                 out.extend_from_slice(&replica.to_le_bytes());
             }
-            Frame::Query { id, lane, segment } => {
+            Frame::Query { id, registers } => {
                 out.push(KIND_QUERY);
                 out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&lane.to_le_bytes());
-                out.extend_from_slice(&segment.to_le_bytes());
+                out.extend_from_slice(&(registers.len() as u32).to_le_bytes());
+                for (lane, segment) in registers {
+                    out.extend_from_slice(&lane.to_le_bytes());
+                    out.extend_from_slice(&segment.to_le_bytes());
+                }
             }
-            Frame::Store {
-                id,
-                lane,
-                segment,
-                tag,
-                value,
-            } => {
+            Frame::Store { id, entries } => {
                 out.push(KIND_STORE);
                 out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&lane.to_le_bytes());
-                out.extend_from_slice(&segment.to_le_bytes());
-                tag.encode_into(&mut out);
-                put_bytes(&mut out, value);
+                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                for entry in entries {
+                    out.extend_from_slice(&entry.lane.to_le_bytes());
+                    out.extend_from_slice(&entry.segment.to_le_bytes());
+                    entry.tag.encode_into(&mut out);
+                    put_bytes(&mut out, &entry.value);
+                }
             }
-            Frame::QueryReply { id, tag, value } => {
+            Frame::QueryReply { id, values } => {
                 out.push(KIND_QUERY_REPLY);
                 out.extend_from_slice(&id.to_le_bytes());
-                tag.encode_into(&mut out);
-                match value {
-                    None => out.push(0),
-                    Some(v) => {
-                        out.push(1);
-                        put_bytes(&mut out, v);
+                out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+                for (tag, value) in values {
+                    tag.encode_into(&mut out);
+                    match value {
+                        None => out.push(0),
+                        Some(v) => {
+                            out.push(1);
+                            put_bytes(&mut out, v);
+                        }
                     }
                 }
             }
@@ -292,26 +328,42 @@ impl Frame {
                     }
                 }
             }
-            KIND_QUERY => Frame::Query {
-                id: r.u64()?,
-                lane: r.u32()?,
-                segment: r.u32()?,
-            },
-            KIND_STORE => Frame::Store {
-                id: r.u64()?,
-                lane: r.u32()?,
-                segment: r.u32()?,
-                tag: WireTag::decode_from(&mut r)?,
-                value: r.bytes("store.value")?.to_vec(),
-            },
+            KIND_QUERY => {
+                let id = r.u64()?;
+                let count = batch_count(&mut r, "query.count", MIN_QUERY_ENTRY)?;
+                let mut registers = Vec::with_capacity(count);
+                for _ in 0..count {
+                    registers.push((r.u32()?, r.u32()?));
+                }
+                Frame::Query { id, registers }
+            }
+            KIND_STORE => {
+                let id = r.u64()?;
+                let count = batch_count(&mut r, "store.count", MIN_STORE_ENTRY)?;
+                let mut entries = Vec::with_capacity(count);
+                for _ in 0..count {
+                    entries.push(StoreEntry {
+                        lane: r.u32()?,
+                        segment: r.u32()?,
+                        tag: WireTag::decode_from(&mut r)?,
+                        value: r.bytes("store.value")?.to_vec(),
+                    });
+                }
+                Frame::Store { id, entries }
+            }
             KIND_QUERY_REPLY => {
                 let id = r.u64()?;
-                let tag = WireTag::decode_from(&mut r)?;
-                let value = match r.u8()? {
-                    0 => None,
-                    _ => Some(r.bytes("query_reply.value")?.to_vec()),
-                };
-                Frame::QueryReply { id, tag, value }
+                let count = batch_count(&mut r, "query_reply.count", MIN_REPLY_ENTRY)?;
+                let mut values = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let tag = WireTag::decode_from(&mut r)?;
+                    let value = match r.u8()? {
+                        0 => None,
+                        _ => Some(r.bytes("query_reply.value")?.to_vec()),
+                    };
+                    values.push((tag, value));
+                }
+                Frame::QueryReply { id, values }
             }
             KIND_STORE_ACK => Frame::StoreAck { id: r.u64()? },
             KIND_ERROR => Frame::Error {
@@ -323,6 +375,18 @@ impl Frame {
         };
         r.finish()?;
         Ok(frame)
+    }
+
+    /// How many bytes a `QueryReply` holding values of these lengths
+    /// (`None` = register not held) encodes to. A replica checks it
+    /// against its frame cap *before* copying a single value, so the
+    /// memory a query can make it allocate is bounded by the cap and not
+    /// by how many (or how often the same) registers the query names.
+    pub fn query_reply_len(values: impl IntoIterator<Item = Option<usize>>) -> u64 {
+        let header = 1 + 8 + 4;
+        values.into_iter().fold(header, |len, value| {
+            len + MIN_REPLY_ENTRY as u64 + value.map_or(0, |v| 4 + v as u64)
+        })
     }
 
     /// The request id this frame carries (handshake frames have none).
@@ -355,6 +419,15 @@ impl Frame {
 mod tests {
     use super::*;
 
+    fn entry(lane: u32, segment: u32, seq: u64, value: Vec<u8>) -> StoreEntry {
+        StoreEntry {
+            lane,
+            segment,
+            tag: WireTag { seq, writer: 4 },
+            value,
+        }
+    }
+
     fn all_frames() -> Vec<Frame> {
         vec![
             Frame::Hello {
@@ -367,28 +440,39 @@ mod tests {
             },
             Frame::Query {
                 id: 42,
-                lane: 2,
-                segment: 7,
+                registers: vec![(2, 7)],
+            },
+            Frame::Query {
+                id: 43,
+                registers: (0..8).map(|i| (i, i)).collect(),
+            },
+            Frame::Query {
+                id: 44,
+                registers: vec![],
             },
             Frame::Store {
                 id: u64::MAX,
-                lane: 0,
-                segment: u32::MAX,
-                tag: WireTag {
-                    seq: 99,
-                    writer: 4,
-                },
-                value: vec![1, 2, 3],
+                entries: vec![entry(0, u32::MAX, 99, vec![1, 2, 3])],
+            },
+            Frame::Store {
+                id: 8,
+                entries: vec![
+                    entry(1, 1, 5, vec![]),
+                    entry(2, 2, 6, vec![9; 40]),
+                    entry(3, 0, 7, vec![1]),
+                ],
             },
             Frame::QueryReply {
                 id: 7,
-                tag: WireTag::default(),
-                value: None,
+                values: vec![(WireTag::default(), None)],
             },
             Frame::QueryReply {
                 id: 7,
-                tag: WireTag { seq: 1, writer: 0 },
-                value: Some(vec![]),
+                values: vec![
+                    (WireTag { seq: 1, writer: 0 }, Some(vec![])),
+                    (WireTag::default(), None),
+                    (WireTag { seq: 9, writer: 3 }, Some(vec![7; 21])),
+                ],
             },
             Frame::StoreAck { id: 1 },
             Frame::Error {
@@ -413,6 +497,24 @@ mod tests {
     }
 
     #[test]
+    fn query_reply_len_is_the_encoded_length() {
+        for frame in all_frames() {
+            if let Frame::QueryReply { values, .. } = &frame {
+                let lens = values.iter().map(|(_, v)| v.as_ref().map(Vec::len));
+                assert_eq!(
+                    Frame::query_reply_len(lens),
+                    frame.encode().len() as u64,
+                    "{frame:?}"
+                );
+            }
+        }
+        // u64 arithmetic: a hostile query naming one big register 131k
+        // times is sized without overflow and without allocating.
+        let huge = Frame::query_reply_len((0..131_000).map(|_| Some(1 << 20)));
+        assert!(huge > u64::from(u32::MAX));
+    }
+
+    #[test]
     fn every_truncation_is_a_typed_error() {
         for frame in all_frames() {
             let body = frame.encode();
@@ -427,12 +529,41 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut body = Frame::StoreAck { id: 9 }.encode();
-        body.push(0);
-        assert_eq!(
-            Frame::decode(&body),
-            Err(WireError::TrailingBytes { extra: 1 })
-        );
+        for frame in all_frames() {
+            let mut body = frame.encode();
+            body.push(0);
+            assert_eq!(
+                Frame::decode(&body),
+                Err(WireError::TrailingBytes { extra: 1 }),
+                "{frame:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_batch_count_is_a_typed_bad_length_without_allocation() {
+        // A count the body cannot hold must be refused before a vector
+        // is sized by it: u32::MAX entries would be a 32–100 GiB request.
+        for (kind, field) in [
+            (KIND_QUERY, "query.count"),
+            (KIND_STORE, "store.count"),
+            (KIND_QUERY_REPLY, "query_reply.count"),
+        ] {
+            for count in [u32::MAX, 3] {
+                let mut body = vec![kind];
+                body.extend_from_slice(&7u64.to_le_bytes());
+                body.extend_from_slice(&count.to_le_bytes());
+                // Too short for three entries of any kind.
+                body.extend_from_slice(&[0u8; 20]);
+                assert_eq!(
+                    Frame::decode(&body),
+                    Err(WireError::BadLength {
+                        field,
+                        len: u64::from(count)
+                    })
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,19 @@
 //! `ReplicaCore` exactly:
 //!
 //! * **`Query`** is answered on every delivery with the current
-//!   `(tag, value)` — re-answering is what lets a client whose reply was
-//!   lost make progress;
-//! * **`Store`** is a max-by-tag merge, deduplicated by request id within
-//!   a bounded window and re-acked on duplicate delivery. A duplicate
-//!   that arrives over a *new* connection (after a client redial) may be
-//!   re-applied — harmless, because the merge is idempotent;
+//!   `(tag, value)` of each register it names, read under one store lock
+//!   — re-answering is what lets a client whose reply was lost make
+//!   progress;
+//! * **`Store`** is a max-by-tag merge of its whole batch, deduplicated
+//!   by request id within a bounded window and re-acked on duplicate
+//!   delivery. A duplicate that arrives over a *new* connection (after a
+//!   client redial) may be re-applied — harmless, because the merge is
+//!   idempotent;
 //! * malformed, oversize, or unsupported frames are refused with typed
-//!   [`Frame::Error`] replies, never a panic.
+//!   [`Frame::Error`] replies, never a panic — including a reply that
+//!   would itself exceed the frame cap, which is answered
+//!   [`ErrorCode::TooLarge`] under the request's id so the client can ask
+//!   again in smaller batches.
 //!
 //! With `--state PATH` (or [`ServerConfig::with_state_log`]) every
 //! applied store is appended to the CRC-framed, checkpointed state log
@@ -390,6 +395,10 @@ fn accept_loop(listener: WireListener, shared: Arc<Shared>) {
     listener.cleanup();
 }
 
+/// Writes one frame; `false` means the connection is no longer usable.
+/// The one reply whose size a client controls, `QueryReply`, is sized by
+/// the request loop before it is built, so nothing over the cap arrives
+/// here in normal operation.
 fn send(stream: &mut WireStream, shared: &Shared, frame: &Frame) -> bool {
     match write_frame(stream, &frame.encode(), shared.max_frame) {
         Ok(()) => {
@@ -400,9 +409,15 @@ fn send(stream: &mut WireStream, shared: &Shared, frame: &Frame) -> bool {
     }
 }
 
-fn send_error(stream: &mut WireStream, shared: &Shared, id: u64, code: ErrorCode, detail: String) {
+fn send_error(
+    stream: &mut WireStream,
+    shared: &Shared,
+    id: u64,
+    code: ErrorCode,
+    detail: String,
+) -> bool {
     shared.metrics.errors_sent.inc();
-    let _ = send(stream, shared, &Frame::Error { id, code, detail });
+    send(stream, shared, &Frame::Error { id, code, detail })
 }
 
 /// Serves one client connection: handshake, then the request loop.
@@ -470,45 +485,63 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
         // idle connection never holds up a SIGTERM.
         shared.metrics.requests_in_flight.add(1);
         let keep_going = match frame {
-            Frame::Query { id, lane, segment } => {
+            Frame::Query { id, registers } => {
                 // Read-only: dedup records the id but every delivery is
                 // (re-)answered with the current state.
                 note_seen(id);
-                let (tag, value) = match shared.store.get(lane, segment) {
-                    Some((t, v)) => (t, Some(v.to_vec())),
-                    None => (WireTag::default(), None),
-                };
-                send(&mut stream, shared, &Frame::QueryReply { id, tag, value })
+                // `held` shares the stored values; nothing is copied until
+                // the reply is known to fit, so a query naming many (or one
+                // big register many times) costs this replica no more
+                // memory than one frame.
+                let held = shared.store.get_many(&registers);
+                let len = Frame::query_reply_len(
+                    held.iter().map(|h| h.as_ref().map(|(_, v)| v.len())),
+                );
+                if len > u64::from(shared.max_frame) {
+                    send_error(
+                        &mut stream,
+                        shared,
+                        id,
+                        ErrorCode::TooLarge,
+                        format!(
+                            "{len}-byte query_reply exceeds the {}-byte cap",
+                            shared.max_frame
+                        ),
+                    )
+                } else {
+                    let values = held
+                        .into_iter()
+                        .map(|held| match held {
+                            Some((tag, value)) => (tag, Some(value.to_vec())),
+                            None => (WireTag::default(), None),
+                        })
+                        .collect();
+                    send(&mut stream, shared, &Frame::QueryReply { id, values })
+                }
             }
-            Frame::Store {
-                id,
-                lane,
-                segment,
-                tag,
-                value,
-            } => {
+            Frame::Store { id, entries } => {
                 if note_seen(id) {
-                    if shared.store.apply(lane, segment, tag, value.into()) {
-                        shared.metrics.stores_applied.inc();
-                    }
+                    let batch: Vec<_> = entries
+                        .into_iter()
+                        .map(|e| (e.lane, e.segment, e.tag, e.value.into()))
+                        .collect();
+                    let applied = shared.store.apply_batch(&batch);
+                    shared.metrics.stores_applied.add(applied as u64);
                 } else {
                     // Duplicate delivery (client retransmission): skip
-                    // the apply, but re-ack — the first ack may have
-                    // been lost.
+                    // the whole batch, but re-ack — the first ack may
+                    // have been lost.
                     shared.metrics.duplicates_suppressed.inc();
                 }
                 send(&mut stream, shared, &Frame::StoreAck { id })
             }
-            other => {
-                send_error(
-                    &mut stream,
-                    shared,
-                    other.request_id().unwrap_or(0),
-                    ErrorCode::Unsupported,
-                    format!("unexpected {} frame", other.kind_name()),
-                );
-                true
-            }
+            other => send_error(
+                &mut stream,
+                shared,
+                other.request_id().unwrap_or(0),
+                ErrorCode::Unsupported,
+                format!("unexpected {} frame", other.kind_name()),
+            ),
         };
         shared.metrics.requests_in_flight.add(-1);
         if !keep_going {
@@ -722,6 +755,7 @@ pub fn run_cli(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::StoreEntry;
     use crate::store::crc32;
     use std::io::Read;
 
@@ -746,6 +780,15 @@ mod tests {
         }
     }
 
+    fn entry(lane: u32, segment: u32, tag: WireTag, value: Vec<u8>) -> StoreEntry {
+        StoreEntry {
+            lane,
+            segment,
+            tag,
+            value,
+        }
+    }
+
     fn tcp_server() -> ReplicaServer {
         ReplicaServer::spawn(ServerConfig::new(
             Endpoint::Tcp(String::from("127.0.0.1:0")),
@@ -764,19 +807,16 @@ mod tests {
             &mut c,
             &Frame::Query {
                 id: 1,
-                lane: 0,
-                segment: 0,
+                registers: vec![(0, 0)],
             }
             .encode(),
             DEFAULT_MAX_FRAME,
         )
         .unwrap();
         match read_one(&mut c) {
-            Frame::QueryReply {
-                id: 1,
-                tag,
-                value: None,
-            } => assert_eq!(tag, WireTag::default()),
+            Frame::QueryReply { id: 1, values } => {
+                assert_eq!(values, vec![(WireTag::default(), None)])
+            }
             other => panic!("{other:?}"),
         }
 
@@ -788,10 +828,7 @@ mod tests {
                 &mut c,
                 &Frame::Store {
                     id,
-                    lane: 0,
-                    segment: 0,
-                    tag,
-                    value,
+                    entries: vec![entry(0, 0, tag, value)],
                 }
                 .encode(),
                 DEFAULT_MAX_FRAME,
@@ -806,21 +843,181 @@ mod tests {
             &mut c,
             &Frame::Query {
                 id: 4,
-                lane: 0,
-                segment: 0,
+                registers: vec![(0, 0)],
             }
             .encode(),
             DEFAULT_MAX_FRAME,
         )
         .unwrap();
         match read_one(&mut c) {
+            Frame::QueryReply { values, .. } => assert_eq!(values, vec![(hi, Some(vec![9]))]),
+            other => panic!("{other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_batch_is_answered_positionally_and_applied_once_per_request_id() {
+        let server = tcp_server();
+        let mut c = dial_and_hello(&server);
+        let t = |seq| WireTag { seq, writer: 1 };
+        // Three registers in one store; (0, 1) twice, the higher tag wins.
+        let store = Frame::Store {
+            id: 1,
+            entries: vec![
+                entry(0, 0, t(4), vec![40]),
+                entry(0, 1, t(2), vec![21]),
+                entry(0, 1, t(3), vec![31]),
+                entry(5, 5, t(1), vec![]),
+            ],
+        };
+        for _ in 0..2 {
+            write_frame(&mut c, &store.encode(), DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(read_one(&mut c), Frame::StoreAck { id: 1 });
+        }
+        assert_eq!(
+            server.registry().counter("snapshotd.stores_applied").get(),
+            4
+        );
+        assert_eq!(
+            server
+                .registry()
+                .counter("snapshotd.duplicates_suppressed")
+                .get(),
+            1,
+            "the retransmitted batch is re-acked, not re-applied"
+        );
+
+        // One query over those and a register nobody stored: answers come
+        // back in request order.
+        write_frame(
+            &mut c,
+            &Frame::Query {
+                id: 2,
+                registers: vec![(5, 5), (9, 9), (0, 1), (0, 0)],
+            }
+            .encode(),
+            DEFAULT_MAX_FRAME,
+        )
+        .unwrap();
+        assert_eq!(
+            read_one(&mut c),
             Frame::QueryReply {
-                tag,
-                value: Some(v),
-                ..
-            } => {
-                assert_eq!(tag, hi);
-                assert_eq!(v, vec![9]);
+                id: 2,
+                values: vec![
+                    (t(1), Some(vec![])),
+                    (WireTag::default(), None),
+                    (t(3), Some(vec![31])),
+                    (t(4), Some(vec![40])),
+                ],
+            }
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_oversize_reply_is_a_typed_error_and_the_connection_keeps_serving() {
+        let server = ReplicaServer::spawn(
+            ServerConfig::new(Endpoint::Tcp(String::from("127.0.0.1:0")), 0).with_max_frame(256),
+        )
+        .unwrap();
+        let mut c = dial_and_hello(&server);
+        // Four 100-byte values, stored one per frame: each fits the cap.
+        for i in 0..4u32 {
+            let store = Frame::Store {
+                id: u64::from(i) + 1,
+                entries: vec![entry(
+                    i,
+                    0,
+                    WireTag { seq: 1, writer: 0 },
+                    vec![i as u8; 100],
+                )],
+            };
+            write_frame(&mut c, &store.encode(), 256).unwrap();
+            assert_eq!(
+                read_one(&mut c),
+                Frame::StoreAck {
+                    id: u64::from(i) + 1
+                }
+            );
+        }
+        // Asked for together, the reply would be over 400 bytes: a typed
+        // refusal under the request's id, not a dropped connection.
+        let query = |id, lanes: std::ops::Range<u32>| Frame::Query {
+            id,
+            registers: lanes.map(|lane| (lane, 0)).collect(),
+        };
+        write_frame(&mut c, &query(10, 0..4).encode(), 256).unwrap();
+        match read_one(&mut c) {
+            Frame::Error {
+                id: 10,
+                code: ErrorCode::TooLarge,
+                detail,
+            } => assert!(detail.contains("query_reply"), "{detail}"),
+            other => panic!("{other:?}"),
+        }
+        // The same connection answers the two halves.
+        for (id, lanes) in [(11, 0..2), (12, 2..4)] {
+            write_frame(&mut c, &query(id, lanes).encode(), 256).unwrap();
+            match read_one(&mut c) {
+                Frame::QueryReply { id: got, values } => {
+                    assert_eq!(got, id);
+                    assert_eq!(values.len(), 2);
+                    assert!(values
+                        .iter()
+                        .all(|(_, v)| v.as_ref().is_some_and(|v| v.len() == 100)));
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(server.registry().counter("snapshotd.errors_sent").get(), 1);
+        assert_eq!(
+            server.registry().gauge("snapshotd.open_connections").get(),
+            1
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_query_repeating_one_register_is_sized_before_any_value_is_copied() {
+        let server = ReplicaServer::spawn(
+            ServerConfig::new(Endpoint::Tcp(String::from("127.0.0.1:0")), 0).with_max_frame(256),
+        )
+        .unwrap();
+        let mut c = dial_and_hello(&server);
+        let store = Frame::Store {
+            id: 1,
+            entries: vec![entry(0, 0, WireTag { seq: 1, writer: 0 }, vec![7; 100])],
+        };
+        write_frame(&mut c, &store.encode(), 256).unwrap();
+        assert_eq!(read_one(&mut c), Frame::StoreAck { id: 1 });
+        // The request is small (13 + 8 per name) however large the reply
+        // it asks for: 13 + 117 per copy of the value.
+        let query = |id, times| Frame::Query {
+            id,
+            registers: vec![(0, 0); times],
+        };
+        for (id, times) in [(2, 30), (3, 3)] {
+            write_frame(&mut c, &query(id, times).encode(), 256).unwrap();
+            match read_one(&mut c) {
+                Frame::Error {
+                    id: got,
+                    code: ErrorCode::TooLarge,
+                    detail,
+                } => {
+                    assert_eq!(got, id);
+                    let len = 13 + 117 * times;
+                    assert!(detail.starts_with(&format!("{len}-byte")), "{detail}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        // Two copies are 247 bytes: under the cap, answered in full.
+        write_frame(&mut c, &query(4, 2).encode(), 256).unwrap();
+        match read_one(&mut c) {
+            Frame::QueryReply { id: 4, values } => {
+                assert_eq!(values.len(), 2);
+                assert!(values.iter().all(|(_, v)| *v == Some(vec![7; 100])));
             }
             other => panic!("{other:?}"),
         }
@@ -833,10 +1030,7 @@ mod tests {
         let mut c = dial_and_hello(&server);
         let store = Frame::Store {
             id: 7,
-            lane: 1,
-            segment: 2,
-            tag: WireTag { seq: 1, writer: 0 },
-            value: vec![4],
+            entries: vec![entry(1, 2, WireTag { seq: 1, writer: 0 }, vec![4])],
         };
         for _ in 0..3 {
             write_frame(&mut c, &store.encode(), DEFAULT_MAX_FRAME).unwrap();
@@ -893,8 +1087,7 @@ mod tests {
         let mut c = dial_and_hello(&server);
         let body = Frame::Query {
             id: 7,
-            lane: 0,
-            segment: 0,
+            registers: vec![(0, 0)],
         }
         .encode();
         c.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
@@ -972,8 +1165,7 @@ mod tests {
             &mut c,
             &Frame::Query {
                 id: 1,
-                lane: 0,
-                segment: 0,
+                registers: vec![(0, 0)],
             }
             .encode(),
             DEFAULT_MAX_FRAME,
@@ -1004,10 +1196,7 @@ mod tests {
             &mut c,
             &Frame::Store {
                 id: 1,
-                lane: 0,
-                segment: 1,
-                tag: WireTag { seq: 9, writer: 1 },
-                value: vec![8],
+                entries: vec![entry(0, 1, WireTag { seq: 9, writer: 1 }, vec![8])],
             }
             .encode(),
             DEFAULT_MAX_FRAME,

@@ -29,7 +29,8 @@
 //!   besides). Restart replay therefore costs O(live lanes×segments +
 //!   records since the last checkpoint), not O(applied stores ever).
 //! * **Fsync policy** — [`FsyncPolicy::Always`] syncs after every
-//!   append (the durability the ABD ack nominally promises),
+//!   applied batch, before its ack (the durability the ABD ack
+//!   nominally promises),
 //!   `Interval` bounds the loss window, `Never` leaves durability to
 //!   the OS (the PR 9 behavior).
 //!
@@ -37,6 +38,7 @@
 //! `Store*` obs events cover appends, fsyncs, checkpoints, replay
 //! duration, and every byte recovery ever drops.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -128,8 +130,8 @@ impl RecoveryPolicy {
 /// When appended records reach the disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every applied store: an acked write survives an
-    /// immediate power cut. The durable choice, and the slow one.
+    /// `fsync` after every applied store batch: an acked write survives
+    /// an immediate power cut. The durable choice, and the slow one.
     Always,
     /// Flush to the OS on every append, `fsync` at most once per the
     /// given interval: bounds the loss window without paying a sync per
@@ -436,6 +438,9 @@ struct Persist {
     max_record: u32,
 }
 
+/// `(lane, segment)` → the highest-tagged `(tag, value)` seen.
+type RegisterMap = HashMap<(u32, u32), (WireTag, Arc<[u8]>)>;
+
 /// The tagged register store of one replica: `(lane, segment)` →
 /// highest-tagged `(tag, value)` seen, optionally persisted to a
 /// CRC-framed, checkpointed state log (see the module docs for the
@@ -444,7 +449,7 @@ struct Persist {
 /// Lock order is `map` then `log`: reads take only the map lock and
 /// never wait on an fsync.
 pub struct ReplicaStore {
-    map: Mutex<HashMap<(u32, u32), (WireTag, Arc<[u8]>)>>,
+    map: Mutex<RegisterMap>,
     log: Mutex<Option<Persist>>,
     metrics: StoreMetrics,
     trace: Trace,
@@ -652,92 +657,116 @@ impl ReplicaStore {
             .map(|(t, v)| (*t, Arc::clone(v)))
     }
 
+    /// The current `(tag, value)` of each listed register, in order,
+    /// read under one lock: a batched query's answer is a consistent cut
+    /// of this replica's map.
+    pub fn get_many(&self, registers: &[(u32, u32)]) -> Vec<Option<(WireTag, Arc<[u8]>)>> {
+        let map = self.map.lock().unwrap();
+        registers
+            .iter()
+            .map(|key| map.get(key).map(|(t, v)| (*t, Arc::clone(v))))
+            .collect()
+    }
+
     /// Max-by-tag merge; returns whether the value was applied (a lower
-    /// or equal tag leaves the stored value in place). Applied values
-    /// are appended to the state log under the current generation and
-    /// synced per the fsync policy; the log lock is taken inside the
-    /// map lock so a concurrent checkpoint can never lose the record.
+    /// or equal tag leaves the stored value in place). A batch of one
+    /// through [`apply_batch`](Self::apply_batch).
     pub fn apply(&self, lane: u32, segment: u32, tag: WireTag, value: Arc<[u8]>) -> bool {
+        self.apply_batch(&[(lane, segment, tag, value)]) == 1
+    }
+
+    /// Max-by-tag merge of a batch of `(lane, segment, tag, value)`
+    /// entries under one map lock; returns how many were applied. The
+    /// applied ones are appended to the state log under the current
+    /// generation as one record each, in one write, and synced once per
+    /// the fsync policy — an ack for the batch costs one fsync, not one
+    /// per register. The log lock is taken inside the map lock so a
+    /// concurrent checkpoint can never lose a record.
+    pub fn apply_batch(&self, entries: &[(u32, u32, WireTag, Arc<[u8]>)]) -> usize {
         let mut map = self.map.lock().unwrap();
-        match map.entry((lane, segment)) {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                if tag > occupied.get().0 {
-                    occupied.insert((tag, value.clone()));
-                } else {
-                    return false;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert((tag, value.clone()));
+        let mut applied = Vec::with_capacity(entries.len());
+        for entry in entries {
+            let (lane, segment, tag, value) = entry;
+            if merge(&mut map, (*lane, *segment), *tag, value) {
+                applied.push(entry);
             }
         }
+        if applied.is_empty() {
+            return 0;
+        }
         let mut log = self.log.lock().unwrap();
-        if let Some(persist) = log.as_mut() {
-            let body = encode_record_body(persist.generation, lane, segment, tag, &value);
+        let Some(persist) = log.as_mut() else {
+            return applied.len();
+        };
+        let mut framed = Vec::new();
+        let mut records = 0u64;
+        for (lane, segment, tag, value) in &applied {
+            let body = encode_record_body(persist.generation, *lane, *segment, *tag, value);
             if body.len() as u64 > persist.max_record as u64 {
                 // Replay rejects anything above the cap as corruption,
                 // so an unreplayable record must never be written. The
                 // value keeps being served from memory; the durability
                 // gap is counted instead of discovered at restart.
-                drop(map);
                 self.metrics.oversize_records.inc();
-                return true;
+                continue;
             }
-            let mut framed = Vec::with_capacity(8 + body.len());
             framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
             framed.extend_from_slice(&crc32(&body).to_le_bytes());
             framed.extend_from_slice(&body);
-            // Lock order is strictly map → log, so the auto-checkpoint
-            // snapshot must be taken while the map lock is still held —
-            // decided on the pre-append size, which crosses the
-            // threshold exactly when the post-append size would (and a
-            // threshold-crossing append that then fails still gets its
-            // state compacted, since the map already holds it).
-            let snapshot = if persist.log_bytes + framed.len() as u64 >= persist.checkpoint_bytes
-            {
-                Some(
-                    map.iter()
-                        .map(|(&(l, s), (t, v))| (l, s, *t, v.to_vec()))
-                        .collect::<Vec<_>>(),
-                )
-            } else {
-                None
-            };
-            drop(map);
-            // A failed append is deliberately non-fatal to the serving
-            // path (the replica keeps answering from memory); the next
-            // restart simply recovers less.
-            if persist.writer.write_all(&framed).is_ok() {
-                persist.log_bytes += framed.len() as u64;
-                self.metrics.appends.inc();
-                let _ = persist.writer.flush();
-                let sync_due = match persist.fsync {
-                    FsyncPolicy::Always => true,
-                    FsyncPolicy::Interval(every) => persist.last_sync.elapsed() >= every,
-                    FsyncPolicy::Never => false,
-                };
-                if sync_due {
-                    if persist.writer.get_ref().sync_data().is_ok() {
-                        self.metrics.fsyncs.inc();
-                    }
-                    persist.last_sync = Instant::now();
-                }
-            }
-            if let Some(snapshot) = snapshot {
-                if self.checkpoint_locked(persist, snapshot).is_err() {
-                    // Surfaced, not swallowed: the log keeps growing and
-                    // the next threshold crossing retries.
-                    self.metrics.checkpoint_failures.inc();
-                    self.trace.emit(
-                        self.replica as usize,
-                        Event::StoreCheckpointFailed { replica: self.replica as usize },
-                    );
-                }
-            }
-        } else {
-            drop(map);
+            records += 1;
         }
-        true
+        if records == 0 {
+            return applied.len();
+        }
+        // Lock order is strictly map → log, so the auto-checkpoint
+        // snapshot must be taken while the map lock is still held —
+        // decided on the pre-append size, which crosses the threshold
+        // exactly when the post-append size would (and a
+        // threshold-crossing append that then fails still gets its
+        // state compacted, since the map already holds it).
+        let snapshot = if persist.log_bytes + framed.len() as u64 >= persist.checkpoint_bytes {
+            Some(
+                map.iter()
+                    .map(|(&(l, s), (t, v))| (l, s, *t, v.to_vec()))
+                    .collect::<Vec<_>>(),
+            )
+        } else {
+            None
+        };
+        drop(map);
+        // A failed append is deliberately non-fatal to the serving path
+        // (the replica keeps answering from memory); the next restart
+        // simply recovers less.
+        if persist.writer.write_all(&framed).is_ok() {
+            persist.log_bytes += framed.len() as u64;
+            self.metrics.appends.add(records);
+            let _ = persist.writer.flush();
+            let sync_due = match persist.fsync {
+                FsyncPolicy::Always => true,
+                FsyncPolicy::Interval(every) => persist.last_sync.elapsed() >= every,
+                FsyncPolicy::Never => false,
+            };
+            if sync_due {
+                if persist.writer.get_ref().sync_data().is_ok() {
+                    self.metrics.fsyncs.inc();
+                }
+                persist.last_sync = Instant::now();
+            }
+        }
+        if let Some(snapshot) = snapshot {
+            if self.checkpoint_locked(persist, snapshot).is_err() {
+                // Surfaced, not swallowed: the log keeps growing and the
+                // next threshold crossing retries.
+                self.metrics.checkpoint_failures.inc();
+                self.trace.emit(
+                    self.replica as usize,
+                    Event::StoreCheckpointFailed {
+                        replica: self.replica as usize,
+                    },
+                );
+            }
+        }
+        applied.len()
     }
 
     /// Writes a durable checkpoint of the live register map and
@@ -1069,18 +1098,30 @@ impl ReplicaStore {
     /// Merge without touching the log — replay applies records that are
     /// already in the log.
     fn apply_in_memory(&self, lane: u32, segment: u32, tag: WireTag, value: Arc<[u8]>) {
-        let mut map = self.map.lock().unwrap();
-        match map.entry((lane, segment)) {
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                if tag > occupied.get().0 {
-                    occupied.insert((tag, value));
-                }
+        merge(&mut self.map.lock().unwrap(), (lane, segment), tag, &value);
+    }
+}
+
+/// Max-by-tag merge of one register into `map`; whether `value` was
+/// stored (a lower or equal tag leaves the held value in place).
+fn merge(
+    map: &mut RegisterMap,
+    register: (u32, u32),
+    tag: WireTag,
+    value: &Arc<[u8]>,
+) -> bool {
+    match map.entry(register) {
+        Entry::Occupied(mut occupied) => {
+            if tag <= occupied.get().0 {
+                return false;
             }
-            std::collections::hash_map::Entry::Vacant(vacant) => {
-                vacant.insert((tag, value));
-            }
+            occupied.insert((tag, Arc::clone(value)));
+        }
+        Entry::Vacant(vacant) => {
+            vacant.insert((tag, Arc::clone(value)));
         }
     }
+    true
 }
 
 #[cfg(test)]
@@ -1362,6 +1403,102 @@ mod tests {
         }
         assert_eq!(registry.counter("snapshotd.store.appends").get(), 5);
         assert_eq!(registry.counter("snapshotd.store.fsyncs").get(), 5);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn fsync_always_counts_one_sync_per_batch() {
+        let path = temp_log("fsync-batch");
+        let registry = Arc::new(Registry::default());
+        let store = ReplicaStore::open_with(
+            StoreConfig::at(path.clone())
+                .with_fsync(FsyncPolicy::Always)
+                .with_registry(Arc::clone(&registry)),
+        )
+        .unwrap();
+        let batch = |seq: u64| -> Vec<_> {
+            (0..8u32)
+                .map(|lane| (lane, 0, WireTag { seq, writer: 0 }, val(&[seq as u8])))
+                .collect()
+        };
+        assert_eq!(store.apply_batch(&batch(1)), 8);
+        assert_eq!(
+            registry.counter("snapshotd.store.appends").get(),
+            8,
+            "one record each"
+        );
+        assert_eq!(
+            registry.counter("snapshotd.store.fsyncs").get(),
+            1,
+            "one sync for the batch"
+        );
+        // A stale batch applies nothing, appends nothing, syncs nothing;
+        // a half-stale one logs only what it applied.
+        assert_eq!(store.apply_batch(&batch(1)), 0);
+        let mut mixed = batch(2);
+        mixed.truncate(3);
+        mixed.extend(batch(1).into_iter().skip(3));
+        assert_eq!(store.apply_batch(&mixed), 3);
+        assert_eq!(registry.counter("snapshotd.store.appends").get(), 11);
+        assert_eq!(registry.counter("snapshotd.store.fsyncs").get(), 2);
+        drop(store);
+
+        // The batch is k ordinary records: replay needs no batch notion.
+        let store = ReplicaStore::open(&path).unwrap();
+        assert_eq!(store.recovery().replayed_records, 11);
+        assert_eq!(store.get(2, 0).unwrap().0, WireTag { seq: 2, writer: 0 });
+        assert_eq!(store.get(3, 0).unwrap().0, WireTag { seq: 1, writer: 0 });
+        let held = store.get_many(&[(7, 0), (9, 9), (0, 0)]);
+        assert_eq!(
+            held.iter()
+                .map(|h| h.as_ref().map(|(t, _)| t.seq))
+                .collect::<Vec<_>>(),
+            vec![Some(1), None, Some(2)]
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_tail_torn_inside_a_batch_keeps_the_records_before_the_tear() {
+        let path = temp_log("torn-batch");
+        let store = ReplicaStore::open(&path).unwrap();
+        let before = store.log_bytes();
+        let batch: Vec<_> = (0..4u32)
+            .map(|lane| {
+                (
+                    lane,
+                    0,
+                    WireTag { seq: 1, writer: 0 },
+                    val(&[lane as u8; 5]),
+                )
+            })
+            .collect();
+        assert_eq!(store.apply_batch(&batch), 4);
+        let record = (store.log_bytes() - before) / 4;
+        drop(store);
+
+        // The crash cut the write inside the third record's body.
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(before + 2 * record + 8 + 3).unwrap();
+        drop(file);
+
+        let store = ReplicaStore::open(&path).unwrap();
+        assert_eq!(store.recovery().replayed_records, 2);
+        assert_eq!(store.recovery().truncated_bytes, 8 + 3);
+        assert_eq!(
+            store.recovery().corrupt_offset,
+            None,
+            "a torn tail is not corruption"
+        );
+        assert_eq!(store.len(), 2);
+        assert!(store.get(1, 0).is_some() && store.get(2, 0).is_none());
+        assert_eq!(store.log_bytes(), before + 2 * record);
+        // Appends resume on the truncated log.
+        assert_eq!(store.apply_batch(&batch), 2, "lanes 2 and 3 are new again");
+        drop(store);
+        let store = ReplicaStore::open(&path).unwrap();
+        assert_eq!(store.recovery().replayed_records, 4);
+        assert_eq!(store.len(), 4);
         cleanup(&path);
     }
 

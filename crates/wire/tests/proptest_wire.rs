@@ -10,8 +10,8 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use snapshot_wire::{
-    read_frame, write_frame, ErrorCode, Frame, FrameIoError, FrameRead, WireError, WireTag,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    read_frame, write_frame, ErrorCode, Frame, FrameIoError, FrameRead, StoreEntry, WireError,
+    WireTag, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
 // ---------------------------------------------------------------------
@@ -44,7 +44,15 @@ impl XorShift {
     }
 }
 
-/// One pseudo-random frame of any variant.
+fn random_tag(rng: &mut XorShift) -> WireTag {
+    WireTag {
+        seq: rng.next_u64(),
+        writer: rng.next_u64() as u32,
+    }
+}
+
+/// One pseudo-random frame of any variant; the batched kinds (3/4/5)
+/// carry zero to eight entries.
 fn random_frame(rng: &mut XorShift) -> Frame {
     match rng.below(7) {
         0 => Frame::Hello {
@@ -57,34 +65,38 @@ fn random_frame(rng: &mut XorShift) -> Frame {
         },
         2 => Frame::Query {
             id: rng.next_u64(),
-            lane: rng.next_u64() as u32,
-            segment: rng.next_u64() as u32,
+            registers: (0..rng.below(9))
+                .map(|_| (rng.next_u64() as u32, rng.next_u64() as u32))
+                .collect(),
         },
         3 => Frame::Store {
             id: rng.next_u64(),
-            lane: rng.next_u64() as u32,
-            segment: rng.next_u64() as u32,
-            tag: WireTag {
-                seq: rng.next_u64(),
-                writer: rng.next_u64() as u32,
-            },
-            value: {
-                let len = rng.below(64);
-                rng.bytes(len)
-            },
+            entries: (0..rng.below(9))
+                .map(|_| StoreEntry {
+                    lane: rng.next_u64() as u32,
+                    segment: rng.next_u64() as u32,
+                    tag: random_tag(rng),
+                    value: {
+                        let len = rng.below(64);
+                        rng.bytes(len)
+                    },
+                })
+                .collect(),
         },
         4 => Frame::QueryReply {
             id: rng.next_u64(),
-            tag: WireTag {
-                seq: rng.next_u64(),
-                writer: rng.next_u64() as u32,
-            },
-            value: if rng.below(2) == 0 {
-                None
-            } else {
-                let len = rng.below(64);
-                Some(rng.bytes(len))
-            },
+            values: (0..rng.below(9))
+                .map(|_| {
+                    let tag = random_tag(rng);
+                    let value = if rng.below(2) == 0 {
+                        None
+                    } else {
+                        let len = rng.below(64);
+                        Some(rng.bytes(len))
+                    };
+                    (tag, value)
+                })
+                .collect(),
         },
         5 => Frame::StoreAck { id: rng.next_u64() },
         _ => Frame::Error {
@@ -182,10 +194,12 @@ fn seeded_fuzz_random_garbage_never_panics() {
 fn framing_layer_round_trips_and_rejects_oversize_on_both_sides() {
     let frame = Frame::Store {
         id: 9,
-        lane: 1,
-        segment: 2,
-        tag: WireTag { seq: 3, writer: 4 },
-        value: vec![0xAB; 4096],
+        entries: vec![StoreEntry {
+            lane: 1,
+            segment: 2,
+            tag: WireTag { seq: 3, writer: 4 },
+            value: vec![0xAB; 4096],
+        }],
     };
     let body = frame.encode();
 
@@ -262,28 +276,41 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             version: PROTOCOL_VERSION,
             replica
         }),
-        (any::<u64>(), any::<u32>(), any::<u32>())
-            .prop_map(|(id, lane, segment)| Frame::Query { id, lane, segment }),
         (
             any::<u64>(),
-            any::<u32>(),
-            any::<u32>(),
-            arb_tag(),
-            proptest::collection::vec(any::<u8>(), 0..256)
+            proptest::collection::vec((any::<u32>(), any::<u32>()), 0..9)
         )
-            .prop_map(|(id, lane, segment, tag, value)| Frame::Store {
-                id,
-                lane,
-                segment,
-                tag,
-                value
-            }),
+            .prop_map(|(id, registers)| Frame::Query { id, registers }),
         (
             any::<u64>(),
-            arb_tag(),
-            proptest::option::of(proptest::collection::vec(any::<u8>(), 0..256))
+            proptest::collection::vec(
+                (
+                    any::<u32>(),
+                    any::<u32>(),
+                    arb_tag(),
+                    proptest::collection::vec(any::<u8>(), 0..256)
+                )
+                    .prop_map(|(lane, segment, tag, value)| StoreEntry {
+                        lane,
+                        segment,
+                        tag,
+                        value
+                    }),
+                0..9
+            )
         )
-            .prop_map(|(id, tag, value)| Frame::QueryReply { id, tag, value }),
+            .prop_map(|(id, entries)| Frame::Store { id, entries }),
+        (
+            any::<u64>(),
+            proptest::collection::vec(
+                (
+                    arb_tag(),
+                    proptest::option::of(proptest::collection::vec(any::<u8>(), 0..256))
+                ),
+                0..9
+            )
+        )
+            .prop_map(|(id, values)| Frame::QueryReply { id, values }),
         any::<u64>().prop_map(|id| Frame::StoreAck { id }),
         (any::<u64>(), any::<u16>(), "[ -~]{0,48}").prop_map(|(id, code, detail)| {
             Frame::Error {
