@@ -6,11 +6,11 @@
 //! ones where links lose, duplicate, delay and reorder messages and
 //! partitions come and go. [`FaultPlan`] configures all of that per link
 //! (one link = the path between the clients and one replica), driven by a
-//! single [`StdRng`] seed so every run is reproducible; [`Nemesis`] walks
+//! single [`SeededRng`] seed so every run is reproducible; [`Nemesis`] walks
 //! a schedule of fault phases (heal → partition a minority → flap a
 //! replica → heal) over wall-clock or message-count triggers.
 //!
-//! [`StdRng`]: rand::rngs::StdRng
+//! [`SeededRng`]: snapshot_registers::SeededRng
 
 use std::time::{Duration, Instant};
 
@@ -118,7 +118,7 @@ impl Default for LinkFault {
 /// one default [`LinkFault`] plus per-replica overrides.
 ///
 /// Replica `i`'s fault decisions are drawn from
-/// `StdRng::seed_from_u64(seed + i)`, so a fixed seed fixes the entire
+/// `SeededRng::new(seed + i)`, so a fixed seed fixes the entire
 /// drop/duplicate/reorder decision sequence of every link. Partitions and
 /// crashes are *not* part of the static plan — they are runtime state,
 /// driven by [`Network::partition`]/[`Network::crash`] or a [`Nemesis`]

@@ -15,7 +15,7 @@
 //!   injection, runtime partitions and fault/retry counters;
 //! * [`FaultPlan`] / [`LinkFault`] — a seeded, reproducible fault plan:
 //!   per-link drop/duplicate/reorder/delay probabilities and reply loss,
-//!   all drawn from one `StdRng` seed;
+//!   all drawn from one `SeededRng` seed;
 //! * [`Nemesis`] — a driver that walks a schedule of fault phases
 //!   (heal → partition a minority → flap a replica → heal) over
 //!   wall-clock or message-count triggers while a workload runs;

@@ -2,14 +2,12 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
-use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use snapshot_obs::{Registry, Trace};
+use snapshot_registers::SeededRng;
 
 use crate::fault::{FaultPlan, LinkFault};
 use crate::message::{Request, RequestId};
@@ -182,6 +180,16 @@ impl LinkState {
             cut_outbound: AtomicBool::new(false),
         }
     }
+
+    // A poisoned lock yields its guard in both directions: the policy is
+    // replaced whole, never edited in place.
+    fn fault(&self) -> RwLockReadGuard<'_, LinkFault> {
+        self.fault.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn set_fault(&self, fault: LinkFault) {
+        *self.fault.write().unwrap_or_else(PoisonError::into_inner) = fault;
+    }
 }
 
 struct Replica {
@@ -214,20 +222,20 @@ struct ReplicaCore {
     link: Arc<LinkState>,
     counters: Arc<Counters>,
     /// Fault-decision RNG (seeded from the fault plan).
-    rng: StdRng,
+    rng: SeededRng,
     /// Processing-jitter RNG (seeded from `jitter_seed`).
-    jitter: Option<StdRng>,
+    jitter: Option<SeededRng>,
 }
 
 impl ReplicaCore {
     fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.rng.random_bool(p.clamp(0.0, 1.0))
+        p > 0.0 && self.rng.chance(p)
     }
 
     /// Applies link faults to a freshly arrived request; surviving copies
     /// are delivered now or pushed onto the holdback buffer.
     fn admit(&mut self, held: &mut Vec<(Request, u32)>, request: Request) {
-        let fault = self.link.fault.read().clone();
+        let fault = self.link.fault().clone();
         if self.link.cut_inbound.load(Ordering::Acquire) || self.chance(fault.drop) {
             self.counters.messages_dropped.inc();
             return;
@@ -240,7 +248,7 @@ impl ReplicaCore {
         }
         if fault.reorder_window > 0 && self.chance(fault.reorder) {
             self.counters.messages_reordered.inc();
-            let holdback = self.rng.random_range(1..=fault.reorder_window as u32);
+            let holdback = self.rng.range(1..=fault.reorder_window as u64) as u32;
             held.push((request, holdback));
         } else {
             self.deliver_delayed(&fault, request);
@@ -250,11 +258,7 @@ impl ReplicaCore {
     fn deliver_delayed(&mut self, fault: &LinkFault, request: Request) {
         if let Some((min, max)) = fault.delay {
             let (lo, hi) = (min.as_micros() as u64, max.as_micros() as u64);
-            let micros = if hi > lo {
-                self.rng.random_range(lo..=hi)
-            } else {
-                lo
-            };
+            let micros = if hi > lo { self.rng.range(lo..=hi) } else { lo };
             if micros > 0 {
                 std::thread::sleep(Duration::from_micros(micros));
             }
@@ -265,7 +269,7 @@ impl ReplicaCore {
     /// Processes one delivered request: dedup by request id, apply, reply.
     fn deliver(&mut self, request: Request) {
         if let Some(rng) = &mut self.jitter {
-            for _ in 0..rng.random_range(0..3) {
+            for _ in 0..rng.below(3) {
                 std::thread::yield_now();
             }
         }
@@ -342,7 +346,7 @@ impl ReplicaCore {
     }
 
     fn reply(&mut self, to: &ReplyInbox, reply: Reply) {
-        let reply_drop = self.link.fault.read().reply_drop;
+        let reply_drop = self.link.fault().reply_drop;
         if self.link.cut_outbound.load(Ordering::Acquire) || self.chance(reply_drop) {
             self.counters.messages_dropped.inc();
             return;
@@ -452,7 +456,7 @@ impl Network {
             .collect();
         let replicas = (0..config.replicas)
             .map(|i| {
-                let (tx, rx) = unbounded::<Request>();
+                let (tx, rx) = channel::<Request>();
                 let crashed = Arc::new(AtomicBool::new(false));
                 let mut core = ReplicaCore {
                     index: i,
@@ -462,10 +466,10 @@ impl Network {
                     crashed: Arc::clone(&crashed),
                     link: Arc::clone(&links[i]),
                     counters: Arc::clone(&counters),
-                    rng: StdRng::seed_from_u64(fault_seed.wrapping_add(i as u64)),
+                    rng: SeededRng::new(fault_seed.wrapping_add(i as u64)),
                     jitter: config
                         .jitter_seed
-                        .map(|seed| StdRng::seed_from_u64(seed.wrapping_add(i as u64))),
+                        .map(|seed| SeededRng::new(seed.wrapping_add(i as u64))),
                 };
                 let panic_flag = Arc::clone(&panicked);
                 let thread = std::thread::Builder::new()
@@ -637,13 +641,13 @@ impl Network {
     ///
     /// Panics if `index` is out of range.
     pub fn set_fault(&self, index: usize, fault: LinkFault) {
-        *self.links[index].fault.write() = fault;
+        self.links[index].set_fault(fault);
     }
 
     /// Replaces every link's fault policy.
     pub fn set_fault_all(&self, fault: LinkFault) {
         for link in &self.links {
-            *link.fault.write() = fault.clone();
+            link.set_fault(fault.clone());
         }
     }
 
@@ -754,14 +758,11 @@ struct SimPhase<'a> {
 
 impl Phase for SimPhase<'_> {
     fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize {
-        self.net.send_where(
-            |i| include(i),
-            || Request::Phase {
-                id: self.id,
-                request: Arc::clone(&self.request),
-                reply: Arc::clone(&self.inbox),
-            },
-        )
+        self.net.send_where(include, || Request::Phase {
+            id: self.id,
+            request: Arc::clone(&self.request),
+            reply: Arc::clone(&self.inbox),
+        })
     }
 
     fn recv_deadline(&mut self, deadline: std::time::Instant) -> Option<Reply> {
@@ -912,7 +913,7 @@ mod tests {
             crashed: Arc::new(AtomicBool::new(false)),
             link: Arc::new(LinkState::new(LinkFault::healthy())),
             counters: Arc::new(Counters::default()),
-            rng: StdRng::seed_from_u64(0),
+            rng: SeededRng::new(0),
             jitter: None,
         };
         assert!(core.note_seen(RequestId(0)));

@@ -37,11 +37,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use snapshot_obs::{Counter, Event, Registry, Trace};
 use snapshot_wire::{
     read_frame, write_frame, Endpoint, ErrorCode, Frame, FrameIoError, FrameRead, StoreEntry,
@@ -518,7 +518,7 @@ impl RemoteTransport {
                     redial_initial: config.redial_initial,
                     redial_max: config.redial_max,
                 });
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 let manager = {
                     let shared = Arc::clone(&shared);
                     std::thread::Builder::new()

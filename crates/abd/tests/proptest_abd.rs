@@ -1,15 +1,16 @@
 //! Property tests for the ABD register emulation: sequential semantics
 //! against a last-write model, invariance under minority crash/restart
-//! churn, and quorum arithmetic.
+//! churn, and quorum arithmetic. Each property runs over a fixed number
+//! of seeded cases; a failure names its case, and
+//! `SeededRng::new(SEED ^ case)` regenerates it.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::prelude::*;
 use snapshot_abd::{
     AbdBackend, AbdRegister, FaultPlan, LinkFault, Network, NetworkConfig, RetryPolicy,
 };
-use snapshot_registers::{Backend, ProcessId, Register};
+use snapshot_registers::{Backend, ProcessId, Register, SeededRng};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -30,27 +31,33 @@ enum Op {
     },
 }
 
-fn ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0..4usize, any::<u64>()).prop_map(|(pid, value)| Op::Write { pid, value }),
-            (0..4usize).prop_map(|pid| Op::Read { pid }),
-            (0..8usize).prop_map(|index| Op::Crash { index }),
-            (0..8usize).prop_map(|index| Op::Restart { index }),
-        ],
-        0..len,
-    )
+/// Fewer than `len` operations: writes and reads by four processes, and
+/// crash/restart requests.
+fn ops(rng: &mut SeededRng, len: usize) -> Vec<Op> {
+    (0..rng.below(len))
+        .map(|_| match rng.below(4) {
+            0 => Op::Write {
+                pid: rng.below(4),
+                value: rng.next_u64(),
+            },
+            1 => Op::Read { pid: rng.below(4) },
+            2 => Op::Crash {
+                index: rng.below(8),
+            },
+            _ => Op::Restart {
+                index: rng.below(8),
+            },
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn sequential_semantics_survive_crash_restart_churn(
-        replicas in prop::sample::select(vec![3usize, 5]),
-        init in any::<u64>(),
-        script in ops(24),
-    ) {
+#[test]
+fn sequential_semantics_survive_crash_restart_churn() {
+    for case in 0..32 {
+        let mut rng = SeededRng::new(0xC2A5 ^ case);
+        let replicas = [3usize, 5][rng.below(2)];
+        let init = rng.next_u64();
+        let script = ops(&mut rng, 24);
         let network = Arc::new(Network::new(replicas));
         let backend = AbdBackend::new(&network);
         let reg = backend.cell(init);
@@ -65,7 +72,7 @@ proptest! {
                     model = value;
                 }
                 Op::Read { pid } => {
-                    prop_assert_eq!(reg.read(ProcessId::new(pid)), model);
+                    assert_eq!(reg.read(ProcessId::new(pid)), model, "case {case}");
                 }
                 Op::Crash { index } => {
                     let i = index % replicas;
@@ -85,49 +92,60 @@ proptest! {
             }
         }
     }
+}
 
-    #[test]
-    fn independent_registers_do_not_interfere(
-        writes in prop::collection::vec((0..3usize, any::<u64>()), 1..16)
-    ) {
+#[test]
+fn independent_registers_do_not_interfere() {
+    for case in 0..32 {
+        let mut rng = SeededRng::new(0x12D9 ^ case);
         let network = Arc::new(Network::with_config(NetworkConfig::new(3).with_jitter(1)));
         let backend = AbdBackend::new(&network);
         let regs: Vec<_> = (0..3).map(|i| backend.cell(i as u64)).collect();
         let mut model = [0u64, 1, 2];
         let p = ProcessId::new(0);
-        for (which, value) in writes {
+        for _ in 0..1 + rng.below(15) {
+            let (which, value) = (rng.below(3), rng.next_u64());
             regs[which].write(p, value);
             model[which] = value;
             for (i, r) in regs.iter().enumerate() {
-                prop_assert_eq!(r.read(p), model[i]);
+                assert_eq!(r.read(p), model[i], "case {case}");
             }
         }
     }
+}
 
-    #[test]
-    fn quorum_is_a_strict_majority(replicas in 1usize..12) {
+#[test]
+fn quorum_is_a_strict_majority() {
+    // The whole domain, not a sample of it.
+    for replicas in 1usize..12 {
         let network = Network::new(replicas);
-        prop_assert!(2 * network.quorum() > replicas);
-        prop_assert!(2 * (network.quorum() - 1) <= replicas);
-        prop_assert_eq!(network.fault_tolerance(), replicas - network.quorum());
+        assert!(2 * network.quorum() > replicas, "{replicas} replicas");
+        assert!(
+            2 * (network.quorum() - 1) <= replicas,
+            "{replicas} replicas"
+        );
+        assert_eq!(
+            network.fault_tolerance(),
+            replicas - network.quorum(),
+            "{replicas} replicas"
+        );
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Sequential semantics are *fault-oblivious*: under any seeded mix of
-    /// message drops, duplicates and reordering (majority still reachable),
-    /// retransmission plus replica-side dedup must make every operation
-    /// complete with exactly the last-write model's answer.
-    #[test]
-    fn sequential_semantics_survive_a_lossy_network(
-        seed in any::<u64>(),
-        drop in 0.0f64..0.35,
-        duplicate in 0.0f64..0.3,
-        reorder in 0.0f64..0.3,
-        script in prop::collection::vec((0..4usize, any::<u64>()), 1..12),
-    ) {
+/// Sequential semantics are *fault-oblivious*: under any seeded mix of
+/// message drops, duplicates and reordering (majority still reachable),
+/// retransmission plus replica-side dedup must make every operation
+/// complete with exactly the last-write model's answer.
+#[test]
+fn sequential_semantics_survive_a_lossy_network() {
+    for case in 0..16 {
+        let mut rng = SeededRng::new(0x1055 ^ case);
+        let seed = rng.next_u64();
+        let (drop, duplicate, reorder) = (
+            rng.unit() * 0.35,
+            rng.unit() * 0.3,
+            rng.unit() * 0.3,
+        );
         let fault = LinkFault::healthy()
             .with_drop(drop)
             .with_duplicate(duplicate)
@@ -145,14 +163,13 @@ proptest! {
                 }),
         ));
         let reg = AbdRegister::new(Arc::clone(&network), 0u64);
-        let mut model = 0u64;
-        for (pid, value) in script {
-            let p = ProcessId::new(pid);
-            reg.try_write(p, value).expect("majority reachable: write completes");
-            model = value;
+        for _ in 0..1 + rng.below(11) {
+            let (p, value) = (ProcessId::new(rng.below(4)), rng.next_u64());
+            reg.try_write(p, value)
+                .expect("majority reachable: write completes");
             let got = reg.try_read(p).expect("majority reachable: read completes");
-            prop_assert_eq!(got, model);
+            assert_eq!(got, value, "case {case}");
         }
-        prop_assert!(!network.poisoned());
+        assert!(!network.poisoned(), "case {case}");
     }
 }

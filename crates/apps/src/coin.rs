@@ -138,7 +138,7 @@ impl<B: Backend> fmt::Debug for SharedCoinHandle<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{RngExt, SeedableRng};
+    use snapshot_registers::SeededRng;
 
     #[test]
     fn biased_local_coins_fix_the_outcome() {
@@ -167,11 +167,11 @@ mod tests {
                     .map(|i| {
                         let coin = &coin;
                         s.spawn(move || {
-                            let mut rng = rand::rngs::StdRng::seed_from_u64(
+                            let mut rng = SeededRng::new(
                                 round as u64 * 100 + i as u64,
                             );
                             let mut h = coin.handle(ProcessId::new(i));
-                            h.flip(&mut || rng.random_bool(0.5))
+                            h.flip(&mut || rng.chance(0.5))
                         })
                     })
                     .collect::<Vec<_>>()

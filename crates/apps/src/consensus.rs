@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn conflicting_inputs_agree_with_random_coins() {
-        use rand::{RngExt, SeedableRng};
+        use snapshot_registers::SeededRng;
         for seed in 0..20u64 {
             let n = 4;
             let c = RandomizedConsensus::new(n, 64);
@@ -316,9 +316,9 @@ mod tests {
                     .map(|i| {
                         let c = &c;
                         s.spawn(move || {
-                            let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 100 + i as u64);
+                            let mut rng = SeededRng::new(seed * 100 + i as u64);
                             let mut h = c.handle(ProcessId::new(i));
-                            h.propose(i % 2 == 0, &mut || rng.random_bool(0.5)).unwrap()
+                            h.propose(i % 2 == 0, &mut || rng.chance(0.5)).unwrap()
                         })
                     })
                     .collect::<Vec<_>>()
@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn shared_coin_configuration_reaches_agreement() {
-        use rand::{RngExt, SeedableRng};
+        use snapshot_registers::SeededRng;
         for seed in 0..10u64 {
             let n = 4;
             let backend = snapshot_registers::EpochBackend::new();
@@ -347,9 +347,9 @@ mod tests {
                         let c = &c;
                         s.spawn(move || {
                             let mut rng =
-                                rand::rngs::StdRng::seed_from_u64(seed * 1000 + i as u64);
+                                SeededRng::new(seed * 1000 + i as u64);
                             let mut h = c.handle(ProcessId::new(i));
-                            h.propose(i % 2 == 0, &mut || rng.random_bool(0.5))
+                            h.propose(i % 2 == 0, &mut || rng.chance(0.5))
                                 .unwrap()
                         })
                     })

@@ -1,12 +1,15 @@
 //! Property tests for the specification automata: serial executions
 //! generated against a reference memory model are accepted; mutations
-//! that break the semantics are rejected.
+//! that break the semantics are rejected. Each property runs over `CASES`
+//! seeded cases; a failure names its case, and
+//! `SeededRng::new(SEED ^ case)` regenerates it.
 
-use proptest::prelude::*;
 use snapshot_automata::{
     accepts, check_well_formed, ExternalEvent, Mws, MwsAction, Sws, SwsAction,
 };
-use snapshot_registers::ProcessId;
+use snapshot_registers::{ProcessId, SeededRng};
+
+const CASES: u64 = 128;
 
 #[derive(Clone, Debug)]
 enum SerialOp {
@@ -14,14 +17,21 @@ enum SerialOp {
     Scan { pid: usize },
 }
 
-fn serial_ops(max_procs: usize, len: usize) -> impl Strategy<Value = Vec<SerialOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0..max_procs, any::<u64>()).prop_map(|(pid, value)| SerialOp::Update { pid, value }),
-            (0..max_procs).prop_map(|pid| SerialOp::Scan { pid }),
-        ],
-        0..len,
-    )
+/// Fewer than `len` operations by processes `0..max_procs`.
+fn serial_ops(rng: &mut SeededRng, max_procs: usize, len: usize) -> Vec<SerialOp> {
+    (0..rng.below(len))
+        .map(|_| {
+            let pid = rng.below(max_procs);
+            if rng.chance(0.5) {
+                SerialOp::Update {
+                    pid,
+                    value: rng.next_u64(),
+                }
+            } else {
+                SerialOp::Scan { pid }
+            }
+        })
+        .collect()
 }
 
 /// Expands serial ops into full SWS action triples, tracking the memory
@@ -55,25 +65,26 @@ fn sws_actions(n: usize, ops: &[SerialOp]) -> Vec<SwsAction<u64>> {
     actions
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn serial_executions_are_accepted_by_sws(
-        n in 1usize..5,
-        ops in serial_ops(5, 20),
-    ) {
+#[test]
+fn serial_executions_are_accepted_by_sws() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x5E21 ^ case);
+        let n = 1 + rng.below(4);
+        let ops = serial_ops(&mut rng, 5, 20);
         let sws = Sws::new(n, 0u64);
-        prop_assert!(accepts(&sws, &sws_actions(n, &ops)));
+        assert!(accepts(&sws, &sws_actions(n, &ops)), "case {case}");
     }
+}
 
-    #[test]
-    fn corrupted_scan_views_are_rejected_by_sws(
-        n in 1usize..5,
-        ops in serial_ops(5, 20),
-        which in any::<prop::sample::Index>(),
-        delta in 1u64..100,
-    ) {
+#[test]
+fn corrupted_scan_views_are_rejected_by_sws() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xC022 ^ case);
+        let n = 1 + rng.below(4);
+        let mut ops = serial_ops(&mut rng, 5, 20);
+        // The property needs a scan to corrupt.
+        ops.push(SerialOp::Scan { pid: rng.below(5) });
+        let delta = rng.range(1..=99);
         let mut actions = sws_actions(n, &ops);
         let scan_positions: Vec<usize> = actions
             .iter()
@@ -81,8 +92,7 @@ proptest! {
             .filter(|(_, a)| matches!(a, SwsAction::Scan { .. }))
             .map(|(i, _)| i)
             .collect();
-        prop_assume!(!scan_positions.is_empty());
-        let target = scan_positions[which.index(scan_positions.len())];
+        let target = scan_positions[rng.below(scan_positions.len())];
         if let SwsAction::Scan { view, .. } = &mut actions[target] {
             view[0] = view[0].wrapping_add(delta);
         }
@@ -90,15 +100,18 @@ proptest! {
         // either the Scan is disabled (wrong memory) or the return
         // mismatches: rejected both ways.
         let sws = Sws::new(n, 0u64);
-        prop_assert!(!accepts(&sws, &actions));
+        assert!(!accepts(&sws, &actions), "case {case}");
     }
+}
 
-    #[test]
-    fn dropped_internal_actions_are_rejected(
-        n in 1usize..4,
-        ops in serial_ops(4, 10),
-        which in any::<prop::sample::Index>(),
-    ) {
+#[test]
+fn dropped_internal_actions_are_rejected() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xD209 ^ case);
+        let n = 1 + rng.below(3);
+        let mut ops = serial_ops(&mut rng, 4, 10);
+        // The property needs an internal action to drop.
+        ops.push(SerialOp::Scan { pid: rng.below(4) });
         let actions = sws_actions(n, &ops);
         let internal_positions: Vec<usize> = actions
             .iter()
@@ -106,49 +119,55 @@ proptest! {
             .filter(|(_, a)| a.is_internal())
             .map(|(i, _)| i)
             .collect();
-        prop_assume!(!internal_positions.is_empty());
-        let target = internal_positions[which.index(internal_positions.len())];
+        let target = internal_positions[rng.below(internal_positions.len())];
         let mut mutated = actions.clone();
         mutated.remove(target);
         let sws = Sws::new(n, 0u64);
-        prop_assert!(!accepts(&sws, &mutated));
+        assert!(!accepts(&sws, &mutated), "case {case}");
     }
+}
 
-    #[test]
-    fn serial_multiwriter_executions_are_accepted_by_mws(
-        n in 1usize..4,
-        m in 1usize..4,
-        raw in prop::collection::vec((0usize..4, 0usize..4, any::<u64>(), any::<bool>()), 0..16),
-    ) {
+#[test]
+fn serial_multiwriter_executions_are_accepted_by_mws() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x3352 ^ case);
+        let (n, m) = (1 + rng.below(3), 1 + rng.below(3));
         let mws = Mws::new(n, m, 0u64);
         let mut mem = vec![0u64; m];
         let mut actions = Vec::new();
-        for (pid, word, value, is_update) in raw {
-            let pid = ProcessId::new(pid % n);
-            let word = word % m;
-            if is_update {
+        for _ in 0..rng.below(16) {
+            let pid = ProcessId::new(rng.below(n));
+            let word = rng.below(m);
+            if rng.chance(0.5) {
+                let value = rng.next_u64();
                 mem[word] = value;
                 actions.push(MwsAction::UpdateRequest { pid, word, value });
                 actions.push(MwsAction::Update { pid, word, value });
                 actions.push(MwsAction::UpdateReturn { pid });
             } else {
                 actions.push(MwsAction::ScanRequest { pid });
-                actions.push(MwsAction::Scan { pid, view: mem.clone() });
-                actions.push(MwsAction::ScanReturn { pid, view: mem.clone() });
+                actions.push(MwsAction::Scan {
+                    pid,
+                    view: mem.clone(),
+                });
+                actions.push(MwsAction::ScanReturn {
+                    pid,
+                    view: mem.clone(),
+                });
             }
         }
-        prop_assert!(accepts(&mws, &actions));
+        assert!(accepts(&mws, &actions), "case {case}");
     }
+}
 
-    #[test]
-    fn well_formedness_matches_a_reference_pending_model(
-        events in prop::collection::vec((0usize..3, 0u8..4), 0..24)
-    ) {
-        let events: Vec<ExternalEvent> = events
-            .into_iter()
-            .map(|(pid, kind)| {
-                let pid = ProcessId::new(pid);
-                match kind {
+#[test]
+fn well_formedness_matches_a_reference_pending_model() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x3E11 ^ case);
+        let events: Vec<ExternalEvent> = (0..rng.below(24))
+            .map(|_| {
+                let pid = ProcessId::new(rng.below(3));
+                match rng.below(4) {
                     0 => ExternalEvent::UpdateRequest(pid),
                     1 => ExternalEvent::UpdateReturn(pid),
                     2 => ExternalEvent::ScanRequest(pid),
@@ -162,21 +181,21 @@ proptest! {
         let mut model_ok = true;
         for e in &events {
             let key = e.pid().get();
-            match e {
-                ExternalEvent::UpdateRequest(_) => {
-                    if pending.insert(key, 0).is_some() { model_ok = false; break; }
-                }
-                ExternalEvent::ScanRequest(_) => {
-                    if pending.insert(key, 1).is_some() { model_ok = false; break; }
-                }
-                ExternalEvent::UpdateReturn(_) => {
-                    if pending.remove(&key) != Some(0) { model_ok = false; break; }
-                }
-                ExternalEvent::ScanReturn(_) => {
-                    if pending.remove(&key) != Some(1) { model_ok = false; break; }
-                }
+            let step_ok = match e {
+                ExternalEvent::UpdateRequest(_) => pending.insert(key, 0).is_none(),
+                ExternalEvent::ScanRequest(_) => pending.insert(key, 1).is_none(),
+                ExternalEvent::UpdateReturn(_) => pending.remove(&key) == Some(0),
+                ExternalEvent::ScanReturn(_) => pending.remove(&key) == Some(1),
+            };
+            if !step_ok {
+                model_ok = false;
+                break;
             }
         }
-        prop_assert_eq!(check_well_formed(&events).is_ok(), model_ok);
+        assert_eq!(
+            check_well_formed(&events).is_ok(),
+            model_ok,
+            "case {case}: {events:?}"
+        );
     }
 }

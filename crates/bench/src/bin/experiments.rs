@@ -24,7 +24,7 @@
 //! * `e5` — linearizability battery: exhaustive + randomized model
 //!   checking and threaded stress, plus the Figure 4 retry-edge ablation;
 //! * `e6` — wall-clock latency/throughput of all algorithms vs the lock
-//!   baseline (criterion benches give the precise distributions);
+//!   baseline (`bash benchmark/run.sh` gives the distributions);
 //! * `e7` — snapshots over message passing via \[ABD\] under replica
 //!   crashes (Section 6);
 //! * `e8` — observability demo: one shared trace across a threaded soak,
@@ -32,8 +32,8 @@
 //!   registry and (optionally) JSON-lines / chrome://tracing dumps.
 
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use snapshot_bench::anderson_model as model;
 use snapshot_bench::harness::{self, run_mw_sim, run_sw_sim, sw_mixed_scripts, MwStep, SwStep};
 use snapshot_bench::report::Table;
@@ -48,6 +48,12 @@ use snapshot_sim::{
     Decision, ExploreLimits, Explorer, FnPolicy, OpBiasPolicy, RandomPolicy, RoundRobinPolicy, Sim,
     SimConfig,
 };
+
+/// A poisoned lock yields its guard: simulated bodies may be abandoned
+/// mid-step, and the maxima they recorded before that are still wanted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -294,7 +300,7 @@ macro_rules! measure_sw {
                         let before = counters.snapshot(pid);
                         h.update(k);
                         let cost = (counters.snapshot(pid) - before).total();
-                        let mut w = worst.lock();
+                        let mut w = lock(worst);
                         w.2 = w.2.max(cost);
                     }
                 }));
@@ -310,7 +316,7 @@ macro_rules! measure_sw {
                         let before = counters.snapshot(pid);
                         let (_, stats) = h.scan_with_stats();
                         let cost = (counters.snapshot(pid) - before).total();
-                        let mut w = worst.lock();
+                        let mut w = lock(worst);
                         w.0 = w.0.max(stats.double_collects);
                         w.1 = w.1.max(cost);
                     }
@@ -326,7 +332,7 @@ macro_rules! measure_sw {
                 bodies,
             )
             .expect("simulation failed");
-            let (dc, so, uo) = *worst.lock();
+            let (dc, so, uo) = *lock(&worst);
             max_dc = max_dc.max(dc);
             max_scan_ops = max_scan_ops.max(so);
             max_update_ops = max_update_ops.max(uo);
@@ -336,7 +342,8 @@ macro_rules! measure_sw {
             OpKind::Write,
             RoundRobinPolicy::new(),
         ));
-        for seed in 0..$seeds {
+        let seeds: u64 = $seeds; // zero for the deterministic-only cells
+        for seed in 0..seeds {
             run_one(&mut RandomPolicy::seeded(seed));
         }
         (max_dc, max_scan_ops, max_update_ops)
@@ -426,7 +433,7 @@ fn e2_multi_writer_complexity() {
                         let before = counters.snapshot(pid);
                         h.update(i % m, k);
                         let cost = (counters.snapshot(pid) - before).total();
-                        let mut w = worst.lock();
+                        let mut w = lock(worst);
                         w.2 = w.2.max(cost);
                     }
                 }));
@@ -442,7 +449,7 @@ fn e2_multi_writer_complexity() {
                         let before = counters.snapshot(pid);
                         let (_, stats) = h.scan_with_stats();
                         let cost = (counters.snapshot(pid) - before).total();
-                        let mut w = worst.lock();
+                        let mut w = lock(worst);
                         w.0 = w.0.max(stats.double_collects);
                         w.1 = w.1.max(cost);
                     }
@@ -458,7 +465,7 @@ fn e2_multi_writer_complexity() {
                 bodies,
             )
             .expect("simulation failed");
-            let (dc, so, uo) = *worst.lock();
+            let (dc, so, uo) = *lock(&worst);
             max_dc = max_dc.max(dc);
             max_scan_ops = max_scan_ops.max(so);
             max_update_ops = max_update_ops.max(uo);
@@ -519,7 +526,7 @@ fn e3_starvation() {
             let outcome = &outcome;
             bodies.push(Box::new(move || {
                 let mut h = object.handle(ProcessId::new(1));
-                *outcome.lock() = h.try_scan(budget).map(|(_, s)| s.double_collects);
+                *lock(outcome) = h.try_scan(budget).map(|(_, s)| s.double_collects);
             }));
         }
         sim.run(
@@ -532,7 +539,7 @@ fn e3_starvation() {
             bodies,
         )
         .expect("simulation failed");
-        let o = *outcome.lock();
+        let o = *lock(&outcome);
         t.row(&[
             "double-collect (Obs. 1 only)".to_string(),
             budget.to_string(),
@@ -822,7 +829,7 @@ fn figure4_attack_finds_violation(variant: MwVariant) -> bool {
 
 fn e6_wall_clock() {
     let mut t = Table::new(
-        "E6 — wall-clock costs on this machine (real threads; see criterion benches for distributions)",
+        "E6 — wall-clock costs on this machine (real threads; `bash benchmark/run.sh` for distributions)",
         &[
             "n",
             "algorithm",

@@ -262,11 +262,10 @@ fn main() {
     })
     .explore::<String>(|policy| {
         let history = run_one(policy)?;
-        verdict(&history).map_err(|e| {
+        verdict(&history).inspect_err(|_| {
             // Re-derive the schedule for shrinking via taken choices.
             let schedule = policy.taken().to_vec();
             report_violation(schedule, &history);
-            e
         })?;
         runs += 1;
         Ok(())

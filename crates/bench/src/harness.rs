@@ -6,11 +6,9 @@
 //! `k`-th update of a process), which makes every written value unique —
 //! a precondition of the fast interval checker and harmless elsewhere.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use snapshot_core::{MwSnapshot, MwSnapshotHandle, SwSnapshot, SwSnapshotHandle};
 use snapshot_lin::{History, Recorder};
-use snapshot_registers::{EpochBackend, Instrumented, ProcessId};
+use snapshot_registers::{EpochBackend, Instrumented, ProcessId, SeededRng};
 use snapshot_sim::{SchedulePolicy, Sim, SimConfig, SimError, SimReport};
 
 /// The backend handed to object builders in the simulator runners: the
@@ -64,12 +62,12 @@ pub fn sw_scanner_vs_updaters(n: usize, updates: usize, scans: usize) -> Vec<Vec
 /// Seeded random single-writer scripts with `len` steps per process and
 /// the given probability of a step being an update.
 pub fn sw_random_scripts(n: usize, len: usize, update_prob: f64, seed: u64) -> Vec<Vec<SwStep>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::new(seed);
     (0..n)
         .map(|_| {
             (0..len)
                 .map(|_| {
-                    if rng.random_bool(update_prob) {
+                    if rng.chance(update_prob) {
                         SwStep::Update
                     } else {
                         SwStep::Scan
@@ -106,13 +104,13 @@ pub fn mw_contended_scripts(
     update_prob: f64,
     seed: u64,
 ) -> Vec<Vec<MwStep>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::new(seed);
     (0..n)
         .map(|_| {
             (0..len)
                 .map(|_| {
-                    if rng.random_bool(update_prob) {
-                        MwStep::Update(rng.random_range(0..m))
+                    if rng.chance(update_prob) {
+                        MwStep::Update(rng.below(m))
                     } else {
                         MwStep::Scan
                     }

@@ -14,18 +14,15 @@
 //!   baseline);
 //! * [`report`] — plain-text table rendering for the `experiments` binary;
 //! * [`scripted`] — wrapper cores that intercept full scans (held
-//!   collects, injected outages) for the service tests and the
-//!   `degraded-shard` bench cell;
-//! * [`tracked`] — the `snapbench` JSON report format (schema
-//!   `snapbench/v1`) and its regression comparator;
-//! * [`trend`] — the multi-generation trend barometer over every
-//!   committed `BENCH_*.json` (`snapbench trend`);
-//! * `benches/` — criterion micro-benchmarks of scan/update latency and
-//!   contention behavior;
+//!   collects, injected outages) for the service tests;
 //! * `src/bin/experiments.rs` — the table generator
 //!   (`cargo run -p snapshot-bench --release --bin experiments -- all`);
-//! * `src/bin/snapbench.rs` — the tracked wall-clock suite behind the
-//!   committed `BENCH_*.json` baselines.
+//! * `src/bin/explore.rs` — exhaustive schedule exploration of small
+//!   configurations.
+//!
+//! Everything here counts *steps* (register operations, double collects),
+//! which do not depend on the host. Wall-clock numbers come from the one
+//! reference benchmark, `bash benchmark/run.sh`.
 
 #![warn(missing_docs)]
 
@@ -33,5 +30,3 @@ pub mod anderson_model;
 pub mod harness;
 pub mod report;
 pub mod scripted;
-pub mod tracked;
-pub mod trend;

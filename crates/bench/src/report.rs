@@ -70,10 +70,9 @@ impl fmt::Display for Table {
         writeln!(f, "## {}", self.title)?;
         let render = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
             write!(f, "|")?;
-            for i in 0..cols {
-                let empty = String::new();
-                let cell = cells.get(i).unwrap_or(&empty);
-                write!(f, " {:>width$} |", cell, width = widths[i])?;
+            for (i, width) in widths.iter().enumerate() {
+                let cell = cells.get(i).map_or("", String::as_str);
+                write!(f, " {cell:>width$} |")?;
             }
             writeln!(f)
         };

@@ -1,8 +1,8 @@
 //! Scripted cores: wrap any [`TrySnapshotCore`] and intercept its full
-//! scans, the one seam the service tests and the degraded-shard bench
-//! cell need — to hold a coalescing leader inside its collect, to inject
-//! an outage, to slow a collect down. Updates and native subset scans
-//! pass through untouched, so a scripted shard is degrading, not dead.
+//! scans, the one seam the service tests need — to hold a coalescing
+//! leader inside its collect, to inject an outage, to slow a collect
+//! down. Updates and native subset scans pass through untouched, so a
+//! scripted shard is degrading, not dead.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

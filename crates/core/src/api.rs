@@ -74,7 +74,6 @@ pub trait SwSnapshotHandle<V> {
     /// Like [`update`](Self::update), also reporting the statistics of
     /// the *embedded scan* (Figure 2/3 updates scan before writing).
     /// Baselines without an embedded scan report zeros.
-    #[must_use]
     fn update_with_stats(&mut self, value: V) -> ScanStats;
 
     /// Returns an instantaneous view of all segments (the paper's
@@ -85,7 +84,6 @@ pub trait SwSnapshotHandle<V> {
 
     /// Like [`scan`](Self::scan), also reporting how hard the scan had to
     /// work.
-    #[must_use]
     fn scan_with_stats(&mut self) -> (SnapshotView<V>, ScanStats);
 }
 
@@ -132,7 +130,6 @@ pub trait MwSnapshotHandle<V> {
     /// # Panics
     ///
     /// Panics if `word` is out of range.
-    #[must_use]
     fn update_with_stats(&mut self, word: usize, value: V) -> ScanStats;
 
     /// Returns an instantaneous view of all `m` words.
@@ -141,7 +138,6 @@ pub trait MwSnapshotHandle<V> {
     }
 
     /// Like [`scan`](Self::scan), also reporting per-scan statistics.
-    #[must_use]
     fn scan_with_stats(&mut self) -> (SnapshotView<V>, ScanStats);
 }
 

@@ -3,8 +3,8 @@ use std::sync::Arc;
 
 use snapshot_obs::{Algo, Event, RoundOutcome, Trace};
 use snapshot_registers::{
-    collect, Backend, CachePadded, EpochBackend, ProcessId, Register, RegisterValue,
-    TrackedCollect,
+    collect, Backend, CachePadded, EpochBackend, PaddedBitRows, PaddedCells, ProcessId, Register,
+    RegisterValue, TrackedCollect,
 };
 
 use crate::api::HandleRegistry;
@@ -53,11 +53,11 @@ struct BndRecord<V> {
 /// ```
 pub struct BoundedSnapshot<V: RegisterValue, B: Backend = EpochBackend> {
     // Padded: one single-writer register per process in a dense array.
-    regs: Box<[CachePadded<B::Cell<BndRecord<V>>>]>,
+    regs: PaddedCells<B, BndRecord<V>>,
     /// `q[i][j]`: written by scans of `P_i`, read by updates of `P_j`.
     /// Rows are padded — row `i` is written only by `P_i`, so row
     /// granularity is where the false sharing would happen.
-    q: Box<[CachePadded<Box<[B::Bit]>>]>,
+    q: PaddedBitRows<B>,
     registry: HandleRegistry,
     n: usize,
     trace: Trace,
@@ -317,13 +317,13 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
             // Line 0.5 — handshake: q_{i,j} := p_{j,i}(r_j). Re-executed on
             // every retry (Figure 3 loops back to line 0.5), so a single
             // handshake flip is blamed at most once.
-            for j in 0..n {
+            for (j, q) in q_local.iter_mut().enumerate() {
                 let r_j = self.shared.regs[j].read(self.pid);
-                q_local[j] = r_j.p[i];
-                self.shared.q[i][j].write(self.pid, q_local[j]);
+                *q = r_j.p[i];
+                self.shared.q[i][j].write(self.pid, *q);
                 stats.reads += 1;
                 stats.writes += 1;
-                trace.emit(i, Event::HandshakeCopy { partner: j, bit: q_local[j] });
+                trace.emit(i, Event::HandshakeCopy { partner: j, bit: *q });
             }
             let a = collect(self.pid, &self.shared.regs); // line 1
             let b = collect(self.pid, &self.shared.regs); // line 2
@@ -409,13 +409,13 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
             // Line 0.5 — handshake, interleaved per partner as in the
             // literal path. Keys untrusted: this window spans our own
             // q-writes, outside Lemma 4.1's double-collect interval.
-            for j in 0..n {
+            for (j, q) in q_local.iter_mut().enumerate() {
                 let _ = self.cache.advance_one(self.pid, &shared.regs, j, false, same);
-                q_local[j] = self.cache.records()[j].p[i];
-                shared.q[i][j].write(self.pid, q_local[j]);
+                *q = self.cache.records()[j].p[i];
+                shared.q[i][j].write(self.pid, *q);
                 stats.reads += 1;
                 stats.writes += 1;
-                shared.trace.emit(i, Event::HandshakeCopy { partner: j, bit: q_local[j] });
+                shared.trace.emit(i, Event::HandshakeCopy { partner: j, bit: *q });
             }
             // Line 1 — collect a (keys untrusted for the same reason).
             let _ = self.cache.advance(self.pid, &shared.regs, false, same);
@@ -454,14 +454,14 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
                     outcome: RoundOutcome::Moved,
                 },
             );
-            for j in 0..n {
+            for (j, strikes) in moved.iter_mut().enumerate() {
                 if moved_now(j) {
-                    if moved[j] == 1 {
+                    if *strikes == 1 {
                         stats.borrowed = true;
                         shared.trace.emit(i, Event::BorrowDecision { lender: j, moved: 2 });
                         return (self.cache.records()[j].view.clone(), stats);
                     }
-                    moved[j] += 1;
+                    *strikes += 1;
                 }
             }
             // line 10: goto line 0.5
@@ -632,7 +632,7 @@ mod tests {
                 let snap = &snap;
                 s.spawn(move || {
                     let mut h = snap.handle(ProcessId::new(i));
-                    let mut last_seen = vec![0u64; 4];
+                    let mut last_seen = [0u64; 4];
                     for k in 1..=200u64 {
                         h.update(k * 4 + i as u64);
                         let view = h.scan();

@@ -2,7 +2,7 @@ use std::fmt;
 
 use snapshot_obs::{Algo, Event, RoundOutcome, Trace};
 use snapshot_registers::{
-    collect, Backend, CachePadded, EpochBackend, ProcessId, Register, RegisterValue,
+    collect, Backend, CachePadded, EpochBackend, PaddedCells, ProcessId, Register, RegisterValue,
 };
 
 use crate::api::HandleRegistry;
@@ -42,7 +42,7 @@ struct DcRecord<V> {
 pub struct DoubleCollectSnapshot<V: RegisterValue, B: Backend = EpochBackend> {
     // Padded like the wait-free constructions, so benchmark comparisons
     // against them measure the algorithms, not their false sharing.
-    regs: Box<[CachePadded<B::Cell<DcRecord<V>>>]>,
+    regs: PaddedCells<B, DcRecord<V>>,
     registry: HandleRegistry,
     n: usize,
     trace: Trace,

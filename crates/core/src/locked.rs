@@ -1,6 +1,6 @@
 use std::fmt;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-use parking_lot::RwLock;
 use snapshot_registers::{CachePadded, ProcessId, RegisterValue};
 
 use crate::api::HandleRegistry;
@@ -47,6 +47,15 @@ impl<V: RegisterValue> LockSnapshot<V> {
             registry: HandleRegistry::new(n),
             n,
         }
+    }
+}
+
+impl<V> LockSnapshot<V> {
+    /// A poisoned lock yields its guard: the one write under it is a
+    /// single element assignment, so the memory is consistent after a
+    /// holder's panic.
+    fn mem(&self) -> RwLockReadGuard<'_, Vec<V>> {
+        self.mem.read().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -124,7 +133,7 @@ impl<V: RegisterValue> crate::TrySnapshotCore<V> for LockSnapshot<V> {
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
         let _lane = self.registry.claim_guard(lane);
-        let mem = self.mem.read();
+        let mem = self.mem();
         Ok(Some((segments.iter().map(|&s| mem[s].clone()).collect(), ScanStats::default())))
     }
 }
@@ -141,12 +150,15 @@ impl<V: RegisterValue> SwSnapshotHandle<V> for LockHandle<'_, V> {
     }
 
     fn update_with_stats(&mut self, value: V) -> ScanStats {
-        self.shared.mem.write()[self.pid.get()] = value;
+        self.shared
+            .mem
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)[self.pid.get()] = value;
         ScanStats::default()
     }
 
     fn scan_with_stats(&mut self) -> (SnapshotView<V>, ScanStats) {
-        let view = SnapshotView::from(self.shared.mem.read().clone());
+        let view = SnapshotView::from(self.shared.mem().clone());
         // No primitive registers, no double collects: all stats are zero.
         (view, ScanStats::default())
     }

@@ -1,9 +1,10 @@
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use snapshot_obs::{Algo, Event, RoundOutcome, Trace};
 use snapshot_registers::{
-    collect, subset_collect, Backend, CachePadded, EpochBackend, ProcessId, Register,
-    RegisterValue, SubsetOutcome, TrackedCollect,
+    collect, subset_collect, Backend, CachePadded, EpochBackend, PaddedBitRows, PaddedCells,
+    ProcessId, Register, RegisterValue, SubsetOutcome, TrackedCollect,
 };
 
 use crate::api::HandleRegistry;
@@ -82,19 +83,19 @@ pub enum MwVariant {
 pub struct MultiWriterSnapshot<V: RegisterValue, B: Backend = EpochBackend, BM: Backend = B> {
     /// The `m` multi-writer value registers `r_k` (padded: dense array of
     /// independently-hammered words).
-    vals: Box<[CachePadded<BM::Cell<MwRecord<V>>>]>,
+    vals: PaddedCells<BM, MwRecord<V>>,
     /// `view_i`: single-writer registers holding each process's last
     /// embedded-scan result (padded: one per process).
-    views: Box<[CachePadded<B::Cell<SnapshotView<V>>>]>,
+    views: PaddedCells<B, SnapshotView<V>>,
     /// `p[i][j]`: written by updates of `P_i`, read by scans of `P_j`.
     /// Rows padded — row `i` has a single writer.
-    p: Box<[CachePadded<Box<[B::Bit]>>]>,
+    p: PaddedBitRows<B>,
     /// `q[i][j]`: written by scans of `P_i`, read by updates of `P_j`.
-    q: Box<[CachePadded<Box<[B::Bit]>>]>,
+    q: PaddedBitRows<B>,
     /// Per-process saved toggle arrays `t_k`, persisted across handle
     /// claims: every write by the same process to the same word must flip
     /// the toggle, even across a drop/re-claim of the handle.
-    saved_toggles: Box<[CachePadded<parking_lot::Mutex<Vec<bool>>>]>,
+    saved_toggles: Box<[CachePadded<Mutex<Vec<bool>>>]>,
     registry: HandleRegistry,
     variant: MwVariant,
     n: usize,
@@ -172,7 +173,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterSnapshot<V, B, BM> {
                 .map(|_| CachePadded::new((0..n).map(|_| swmr.bit(false)).collect()))
                 .collect(),
             saved_toggles: (0..n)
-                .map(|_| CachePadded::new(parking_lot::Mutex::new(vec![false; m])))
+                .map(|_| CachePadded::new(Mutex::new(vec![false; m])))
                 .collect(),
             registry: HandleRegistry::new(n),
             variant,
@@ -208,6 +209,15 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterSnapshot<V, B, BM> {
     pub fn variant(&self) -> MwVariant {
         self.variant
     }
+
+    /// `pid`'s saved toggles. A poisoned lock yields its guard: the array
+    /// is replaced whole, so a handle dropped by a panicking body (the
+    /// simulator runs those on purpose) left a consistent one.
+    fn saved_toggles(&self, pid: ProcessId) -> MutexGuard<'_, Vec<bool>> {
+        self.saved_toggles[pid.get()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<V: RegisterValue, B: Backend, BM: Backend> MwSnapshot<V> for MultiWriterSnapshot<V, B, BM> {
@@ -226,7 +236,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MwSnapshot<V> for MultiWriterSna
 
     fn handle(&self, pid: ProcessId) -> MultiWriterHandle<'_, V, B, BM> {
         self.registry.claim(pid);
-        let toggles = self.saved_toggles[pid.get()].lock().clone();
+        let toggles = self.saved_toggles(pid).clone();
         MultiWriterHandle {
             shared: self,
             pid,
@@ -355,12 +365,12 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
 
         let handshake = |q_local: &mut [bool], stats: &mut ScanStats| {
             // Line 0.5: q_{i,j} := p_{j,i}.
-            for j in 0..n {
-                q_local[j] = shared.p[j][i].read(self.pid);
-                shared.q[i][j].write(self.pid, q_local[j]);
+            for (j, q) in q_local.iter_mut().enumerate() {
+                *q = shared.p[j][i].read(self.pid);
+                shared.q[i][j].write(self.pid, *q);
                 stats.reads += 1;
                 stats.writes += 1;
-                trace.emit(i, Event::HandshakeCopy { partner: j, bit: q_local[j] });
+                trace.emit(i, Event::HandshakeCopy { partner: j, bit: *q });
             }
         };
 
@@ -454,12 +464,12 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
 
         let handshake = |q_local: &mut [bool], stats: &mut ScanStats| {
             // Line 0.5: q_{i,j} := p_{j,i}.
-            for j in 0..n {
-                q_local[j] = shared.p[j][i].read(pid);
-                shared.q[i][j].write(pid, q_local[j]);
+            for (j, q) in q_local.iter_mut().enumerate() {
+                *q = shared.p[j][i].read(pid);
+                shared.q[i][j].write(pid, *q);
                 stats.reads += 1;
                 stats.writes += 1;
-                trace.emit(i, Event::HandshakeCopy { partner: j, bit: q_local[j] });
+                trace.emit(i, Event::HandshakeCopy { partner: j, bit: *q });
             }
         };
 
@@ -600,7 +610,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MwSnapshotHandle<V>
 
 impl<V: RegisterValue, B: Backend, BM: Backend> Drop for MultiWriterHandle<'_, V, B, BM> {
     fn drop(&mut self) {
-        *self.shared.saved_toggles[self.pid.get()].lock() = std::mem::take(&mut self.toggles);
+        *self.shared.saved_toggles(self.pid) = std::mem::take(&mut self.toggles);
         self.shared.registry.release(self.pid);
     }
 }
@@ -699,8 +709,7 @@ mod tests {
         // `view_i` register — an Arc alias, not a structural copy. The
         // updater body inlines Figure 4's update so it can log the exact
         // Arc before the gated publication write.
-        use parking_lot::Mutex;
-        use snapshot_sim::{RoundRobinPolicy, Sim, SimConfig};
+        use snapshot_sim::{Decision, FnPolicy, ReadyProcess, Sim, SimConfig};
 
         let (n, m) = (2usize, 2usize);
         let sim = Sim::new(n);
@@ -725,7 +734,10 @@ mod tests {
                         object.p[0][j].write(p0, !qj0);
                     }
                     let (view, _) = h.scan_with_stats(); // line 1: embedded scan
-                    published.lock().push(view.clone()); // log the Arc itself
+                    published
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(view.clone()); // log the Arc itself
                     object.views[0].write(p0, view);
                     toggle = !toggle;
                     object.vals[0].write(p0, MwRecord { value: k, id: 0, toggle }); // line 2
@@ -740,14 +752,24 @@ mod tests {
                 for _ in 0..50 {
                     let (view, stats) = h.scan_with_stats();
                     if stats.borrowed {
-                        *borrowed.lock() = Some(view);
+                        *borrowed.lock().unwrap_or_else(PoisonError::into_inner) = Some(view);
                         break;
                     }
                 }
             }));
         }
+        // One whole update (16 gated steps at n = m = 2) per scanner step:
+        // every double collect of the scanner straddles several complete
+        // updates, so the updater moves in each round and the third
+        // strike borrows. (1:1 round-robin does not starve it: that
+        // schedule is periodic, and every scan comes up clean in its
+        // second or third round, two strikes at most.)
+        let mut starve_scanner = FnPolicy(|ready: &[ReadyProcess], step| {
+            let turn = if step % 17 == 16 { 1 } else { 0 };
+            Decision::Run(ready.iter().position(|r| r.pid.get() == turn).unwrap_or(0))
+        });
         sim.run(
-            &mut RoundRobinPolicy::new(),
+            &mut starve_scanner,
             SimConfig {
                 max_steps: Some(2_000_000),
                 stop_when_done: vec![ProcessId::new(1)],
@@ -757,8 +779,13 @@ mod tests {
         )
         .expect("simulation failed");
 
-        let view = borrowed.into_inner().expect("round-robin starves the scanner into borrowing");
-        let log = published.into_inner();
+        let view = borrowed
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("sixteen updater steps per scanner step starve the scanner into borrowing");
+        let log = published
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         assert!(
             log.iter().any(|v| std::ptr::eq(v.as_slice().as_ptr(), view.as_slice().as_ptr())),
             "borrowed view must alias one of the {} published allocations",
@@ -776,7 +803,7 @@ mod tests {
                 let snap = &snap;
                 s.spawn(move || {
                     let mut h = snap.handle(ProcessId::new(i));
-                    let mut last_seen = vec![0u64; 4];
+                    let mut last_seen = [0u64; 4];
                     for k in 1..=120u64 {
                         h.update(i, k);
                         let view = h.scan();

@@ -2,7 +2,7 @@ use std::fmt;
 
 use snapshot_obs::{Algo, Event, RoundOutcome, Trace};
 use snapshot_registers::{
-    collect, Backend, CachePadded, EpochBackend, ProcessId, Register, RegisterValue,
+    collect, Backend, CachePadded, EpochBackend, PaddedCells, ProcessId, Register, RegisterValue,
     TrackedCollect,
 };
 
@@ -52,7 +52,7 @@ struct UnbRecord<V> {
 pub struct UnboundedSnapshot<V: RegisterValue, B: Backend = EpochBackend> {
     // Padded: each register is written by exactly one process and read by
     // all, the canonical false-sharing layout for a dense array.
-    regs: Box<[CachePadded<B::Cell<UnbRecord<V>>>]>,
+    regs: PaddedCells<B, UnbRecord<V>>,
     registry: HandleRegistry,
     n: usize,
     trace: Trace,
@@ -373,14 +373,14 @@ impl<V: RegisterValue, B: Backend> UnboundedHandle<'_, V, B> {
                 return (SnapshotView::from(values), stats);
             }
             trace_round_end(&shared.trace, me, stats.double_collects, RoundOutcome::Moved);
-            for j in 0..n {
+            for (j, strikes) in moved.iter_mut().enumerate() {
                 if pass_b.changed[j] {
-                    if moved[j] == 1 {
+                    if *strikes == 1 {
                         stats.borrowed = true;
                         shared.trace.emit(me, Event::BorrowDecision { lender: j, moved: 2 });
                         return (self.cache.records()[j].view.clone(), stats);
                     }
-                    moved[j] += 1;
+                    *strikes += 1;
                 }
             }
         }
@@ -568,7 +568,7 @@ mod tests {
         // inlines Figure 2's update (embedded scan, then write) so it can
         // log the exact Arc it is about to publish, race-free, before the
         // gated write.
-        use parking_lot::Mutex;
+        use std::sync::{Mutex, PoisonError};
         use snapshot_sim::{RoundRobinPolicy, Sim, SimConfig};
 
         let n = 2;
@@ -588,7 +588,10 @@ mod tests {
                 let mut h = object.handle(p0);
                 for k in 1..=400u64 {
                     let (view, _) = h.scan_with_stats(); // update line 1
-                    published.lock().push(view.clone()); // log the Arc itself
+                    published
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(view.clone()); // log the Arc itself
                     object.regs[0].write(p0, UnbRecord { value: k, seq: k, view }); // line 2
                 }
             }));
@@ -601,7 +604,7 @@ mod tests {
                 for _ in 0..20 {
                     let (view, stats) = h.scan_with_stats();
                     if stats.borrowed {
-                        *borrowed.lock() = Some(view);
+                        *borrowed.lock().unwrap_or_else(PoisonError::into_inner) = Some(view);
                         break;
                     }
                 }
@@ -618,8 +621,13 @@ mod tests {
         )
         .expect("simulation failed");
 
-        let view = borrowed.into_inner().expect("round-robin starves the scanner into borrowing");
-        let log = published.into_inner();
+        let view = borrowed
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("round-robin starves the scanner into borrowing");
+        let log = published
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         assert!(
             log.iter().any(|v| std::ptr::eq(v.as_slice().as_ptr(), view.as_slice().as_ptr())),
             "borrowed view must alias one of the {} published allocations",
@@ -635,7 +643,7 @@ mod tests {
                 let snap = &snap;
                 s.spawn(move || {
                     let mut h = snap.handle(ProcessId::new(i));
-                    let mut last_seen = vec![0u64; 4];
+                    let mut last_seen = [0u64; 4];
                     for k in 1..=200u64 {
                         h.update(k * 4 + i as u64);
                         let view = h.scan();

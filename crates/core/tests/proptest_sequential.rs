@@ -2,13 +2,16 @@
 //! process order), every snapshot construction must behave exactly like
 //! the trivial model — a plain vector. Atomicity machinery (double
 //! collects, handshakes, toggles, borrowed views) must be invisible.
+//! Each property runs over `CASES` seeded cases; a failure names its case,
+//! and `SeededRng::new(SEED ^ case)` regenerates it.
 
-use proptest::prelude::*;
 use snapshot_core::{
     BoundedSnapshot, DoubleCollectSnapshot, LockSnapshot, MultiWriterSnapshot, MwSnapshot,
     MwSnapshotHandle, SwSnapshot, SwSnapshotHandle, UnboundedSnapshot,
 };
-use snapshot_registers::ProcessId;
+use snapshot_registers::{ProcessId, SeededRng};
+
+const CASES: u64 = 64;
 
 #[derive(Clone, Debug)]
 enum SwOp {
@@ -16,20 +19,37 @@ enum SwOp {
     Scan { pid: usize },
 }
 
-fn sw_ops(max_procs: usize, len: usize) -> impl Strategy<Value = Vec<SwOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0..max_procs, any::<u64>()).prop_map(|(pid, value)| SwOp::Update { pid, value }),
-            (0..max_procs).prop_map(|pid| SwOp::Scan { pid }),
-        ],
-        0..len,
-    )
+/// Fewer than `len` operations by processes `0..max_procs`.
+fn sw_ops(rng: &mut SeededRng, max_procs: usize, len: usize) -> Vec<SwOp> {
+    (0..rng.below(len))
+        .map(|_| {
+            let pid = rng.below(max_procs);
+            if rng.chance(0.5) {
+                SwOp::Update {
+                    pid,
+                    value: rng.next_u64(),
+                }
+            } else {
+                SwOp::Scan { pid }
+            }
+        })
+        .collect()
+}
+
+/// One case of the single-writer property: a process count in `1..6`, an
+/// initial value, and a script.
+fn sw_case(seed: u64, case: u64) -> (usize, u64, Vec<SwOp>) {
+    let mut rng = SeededRng::new(seed ^ case);
+    let n = 1 + rng.below(5);
+    let init = rng.next_u64();
+    let ops = sw_ops(&mut rng, 6, 40);
+    (n, init, ops)
 }
 
 /// Drives `object` with `ops`, one at a time, against the vector model.
 /// Handles are claimed and dropped per operation — also exercising the
 /// claim/release machinery.
-fn check_sw<O: SwSnapshot<u64>>(object: &O, n: usize, init: u64, ops: &[SwOp]) {
+fn check_sw<O: SwSnapshot<u64>>(object: &O, n: usize, init: u64, ops: &[SwOp], case: u64) {
     let mut model = vec![init; n];
     // Keep persistent handles (sequence numbers / toggles must survive
     // across operations), one per process.
@@ -44,113 +64,104 @@ fn check_sw<O: SwSnapshot<u64>>(object: &O, n: usize, init: u64, ops: &[SwOp]) {
             SwOp::Scan { pid } => {
                 let pid = pid % n;
                 let (view, stats) = handles[pid].scan_with_stats();
-                assert_eq!(view.to_vec(), model);
+                assert_eq!(view.to_vec(), model, "case {case}");
                 // Sequential: always the fast path.
-                assert!(!stats.borrowed);
+                assert!(!stats.borrowed, "case {case}");
             }
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn unbounded_matches_vector_model(
-        n in 1usize..6,
-        init in any::<u64>(),
-        ops in sw_ops(6, 40),
-    ) {
-        check_sw(&UnboundedSnapshot::new(n, init), n, init, &ops);
+#[test]
+fn unbounded_matches_vector_model() {
+    for case in 0..CASES {
+        let (n, init, ops) = sw_case(0x0B0D, case);
+        check_sw(&UnboundedSnapshot::new(n, init), n, init, &ops, case);
     }
+}
 
-    #[test]
-    fn bounded_matches_vector_model(
-        n in 1usize..6,
-        init in any::<u64>(),
-        ops in sw_ops(6, 40),
-    ) {
-        check_sw(&BoundedSnapshot::new(n, init), n, init, &ops);
+#[test]
+fn bounded_matches_vector_model() {
+    for case in 0..CASES {
+        let (n, init, ops) = sw_case(0xB0D0, case);
+        check_sw(&BoundedSnapshot::new(n, init), n, init, &ops, case);
     }
+}
 
-    #[test]
-    fn double_collect_matches_vector_model(
-        n in 1usize..6,
-        init in any::<u64>(),
-        ops in sw_ops(6, 40),
-    ) {
-        check_sw(&DoubleCollectSnapshot::new(n, init), n, init, &ops);
+#[test]
+fn double_collect_matches_vector_model() {
+    for case in 0..CASES {
+        let (n, init, ops) = sw_case(0xDC01, case);
+        check_sw(&DoubleCollectSnapshot::new(n, init), n, init, &ops, case);
     }
+}
 
-    #[test]
-    fn lock_matches_vector_model(
-        n in 1usize..6,
-        init in any::<u64>(),
-        ops in sw_ops(6, 40),
-    ) {
-        check_sw(&LockSnapshot::new(n, init), n, init, &ops);
+#[test]
+fn lock_matches_vector_model() {
+    for case in 0..CASES {
+        let (n, init, ops) = sw_case(0x10C4, case);
+        check_sw(&LockSnapshot::new(n, init), n, init, &ops, case);
     }
+}
 
-    #[test]
-    fn multiwriter_matches_vector_model(
-        n in 1usize..5,
-        m in 1usize..5,
-        init in any::<u64>(),
-        raw in prop::collection::vec(
-            (0usize..5, 0usize..5, any::<u64>(), any::<bool>()),
-            0..40,
-        ),
-    ) {
+#[test]
+fn multiwriter_matches_vector_model() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x3117 ^ case);
+        let (n, m) = (1 + rng.below(4), 1 + rng.below(4));
+        let init = rng.next_u64();
         let object = MultiWriterSnapshot::new(n, m, init);
         let mut model = vec![init; m];
-        let mut handles: Vec<_> =
-            (0..n).map(|i| object.handle(ProcessId::new(i))).collect();
-        for (pid, word, value, is_update) in raw {
-            let pid = pid % n;
-            let word = word % m;
-            if is_update {
+        let mut handles: Vec<_> = (0..n).map(|i| object.handle(ProcessId::new(i))).collect();
+        for _ in 0..rng.below(40) {
+            let (pid, word) = (rng.below(n), rng.below(m));
+            if rng.chance(0.5) {
+                let value = rng.next_u64();
                 handles[pid].update(word, value);
                 model[word] = value;
             } else {
                 let view = handles[pid].scan();
-                prop_assert_eq!(view.to_vec(), model.clone());
+                assert_eq!(view.to_vec(), model, "case {case}");
             }
         }
     }
+}
 
-    #[test]
-    fn views_share_storage_on_borrow_free_scans(
-        n in 1usize..5,
-        values in prop::collection::vec(any::<u64>(), 1..8),
-    ) {
+#[test]
+fn views_share_storage_on_borrow_free_scans() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x5A2E ^ case);
+        let n = 1 + rng.below(4);
         // Repeated scans with no intervening updates return equal views.
         let object = BoundedSnapshot::new(n, 0u64);
         let mut h = object.handle(ProcessId::new(0));
-        for v in values {
-            h.update(v);
+        for _ in 0..1 + rng.below(7) {
+            h.update(rng.next_u64());
             let a = h.scan();
             let b = h.scan();
-            prop_assert_eq!(a.as_slice(), b.as_slice());
+            assert_eq!(a.as_slice(), b.as_slice(), "case {case}");
         }
     }
+}
 
-    #[test]
-    fn handles_can_cycle_without_state_corruption(
-        rounds in prop::collection::vec(any::<u64>(), 1..12),
-    ) {
+#[test]
+fn handles_can_cycle_without_state_corruption() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xC7C1 ^ case);
         // Claim, use, drop, re-claim: the bounded algorithm's local toggle
         // resets, which must not confuse scanners (toggle semantics only
         // require *change* detection relative to what was last written by
         // the same claim).
         let object = UnboundedSnapshot::new(2, 0u64);
         let mut expected = 0u64;
-        for v in rounds {
+        for _ in 0..1 + rng.below(11) {
+            let v = rng.next_u64();
             let mut h = object.handle(ProcessId::new(0));
             h.update(v);
             expected = v;
             drop(h);
         }
         let mut h = object.handle(ProcessId::new(1));
-        prop_assert_eq!(h.scan()[0], expected);
+        assert_eq!(h.scan()[0], expected, "case {case}");
     }
 }

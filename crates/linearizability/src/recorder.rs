@@ -1,6 +1,6 @@
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use snapshot_obs::Clock;
 use snapshot_registers::ProcessId;
 
@@ -109,11 +109,23 @@ impl<V: Clone> Recorder<V> {
     /// Panics if any recorded operation is malformed (out-of-range pid or
     /// word, wrong view length) — see [`History::from_ops`].
     pub fn finish(self) -> History<V> {
-        History::from_ops(self.n, self.words, self.init, self.ops.into_inner())
+        History::from_ops(
+            self.n,
+            self.words,
+            self.init,
+            self.ops
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 
     fn push(&self, op: OpRecord<V>) {
-        self.ops.lock().push(op);
+        // A poisoned lock yields its guard: a push is all that ever runs
+        // under it, so the log is intact after a recording thread's panic.
+        self.ops
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(op);
     }
 }
 
@@ -122,7 +134,14 @@ impl<V> fmt::Debug for Recorder<V> {
         f.debug_struct("Recorder")
             .field("processes", &self.n)
             .field("words", &self.words)
-            .field("recorded", &self.ops.lock().len())
+            .field(
+                "recorded",
+                &self
+                    .ops
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .len(),
+            )
             .finish()
     }
 }

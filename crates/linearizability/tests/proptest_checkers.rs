@@ -3,13 +3,16 @@
 //! Strategy: generate *known-linearizable* histories by construction
 //! (choose linearization points first, then wrap each in a random
 //! enclosing interval), assert both checkers accept; then corrupt them in
-//! ways that are violations by construction and assert rejection.
+//! ways that are violations by construction and assert rejection. Each
+//! property runs over `CASES` seeded cases; a failure names its case, and
+//! `SeededRng::new(SEED ^ case)` regenerates it.
 
-use proptest::prelude::*;
 use snapshot_lin::{
     check_history, check_intervals, History, IntervalViolation, OpRecord, SnapOp, WgResult,
 };
-use snapshot_registers::ProcessId;
+use snapshot_registers::{ProcessId, SeededRng};
+
+const CASES: u64 = 128;
 
 /// A generated linearizable history: ops with their linearization points.
 #[derive(Clone, Debug)]
@@ -22,60 +25,77 @@ struct GenHistory {
 /// operations, each assigned an interval containing its serialization
 /// point. Gaps of 10 between points leave room for jitter without
 /// reordering effects beyond what concurrency allows.
-fn gen_history(max_n: usize, max_ops: usize) -> impl Strategy<Value = GenHistory> {
-    (
-        1..=max_n,
-        prop::collection::vec((any::<u8>(), 0u64..4, 0u64..4), 0..max_ops),
-    )
-        .prop_map(|(n, raw)| {
-            let mut mem = vec![0u64; n];
-            let mut next_value = 1u64;
-            let mut ops = Vec::new();
-            for (i, (sel, pre_jitter, post_jitter)) in raw.into_iter().enumerate() {
-                let pid = ProcessId::new(sel as usize % n);
-                let point = (i as u64 + 1) * 10;
-                // Intervals may reach into neighbouring points' slack but
-                // always contain the op's own point.
-                let inv = point - 1 - pre_jitter.min(8);
-                let res = point + 1 + post_jitter.min(8);
-                if sel % 2 == 0 {
-                    let value = next_value;
-                    next_value += 1;
-                    mem[pid.get()] = value;
-                    ops.push(OpRecord {
-                        pid,
-                        inv,
-                        res: Some(res),
-                        op: SnapOp::Update {
-                            word: pid.get(),
-                            value,
-                        },
-                    });
-                } else {
-                    ops.push(OpRecord {
-                        pid,
-                        inv,
-                        res: Some(res),
-                        op: SnapOp::Scan { view: mem.clone() },
-                    });
-                }
-            }
-            GenHistory { n, ops }
-        })
+fn gen_history(rng: &mut SeededRng, max_n: usize, max_ops: usize) -> GenHistory {
+    let n = 1 + rng.below(max_n);
+    let mut mem = vec![0u64; n];
+    let mut next_value = 1u64;
+    let mut ops = Vec::new();
+    for i in 0..rng.below(max_ops) {
+        let sel = rng.below(256);
+        let (pre_jitter, post_jitter) = (rng.range(0..=3), rng.range(0..=3));
+        let pid = ProcessId::new(sel % n);
+        let point = (i as u64 + 1) * 10;
+        // Intervals may reach into neighbouring points' slack but
+        // always contain the op's own point.
+        let inv = point - 1 - pre_jitter.min(8);
+        let res = point + 1 + post_jitter.min(8);
+        if sel.is_multiple_of(2) {
+            let value = next_value;
+            next_value += 1;
+            mem[pid.get()] = value;
+            ops.push(OpRecord {
+                pid,
+                inv,
+                res: Some(res),
+                op: SnapOp::Update {
+                    word: pid.get(),
+                    value,
+                },
+            });
+        } else {
+            ops.push(OpRecord {
+                pid,
+                inv,
+                res: Some(res),
+                op: SnapOp::Scan { view: mem.clone() },
+            });
+        }
+    }
+    GenHistory { n, ops }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Runs `property` on seeded cases until `CASES` of them were accepted:
+/// it returns `false` for an input outside its precondition, and another
+/// case is drawn in its place.
+fn for_accepted_cases(seed: u64, mut property: impl FnMut(u64, &mut SeededRng) -> bool) {
+    let (mut accepted, mut case) = (0, 0);
+    while accepted < CASES {
+        assert!(
+            case < 64 * CASES,
+            "the precondition rejects almost every case"
+        );
+        accepted += u64::from(property(case, &mut SeededRng::new(seed ^ case)));
+        case += 1;
+    }
+}
 
-    #[test]
-    fn constructed_linearizable_histories_pass_both_checkers(
-        gen in gen_history(3, 14)
-    ) {
+/// The positions of `ops`' scans.
+fn scan_positions(ops: &[OpRecord<u64>]) -> Vec<usize> {
+    ops.iter()
+        .enumerate()
+        .filter(|(_, o)| matches!(o.op, SnapOp::Scan { .. }))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+#[test]
+fn constructed_linearizable_histories_pass_both_checkers() {
+    for_accepted_cases(0xC115, |case, rng| {
+        let gen = gen_history(rng, 3, 14);
         // Overlapping intervals of ops by the SAME process are not
         // well-formed histories; our generator's jitter is small enough
         // only when points of the same process are far apart — filter.
         let h = History::from_ops(gen.n, gen.n, 0u64, gen.ops.clone());
-        let mut per_proc_ok = true;
         for pid in 0..gen.n {
             let mut intervals: Vec<(u64, u64)> = h
                 .ops()
@@ -85,61 +105,62 @@ proptest! {
                 .collect();
             intervals.sort();
             if intervals.windows(2).any(|w| w[0].1 >= w[1].0) {
-                per_proc_ok = false;
+                return false;
             }
         }
-        prop_assume!(per_proc_ok);
 
         let wg_ok = matches!(check_history(&h), WgResult::Linearizable { .. });
-        prop_assert!(wg_ok, "WG rejected a constructed-valid history: {:?}", h);
-        prop_assert_eq!(check_intervals(&h), Ok(()));
-    }
+        assert!(
+            wg_ok,
+            "case {case}: WG rejected a constructed-valid history: {h:?}"
+        );
+        assert_eq!(check_intervals(&h), Ok(()), "case {case}");
+        true
+    });
+}
 
-    #[test]
-    fn unknown_values_are_rejected_by_both_checkers(
-        gen in gen_history(3, 10),
-        which in any::<prop::sample::Index>(),
-    ) {
+#[test]
+fn unknown_values_are_rejected_by_both_checkers() {
+    for_accepted_cases(0x0BAD, |case, rng| {
+        let gen = gen_history(rng, 3, 10);
         let mut ops = gen.ops.clone();
-        let scans: Vec<usize> = ops
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o.op, SnapOp::Scan { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assume!(!scans.is_empty());
-        let target = scans[which.index(scans.len())];
+        let scans = scan_positions(&ops);
+        if scans.is_empty() {
+            return false;
+        }
+        let target = scans[rng.below(scans.len())];
         if let SnapOp::Scan { view } = &mut ops[target].op {
             view[0] = 999_999; // never written
         }
         let h = History::from_ops(gen.n, gen.n, 0u64, ops);
 
-        prop_assert_eq!(check_history(&h), WgResult::NotLinearizable);
+        assert_eq!(check_history(&h), WgResult::NotLinearizable, "case {case}");
         let unknown = matches!(
             check_intervals(&h),
             Err(IntervalViolation::UnknownValue { .. })
         );
-        prop_assert!(unknown, "expected an UnknownValue interval violation");
-    }
+        assert!(
+            unknown,
+            "case {case}: expected an UnknownValue interval violation"
+        );
+        true
+    });
+}
 
-    #[test]
-    fn interval_rejections_imply_wg_rejections(
-        gen in gen_history(3, 10),
-        word_jitter in any::<prop::sample::Index>(),
-    ) {
+#[test]
+fn interval_rejections_imply_wg_rejections() {
+    for_accepted_cases(0x1213, |case, rng| {
         // Corrupt a scan by swapping in an older (but real) value for one
         // word; if the fast checker convicts it, the complete checker must
         // agree (on these single-writer, unique-value histories the
         // interval checks are genuinely necessary conditions).
+        let gen = gen_history(rng, 3, 10);
         let mut ops = gen.ops.clone();
-        let scans: Vec<usize> = ops
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o.op, SnapOp::Scan { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assume!(!scans.is_empty());
-        let target = scans[word_jitter.index(scans.len())];
+        let scans = scan_positions(&ops);
+        if scans.is_empty() {
+            return false;
+        }
+        let target = scans[rng.below(scans.len())];
         if let SnapOp::Scan { view } = &mut ops[target].op {
             // Roll word 0 back to the initial value.
             view[0] = 0;
@@ -155,24 +176,28 @@ proptest! {
                 | Err(IntervalViolation::StaleScan { .. })
                 | Err(IntervalViolation::UnknownValue { .. })
         ) {
-            prop_assert_eq!(
+            assert_eq!(
                 wg_verdict,
                 WgResult::NotLinearizable,
-                "interval checker convicted ({:?}) a history WG accepts: {:?}",
-                interval_verdict,
-                h
+                "case {case}: interval checker convicted ({interval_verdict:?}) a history WG \
+                 accepts: {h:?}"
             );
         }
-    }
+        true
+    });
+}
 
-    #[test]
-    fn histories_survive_round_trips_through_from_ops(
-        gen in gen_history(4, 12)
-    ) {
+#[test]
+fn histories_survive_round_trips_through_from_ops() {
+    for case in 0..CASES {
+        let gen = gen_history(&mut SeededRng::new(0x4077 ^ case), 4, 12);
         let h = History::from_ops(gen.n, gen.n, 0u64, gen.ops.clone());
-        prop_assert_eq!(h.len(), gen.ops.len());
-        prop_assert!(h.is_single_writer());
+        assert_eq!(h.len(), gen.ops.len(), "case {case}");
+        assert!(h.is_single_writer(), "case {case}");
         // Sorted by invocation.
-        prop_assert!(h.ops().windows(2).all(|w| w[0].inv <= w[1].inv));
+        assert!(
+            h.ops().windows(2).all(|w| w[0].inv <= w[1].inv),
+            "case {case}"
+        );
     }
 }

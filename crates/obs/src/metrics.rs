@@ -234,8 +234,9 @@ pub enum MetricValue {
     Counter(u64),
     /// A gauge's current value.
     Gauge(i64),
-    /// A histogram's current buckets.
-    Histogram(HistogramSnapshot),
+    /// A histogram's current buckets (boxed: 32 buckets against the other
+    /// variants' one word).
+    Histogram(Box<HistogramSnapshot>),
 }
 
 /// Named registry of metrics.
@@ -312,7 +313,7 @@ impl Registry {
                 let v = match m {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                    Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                 };
                 (n.clone(), v)
             })

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{BitCell, EpochCell, MutexCell, Register};
+use crate::{BitCell, CachePadded, EpochCell, MutexCell, Register};
 
 /// Values that may be stored in a register cell.
 ///
@@ -48,6 +48,14 @@ pub trait Backend: Send + Sync + 'static {
     /// Creates a one-bit register holding `init`.
     fn bit(&self, init: bool) -> Self::Bit;
 }
+
+/// A dense array of `B`'s cells holding `T`, each on its own cache-line
+/// block: the layout of every per-process register array here.
+pub type PaddedCells<B, T> = Box<[CachePadded<<B as Backend>::Cell<T>>]>;
+
+/// Rows of `B`'s handshake bits (`rows[i][j]`), each row on its own
+/// cache-line block — a row has a single writer.
+pub type PaddedBitRows<B> = Box<[CachePadded<Box<[<B as Backend>::Bit]>>]>;
 
 /// The default backend: lock-free [`EpochCell`] registers and hardware
 /// [`BitCell`] handshake bits.

@@ -1,9 +1,8 @@
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use crossbeam_epoch::{self as epoch, Atomic, Owned};
-
-use crate::{ProcessId, Register, TryRegister};
+use crate::{epoch, ProcessId, Register, TryRegister};
 
 /// The default lock-free atomic register: an immutable record behind an
 /// atomic pointer, reclaimed with epoch-based garbage collection.
@@ -39,8 +38,21 @@ use crate::{ProcessId, Register, TryRegister};
 /// admits IRIW-style anomalies across locations, which would let two
 /// scanners disagree on the order of two independent writes — breaking
 /// the linearizable-register abstraction out from under every proof. The
-/// only `Relaxed` access is in [`Drop`], where `&mut self` guarantees
+/// only non-atomic access is in [`Drop`], where `&mut self` guarantees
 /// exclusivity and no concurrent observer exists.
+///
+/// The slot is a raw `AtomicPtr<T>` with three invariants, on which every
+/// `SAFETY` comment below leans: it is never null; every pointer it has
+/// held came from `Box::into_raw`; and a pointer leaves it only through
+/// the `swap` in `write`, which hands it to `epoch::Guard::retire` exactly
+/// once (or through `Drop`, which frees the last one itself).
+///
+/// # Destructors
+///
+/// A replaced value is dropped later, by whichever thread reclaims it —
+/// possibly while that thread exits. `T`'s `Drop` must therefore be
+/// `Send`-safe (the `T: Send` bound) and must not itself read or write an
+/// `EpochCell`.
 ///
 /// # Example
 ///
@@ -52,7 +64,11 @@ use crate::{ProcessId, Register, TryRegister};
 /// assert_eq!(cell.read(ProcessId::new(0)), (9, "hello"));
 /// ```
 pub struct EpochCell<T> {
-    slot: Atomic<T>,
+    slot: AtomicPtr<T>,
+    /// The cell owns the `T` behind `slot`: `AtomicPtr<T>` alone is
+    /// `Send + Sync` for every `T`, which a cell handing `&T` to any
+    /// thread must not be.
+    _owns: PhantomData<T>,
     /// Write-version for `version_hint`; bumped after every swap.
     version: AtomicU64,
 }
@@ -61,7 +77,8 @@ impl<T: Clone + Send + Sync> EpochCell<T> {
     /// Creates a register holding `init`.
     pub fn new(init: T) -> Self {
         EpochCell {
-            slot: Atomic::new(init),
+            slot: AtomicPtr::new(Box::into_raw(Box::new(init))),
+            _owns: PhantomData,
             version: AtomicU64::new(0),
         }
     }
@@ -69,39 +86,43 @@ impl<T: Clone + Send + Sync> EpochCell<T> {
 
 impl<T: Clone + Send + Sync> Register<T> for EpochCell<T> {
     fn read(&self, _reader: ProcessId) -> T {
-        let guard = epoch::pin();
+        let _guard = epoch::pin();
         // SeqCst: the read must take its place in the global operation
         // order the snapshot proofs quantify over (see the type-level
         // ordering audit above).
-        let shared = self.slot.load(Ordering::SeqCst, &guard);
+        let ptr = self.slot.load(Ordering::SeqCst);
         // SAFETY: the slot is never null (initialized in `new`, and every
-        // write installs a valid allocation); the epoch guard keeps the
-        // pointee alive for the duration of the dereference.
-        unsafe { shared.deref() }.clone()
+        // write installs a valid allocation); the pointer was loaded under
+        // `_guard`, which keeps the pointee alive until it drops at the
+        // end of this function, after the clone.
+        unsafe { &*ptr }.clone()
     }
 
     fn write(&self, _writer: ProcessId, value: T) {
         let guard = epoch::pin();
         // SeqCst: same global-order requirement as `read`.
-        let old = self.slot.swap(Owned::new(value), Ordering::SeqCst, &guard);
+        let new = Box::into_raw(Box::new(value));
+        let old = self.slot.swap(new, Ordering::SeqCst);
         // The version bump follows the swap (both SeqCst, same thread):
         // once this `write` returns, the bump is visible, so an observer
         // seeing an unchanged version can only have missed swaps of writes
         // that had not yet returned — concurrent writes, which the
         // `version_hint` contract explicitly permits missing.
         self.version.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: `old` was produced by `Owned::new` / `Atomic::new` and is
-        // now unreachable from the slot; readers that loaded it are pinned,
-        // so destruction is deferred past their epochs.
-        unsafe { guard.defer_destroy(old) };
+        // SAFETY: `old` was produced by `Box::into_raw` (here or in `new`)
+        // and is now unreachable from the slot, and this swap is the only
+        // one that returned it, so it is retired once; readers that loaded
+        // it are pinned, so destruction is deferred past their epochs.
+        // `T: Send` lets whichever thread collects the bag drop it.
+        unsafe { guard.retire(old) };
     }
 
     fn read_with<U>(&self, _reader: ProcessId, f: impl FnOnce(&T) -> U) -> U {
-        let guard = epoch::pin();
-        let shared = self.slot.load(Ordering::SeqCst, &guard);
-        // SAFETY: as in `read`; `f` borrows the record only while the
-        // epoch guard is live, so no clone is needed.
-        f(unsafe { shared.deref() })
+        let _guard = epoch::pin();
+        let ptr = self.slot.load(Ordering::SeqCst);
+        // SAFETY: as in `read`; `f` borrows the record only while
+        // `_guard` is live, so no clone is needed.
+        f(unsafe { &*ptr })
     }
 
     fn version_hint(&self) -> Option<u64> {
@@ -124,14 +145,12 @@ impl<T: Clone + Send + Sync> TryRegister<T> for EpochCell<T> {
 
 impl<T> Drop for EpochCell<T> {
     fn drop(&mut self) {
-        // SAFETY: we have exclusive access; the pointer is non-null and no
-        // concurrent reader can exist. Relaxed suffices for the same
-        // reason: `&mut self` already synchronized with every past access.
-        unsafe {
-            let guard = epoch::unprotected();
-            let shared = self.slot.load(Ordering::Relaxed, guard);
-            drop(shared.into_owned());
-        }
+        // SAFETY: we have exclusive access; the pointer is non-null, came
+        // from `Box::into_raw`, was never retired (only swapped-out
+        // pointers are), and no concurrent reader can exist. A plain
+        // `get_mut` suffices for the same reason: `&mut self` already
+        // synchronized with every past access.
+        drop(unsafe { Box::from_raw(*self.slot.get_mut()) });
     }
 }
 

@@ -10,9 +10,10 @@
 //! * [`Register`] — the abstract single-cell read/write interface, with
 //!   every access attributed to a [`ProcessId`];
 //! * [`EpochCell`] — the default lock-free register: an immutable record
-//!   behind an atomic pointer, reclaimed with epoch-based GC (a write is a
-//!   single pointer swap, so arbitrarily wide records are written
-//!   atomically, exactly as the paper assumes);
+//!   behind an atomic pointer, reclaimed by the in-tree epoch scheme in
+//!   `registers/epoch.rs` (a write is a single pointer swap, so
+//!   arbitrarily wide records are written atomically, exactly as the
+//!   paper assumes);
 //! * [`MutexCell`] and [`SeqLockCell`] — blocking and sequence-lock
 //!   baselines for the benchmarks;
 //! * [`BitCell`] — a specialized boolean register for the handshake bits
@@ -31,7 +32,9 @@
 //!   neighbouring processes' registers never false-share a cache line;
 //! * [`TrackedCollect`] — an incremental collect that re-reads only the
 //!   registers that moved, using [`Register::version_hint`] probes and the
-//!   algorithms' own seq/handshake keys (see `registers/collect.rs`).
+//!   algorithms' own seq/handshake keys (see `registers/collect.rs`);
+//! * [`SeededRng`] — the workspace's one seeded generator (fault
+//!   schedules, scheduler policies, seeded property loops).
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@ mod backend;
 mod bit_cell;
 mod collect;
 mod counting;
+mod epoch;
 mod epoch_cell;
 mod gate;
 mod instrument;
@@ -59,9 +63,12 @@ mod mutex_cell;
 mod mwmr_from_swmr;
 mod pad;
 mod process;
+mod rng;
 mod seqlock;
 
-pub use backend::{Backend, EpochBackend, MutexBackend, RegisterValue};
+pub use backend::{
+    Backend, EpochBackend, MutexBackend, PaddedBitRows, PaddedCells, RegisterValue,
+};
 pub use bit_cell::BitCell;
 pub use collect::{collect, subset_collect, PassSummary, SlotOutcome, SubsetOutcome, TrackedCollect};
 pub use counting::{OpCounters, OpKind, OpSnapshot};
@@ -72,6 +79,7 @@ pub use mutex_cell::MutexCell;
 pub use mwmr_from_swmr::{CompoundBackend, MwmrFromSwmr, Tagged};
 pub use pad::CachePadded;
 pub use process::ProcessId;
+pub use rng::SeededRng;
 pub use seqlock::SeqLockCell;
 
 /// A shared atomic (linearizable) read/write register.

@@ -1,10 +1,10 @@
 use std::fmt;
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::{ProcessId, Register, TryRegister};
 
-/// A blocking register baseline: the value behind a [`parking_lot::Mutex`].
+/// A blocking register baseline: the value behind a [`std::sync::Mutex`].
 ///
 /// Linearizable but *not* wait-free in the strict sense (a reader can be
 /// delayed by a writer holding the lock). It exists as a benchmark baseline
@@ -35,19 +35,27 @@ impl<T: Clone + Send> MutexCell<T> {
     }
 }
 
+impl<T> MutexCell<T> {
+    /// A poisoned lock yields its guard: the value is replaced whole, so a
+    /// writer that panicked left either the old or the new one.
+    fn lock(&self) -> MutexGuard<'_, T> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl<T: Clone + Send> Register<T> for MutexCell<T> {
     fn read(&self, _reader: ProcessId) -> T {
-        self.slot.lock().clone()
+        self.lock().clone()
     }
 
     fn write(&self, _writer: ProcessId, value: T) {
-        *self.slot.lock() = value;
+        *self.lock() = value;
     }
 
     fn read_with<U>(&self, _reader: ProcessId, f: impl FnOnce(&T) -> U) -> U {
         // Borrow under the lock instead of cloning out; `f` must stay
         // short (see the trait docs) since it runs with the lock held.
-        f(&self.slot.lock())
+        f(&self.lock())
     }
 }
 

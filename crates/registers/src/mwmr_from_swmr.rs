@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::{Backend, CachePadded, ProcessId, Register, RegisterValue};
+use crate::{Backend, CachePadded, PaddedCells, ProcessId, Register, RegisterValue};
 
 /// A value stamped with a totally-ordered `(seq, pid)` tag.
 ///
@@ -60,7 +60,7 @@ impl<V> Tagged<V> {
 pub struct MwmrFromSwmr<V: RegisterValue, B: Backend> {
     // One single-writer cell per process, each written only by its owner:
     // the canonical false-sharing layout, hence the padding.
-    cells: Box<[CachePadded<B::Cell<Tagged<V>>>]>,
+    cells: PaddedCells<B, Tagged<V>>,
 }
 
 impl<V: RegisterValue, B: Backend> MwmrFromSwmr<V, B> {

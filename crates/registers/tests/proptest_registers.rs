@@ -1,11 +1,14 @@
 //! Property tests for the register substrate: sequential semantics of
 //! every cell flavor against a reference model, and the counter algebra.
+//! Each property runs over `CASES` seeded cases; a failure names its case,
+//! and `SeededRng::new(SEED ^ case)` regenerates it.
 
-use proptest::prelude::*;
 use snapshot_registers::{
     Backend, EpochBackend, EpochCell, MutexBackend, MwmrFromSwmr, OpCounters, OpKind, ProcessId,
-    Register, SeqLockCell,
+    Register, SeededRng, SeqLockCell,
 };
+
+const CASES: u64 = 256;
 
 /// One sequential register operation by some process.
 #[derive(Clone, Debug)]
@@ -14,19 +17,26 @@ enum Op {
     Read { pid: usize },
 }
 
-fn ops(n_procs: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0..n_procs, any::<u64>()).prop_map(|(pid, value)| Op::Write { pid, value }),
-            (0..n_procs).prop_map(|pid| Op::Read { pid }),
-        ],
-        0..len,
-    )
+/// Fewer than `len` operations by processes `0..n_procs`.
+fn ops(rng: &mut SeededRng, n_procs: usize, len: usize) -> Vec<Op> {
+    (0..rng.below(len))
+        .map(|_| {
+            let pid = rng.below(n_procs);
+            if rng.chance(0.5) {
+                Op::Write {
+                    pid,
+                    value: rng.next_u64(),
+                }
+            } else {
+                Op::Read { pid }
+            }
+        })
+        .collect()
 }
 
 /// Applies `ops` sequentially to `reg`, checking every read against the
 /// last-write model.
-fn check_sequential<R: Register<u64>>(reg: &R, init: u64, ops: &[Op]) {
+fn check_sequential<R: Register<u64>>(reg: &R, init: u64, ops: &[Op], case: u64) {
     let mut model = init;
     for op in ops {
         match op {
@@ -35,71 +45,88 @@ fn check_sequential<R: Register<u64>>(reg: &R, init: u64, ops: &[Op]) {
                 model = *value;
             }
             Op::Read { pid } => {
-                assert_eq!(reg.read(ProcessId::new(*pid)), model);
+                assert_eq!(reg.read(ProcessId::new(*pid)), model, "case {case}");
             }
         }
     }
 }
 
-proptest! {
-    #[test]
-    fn epoch_cell_is_a_sequential_register(init in any::<u64>(), ops in ops(4, 64)) {
-        check_sequential(&EpochCell::new(init), init, &ops);
+#[test]
+fn epoch_cell_is_a_sequential_register() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xE90C ^ case);
+        let init = rng.next_u64();
+        let ops = ops(&mut rng, 4, 64);
+        check_sequential(&EpochCell::new(init), init, &ops, case);
     }
+}
 
-    #[test]
-    fn mutex_backend_is_a_sequential_register(init in any::<u64>(), ops in ops(4, 64)) {
+#[test]
+fn mutex_backend_is_a_sequential_register() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x3E7E ^ case);
+        let init = rng.next_u64();
+        let ops = ops(&mut rng, 4, 64);
         let backend = MutexBackend::new();
-        check_sequential(&backend.cell(init), init, &ops);
+        check_sequential(&backend.cell(init), init, &ops, case);
     }
+}
 
-    #[test]
-    fn seqlock_is_a_sequential_register(init in any::<u64>(), ops in ops(1, 64)) {
+#[test]
+fn seqlock_is_a_sequential_register() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x5E91 ^ case);
+        let init = rng.next_u64();
         // SeqLock is single-writer: all ops by process 0.
+        let ops = ops(&mut rng, 1, 64);
         let owner = ProcessId::new(0);
-        check_sequential(&SeqLockCell::new(owner, init), init, &ops);
+        check_sequential(&SeqLockCell::new(owner, init), init, &ops, case);
     }
+}
 
-    #[test]
-    fn mwmr_from_swmr_is_a_sequential_register(
-        init in any::<u64>(),
-        n in 1usize..6,
-        raw_ops in ops(6, 48),
-    ) {
-        // Clamp pids into range for this n.
-        let ops: Vec<Op> = raw_ops
-            .into_iter()
-            .map(|op| match op {
-                Op::Write { pid, value } => Op::Write { pid: pid % n, value },
-                Op::Read { pid } => Op::Read { pid: pid % n },
-            })
-            .collect();
+#[test]
+fn mwmr_from_swmr_is_a_sequential_register() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x3735 ^ case);
+        let init = rng.next_u64();
+        let n = 1 + rng.below(5);
+        let ops = ops(&mut rng, n, 48);
         let reg = MwmrFromSwmr::new(&EpochBackend::new(), n, init);
-        check_sequential(&reg, init, &ops);
+        check_sequential(&reg, init, &ops, case);
     }
+}
 
-    #[test]
-    fn bit_cells_round_trip(bits in prop::collection::vec(any::<bool>(), 0..32)) {
+#[test]
+fn bit_cells_round_trip() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xB175 ^ case);
+        let bits: Vec<bool> = (0..rng.below(32)).map(|_| rng.chance(0.5)).collect();
         let backend = EpochBackend::new();
         let bit = backend.bit(false);
         let p = ProcessId::new(0);
-        let mut model = false;
         for b in bits {
             bit.write(p, b);
-            model = b;
-            prop_assert_eq!(bit.read(p), model);
+            assert_eq!(bit.read(p), b, "case {case}");
         }
     }
+}
 
-    #[test]
-    fn op_counters_sum_to_recorded_totals(
-        events in prop::collection::vec((0usize..5, any::<bool>()), 0..200)
-    ) {
+#[test]
+fn op_counters_sum_to_recorded_totals() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xC027 ^ case);
+        let events: Vec<(usize, bool)> = (0..rng.below(200))
+            .map(|_| (rng.below(5), rng.chance(0.5)))
+            .collect();
         let counters = OpCounters::new(5);
         let mut reads = [0u64; 5];
         let mut writes = [0u64; 5];
         for (pid, is_read) in &events {
-            let kind = if *is_read { OpKind::Read } else { OpKind::Write };
+            let kind = if *is_read {
+                OpKind::Read
+            } else {
+                OpKind::Write
+            };
             counters.record(ProcessId::new(*pid), kind);
             if *is_read {
                 reads[*pid] += 1;
@@ -109,19 +136,21 @@ proptest! {
         }
         for pid in 0..5 {
             let snap = counters.snapshot(ProcessId::new(pid));
-            prop_assert_eq!(snap.reads, reads[pid]);
-            prop_assert_eq!(snap.writes, writes[pid]);
+            assert_eq!(snap.reads, reads[pid], "case {case}");
+            assert_eq!(snap.writes, writes[pid], "case {case}");
         }
         let total = counters.total();
-        prop_assert_eq!(total.reads, reads.iter().sum::<u64>());
-        prop_assert_eq!(total.writes, writes.iter().sum::<u64>());
-        prop_assert_eq!(total.total(), events.len() as u64);
+        assert_eq!(total.reads, reads.iter().sum::<u64>(), "case {case}");
+        assert_eq!(total.writes, writes.iter().sum::<u64>(), "case {case}");
+        assert_eq!(total.total(), events.len() as u64, "case {case}");
     }
+}
 
-    #[test]
-    fn mwmr_tags_strictly_dominate_after_writes(
-        writers in prop::collection::vec(0usize..4, 1..24)
-    ) {
+#[test]
+fn mwmr_tags_strictly_dominate_after_writes() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x7A65 ^ case);
+        let writers: Vec<usize> = (0..1 + rng.below(23)).map(|_| rng.below(4)).collect();
         // After any sequential series of writes, a read from anybody
         // returns the LAST write, regardless of which processes wrote
         // (tag order must break ties deterministically).
@@ -132,7 +161,7 @@ proptest! {
             reg.write(ProcessId::new(*w), last);
         }
         for r in 0..4 {
-            prop_assert_eq!(reg.read(ProcessId::new(r)), last);
+            assert_eq!(reg.read(ProcessId::new(r)), last, "case {case}");
         }
     }
 }

@@ -90,7 +90,7 @@ impl ShardLoad {
             hits: self.hits.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            mean_latency_us: if samples == 0 { 0 } else { total / samples },
+            mean_latency_us: total.checked_div(samples).unwrap_or(0),
             open,
         }
     }
@@ -159,7 +159,7 @@ impl LoadReport {
             .map(|s| (s.shard, s.hits))
             .max_by_key(|&(_, hits)| hits)
             .unwrap_or((0, 0));
-        let skew_permille = if total == 0 { 0 } else { leader_hits * 1000 * n / total };
+        let skew_permille = (leader_hits * 1000 * n).checked_div(total).unwrap_or(0);
         let hot = shards.len() > 1
             && total >= SKEW_VOLUME_FLOOR
             && skew_permille >= SKEW_HOT_PERMILLE;

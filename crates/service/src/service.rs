@@ -302,6 +302,10 @@ impl Drop for GateClaims<'_> {
     }
 }
 
+/// One shard's rendezvous for subset scans; the payload is the shard's
+/// contiguous range of values.
+type ShardRendezvous<V> = Coalescer<Arc<[V]>>;
+
 /// A concurrent front-end over one snapshot object.
 ///
 /// The service multiplexes many clients onto any [`TrySnapshotCore`]
@@ -351,9 +355,8 @@ pub struct SnapshotService<V: RegisterValue, C: TrySnapshotCore<V>> {
     map: ShardMap,
     /// Rendezvous for full scans.
     global: CachePadded<Coalescer<SnapshotView<V>>>,
-    /// Per-shard rendezvous for subset scans confined to one shard; the
-    /// payload is the shard's contiguous range of values.
-    shards: Box<[CachePadded<Coalescer<Arc<[V]>>>]>,
+    /// Per-shard rendezvous for subset scans confined to one shard.
+    shards: Box<[CachePadded<ShardRendezvous<V>>]>,
     /// Per-shard circuit breakers.
     health: Box<[CachePadded<Breaker>]>,
     /// Per-shard load accumulators feeding [`LoadReport`].

@@ -2,12 +2,16 @@
 //! rule against a reference sliding-window model, saturation of the
 //! consecutive-failure diagnostic, jitter band containment, and a fully
 //! deterministic closed → open → half-open → closed lifecycle driven by
-//! explicit clock readings — no sleeps anywhere.
+//! explicit clock readings — no sleeps anywhere. Each property runs over
+//! `CASES` seeded cases; a failure names its case, and
+//! `SeededRng::new(SEED ^ case)` regenerates it.
 
 use std::time::Duration;
 
-use proptest::prelude::*;
+use snapshot_registers::SeededRng;
 use snapshot_service::{Breaker, BreakerState, Gate, HealthConfig, Priority};
+
+const CASES: u64 = 256;
 
 /// Reference model of the outcome window: a plain Vec of outcome bits,
 /// newest last, trimmed to the window size.
@@ -37,36 +41,33 @@ impl ModelWindow {
     }
 }
 
-fn configs() -> impl Strategy<Value = HealthConfig> {
-    (1u32..=64, 1u8..=100, 1u32..=64).prop_map(|(window, trip_error_pct, min_volume)| {
-        HealthConfig {
-            window,
-            trip_error_pct,
-            min_volume,
-            cooldown: Duration::from_micros(500),
-            ramp_successes: 2,
-            ramp_tokens: 1,
-            ramp_interval: Duration::from_micros(50),
-            jitter_pct: 0,
-        }
-    })
+/// An arbitrary (window, threshold, volume) tuning.
+fn config(rng: &mut SeededRng) -> HealthConfig {
+    HealthConfig {
+        window: rng.range(1..=64) as u32,
+        trip_error_pct: rng.range(1..=100) as u8,
+        min_volume: rng.range(1..=64) as u32,
+        cooldown: Duration::from_micros(500),
+        ramp_successes: 2,
+        ramp_tokens: 1,
+        ramp_interval: Duration::from_micros(50),
+        jitter_pct: 0,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The breaker trips exactly when the reference model says the
-    /// window rate crosses the threshold with the volume guard met —
-    /// for arbitrary outcome sequences and arbitrary (window,
-    /// threshold, volume) tunings, at the exact same outcome.
-    #[test]
-    fn trips_iff_rate_over_threshold_and_volume_met(
-        cfg in configs(),
-        outcomes in prop::collection::vec(any::<bool>(), 0..200),
-    ) {
+/// The breaker trips exactly when the reference model says the
+/// window rate crosses the threshold with the volume guard met —
+/// for arbitrary outcome sequences and arbitrary (window,
+/// threshold, volume) tunings, at the exact same outcome.
+#[test]
+fn trips_iff_rate_over_threshold_and_volume_met() {
+    'case: for case in 0..CASES {
+        let mut rng = SeededRng::new(0x7219 ^ case);
+        let cfg = config(&mut rng);
         let b = Breaker::new(0);
         let mut model = ModelWindow::new(cfg.window);
-        for (i, &err) in outcomes.iter().enumerate() {
+        for i in 0..rng.below(200) {
+            let err = rng.chance(0.5);
             if err {
                 b.on_failure(true, 0, &cfg);
             } else {
@@ -74,50 +75,54 @@ proptest! {
             }
             model.push(err);
             if model.tripped(&cfg) {
-                prop_assert!(
+                assert!(
                     b.is_open(0),
-                    "outcome {i}: model tripped (rate rule met) but breaker stayed closed"
+                    "case {case}, outcome {i}: model tripped (rate rule met) but breaker stayed \
+                     closed"
                 );
-                prop_assert_eq!(b.trips(), 1);
-                return Ok(());
+                assert_eq!(b.trips(), 1, "case {case}");
+                continue 'case;
             }
-            prop_assert!(
+            assert!(
                 !b.is_open(0),
-                "outcome {i}: breaker tripped early (model rate rule not met)"
+                "case {case}, outcome {i}: breaker tripped early (model rate rule not met)"
             );
         }
-        prop_assert_eq!(b.trips(), 0);
+        assert_eq!(b.trips(), 0, "case {case}");
     }
+}
 
-    /// The consecutive-failure diagnostic counts up under failures,
-    /// resets on success, and saturates instead of wrapping.
-    #[test]
-    fn consecutive_diagnostic_tracks_failure_runs(
-        outcomes in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
+/// The consecutive-failure diagnostic counts up under failures,
+/// resets on success, and saturates instead of wrapping.
+#[test]
+fn consecutive_diagnostic_tracks_failure_runs() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xC025 ^ case);
         let cfg = HealthConfig::disabled();
         let b = Breaker::new(1);
         let mut run = 0u32;
-        for &err in &outcomes {
-            if err {
+        for _ in 0..1 + rng.below(99) {
+            if rng.chance(0.5) {
                 b.on_failure(true, 0, &cfg);
                 run = run.saturating_add(1);
             } else {
                 b.on_success(0, &cfg);
                 run = 0;
             }
-            prop_assert_eq!(b.consecutive(), run);
+            assert_eq!(b.consecutive(), run, "case {case}");
         }
     }
+}
 
-    /// Every retry hint an open breaker hands out stays inside the
-    /// configured ± jitter band around the remaining cooldown.
-    #[test]
-    fn retry_hints_stay_inside_the_jitter_band(
-        jitter_pct in 0u8..=100,
-        seed in any::<u64>(),
-        probe_at in 0u64..100_000,
-    ) {
+/// Every retry hint an open breaker hands out stays inside the
+/// configured ± jitter band around the remaining cooldown.
+#[test]
+fn retry_hints_stay_inside_the_jitter_band() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x3177 ^ case);
+        let jitter_pct = rng.range(0..=100) as u8;
+        let seed = rng.next_u64();
+        let probe_at = rng.range(0..=99_999);
         let cooldown_us = 100_000u64;
         let cfg = HealthConfig {
             jitter_pct,
@@ -132,12 +137,12 @@ proptest! {
                 let us = retry_after.as_micros() as u64;
                 let span = left / 100 * u64::from(jitter_pct)
                     + left % 100 * u64::from(jitter_pct) / 100;
-                prop_assert!(
+                assert!(
                     (left.saturating_sub(span)..=left + span).contains(&us),
-                    "hint {us}µs outside ±{jitter_pct}% of {left}µs"
+                    "case {case}: hint {us}µs outside ±{jitter_pct}% of {left}µs"
                 );
             }
-            g => prop_assert!(false, "open breaker must shed, got {:?}", g),
+            g => panic!("case {case}: open breaker must shed, got {g:?}"),
         }
     }
 }

@@ -1,9 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use snapshot_registers::{OpKind, ProcessId};
+use snapshot_registers::{OpKind, ProcessId, SeededRng};
 
 /// A process parked at the gate, waiting to perform one register operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,21 +55,21 @@ impl<P: SchedulePolicy + ?Sized> SchedulePolicy for &mut P {
 /// assert_eq!(p.choose(&ready, 0), q.choose(&ready, 0));
 /// ```
 pub struct RandomPolicy {
-    rng: StdRng,
+    rng: SeededRng,
 }
 
 impl RandomPolicy {
     /// Creates a policy from an explicit seed.
     pub fn seeded(seed: u64) -> Self {
         RandomPolicy {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SeededRng::new(seed),
         }
     }
 }
 
 impl SchedulePolicy for RandomPolicy {
     fn choose(&mut self, ready: &[ReadyProcess], _step: u64) -> Decision {
-        Decision::Run(self.rng.random_range(0..ready.len()))
+        Decision::Run(self.rng.below(ready.len()))
     }
 }
 

@@ -1,9 +1,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::{Condvar, Mutex};
 use snapshot_obs::{Event, RegOp, Trace};
 use snapshot_registers::{OpKind, ProcessId, StepGate};
 
@@ -62,6 +61,20 @@ struct Shared {
     ctrl_cv: Condvar,
 }
 
+impl Shared {
+    /// A poisoned lock yields its guard: process bodies panic by design
+    /// (aborts, and real failures the controller reports), and every
+    /// update under the lock is one slot assignment or one push.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// `cv.wait(st)`, recovering a poisoned guard like [`Shared::lock`].
+fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    cv.wait(st).unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The [`StepGate`] connected to a [`Sim`]; install it into an
 /// [`Instrumented`] backend so every register operation of the algorithm
 /// under test parks here.
@@ -76,7 +89,7 @@ pub struct SimGate {
 
 impl StepGate for SimGate {
     fn step(&self, pid: ProcessId, op: OpKind) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.lock();
         if !st.active {
             return;
         }
@@ -95,7 +108,7 @@ impl StepGate for SimGate {
         st.slots[i] = Slot::Ready(op);
         self.shared.ctrl_cv.notify_all();
         loop {
-            self.shared.worker_cv.wait(&mut st);
+            st = wait(&self.shared.worker_cv, st);
             if st.aborting {
                 st.slots[i] = Slot::Aborted;
                 self.shared.ctrl_cv.notify_all();
@@ -305,8 +318,11 @@ impl Sim {
     /// Runs the simulation to completion under `policy`.
     ///
     /// `bodies[i]` is the code of process `i`; it must perform its shared
-    /// accesses through registers gated by [`Sim::gate`]. The call returns
-    /// when every process has finished or been aborted.
+    /// accesses through registers gated by [`Sim::gate`]. Processes are
+    /// started one at a time, each running alone up to its first gated
+    /// operation, so even a body's ungated prefix runs in process-id
+    /// order. The call returns when every process has finished or been
+    /// aborted.
     ///
     /// # Errors
     ///
@@ -327,7 +343,7 @@ impl Sim {
         }
         let shared = &self.shared;
         {
-            let mut st = shared.state.lock();
+            let mut st = shared.lock();
             st.active = true;
             st.slots.iter_mut().for_each(|s| *s = Slot::Busy);
         }
@@ -342,7 +358,7 @@ impl Sim {
                 let shared = Arc::clone(shared);
                 scope.spawn(move || {
                     let result = panic::catch_unwind(AssertUnwindSafe(body));
-                    let mut st = shared.state.lock();
+                    let mut st = shared.lock();
                     match result {
                         Ok(()) => st.slots[i] = Slot::Done,
                         Err(payload) => {
@@ -355,18 +371,26 @@ impl Sim {
                     }
                     shared.ctrl_cv.notify_all();
                 });
+                // Start processes one at a time, each running alone up to
+                // its first gated operation: what a body does before that
+                // (claiming a handle, taking a recorder timestamp) is then
+                // ordered by process id, not by an OS thread race.
+                let mut st = self.shared.lock();
+                while st.slots[i] == Slot::Busy {
+                    st = wait(&self.shared.ctrl_cv, st);
+                }
             }
 
             // Controller loop: wait for quiescence, consult the policy,
             // grant one step, repeat.
-            let mut st = shared.state.lock();
+            let mut st = shared.lock();
             let halt = loop {
                 while st
                     .slots
                     .iter()
                     .any(|s| matches!(s, Slot::Busy | Slot::Granted))
                 {
-                    shared.ctrl_cv.wait(&mut st);
+                    st = wait(&shared.ctrl_cv, st);
                 }
                 if !st.panics.is_empty() {
                     break HaltReason::AllDone; // error surfaced after joining
@@ -429,14 +453,14 @@ impl Sim {
                 .iter()
                 .any(|s| !matches!(s, Slot::Done | Slot::Aborted))
             {
-                shared.ctrl_cv.wait(&mut st);
+                st = wait(&shared.ctrl_cv, st);
             }
             st.active = false;
             st.aborting = false;
             halt
         });
 
-        let st = shared.state.lock();
+        let st = shared.lock();
         if let Some((i, message)) = st.panics.first().cloned() {
             return Err(SimError::ProcessPanicked {
                 pid: ProcessId::new(i),

@@ -1,13 +1,23 @@
 //! Property tests for the deterministic simulator: schedule counting,
-//! replay fidelity, and policy behavior.
+//! replay fidelity, and policy behavior. Each property runs over `CASES`
+//! seeded cases; a failure names its case, and
+//! `SeededRng::new(SEED ^ case)` regenerates it.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-use snapshot_registers::{Backend, EpochBackend, Instrumented, ProcessId, Register};
+use snapshot_registers::{Backend, EpochBackend, Instrumented, ProcessId, Register, SeededRng};
 use snapshot_sim::{
     ExploreLimits, Explorer, RandomPolicy, ReplayPolicy, RoundRobinPolicy, Sim, SimConfig,
 };
+
+const CASES: u64 = 24;
+
+/// `len` draws from `lo..=hi`, `len` itself drawn from `min_len..=max_len`.
+fn counts(rng: &mut SeededRng, lo: u64, hi: u64, min_len: u64, max_len: u64) -> Vec<usize> {
+    (0..rng.range(min_len..=max_len))
+        .map(|_| rng.range(lo..=hi) as usize)
+        .collect()
+}
 
 /// Runs `counts[i]` register reads on process `i` under `policy`,
 /// returning the recorded trace of pids.
@@ -50,11 +60,11 @@ fn binomial(a: u64, b: u64) -> u64 {
     (num / den) as u64
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn explorer_counts_interleavings_exactly(a in 1usize..4, b in 1usize..4) {
+#[test]
+fn explorer_counts_interleavings_exactly() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0xE8B1 ^ case);
+        let (a, b) = (1 + rng.below(3), 1 + rng.below(3));
         let mut runs = 0u64;
         let outcome = Explorer::new(ExploreLimits::default())
             .explore::<String>(|policy| {
@@ -63,47 +73,58 @@ proptest! {
                 Ok(())
             })
             .unwrap();
-        prop_assert!(outcome.is_complete());
-        prop_assert_eq!(runs, binomial((a + b) as u64, a as u64));
+        assert!(outcome.is_complete(), "case {case}");
+        assert_eq!(runs, binomial((a + b) as u64, a as u64), "case {case}");
     }
+}
 
-    #[test]
-    fn replaying_a_random_trace_reproduces_it(
-        counts in prop::collection::vec(1usize..4, 1..4),
-        seed in any::<u64>(),
-    ) {
-        // First run under a random policy with a recording replay wrapper:
-        // run random, capture the trace, convert to ready-set indices by
-        // re-simulating with a replay built from observed choices.
+#[test]
+fn replaying_a_random_trace_reproduces_it() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x4E91 ^ case);
+        let counts = counts(&mut rng, 1, 3, 1, 3);
+        let seed = rng.next_u64();
         let trace1 = run_reads(&counts, &mut RandomPolicy::seeded(seed));
         let trace2 = run_reads(&counts, &mut RandomPolicy::seeded(seed));
-        prop_assert_eq!(&trace1, &trace2, "same seed must reproduce the schedule");
+        assert_eq!(
+            trace1, trace2,
+            "case {case}: same seed must reproduce the schedule"
+        );
     }
+}
 
-    #[test]
-    fn replay_policy_is_deterministic(
-        counts in prop::collection::vec(1usize..4, 1..4),
-        choices in prop::collection::vec(0usize..4, 0..12),
-    ) {
+#[test]
+fn replay_policy_is_deterministic() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x4E92 ^ case);
+        let counts = counts(&mut rng, 1, 3, 1, 3);
+        let choices: Vec<usize> = (0..rng.below(12)).map(|_| rng.below(4)).collect();
         let t1 = run_reads(&counts, &mut ReplayPolicy::new(choices.clone()));
         let t2 = run_reads(&counts, &mut ReplayPolicy::new(choices));
-        prop_assert_eq!(t1, t2);
+        assert_eq!(t1, t2, "case {case}");
     }
+}
 
-    #[test]
-    fn round_robin_trace_is_fair(counts in prop::collection::vec(2usize..5, 2..4)) {
-        // Under round robin with equal-length scripts, consecutive grants
-        // never run the same process while another is ready.
+#[test]
+fn round_robin_trace_is_fair() {
+    for case in 0..CASES {
+        let mut rng = SeededRng::new(0x2012 ^ case);
+        let counts = counts(&mut rng, 2, 4, 2, 3);
+        // Under round robin every grant is accounted for: the trace is as
+        // long as the scripts, and process `i` appears exactly
+        // `counts[i]` times.
         let trace = run_reads(&counts, &mut RoundRobinPolicy::new());
-        prop_assert_eq!(trace.len(), counts.iter().sum::<usize>());
-        // Each process appears exactly counts[i] times.
+        assert_eq!(trace.len(), counts.iter().sum::<usize>(), "case {case}");
         for (i, &k) in counts.iter().enumerate() {
-            prop_assert_eq!(trace.iter().filter(|&&p| p == i).count(), k);
+            assert_eq!(trace.iter().filter(|&&p| p == i).count(), k, "case {case}");
         }
     }
+}
 
-    #[test]
-    fn step_limit_is_exact(limit in 1u64..20) {
+#[test]
+fn step_limit_is_exact() {
+    for case in 0..CASES {
+        let limit = SeededRng::new(0x5719 ^ case).range(1..=19);
         let sim = Sim::new(1);
         let backend = Instrumented::new(EpochBackend::new()).with_gate(sim.gate());
         let cell = backend.cell(0u8);
@@ -119,6 +140,6 @@ proptest! {
                 })],
             )
             .unwrap();
-        prop_assert_eq!(report.steps, limit);
+        assert_eq!(report.steps, limit, "case {case}");
     }
 }

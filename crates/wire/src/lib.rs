@@ -11,8 +11,7 @@
 //!
 //! * [`frame`] — length-prefixed framing with a max-frame-size guard on
 //!   both the read and write paths;
-//! * [`value`] — the hand-rolled [`WireValue`] encoding (no external
-//!   serde, mirroring the bench suite's hand-rolled JSON);
+//! * [`value`] — the hand-rolled [`WireValue`] encoding;
 //! * [`proto`] — the versioned [`Frame`] set: handshake, lane/segment
 //!   addressed requests, tagged replies and typed error frames;
 //! * [`net`] — [`Endpoint`] parsing plus TCP/UDS streams and listeners;

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -474,8 +474,8 @@ impl ReplicaStore {
     /// Opens (or creates) a persistent store logging to `path` with the
     /// default policies — see [`ReplicaStore::open_with`] for the
     /// configurable form.
-    pub fn open(path: &PathBuf) -> Result<Self, StoreError> {
-        Self::open_with(StoreConfig::at(path.clone()))
+    pub fn open(path: &Path) -> Result<Self, StoreError> {
+        Self::open_with(StoreConfig::at(path.to_path_buf()))
     }
 
     /// Opens a store per `config`, replaying the checkpoint and the log.
@@ -604,7 +604,7 @@ impl ReplicaStore {
         // record (O_APPEND writes land at the new EOF), and stamp the
         // header on a fresh or fully-truncated log.
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        file.set_len(valid_len.max(0))?;
+        file.set_len(valid_len)?;
         let mut writer = BufWriter::new(file);
         let mut log_bytes = valid_len;
         if log_bytes < LOG_HEADER {

@@ -106,7 +106,7 @@ pub fn put_bytes(out: &mut Vec<u8>, raw: &[u8]) {
 ///
 /// Implementations must be *canonical*: `decode(encode(v)) == v` and the
 /// decoder consumes exactly the bytes the encoder produced (composition
-/// inside larger messages depends on it; the proptest suite checks both).
+/// inside larger messages depends on it; `tests/proptest_wire.rs` checks both).
 pub trait WireValue: Sized {
     /// Appends this value's canonical encoding to `out`.
     fn encode_into(&self, out: &mut Vec<u8>);

@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --example randomized_consensus`
 
-use rand::{RngExt, SeedableRng};
 use snapshot_apps::RandomizedConsensus;
-use snapshot_registers::ProcessId;
+use snapshot_registers::{ProcessId, SeededRng};
 
 fn main() {
     const N: usize = 8;
@@ -19,10 +18,10 @@ fn main() {
                 let consensus = &consensus;
                 s.spawn(move || {
                     let input = i % 3 == 0; // mixed proposals
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(0xC01_u64 + i as u64);
+                    let mut rng = SeededRng::new(0xC01_u64 + i as u64);
                     let mut handle = consensus.handle(ProcessId::new(i));
                     let decided = handle
-                        .propose(input, &mut || rng.random_bool(0.5))
+                        .propose(input, &mut || rng.chance(0.5))
                         .expect("round budget is generous");
                     (i, input, decided)
                 })

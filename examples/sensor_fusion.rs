@@ -22,12 +22,18 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use snapshot_core::{BoundedSnapshot, SwSnapshot, SwSnapshotHandle};
 use snapshot_registers::{
     collect, Backend, EpochBackend, Instrumented, OpKind, ProcessId, Register, StepGate,
 };
+
+/// A poisoned lock yields its guard: the log is append-only, so what the
+/// other readers pushed is intact even if one of them panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Makes every register access a preemption point — the asynchronous
 /// model of the paper, where a process can be delayed arbitrarily between
@@ -123,17 +129,21 @@ fn incomparable_pairs_naive() -> usize {
                     };
                     mine.push(obs);
                 }
-                observations.lock().push(mine);
+                lock(observations).push(mine);
             });
         }
         // Let the readers finish, then stop the sensors.
-        while observations.lock().len() < READERS {
+        while lock(&observations).len() < READERS {
             std::hint::spin_loop();
         }
         stop.store(true, Ordering::Relaxed);
     });
 
-    count_incomparable(&observations.into_inner())
+    count_incomparable(
+        &observations
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
+    )
 }
 
 /// Fusion by atomic scans over the bounded snapshot construction.
@@ -169,14 +179,18 @@ fn incomparable_pairs_snapshot() -> usize {
                     // Only the sensor segments matter for comparability.
                     mine.push(handle.scan()[..SENSORS].to_vec());
                 }
-                observations.lock().push(mine);
+                lock(observations).push(mine);
             });
         }
-        while observations.lock().len() < READERS {
+        while lock(&observations).len() < READERS {
             std::hint::spin_loop();
         }
         stop.store(true, Ordering::Relaxed);
     });
 
-    count_incomparable(&observations.into_inner())
+    count_incomparable(
+        &observations
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
+    )
 }

@@ -4,12 +4,18 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use snapshot_apps::{BakeryMutex, CheckpointableCounter, SnapshotRegister, TimestampSystem};
 use snapshot_lin::{check_linearizable, RegisterOp, RegisterSpec, WgOp};
 use snapshot_registers::{EpochBackend, Instrumented, ProcessId};
 use snapshot_sim::{RandomPolicy, Sim, SimConfig};
+
+/// A poisoned lock yields its guard: simulated bodies may panic on
+/// purpose, and what they logged before that is still wanted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn bakery_mutual_exclusion_model_checked_over_random_schedules() {
@@ -126,7 +132,7 @@ fn timestamps_respect_real_time_under_adversarial_schedules() {
                     let inv = clock.fetch_add(1, Ordering::SeqCst);
                     let ts = h.label();
                     let res = clock.fetch_add(1, Ordering::SeqCst);
-                    labeled.lock().push((inv, res, ts));
+                    lock(labeled).push((inv, res, ts));
                 }
             }));
         }
@@ -137,7 +143,7 @@ fn timestamps_respect_real_time_under_adversarial_schedules() {
         )
         .unwrap();
 
-        let labeled = labeled.into_inner();
+        let labeled = labeled.into_inner().unwrap_or_else(PoisonError::into_inner);
         // Distinct labels.
         let mut all: Vec<_> = labeled.iter().map(|x| x.2).collect();
         all.sort();
@@ -173,20 +179,20 @@ fn immediate_snapshot_properties_hold_on_every_schedule() {
             let sim = Sim::new(n);
             let backend = Instrumented::new(EpochBackend::new()).with_gate(sim.gate());
             let object = ImmediateSnapshot::with_backend(n, &backend);
-            let views: Arc<Mutex<Vec<Option<Vec<(ProcessId, u64)>>>>> =
-                Arc::new(Mutex::new(vec![None; n]));
+            type View = Vec<(ProcessId, u64)>;
+            let views: Arc<Mutex<Vec<Option<View>>>> = Arc::new(Mutex::new(vec![None; n]));
             let mut bodies: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
             for i in 0..n {
                 let object = &object;
                 let views = Arc::clone(&views);
                 bodies.push(Box::new(move || {
                     let view = object.write_read(ProcessId::new(i), i as u64);
-                    views.lock()[i] = Some(view);
+                    lock(&views)[i] = Some(view);
                 }));
             }
             sim.run(policy, SimConfig::default(), bodies)
                 .map_err(|e| e.to_string())?;
-            check_immediacy(&views.lock())?;
+            check_immediacy(&lock(&views))?;
             runs += 1;
             Ok(())
         })
@@ -216,12 +222,12 @@ fn snapshot_register_histories_are_register_linearizable() {
                     let pid = ProcessId::new(t);
                     let mut h = reg.writer(pid);
                     for k in 0..2u64 {
-                        if (t as u64 + k + round) % 2 == 0 {
+                        if (t as u64 + k + round).is_multiple_of(2) {
                             let value = (t as u64 + 1) * 1000 + k + round;
                             let inv = clock.fetch_add(1, Ordering::SeqCst);
                             h.write(value);
                             let res = clock.fetch_add(1, Ordering::SeqCst);
-                            ops.lock().push(WgOp {
+                            lock(&ops).push(WgOp {
                                 pid,
                                 inv,
                                 res: Some(res),
@@ -231,7 +237,7 @@ fn snapshot_register_histories_are_register_linearizable() {
                             let inv = clock.fetch_add(1, Ordering::SeqCst);
                             let value = h.read();
                             let res = clock.fetch_add(1, Ordering::SeqCst);
-                            ops.lock().push(WgOp {
+                            lock(&ops).push(WgOp {
                                 pid,
                                 inv,
                                 res: Some(res),
@@ -242,7 +248,10 @@ fn snapshot_register_histories_are_register_linearizable() {
                 });
             }
         });
-        let ops = Arc::try_unwrap(ops).unwrap().into_inner();
+        let ops = Arc::try_unwrap(ops)
+            .unwrap()
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         assert!(
             check_linearizable(&RegisterSpec::new(0u64), &ops).is_linearizable(),
             "round {round}: {ops:?}"

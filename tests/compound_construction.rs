@@ -10,7 +10,7 @@
 //! `Θ(n⁴)` for the modeled Anderson compound — who wins and by what factor
 //! is exactly Section 6's claim.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use snapshot_bench::anderson_model;
 use snapshot_bench::harness::{mw_disjoint_scripts, run_mw_threaded};
@@ -29,7 +29,7 @@ fn mwmr_from_swmr_register_is_linearizable() {
         let n = 3;
         let reg = Arc::new(MwmrFromSwmr::new(&EpochBackend::new(), n, 0u64));
         let clock = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let ops = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let ops = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|s| {
             for t in 0..n {
                 let reg = Arc::clone(&reg);
@@ -40,33 +40,40 @@ fn mwmr_from_swmr_register_is_linearizable() {
                     let pid = ProcessId::new(t);
                     for k in 0..2u64 {
                         let now = || clock.fetch_add(1, Ordering::Relaxed);
-                        if (t as u64 + k + round) % 2 == 0 {
+                        if (t as u64 + k + round).is_multiple_of(2) {
                             let value = (t as u64 + 1) * 100 + k;
                             let inv = now();
                             reg.write(pid, value);
                             let res = now();
-                            ops.lock().push(WgOp {
-                                pid,
-                                inv,
-                                res: Some(res),
-                                op: RegisterOp::Write { value },
-                            });
+                            ops.lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .push(WgOp {
+                                    pid,
+                                    inv,
+                                    res: Some(res),
+                                    op: RegisterOp::Write { value },
+                                });
                         } else {
                             let inv = now();
                             let value = reg.read(pid);
                             let res = now();
-                            ops.lock().push(WgOp {
-                                pid,
-                                inv,
-                                res: Some(res),
-                                op: RegisterOp::Read { value },
-                            });
+                            ops.lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .push(WgOp {
+                                    pid,
+                                    inv,
+                                    res: Some(res),
+                                    op: RegisterOp::Read { value },
+                                });
                         }
                     }
                 });
             }
         });
-        let ops = Arc::try_unwrap(ops).unwrap().into_inner();
+        let ops = Arc::try_unwrap(ops)
+            .unwrap()
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let result = check_linearizable(&RegisterSpec::new(0u64), &ops);
         assert!(
             result.is_linearizable(),

@@ -3,14 +3,23 @@
 //! to be probabilistic.
 
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use snapshot_apps::{ConsensusError, RandomizedConsensus};
 use snapshot_registers::{EpochBackend, Instrumented, ProcessId};
 use snapshot_sim::{ExploreLimits, Explorer, RandomPolicy, Sim, SimConfig};
 
+/// A poisoned lock yields its guard: simulated bodies may panic on
+/// purpose, and what they logged before that is still wanted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs 2-process consensus with the given inputs under `policy`; returns
 /// each process's result.
+/// What one process's `propose` returned.
+type Proposal = Result<bool, ConsensusError>;
+
 fn run_consensus(
     inputs: [bool; 2],
     coins: [bool; 2],
@@ -20,8 +29,7 @@ fn run_consensus(
     let sim = Sim::new(n);
     let backend = Instrumented::new(EpochBackend::new()).with_gate(sim.gate());
     let consensus = RandomizedConsensus::with_backend(n, 6, &backend);
-    let results: Arc<Mutex<Vec<Option<Result<bool, ConsensusError>>>>> =
-        Arc::new(Mutex::new(vec![None; n]));
+    let results: Arc<Mutex<Vec<Option<Proposal>>>> = Arc::new(Mutex::new(vec![None; n]));
 
     let mut bodies: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
     for i in 0..n {
@@ -30,12 +38,12 @@ fn run_consensus(
         bodies.push(Box::new(move || {
             let mut h = consensus.handle(ProcessId::new(i));
             let r = h.propose(inputs[i], &mut || coins[i]);
-            results.lock()[i] = Some(r);
+            lock(&results)[i] = Some(r);
         }));
     }
     sim.run(policy, SimConfig::default(), bodies)
         .expect("simulation failed");
-    let guard = results.lock();
+    let guard = lock(&results);
     guard.iter().map(|r| r.expect("completed")).collect()
 }
 
@@ -67,10 +75,8 @@ fn exhaustive_schedules_conflicting_inputs() {
     .explore::<String>(|policy| {
         let results = run_consensus([true, false], [false, false], policy);
         assert_safe([true, false], &results);
-        for r in &results {
-            if let Ok(d) = r {
-                decisions_seen.insert(*d);
-            }
+        for d in results.iter().flatten() {
+            decisions_seen.insert(*d);
         }
         runs += 1;
         Ok(())
@@ -107,12 +113,12 @@ fn exhaustive_schedules_unanimous_inputs_never_need_coins() {
                 let d = h
                     .propose(false, &mut || panic!("coin consulted on unanimous inputs"))
                     .expect("must decide in round 1");
-                decisions.lock()[i] = Some(d);
+                lock(&decisions)[i] = Some(d);
             }));
         }
         sim.run(policy, SimConfig::default(), bodies)
             .map_err(|e| e.to_string())?;
-        let guard = decisions.lock();
+        let guard = lock(&decisions);
         assert!(guard.iter().all(|d| *d == Some(false)), "validity violated");
         runs += 1;
         Ok(())
@@ -134,8 +140,7 @@ fn crashed_proposer_does_not_block_the_others() {
         let sim = Sim::new(n);
         let backend = Instrumented::new(EpochBackend::new()).with_gate(sim.gate());
         let consensus = RandomizedConsensus::with_backend(n, 8, &backend);
-        let results: Arc<Mutex<Vec<Option<Result<bool, ConsensusError>>>>> =
-            Arc::new(Mutex::new(vec![None; n]));
+        let results: Arc<Mutex<Vec<Option<Proposal>>>> = Arc::new(Mutex::new(vec![None; n]));
 
         let mut bodies: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
         for i in 0..n {
@@ -144,7 +149,7 @@ fn crashed_proposer_does_not_block_the_others() {
             bodies.push(Box::new(move || {
                 let mut h = consensus.handle(ProcessId::new(i));
                 let r = h.propose(i == 0, &mut || false);
-                results.lock()[i] = Some(r);
+                lock(&results)[i] = Some(r);
             }));
         }
         let mut policy = CrashPolicy::new(snapshot_sim::RoundRobinPolicy::new())
@@ -160,7 +165,7 @@ fn crashed_proposer_does_not_block_the_others() {
         )
         .expect("simulation failed");
 
-        let guard = results.lock();
+        let guard = lock(&results);
         let survivor = guard[1].expect("survivor must terminate");
         let survivor_decision = survivor.expect("survivor must decide within budget");
         // If the crashed process got far enough to decide, agreement must
@@ -187,10 +192,8 @@ fn random_schedules_with_adversarial_coins_stay_safe() {
             &mut RandomPolicy::seeded(seed),
         );
         assert_safe([true, false], &results);
-        for r in &results {
-            if let Ok(d) = r {
-                outcomes.insert(*d);
-            }
+        for d in results.iter().flatten() {
+            outcomes.insert(*d);
         }
     }
     // The adversary chooses *which* input wins, never *whether* processes

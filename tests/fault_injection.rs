@@ -135,8 +135,8 @@ fn multiwriter_survives_crash_between_handshake_and_value_write() {
 /// `(k, 3k)` values make torn or stale-mix reads detectable.
 #[test]
 fn abd_register_survives_replica_crash_restart_storm() {
-    use rand::{rngs::StdRng, RngExt, SeedableRng};
     use snapshot_abd::{AbdRegister, Network, NetworkConfig};
+    use snapshot_registers::SeededRng;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -155,17 +155,17 @@ fn abd_register_survives_replica_crash_restart_storm() {
                 let network = Arc::clone(&network);
                 let stop = Arc::clone(&stop);
                 s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut rng = SeededRng::new(seed);
                     let mut down = [false; 2];
                     while !stop.load(Ordering::Relaxed) {
-                        let i = rng.random_range(0..2usize);
+                        let i = rng.below(2);
                         if down[i] {
                             network.restart(i);
                         } else {
                             network.crash(i);
                         }
                         down[i] = !down[i];
-                        std::thread::sleep(Duration::from_micros(rng.random_range(200..2_000)));
+                        std::thread::sleep(Duration::from_micros(rng.range(200..=1_999)));
                     }
                     for (i, d) in down.into_iter().enumerate() {
                         if d {

@@ -31,7 +31,6 @@
 //! (key ≠ payload): three same-key writes between two trusted advances,
 //! asserting the cache is never version-certified while stale.
 
-use proptest::prelude::*;
 use snapshot_bench::harness::{
     mw_contended_scripts, mw_disjoint_scripts, run_mw_sim, run_sw_sim, run_sw_threaded,
     sw_random_scripts, GatedBackend, SwStep,
@@ -41,7 +40,7 @@ use snapshot_core::{
 };
 use snapshot_lin::{check_history, check_intervals, History};
 use snapshot_registers::{
-    collect, Backend, EpochBackend, MutexBackend, ProcessId, Register, TrackedCollect,
+    collect, Backend, EpochBackend, MutexBackend, ProcessId, Register, SeededRng, TrackedCollect,
 };
 use snapshot_sim::{RandomPolicy, SimConfig};
 
@@ -60,17 +59,27 @@ enum Act {
     Invalidate,
 }
 
-fn act_strategy(regs: usize) -> impl Strategy<Value = Act> {
-    prop_oneof![
-        3 => (0..regs, any::<u64>()).prop_map(|(reg, val)| Act::Write { reg, val }),
-        3 => Just(Act::Advance),
-        1 => Just(Act::Invalidate),
-    ]
+/// Writes, advances and invalidations, weighted 3 : 3 : 1.
+fn act(rng: &mut SeededRng, regs: usize) -> Act {
+    match rng.below(7) {
+        0..=2 => Act::Write {
+            reg: rng.below(regs),
+            val: rng.next_u64(),
+        },
+        3..=5 => Act::Advance,
+        _ => Act::Invalidate,
+    }
 }
 
 /// Runs the act script over cells from `backend`, asserting after every
 /// pass that the incremental cache equals a fresh full collect.
-fn check_against_ground_truth<B: Backend>(backend: &B, acts: &[Act], regs: usize, trust: bool) {
+fn check_against_ground_truth<B: Backend>(
+    backend: &B,
+    acts: &[Act],
+    regs: usize,
+    trust: bool,
+    case: u64,
+) {
     let cells: Vec<B::Cell<u64>> = (0..regs).map(|_| backend.cell(0u64)).collect();
     let mut tracked: TrackedCollect<u64> = TrackedCollect::new();
     let pid = ProcessId::new(0);
@@ -82,7 +91,7 @@ fn check_against_ground_truth<B: Backend>(backend: &B, acts: &[Act], regs: usize
                 assert_eq!(
                     tracked.records(),
                     collect(pid, &cells).as_slice(),
-                    "incremental pass diverged from full collect (trust_keys={trust})"
+                    "case {case}: incremental pass diverged from full collect (trust_keys={trust})"
                 );
             }
             Act::Invalidate => tracked.invalidate(),
@@ -90,19 +99,17 @@ fn check_against_ground_truth<B: Backend>(backend: &B, acts: &[Act], regs: usize
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// With version hints (epoch cells), without them (mutex cells), with
-    /// keys trusted and not: every advance must land on the full-collect
-    /// state.
-    #[test]
-    fn tracked_collect_always_matches_full_collect(
-        acts in proptest::collection::vec(act_strategy(4), 1..40),
-        trust in any::<bool>(),
-    ) {
-        check_against_ground_truth(&EpochBackend::new(), &acts, 4, trust);
-        check_against_ground_truth(&MutexBackend::new(), &acts, 4, trust);
+/// With version hints (epoch cells), without them (mutex cells), with
+/// keys trusted and not: every advance must land on the full-collect
+/// state.
+#[test]
+fn tracked_collect_always_matches_full_collect() {
+    for case in 0..64 {
+        let mut rng = SeededRng::new(0x72AC ^ case);
+        let acts: Vec<Act> = (0..1 + rng.below(39)).map(|_| act(&mut rng, 4)).collect();
+        let trust = rng.chance(0.5);
+        check_against_ground_truth(&EpochBackend::new(), &acts, 4, trust, case);
+        check_against_ground_truth(&MutexBackend::new(), &acts, 4, trust, case);
     }
 }
 
@@ -222,53 +229,54 @@ where
     (full, incremental)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Seeded cases per bit-identity property; a failure names its case, and
+/// `SeededRng::new(SEED ^ case)` regenerates it.
+const SIM_CASES: u64 = 32;
 
-    /// Unbounded construction: identical scripts + identical adversarial
-    /// schedule must record bit-identical histories in both modes.
-    #[test]
-    fn unbounded_incremental_histories_are_bit_identical(
-        len in 1..10usize,
-        update_prob in 0.0..=1.0f64,
-        script_seed in any::<u64>(),
-        sched_seed in any::<u64>(),
-    ) {
+/// Unbounded construction: identical scripts + identical adversarial
+/// schedule must record bit-identical histories in both modes.
+#[test]
+fn unbounded_incremental_histories_are_bit_identical() {
+    for case in 0..SIM_CASES {
+        let mut rng = SeededRng::new(0x0B1D ^ case);
+        let (len, update_prob) = (1 + rng.below(9), rng.unit());
+        let (script_seed, sched_seed) = (rng.next_u64(), rng.next_u64());
         let n = 3;
         let scripts = sw_random_scripts(n, len, update_prob, script_seed);
         let (full, incremental) = sw_both_modes(n, &scripts, sched_seed, |b, inc| {
             UnboundedSnapshot::with_backend(n, 0u64, b).with_incremental(inc)
         });
-        prop_assert_eq!(full.ops(), incremental.ops());
-        prop_assert_eq!(check_intervals(&incremental), Ok(()));
+        assert_eq!(full.ops(), incremental.ops(), "case {case}");
+        assert_eq!(check_intervals(&incremental), Ok(()), "case {case}");
     }
+}
 
-    /// Bounded (handshake) construction: same property; the incremental
-    /// path also re-implements the handshake interleaving, so this guards
-    /// its per-partner read/write ordering too.
-    #[test]
-    fn bounded_incremental_histories_are_bit_identical(
-        len in 1..10usize,
-        update_prob in 0.0..=1.0f64,
-        script_seed in any::<u64>(),
-        sched_seed in any::<u64>(),
-    ) {
+/// Bounded (handshake) construction: same property; the incremental
+/// path also re-implements the handshake interleaving, so this guards
+/// its per-partner read/write ordering too.
+#[test]
+fn bounded_incremental_histories_are_bit_identical() {
+    for case in 0..SIM_CASES {
+        let mut rng = SeededRng::new(0xB01D ^ case);
+        let (len, update_prob) = (1 + rng.below(9), rng.unit());
+        let (script_seed, sched_seed) = (rng.next_u64(), rng.next_u64());
         let n = 3;
         let scripts = sw_random_scripts(n, len, update_prob, script_seed);
         let (full, incremental) = sw_both_modes(n, &scripts, sched_seed, |b, inc| {
             BoundedSnapshot::with_backend(n, 0u64, b).with_incremental(inc)
         });
-        prop_assert_eq!(full.ops(), incremental.ops());
-        prop_assert_eq!(check_intervals(&incremental), Ok(()));
+        assert_eq!(full.ops(), incremental.ops(), "case {case}");
+        assert_eq!(check_intervals(&incremental), Ok(()), "case {case}");
     }
+}
 
-    /// Multi-writer construction, disjoint words: bit-identical histories
-    /// plus the fast interval check.
-    #[test]
-    fn multiwriter_disjoint_incremental_histories_are_bit_identical(
-        rounds in 1..4usize,
-        sched_seed in any::<u64>(),
-    ) {
+/// Multi-writer construction, disjoint words: bit-identical histories
+/// plus the fast interval check.
+#[test]
+fn multiwriter_disjoint_incremental_histories_are_bit_identical() {
+    for case in 0..SIM_CASES {
+        let mut rng = SeededRng::new(0x3D15 ^ case);
+        let (rounds, sched_seed) = (1 + rng.below(3), rng.next_u64());
         let (n, m) = (3, 3);
         let scripts = mw_disjoint_scripts(n, m, rounds);
         let run = |inc: bool, seed: u64| {
@@ -285,19 +293,20 @@ proptest! {
         };
         let full = run(false, sched_seed);
         let incremental = run(true, sched_seed);
-        prop_assert_eq!(full.ops(), incremental.ops());
-        prop_assert_eq!(check_intervals(&incremental), Ok(()));
+        assert_eq!(full.ops(), incremental.ops(), "case {case}");
+        assert_eq!(check_intervals(&incremental), Ok(()), "case {case}");
     }
+}
 
-    /// Multi-writer construction, contended words (several writers per
-    /// word): bit-identical histories, checked with Wing–Gong since the
-    /// interval checker needs per-word writer order.
-    #[test]
-    fn multiwriter_contended_incremental_histories_are_bit_identical(
-        len in 1..6usize,
-        script_seed in any::<u64>(),
-        sched_seed in any::<u64>(),
-    ) {
+/// Multi-writer construction, contended words (several writers per
+/// word): bit-identical histories, checked with Wing–Gong since the
+/// interval checker needs per-word writer order.
+#[test]
+fn multiwriter_contended_incremental_histories_are_bit_identical() {
+    for case in 0..SIM_CASES {
+        let mut rng = SeededRng::new(0x3C07 ^ case);
+        let len = 1 + rng.below(5);
+        let (script_seed, sched_seed) = (rng.next_u64(), rng.next_u64());
         let (n, m) = (3, 2);
         let scripts = mw_contended_scripts(n, m, len, 0.6, script_seed);
         let run = |inc: bool| {
@@ -314,8 +323,11 @@ proptest! {
         };
         let full = run(false);
         let incremental = run(true);
-        prop_assert_eq!(full.ops(), incremental.ops());
-        prop_assert!(check_history(&incremental).is_linearizable());
+        assert_eq!(full.ops(), incremental.ops(), "case {case}");
+        assert!(
+            check_history(&incremental).is_linearizable(),
+            "case {case}"
+        );
     }
 }
 

@@ -40,7 +40,7 @@ use std::time::Duration;
 use snapshot_abd::{AbdSnapshotCore, RemoteConfig, RemoteTransport, RetryPolicy};
 use snapshot_lin::{check_history, Recorder};
 use snapshot_obs::{Event, Registry, RingSink, Sink, Trace, TraceEvent};
-use snapshot_registers::ProcessId;
+use snapshot_registers::{ProcessId, SeededRng};
 use snapshot_service::{RetryConfig, ServiceConfig, ServiceError, SnapshotService};
 use snapshot_wire::{
     drive_phases, Endpoint, HostileKnobs, HostilePhase, HostileProfile, HostileProxy,
@@ -57,21 +57,6 @@ fn nemesis_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(7)
-}
-
-/// xorshift64* — the same generator the hostile proxy uses, kept local
-/// so the test's own choices are reproducible from the seed alone.
-struct TestRng(u64);
-
-impl TestRng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
 }
 
 fn uds_endpoint(tag: &str, i: usize) -> Endpoint {
@@ -642,7 +627,7 @@ fn snapshotd_torn_write_storm_recovers_with_crc_detection() {
         eprintln!("skipping: no snapshotd binary (set SNAPSHOTD_BIN or run under cargo)");
         return;
     };
-    let mut rng = TestRng(nemesis_seed() | 1);
+    let mut rng = SeededRng::new(nemesis_seed());
 
     let endpoints: Vec<Endpoint> = (0..REPLICAS).map(|i| uds_endpoint("storm", i)).collect();
     let logs: Vec<PathBuf> = (0..REPLICAS)
@@ -675,7 +660,7 @@ fn snapshotd_torn_write_storm_recovers_with_crc_detection() {
         children[victim].kill().expect("SIGKILL the victim replica");
         children[victim].wait().expect("reaping the victim replica");
 
-        let mangle = mangle_log_tail(&logs[victim], rng.next() & 1 == 0);
+        let mangle = mangle_log_tail(&logs[victim], rng.chance(0.5));
         let (child, recovered) =
             spawn_durable_replica(&bin, &endpoints[victim], victim, &logs[victim]);
         children[victim] = child;

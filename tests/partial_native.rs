@@ -17,7 +17,7 @@ use snapshot_core::{
 };
 use snapshot_lin::{check_partial_history, PartialOp, WgOp, WgResult};
 use snapshot_obs::Clock;
-use snapshot_registers::{EpochBackend, Instrumented, OpCounters, ProcessId};
+use snapshot_registers::{EpochBackend, Instrumented, OpCounters, ProcessId, SeededRng};
 
 /// In-process cores are wait-free: no deadline to cut, no span to parent.
 const NONE: RequestCtx = RequestCtx::none();
@@ -93,28 +93,6 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
 // Seeded concurrent histories against the projected spec
 // ---------------------------------------------------------------------------
 
-/// Deterministic xorshift64 generator, one per (seed, lane).
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// Drives every lane with a seeded mix of updates and native subset
 /// scans directly on `core`, recording a `PartialOp` history on one
 /// shared logical clock, and returns the checker's verdict.
@@ -136,8 +114,9 @@ fn run_native_history<C: TrySnapshotCore<u64>>(
             let ops = &ops;
             s.spawn(move || {
                 let pid = ProcessId::new(lane);
+                // One generator per (seed, lane).
                 let mut rng =
-                    XorShift::new(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(lane as u64 + 1));
+                    SeededRng::new(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(lane as u64 + 1));
                 for k in 0..ops_per_thread {
                     if rng.below(2) == 0 {
                         let word = if single_writer { lane } else { rng.below(words) };

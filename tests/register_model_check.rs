@@ -5,11 +5,17 @@
 //! compound construction of Section 6 rests on.
 
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use snapshot_lin::{check_linearizable, RegisterOp, RegisterSpec, WgOp};
 use snapshot_registers::{EpochBackend, Instrumented, MwmrFromSwmr, ProcessId, Register};
 use snapshot_sim::{ExploreLimits, Explorer, RandomPolicy, Sim, SimConfig};
+
+/// A poisoned lock yields its guard: simulated bodies may panic on
+/// purpose, and what they logged before that is still wanted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Clone, Copy, Debug)]
 enum Step {
@@ -45,7 +51,7 @@ fn run_register(
                         let inv = clock.fetch_add(1, Ordering::SeqCst);
                         reg.write(pid, value);
                         let res = clock.fetch_add(1, Ordering::SeqCst);
-                        ops.lock().push(WgOp {
+                        lock(&ops).push(WgOp {
                             pid,
                             inv,
                             res: Some(res),
@@ -56,7 +62,7 @@ fn run_register(
                         let inv = clock.fetch_add(1, Ordering::SeqCst);
                         let value = reg.read(pid);
                         let res = clock.fetch_add(1, Ordering::SeqCst);
-                        ops.lock().push(WgOp {
+                        lock(&ops).push(WgOp {
                             pid,
                             inv,
                             res: Some(res),
@@ -69,7 +75,7 @@ fn run_register(
     }
     sim.run(policy, SimConfig::default(), bodies)
         .map_err(|e| e.to_string())?;
-    Ok(Arc::try_unwrap(ops).unwrap().into_inner())
+    Ok(Arc::try_unwrap(ops).unwrap().into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
 fn explore(scripts: Vec<Vec<Step>>, max_runs: u64) -> (u64, bool) {

@@ -125,8 +125,17 @@ fn multi_writer_borrow_event_names_lender_and_three_moves() {
             }
         }));
     }
+    // One whole update (16 gated steps at n = m = 2) per scanner step, so
+    // every double collect straddles several complete updates and the
+    // third strike borrows. 1:1 round-robin does not starve the scanner
+    // here: that schedule is periodic and every scan comes up clean in
+    // its second or third round.
+    let mut starve_scanner = FnPolicy(|ready: &[snapshot_sim::ReadyProcess], step| {
+        let turn = if step % 17 == 16 { 1 } else { 0 };
+        Decision::Run(ready.iter().position(|r| r.pid.get() == turn).unwrap_or(0))
+    });
     sim.run(
-        &mut RoundRobinPolicy::new(),
+        &mut starve_scanner,
         SimConfig {
             max_steps: Some(2_000_000),
             stop_when_done: vec![ProcessId::new(1)],
@@ -140,7 +149,7 @@ fn multi_writer_borrow_event_names_lender_and_three_moves() {
     let borrows = borrow_decisions(&events);
     assert!(
         !borrows.is_empty(),
-        "expected at least one borrow under round-robin ({} events traced)",
+        "expected at least one borrow from a starved scanner ({} events traced)",
         events.len()
     );
     for (emitter, lender, moved) in &borrows {

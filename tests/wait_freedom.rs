@@ -5,14 +5,20 @@
 //! adversary — Observations 1 and 2 of Section 3, made executable.
 
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use snapshot_core::{
     BoundedSnapshot, DoubleCollectSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle,
     ScanStats, SwSnapshot, SwSnapshotHandle, UnboundedSnapshot,
 };
 use snapshot_registers::{EpochBackend, Instrumented, ProcessId};
 use snapshot_sim::{HaltReason, ProcessStatus, RandomPolicy, RoundRobinPolicy, Sim, SimConfig};
+
+/// A poisoned lock yields its guard: simulated bodies may panic on
+/// purpose, and what they logged before that is still wanted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs `n - 1` updaters (200 updates each) against one scanner under the
 /// given policy; returns the scanner's stats if it completed.
@@ -46,7 +52,7 @@ where
         let result = Arc::clone(&result);
         bodies.push(Box::new(move || {
             let stats = scan(object, ProcessId::new(n - 1));
-            *result.lock() = stats;
+            *lock(&result) = stats;
         }));
     }
 
@@ -61,7 +67,7 @@ where
             bodies,
         )
         .expect("simulation failed");
-    let stats = *result.lock();
+    let stats = *lock(&result);
     (stats, report.halt, report.statuses)
 }
 
@@ -284,7 +290,7 @@ fn scan_stats_register_counts_match_the_instrumentation_layer() {
                     let before = counters.snapshot(pid);
                     let (_, stats) = h.scan_with_stats();
                     let delta = counters.snapshot(pid) - before;
-                    observed.lock().push((stats, delta));
+                    lock(observed).push((stats, delta));
                 }
             }));
         }
@@ -299,7 +305,7 @@ fn scan_stats_register_counts_match_the_instrumentation_layer() {
         )
         .expect("simulation failed");
 
-        let observed = observed.lock();
+        let observed = lock(&observed);
         assert_eq!(observed.len(), 10);
         for (k, (stats, delta)) in observed.iter().enumerate() {
             // The stats' own primitive-register tallies must agree exactly
