@@ -11,20 +11,31 @@
 //!
 //! # Connection management
 //!
-//! One manager thread per replica owns that replica's connection for the
-//! transport's lifetime:
+//! The thread running a quorum phase frames its request once and writes
+//! it to each addressed replica's socket itself, under that connection's
+//! write lock: one `write` per frame, no queue, no hand-off. One
+//! *connection thread* per replica does the rest, for the transport's
+//! lifetime:
 //!
-//! * **dial → handshake** — open the socket, send
-//!   [`Frame::Hello`], await [`Frame::HelloAck`] under a short read
-//!   timeout, check the protocol version;
-//! * **connected** — a reader thread demultiplexes reply frames to the
-//!   waiting phases by request id while the manager drains the outbound
-//!   queue onto the socket;
-//! * **disconnected** — the connection is torn down, frames queued while
-//!   down are *dropped* (counted as `abd.messages_dropped` — exactly the
+//! * **dial → handshake** — open the socket, send [`Frame::Hello`],
+//!   await [`Frame::HelloAck`] under a short read timeout, check the
+//!   protocol version, then publish the write half;
+//! * **connected** — read reply frames through a buffer and route each to
+//!   the waiting phase by request id;
+//! * **disconnected** — once the read ends (EOF, an error, damaged
+//!   framing, or a writer that shut a broken stream down), take the write
+//!   half back, count `abd.wire.disconnects`, and redial under capped
+//!   exponential backoff. A frame addressed to a replica with no write
+//!   half is *dropped* (counted as `abd.messages_dropped` — exactly the
 //!   lossy-link accounting of the simulated network; the engine's
-//!   retransmissions mask the loss), and the manager redials under capped
-//!   exponential backoff.
+//!   retransmissions mask the loss).
+//!
+//! A write blocks only on a replica that stopped reading long enough to
+//! fill its socket buffer, and then for one write timeout at most. A
+//! failed, timed-out or short write leaves the stream misaligned, so the
+//! writer shuts the connection down, which ends the connection thread's
+//! read. A phase holds at most one connection's write lock at a time, and
+//! never together with the reply-route lock.
 //!
 //! Because `snapshotd` dedupes stores per connection by request id and
 //! re-answers every query delivery, the engine's retransmissions are as
@@ -36,16 +47,16 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use snapshot_obs::{Counter, Event, Registry, Trace};
 use snapshot_wire::{
-    read_frame, write_frame, Endpoint, ErrorCode, Frame, FrameIoError, FrameRead, StoreEntry,
-    WireStream, WireTag, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    encode_frame, read_frame, write_frame, Endpoint, ErrorCode, Frame, FrameIoError, FrameRead,
+    StoreEntry, WireStream, WireTag, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
 use crate::message::{RegisterId, RequestId, Tag};
@@ -59,8 +70,9 @@ type Pending = Arc<Mutex<HashMap<u64, Arc<ReplyInbox>>>>;
 /// How long the handshake may wait for the replica's `HelloAck`.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// How often the outbound writer wakes to notice a dead reader.
-const WRITER_POLL: Duration = Duration::from_millis(20);
+/// How long a write may block on a replica that stopped reading before
+/// the connection counts as dead.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Configuration of a [`RemoteTransport`].
 #[derive(Clone, Debug)]
@@ -186,12 +198,16 @@ impl WireCounters {
     }
 }
 
-/// State shared between the transport, one replica's manager thread, and
-/// that connection's reader thread.
+/// State shared between the transport, the phases writing to one
+/// replica, and that replica's connection thread.
 struct ConnShared {
     replica: usize,
     endpoint: Endpoint,
-    connected: AtomicBool,
+    /// The write half of the live connection; `None` while the replica
+    /// is down. Held for one frame's write at a time.
+    writer: Mutex<Option<WireStream>>,
+    /// Set once, when the transport is dropped.
+    closing: AtomicBool,
     pending: Pending,
     counters: Arc<Counters>,
     wire: WireCounters,
@@ -203,30 +219,74 @@ struct ConnShared {
 }
 
 impl ConnShared {
+    fn writer(&self) -> MutexGuard<'_, Option<WireStream>> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Writes one framed request to the replica in one `write`, or drops
+    /// (and counts) it while the replica is down. An error, the write
+    /// timeout or a short write leaves the stream misaligned, so it also
+    /// takes the connection down — and bounds the wait by one timeout.
+    fn send(&self, framed: &[u8]) {
+        let mut writer = self.writer();
+        let written = writer
+            .as_mut()
+            .is_some_and(|stream| matches!(stream.write(framed), Ok(n) if n == framed.len()));
+        if !written {
+            self.counters.messages_dropped.inc();
+            if let Some(stream) = writer.take() {
+                stream.shutdown();
+            }
+        }
+    }
+
+    /// Takes the write half back and shuts the connection down, which
+    /// ends the connection thread's read (a no-op once a failed write or
+    /// the transport's drop has already done it).
+    fn hang_up(&self) {
+        if let Some(stream) = self.writer().take() {
+            stream.shutdown();
+        }
+    }
+
+    /// Routes reply frames to the waiting phases until the connection
+    /// dies.
+    fn route_replies(&self, stream: WireStream) {
+        let mut stream = BufReader::new(stream);
+        loop {
+            match read_frame(&mut stream, self.max_frame) {
+                Ok(FrameRead::Frame(body)) => {
+                    if let Ok(frame) = Frame::decode(&body) {
+                        self.route(frame);
+                        continue;
+                    }
+                }
+                Ok(FrameRead::Eof) | Err(FrameIoError::Io(_)) => return,
+                Err(FrameIoError::Corrupt { .. } | FrameIoError::TooLarge { .. }) => {}
+            }
+            // Damaged framing or an undecodable body: the stream is
+            // desynced, and nothing after it can be trusted.
+            self.wire.protocol_errors.inc();
+            return;
+        }
+    }
+
     /// Routes a decoded reply frame to the phase waiting on its request
     /// id (a phase that already finished simply no longer has a route —
     /// late and duplicate replies are discarded here).
     fn route(&self, frame: Frame) {
         self.wire.frames_in.inc();
         let (id, body) = match frame {
-            Frame::QueryReply { id, values } => (
-                id,
-                ReplyBody::Values(
-                    values
-                        .into_iter()
-                        .map(|(tag, value)| {
-                            let tag = Tag {
-                                seq: tag.seq,
-                                writer: tag.writer as usize,
-                            };
-                            (
-                                tag,
-                                value.map(|v| Payload::Bytes(Arc::from(v.into_boxed_slice()))),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
+            Frame::QueryReply { id, values } => {
+                let values = values.into_iter().map(|(tag, value)| {
+                    let tag = Tag {
+                        seq: tag.seq,
+                        writer: tag.writer as usize,
+                    };
+                    (tag, value.map(|v| Payload::Bytes(v.into())))
+                });
+                (id, ReplyBody::Values(values.collect()))
+            }
             Frame::StoreAck { id } => (id, ReplyBody::Ack),
             Frame::Error { id, code, detail } if id != 0 => (
                 id,
@@ -253,99 +313,50 @@ impl ConnShared {
     }
 }
 
-/// A message to one replica's connection manager.
-enum OutMsg {
-    /// An encoded frame to put on the wire (shared by every replica the
-    /// phase broadcasts to — encoded once, cloned by reference).
-    Frame(Arc<[u8]>),
-    /// Tear the connection down and exit the manager thread.
-    Shutdown,
+/// Dials and handshakes one connection; returns its write half and its
+/// read half. A socket that opened but failed the handshake is counted
+/// under `abd.wire.handshake_failures`: a refused dial is a replica that
+/// is down (expected under crash faults), a failed handshake points at
+/// protocol trouble or a hostile middlebox.
+fn connect(shared: &ConnShared) -> Option<(WireStream, WireStream)> {
+    let mut stream = shared.endpoint.dial().ok()?;
+    let reader = stream.try_clone().ok()?;
+    if handshake(&mut stream, shared).is_none() {
+        shared.wire.handshake_failures.inc();
+        return None;
+    }
+    Some((stream, reader))
 }
 
-/// One replica's connection handle, owned by the transport.
-struct ReplicaConn {
-    out: Sender<OutMsg>,
-    shared: Arc<ConnShared>,
-    manager: Option<JoinHandle<()>>,
-}
-
-/// Why one dial-and-handshake attempt failed. The distinction matters
-/// for redial accounting: a refused/absent socket is plain
-/// unavailability (the replica is down — expected under crash faults),
-/// while a connection that opened but failed the handshake points at
-/// protocol trouble or a hostile middlebox and is counted separately
-/// under `abd.wire.handshake_failures`.
-#[derive(Debug)]
-enum ConnectError {
-    /// The socket never opened.
-    Dial,
-    /// The socket opened but the `Hello`/`HelloAck` exchange failed
-    /// (timeout, damaged bytes, version mismatch, typed refusal).
-    Handshake,
-}
-
-/// Dials and handshakes one connection; returns the stream ready for
-/// full-duplex traffic.
-fn connect(shared: &ConnShared) -> Result<WireStream, ConnectError> {
-    let mut stream = shared.endpoint.dial().map_err(|_| ConnectError::Dial)?;
-    stream
-        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .map_err(|_| ConnectError::Handshake)?;
+/// Sends `Hello` and awaits `HelloAck` under a short read timeout. A
+/// version mismatch, a typed refusal (`Frame::Error`), damaged bytes and
+/// a replica that closes mid-handshake all fail it alike.
+fn handshake(stream: &mut WireStream, shared: &ConnShared) -> Option<()> {
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok()?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok()?;
     let hello = Frame::Hello {
         version: PROTOCOL_VERSION,
         client: shared.client,
-    }
-    .encode();
-    write_frame(&mut stream, &hello, shared.max_frame).map_err(|_| ConnectError::Handshake)?;
-    let ack = match read_frame(&mut stream, shared.max_frame) {
-        Ok(FrameRead::Frame(body)) => Frame::decode(&body).ok(),
-        // The replica closed, or the bytes were damaged, mid-handshake.
-        Ok(FrameRead::Eof) | Err(_) => None,
     };
-    // A version mismatch, a typed refusal (`Frame::Error`) and any other
-    // reply all fail the handshake alike.
-    if !matches!(ack, Some(Frame::HelloAck { version, .. }) if version == PROTOCOL_VERSION) {
-        return Err(ConnectError::Handshake);
-    }
-    stream.set_read_timeout(None).map_err(|_| ConnectError::Handshake)?;
-    Ok(stream)
-}
-
-/// The reader half of one connection: demultiplexes reply frames to the
-/// waiting phases until the stream dies, then flags the connection down
-/// so the writer tears it down and redials.
-fn reader_loop(mut stream: WireStream, shared: &ConnShared) {
-    loop {
-        match read_frame(&mut stream, shared.max_frame) {
-            Ok(FrameRead::Frame(body)) => match Frame::decode(&body) {
-                Ok(frame) => shared.route(frame),
-                Err(_) => {
-                    // An undecodable frame means the stream is desynced;
-                    // nothing after it can be trusted. Reconnect.
-                    shared.wire.protocol_errors.inc();
-                    break;
-                }
-            },
-            Ok(FrameRead::Eof) | Err(FrameIoError::Io(_)) => break,
-            Err(FrameIoError::Corrupt { .. } | FrameIoError::TooLarge { .. }) => {
-                // The framing itself lied — damaged or hostile bytes.
-                // Same desync rule as an undecodable body: reconnect.
-                shared.wire.protocol_errors.inc();
-                break;
-            }
+    write_frame(stream, &hello.encode(), shared.max_frame).ok()?;
+    let Ok(FrameRead::Frame(body)) = read_frame(stream, shared.max_frame) else {
+        return None;
+    };
+    match Frame::decode(&body) {
+        Ok(Frame::HelloAck { version, .. }) if version == PROTOCOL_VERSION => {
+            stream.set_read_timeout(None).ok()
         }
+        _ => None,
     }
-    shared.connected.store(false, Ordering::Release);
-    stream.shutdown();
 }
 
-/// The manager thread for one replica: dial → handshake → pump the
-/// outbound queue, and on any failure redial under capped backoff,
-/// dropping (and counting) frames queued while down.
-fn manager_loop(out: Receiver<OutMsg>, shared: Arc<ConnShared>) {
+/// The connection thread for one replica: dial → handshake → publish the
+/// write half → route replies until the connection dies, then take the
+/// write half back, count the drop and redial under capped backoff.
+fn connection_loop(shared: &ConnShared) {
     let mut attempt: u32 = 0;
     let mut backoff = shared.redial_initial;
-    loop {
+    while !shared.closing.load(Ordering::Acquire) {
         attempt += 1;
         shared.wire.dials.inc();
         shared.trace.emit(
@@ -355,39 +366,26 @@ fn manager_loop(out: Receiver<OutMsg>, shared: Arc<ConnShared>) {
                 attempt,
             },
         );
-        let stream = match connect(&shared) {
-            Ok(stream) => stream,
-            Err(error) => {
-                if matches!(error, ConnectError::Handshake) {
-                    shared.wire.handshake_failures.inc();
-                }
-                // Failed dial: drop (and count) anything queued while we
-                // sit out the backoff — the engine retransmits.
-                let until = Instant::now() + backoff;
-                loop {
-                    let now = Instant::now();
-                    if now >= until {
-                        break;
-                    }
-                    match out.recv_timeout(until - now) {
-                        Ok(OutMsg::Frame(_)) => shared.counters.messages_dropped.inc(),
-                        Ok(OutMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
-                        Err(RecvTimeoutError::Timeout) => break,
-                    }
-                }
-                backoff = (backoff * 2).min(shared.redial_max);
-                continue;
+        let Some((stream, reader)) = connect(shared) else {
+            // Sit out the backoff; the transport's drop cuts it short by
+            // unparking this thread.
+            let until = Instant::now() + backoff;
+            while !shared.closing.load(Ordering::Acquire) && Instant::now() < until {
+                std::thread::park_timeout(until.saturating_duration_since(Instant::now()));
             }
+            backoff = (backoff * 2).min(shared.redial_max);
+            continue;
         };
-        let reader_stream = match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => {
+        {
+            // Checked under the write lock the transport's drop takes, so
+            // a drop cannot miss a connection published after its check.
+            let mut writer = shared.writer();
+            if shared.closing.load(Ordering::Acquire) {
                 stream.shutdown();
-                backoff = (backoff * 2).min(shared.redial_max);
-                continue;
+                return;
             }
-        };
-        shared.connected.store(true, Ordering::Release);
+            *writer = Some(stream);
+        }
         shared.wire.connects.inc();
         shared.trace.emit(
             shared.replica,
@@ -398,47 +396,9 @@ fn manager_loop(out: Receiver<OutMsg>, shared: Arc<ConnShared>) {
         );
         attempt = 0;
         backoff = shared.redial_initial;
-        let reader = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("abd-wire-reader-{}", shared.replica))
-                .spawn(move || reader_loop(reader_stream, &shared))
-                .expect("spawning wire reader thread")
-        };
-        // The writer: drain the outbound queue onto the socket, waking
-        // periodically to notice a reader that died with nothing to send.
-        let mut stream = stream;
-        let shutting_down = loop {
-            match out.recv_timeout(WRITER_POLL) {
-                Ok(OutMsg::Frame(bytes)) => match write_frame(&mut stream, &bytes, shared.max_frame)
-                {
-                    Ok(()) => {}
-                    Err(FrameIoError::TooLarge { .. }) => {
-                        // Refused locally, before touching the stream:
-                        // the connection is healthy. Drop (and count)
-                        // the frame instead of tearing everything down.
-                        shared.counters.messages_dropped.inc();
-                        shared.wire.oversize_dropped.inc();
-                    }
-                    // Corrupt is read-side only, but if it ever surfaced
-                    // here the stream would be equally unusable.
-                    Err(FrameIoError::Io(_) | FrameIoError::Corrupt { .. }) => {
-                        shared.counters.messages_dropped.inc();
-                        break false;
-                    }
-                },
-                Ok(OutMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break true,
-                Err(RecvTimeoutError::Timeout) => {
-                    if !shared.connected.load(Ordering::Acquire) {
-                        break false;
-                    }
-                }
-            }
-        };
-        shared.connected.store(false, Ordering::Release);
-        stream.shutdown();
-        let _ = reader.join();
-        if shutting_down {
+        shared.route_replies(reader);
+        shared.hang_up();
+        if shared.closing.load(Ordering::Acquire) {
             return;
         }
         shared.wire.disconnects.inc();
@@ -455,7 +415,9 @@ fn manager_loop(out: Receiver<OutMsg>, shared: Arc<ConnShared>) {
 /// connection per `snapshotd` replica (`remote.rs`'s module docs describe
 /// the connection life cycle).
 pub struct RemoteTransport {
-    conns: Vec<ReplicaConn>,
+    conns: Vec<Arc<ConnShared>>,
+    /// Each replica's connection thread, in cluster order.
+    threads: Vec<JoinHandle<()>>,
     kind: &'static str,
     max_frame: u32,
     op_timeout: Duration,
@@ -469,7 +431,7 @@ pub struct RemoteTransport {
 }
 
 impl RemoteTransport {
-    /// Spawns the connection managers and returns immediately; dialing
+    /// Spawns the connection threads and returns immediately; dialing
     /// proceeds in the background (use [`wait_connected`] to await a
     /// quorum before issuing traffic, or just issue it — the engine's
     /// retries absorb the connection ramp).
@@ -484,15 +446,9 @@ impl RemoteTransport {
             !config.endpoints.is_empty(),
             "a remote transport needs at least one replica endpoint"
         );
-        let kind = {
-            let mut kinds = config.endpoints.iter().map(|e| e.kind());
-            let first = kinds.next().expect("non-empty endpoints");
-            if kinds.all(|k| k == first) {
-                first
-            } else {
-                "mixed"
-            }
-        };
+        let first = config.endpoints[0].kind();
+        let same = config.endpoints.iter().all(|e| e.kind() == first);
+        let kind = if same { first } else { "mixed" };
         let registry = config.registry.unwrap_or_default();
         // Same name-keyed marker convention as the simulated network:
         // one `abd.transport.<kind>` gauge per transport kind in play.
@@ -500,7 +456,7 @@ impl RemoteTransport {
         let counters = Arc::new(Counters::new(&registry));
         let wire = WireCounters::new(&registry);
         let pending = Pending::default();
-        let conns = config
+        let (conns, threads) = config
             .endpoints
             .iter()
             .enumerate()
@@ -508,7 +464,8 @@ impl RemoteTransport {
                 let shared = Arc::new(ConnShared {
                     replica: i,
                     endpoint: endpoint.clone(),
-                    connected: AtomicBool::new(false),
+                    writer: Mutex::new(None),
+                    closing: AtomicBool::new(false),
                     pending: Arc::clone(&pending),
                     counters: Arc::clone(&counters),
                     wire: wire.clone(),
@@ -518,23 +475,19 @@ impl RemoteTransport {
                     redial_initial: config.redial_initial,
                     redial_max: config.redial_max,
                 });
-                let (tx, rx) = channel();
-                let manager = {
+                let thread = {
                     let shared = Arc::clone(&shared);
                     std::thread::Builder::new()
-                        .name(format!("abd-wire-manager-{i}"))
-                        .spawn(move || manager_loop(rx, shared))
-                        .expect("spawning wire manager thread")
+                        .name(format!("abd-wire-{i}"))
+                        .spawn(move || connection_loop(&shared))
+                        .expect("spawning wire connection thread")
                 };
-                ReplicaConn {
-                    out: tx,
-                    shared,
-                    manager: Some(manager),
-                }
+                (shared, thread)
             })
-            .collect();
+            .unzip();
         RemoteTransport {
             conns,
+            threads,
             kind,
             max_frame: config.max_frame,
             op_timeout: config.op_timeout,
@@ -552,7 +505,7 @@ impl RemoteTransport {
     pub fn connected_replicas(&self) -> usize {
         self.conns
             .iter()
-            .filter(|c| c.shared.connected.load(Ordering::Acquire))
+            .filter(|c| c.writer().is_some())
             .count()
     }
 
@@ -577,14 +530,6 @@ impl RemoteTransport {
         &self.registry
     }
 
-    /// The replica endpoints, in cluster order.
-    pub fn endpoints(&self) -> Vec<Endpoint> {
-        self.conns
-            .iter()
-            .map(|c| c.shared.endpoint.clone())
-            .collect()
-    }
-
     /// A snapshot of the `abd.*` traffic counters (sent, dropped,
     /// retries, …) — same view the simulated network offers.
     pub fn stats(&self) -> NetworkStats {
@@ -599,13 +544,15 @@ impl RemoteTransport {
 
 impl Drop for RemoteTransport {
     fn drop(&mut self) {
-        for conn in &self.conns {
-            let _ = conn.out.send(OutMsg::Shutdown);
+        // Flag, hang up (ending a read) and unpark (ending a backoff)
+        // every connection first, so the joins run concurrently.
+        for (conn, thread) in self.conns.iter().zip(&self.threads) {
+            conn.closing.store(true, Ordering::Release);
+            conn.hang_up();
+            thread.thread().unpark();
         }
-        for conn in &mut self.conns {
-            if let Some(manager) = conn.manager.take() {
-                let _ = manager.join();
-            }
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -621,13 +568,14 @@ impl fmt::Debug for RemoteTransport {
     }
 }
 
-/// One in-flight quorum phase on the wire: the request frame encoded
-/// once, a private reply inbox routed by request id (which also takes
-/// the synthetic refusals of a frame that exceeds the wire cap).
+/// One in-flight quorum phase on the wire: the request framed once for
+/// every replica, a private reply inbox routed by request id (which also
+/// takes the synthetic refusals of a frame that exceeds the wire cap).
 struct RemotePhase<'a> {
     transport: &'a RemoteTransport,
     id: RequestId,
-    frame: Arc<[u8]>,
+    /// The framed request, or why it cannot be framed (over the cap).
+    framed: Result<Arc<[u8]>, FrameIoError>,
     inbox: Arc<ReplyInbox>,
 }
 
@@ -643,42 +591,34 @@ impl Drop for RemotePhase<'_> {
 
 impl Phase for RemotePhase<'_> {
     fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize {
-        // A frame over the wire cap can never be sent: `write_frame`
-        // refuses it locally with `TooLarge` before touching the stream.
-        // Don't churn the healthy connections — answer each addressed
-        // replica with a typed refusal (which never counts toward a
-        // quorum, and tells the engine to try a smaller batch) and count
-        // the drops.
-        if self.frame.len() > self.transport.max_frame as usize {
-            let mut refused = 0usize;
-            for (i, conn) in self.transport.conns.iter().enumerate() {
-                if include(i) {
+        let mut sent = 0usize;
+        for (i, conn) in self.transport.conns.iter().enumerate() {
+            if !include(i) {
+                continue;
+            }
+            sent += 1;
+            match &self.framed {
+                Ok(framed) => conn.send(framed),
+                // A frame over the wire cap can never be sent. Don't churn
+                // the healthy connection — answer with a typed refusal
+                // (which never counts toward a quorum, and tells the
+                // engine to try a smaller batch) and count the drop.
+                Err(refusal) => {
                     self.transport.counters.messages_dropped.inc();
-                    conn.shared.wire.oversize_dropped.inc();
+                    conn.wire.oversize_dropped.inc();
                     self.inbox.push(Reply {
                         from: i,
                         body: ReplyBody::Error {
                             too_large: true,
-                            detail: format!(
-                                "request frame of {} bytes exceeds the {}-byte wire cap",
-                                self.frame.len(),
-                                self.transport.max_frame
-                            ),
+                            detail: format!("request refused locally: {refusal}"),
                         },
                     });
-                    refused += 1;
                 }
             }
-            return refused;
         }
-        let mut sent = 0usize;
-        for (i, conn) in self.transport.conns.iter().enumerate() {
-            if include(i) {
-                let _ = conn.out.send(OutMsg::Frame(Arc::clone(&self.frame)));
-                sent += 1;
-            }
+        if self.framed.is_ok() {
+            self.transport.counters.messages_sent.add(sent as u64);
         }
-        self.transport.counters.messages_sent.add(sent as u64);
         sent
     }
 
@@ -744,30 +684,21 @@ impl Transport for RemoteTransport {
                     .iter()
                     .map(|(register, tag, payload)| {
                         let (lane, segment) = register.lane_segment();
-                        StoreEntry {
-                            lane,
-                            segment,
-                            tag: WireTag {
-                                seq: tag.seq,
-                                // Writer ids above u32 would alias on the
-                                // wire and corrupt tag tie-break ordering;
-                                // refuse loudly rather than truncate
-                                // silently.
-                                writer: u32::try_from(tag.writer)
-                                    .expect("writer id exceeds the wire format's u32 range"),
-                            },
-                            value: payload
-                                .as_bytes()
-                                .expect(
-                                    "wire transports carry only Payload::Bytes (requires_bytes)",
-                                )
-                                .to_vec(),
-                        }
+                        // Writer ids above u32 would alias on the wire and
+                        // corrupt tag tie-break ordering; refuse loudly
+                        // rather than truncate silently.
+                        let writer = u32::try_from(tag.writer)
+                            .expect("writer id exceeds the wire format's u32 range");
+                        let value = payload
+                            .as_bytes()
+                            .expect("wire transports carry only Payload::Bytes (requires_bytes)");
+                        let tag = WireTag { seq: tag.seq, writer };
+                        StoreEntry { lane, segment, tag, value: value.to_vec() }
                     })
                     .collect(),
             },
         };
-        let frame: Arc<[u8]> = Arc::from(frame.encode().into_boxed_slice());
+        let framed = encode_frame(&frame.encode(), self.max_frame).map(Arc::from);
         let inbox = Arc::new(ReplyInbox::new(self.quorum()));
         self.pending
             .lock()
@@ -776,7 +707,7 @@ impl Transport for RemoteTransport {
         Box::new(RemotePhase {
             transport: self,
             id,
-            frame,
+            framed,
             inbox,
         })
     }
@@ -891,6 +822,73 @@ mod tests {
     }
 
     #[test]
+    fn a_replica_that_stops_reading_costs_its_connection_not_the_quorum() {
+        let (_servers, mut endpoints) = spawn_cluster("stuck", 2);
+        // Replica 2 handshakes, then never reads again.
+        let listener = uds_endpoint("stuck-mute").bind().expect("binding the mute replica");
+        endpoints.push(listener.local_endpoint().expect("mute replica endpoint"));
+        let transport = Arc::new(RemoteTransport::connect(RemoteConfig::new(endpoints)));
+        let mut mute = listener.accept().expect("accepting the client");
+        let _hello = read_frame(&mut mute, DEFAULT_MAX_FRAME);
+        let ack = Frame::HelloAck { version: PROTOCOL_VERSION, replica: 2 };
+        write_frame(&mut mute, &ack.encode(), DEFAULT_MAX_FRAME).expect("acking the hello");
+        assert!(transport.wait_connected(3, Duration::from_secs(5)));
+        let reg = crate::AbdRegister::with_wire_codec(
+            Arc::clone(&transport) as Arc<dyn Transport>,
+            RegisterId::from_lane_segment(3, 0),
+            String::new(),
+        );
+
+        // 64 KiB values: a few stores fill the mute replica's socket
+        // buffer, and the write that finds it full gives up after the
+        // write timeout instead of holding the phase.
+        let mut k = 0;
+        while transport.connected_replicas() == 3 {
+            k += 1;
+            assert!(k <= 64, "64 stores of 64 KiB never filled the mute socket");
+            let value = format!("{k:>65535}");
+            let started = Instant::now();
+            reg.try_write(P0, value.clone()).expect("two live replicas are a quorum");
+            let took = started.elapsed();
+            assert!(took < WRITE_TIMEOUT * 2, "a write held its phase for {took:?}");
+            assert_eq!(reg.try_read(P1).expect("read with the mute replica"), value);
+        }
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while transport.registry().counter("abd.wire.disconnects").get() == 0 {
+            assert!(Instant::now() < deadline, "the torn-down connection was not counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(transport.stats().messages_dropped > 0);
+        // Refuse the redials, so the transport's drop waits out no handshake.
+        listener.cleanup();
+        drop(listener);
+    }
+
+    #[test]
+    fn dropping_the_transport_cuts_a_redial_backoff_short_and_joins_its_thread() {
+        // Nothing listens here: the dial fails and the connection thread
+        // sits out a 30 s backoff.
+        let transport = RemoteTransport::connect(
+            RemoteConfig::new(vec![uds_endpoint("nobody")])
+                .with_redial(Duration::from_secs(30), Duration::from_secs(30)),
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while transport.registry().counter("abd.wire.dials").get() == 0 {
+            assert!(Instant::now() < deadline, "the connection thread never dialed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A refused dial takes microseconds: by now the thread is parked.
+        std::thread::sleep(Duration::from_millis(50));
+        // The connection thread holds the shared state until it exits.
+        let shared = Arc::downgrade(&transport.conns[0]);
+        let started = Instant::now();
+        drop(transport);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "drop waited out the backoff: {took:?}");
+        assert!(shared.upgrade().is_none(), "the connection thread outlived the transport");
+    }
+
+    #[test]
     fn survives_a_replica_restart_and_fails_typed_without_a_majority() {
         let (mut servers, endpoints) = spawn_cluster("nemesis", 3);
         let transport = Arc::new(RemoteTransport::connect(
@@ -925,7 +923,8 @@ mod tests {
             "{err:?}"
         );
 
-        // Restart both (state intact, same sockets): the managers redial
+        // Restart both (state intact, same sockets): the connection
+        // threads redial
         // and the same register serves again.
         servers.push(
             snapshot_wire::ReplicaServer::spawn_with_store(

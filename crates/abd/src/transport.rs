@@ -129,7 +129,7 @@ pub enum ReplyBody {
 }
 
 /// The reply inbox of one phase, latched on the quorum: replica threads
-/// (or wire reader threads) [`push`](Self::push), the phase's client
+/// (or wire connection threads) [`push`](Self::push), the phase's client
 /// [`recv_deadline`](Self::recv_deadline)s.
 ///
 /// A reply short of the quorum cannot end the phase, so it is queued

@@ -504,16 +504,16 @@ pub enum Event {
         attempt: u32,
     },
     /// A real-transport client completed the wire handshake with a
-    /// replica and is draining its outbound queue again.
+    /// replica, whose frames are written to the socket again.
     TransportConnected {
         /// The connected replica index.
         replica: usize,
         /// Dial attempts it took to get here (1 = first try).
         attempt: u32,
     },
-    /// A real-transport connection to a replica was severed; frames queued
+    /// A real-transport connection to a replica was severed; frames sent
     /// while disconnected are dropped (ABD retransmission masks the loss)
-    /// and the connection manager redials with capped backoff.
+    /// and the connection thread redials with capped backoff.
     TransportDropped {
         /// The disconnected replica index.
         replica: usize,

@@ -98,12 +98,13 @@ impl FrameIoError {
     }
 }
 
-/// Writes one frame (length prefix + body CRC + body) to `w`.
+/// Frames `body` (length prefix + body CRC + body) into one buffer, so
+/// a frame leaves in one `write` and can be encoded once for several
+/// peers.
 ///
-/// Refuses bodies longer than `max` with [`FrameIoError::TooLarge`]
-/// *before* touching the stream, so a local encoding bug cannot desync
-/// the peer.
-pub fn write_frame(w: &mut impl Write, body: &[u8], max: u32) -> Result<(), FrameIoError> {
+/// Refuses bodies longer than `max` with [`FrameIoError::TooLarge`], so
+/// a local encoding bug cannot desync the peer.
+pub fn encode_frame(body: &[u8], max: u32) -> Result<Vec<u8>, FrameIoError> {
     let len = u32::try_from(body.len()).map_err(|_| FrameIoError::TooLarge {
         len: u32::MAX,
         max,
@@ -111,9 +112,18 @@ pub fn write_frame(w: &mut impl Write, body: &[u8], max: u32) -> Result<(), Fram
     if len > max {
         return Err(FrameIoError::TooLarge { len, max });
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&crc32(body).to_le_bytes())?;
-    w.write_all(body)?;
+    let mut framed = Vec::with_capacity(8 + body.len());
+    framed.extend_from_slice(&len.to_le_bytes());
+    framed.extend_from_slice(&crc32(body).to_le_bytes());
+    framed.extend_from_slice(body);
+    Ok(framed)
+}
+
+/// Writes one frame to `w` as one buffer ([`encode_frame`]).
+///
+/// An oversize body is refused *before* touching the stream.
+pub fn write_frame(w: &mut impl Write, body: &[u8], max: u32) -> Result<(), FrameIoError> {
+    w.write_all(&encode_frame(body, max)?)?;
     w.flush()?;
     Ok(())
 }
@@ -224,6 +234,92 @@ mod tests {
         match read_frame(&mut r, 1024) {
             Err(FrameIoError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let mut sink = CountingWrite::default();
+        let mut expected = Vec::new();
+        for (i, body) in [&b"query"[..], b"", &[7u8; 4096]].into_iter().enumerate() {
+            write_frame(&mut sink, body, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(sink.writes, i + 1, "frame {i} took more than one write");
+            expected.extend(encode_frame(body, DEFAULT_MAX_FRAME).unwrap());
+        }
+        assert_eq!(sink.bytes, expected);
+    }
+
+    /// A stream that hands out its bytes in seeded random chunks, the
+    /// way a socket does.
+    struct Chunked {
+        bytes: Vec<u8>,
+        at: usize,
+        rng: crate::hostile::XorShift,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let left = self.bytes.len() - self.at;
+            let chunk = 1 + (self.rng.next_u64() % 64) as usize;
+            let n = chunk.min(left).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn buffered_reads_decode_back_to_back_frames_split_at_random() {
+        for seed in 1..=32u64 {
+            let mut rng = crate::hostile::XorShift::new(seed);
+            let bodies: Vec<Vec<u8>> = (0..20)
+                .map(|_| {
+                    let len = (rng.next_u64() % 300) as usize;
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                })
+                .collect();
+            let mut bytes = Vec::new();
+            for body in &bodies {
+                write_frame(&mut bytes, body, DEFAULT_MAX_FRAME).unwrap();
+            }
+            // A small buffer, so frames straddle refills as well as chunks.
+            let mut r = io::BufReader::with_capacity(
+                97,
+                Chunked {
+                    bytes,
+                    at: 0,
+                    rng,
+                },
+            );
+            for (i, body) in bodies.iter().enumerate() {
+                match read_frame(&mut r, DEFAULT_MAX_FRAME) {
+                    Ok(FrameRead::Frame(got)) => assert_eq!(&got, body, "seed {seed} frame {i}"),
+                    other => panic!("seed {seed} frame {i}: {other:?}"),
+                }
+            }
+            assert!(matches!(
+                read_frame(&mut r, DEFAULT_MAX_FRAME),
+                Ok(FrameRead::Eof)
+            ));
         }
     }
 

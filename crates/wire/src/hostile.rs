@@ -42,14 +42,14 @@ const TRICKLE_WINDOW: u64 = 64;
 /// Minimal xorshift64* PRNG — reproducible fault injection without an
 /// external randomness dependency.
 #[derive(Debug)]
-struct XorShift(u64);
+pub(crate) struct XorShift(u64);
 
 impl XorShift {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         XorShift(seed.max(1))
     }
 
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;

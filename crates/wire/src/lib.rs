@@ -45,7 +45,9 @@ pub mod store;
 pub mod value;
 
 pub use error::WireError;
-pub use frame::{read_frame, write_frame, FrameIoError, FrameRead, DEFAULT_MAX_FRAME};
+pub use frame::{
+    encode_frame, read_frame, write_frame, FrameIoError, FrameRead, DEFAULT_MAX_FRAME,
+};
 pub use hostile::{drive_phases, HostileKnobs, HostilePhase, HostileProfile, HostileProxy, HostileStream};
 pub use net::{Endpoint, WireListener, WireStream};
 pub use proto::{ErrorCode, Frame, StoreEntry, WireTag, PROTOCOL_VERSION};

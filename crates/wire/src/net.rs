@@ -1,6 +1,6 @@
 //! Transport endpoints: TCP and Unix-domain sockets behind one enum.
 //!
-//! Both the replica server and the client connection manager speak
+//! Both the replica server and the client connection threads speak
 //! [`WireStream`], so every protocol path is transport-agnostic; the
 //! choice of TCP loopback vs UDS is a deployment detail parsed from an
 //! endpoint string (`tcp:HOST:PORT` / `uds:/path/to.sock`).
@@ -113,11 +113,21 @@ impl WireStream {
         };
     }
 
-    /// Sets (or clears) the read timeout on this handle.
+    /// Sets (or clears) the read timeout of the connection (a socket
+    /// option: every handle to it shares the setting).
     pub fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> io::Result<()> {
         match self {
             WireStream::Tcp(s) => s.set_read_timeout(timeout),
             WireStream::Uds(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    /// Sets (or clears) the write timeout of the connection: a write
+    /// blocked that long on a peer that stopped reading fails instead.
+    pub fn set_write_timeout(&self, timeout: Option<std::time::Duration>) -> io::Result<()> {
+        match self {
+            WireStream::Tcp(s) => s.set_write_timeout(timeout),
+            WireStream::Uds(s) => s.set_write_timeout(timeout),
         }
     }
 }

@@ -34,7 +34,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -421,13 +421,16 @@ fn send_error(
 }
 
 /// Serves one client connection: handshake, then the request loop.
-fn serve_connection(mut stream: WireStream, shared: &Shared) {
+fn serve_connection(stream: WireStream, shared: &Shared) {
+    // Requests are read through a buffer, so one `read` takes in every
+    // frame already queued; each reply leaves in its own single write.
+    let mut conn = BufReader::new(stream);
     // Handshake: the first frame must be a well-formed `Hello` for a
     // version we speak.
-    match read_decoded(&mut stream, shared) {
+    match read_decoded(&mut conn, shared) {
         Some(Frame::Hello { version, .. }) if version == PROTOCOL_VERSION => {
             if !send(
-                &mut stream,
+                conn.get_mut(),
                 shared,
                 &Frame::HelloAck {
                     version: PROTOCOL_VERSION,
@@ -439,7 +442,7 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
         }
         Some(Frame::Hello { version, .. }) => {
             send_error(
-                &mut stream,
+                conn.get_mut(),
                 shared,
                 0,
                 ErrorCode::Unsupported,
@@ -449,7 +452,7 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
         }
         Some(other) => {
             send_error(
-                &mut stream,
+                conn.get_mut(),
                 shared,
                 other.request_id().unwrap_or(0),
                 ErrorCode::Unsupported,
@@ -476,7 +479,7 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
     };
 
     while !shared.shutdown.load(Ordering::Acquire) {
-        let frame = match read_decoded(&mut stream, shared) {
+        let frame = match read_decoded(&mut conn, shared) {
             Some(f) => f,
             None => break,
         };
@@ -499,7 +502,7 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
                 );
                 if len > u64::from(shared.max_frame) {
                     send_error(
-                        &mut stream,
+                        conn.get_mut(),
                         shared,
                         id,
                         ErrorCode::TooLarge,
@@ -516,7 +519,7 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
                             None => (WireTag::default(), None),
                         })
                         .collect();
-                    send(&mut stream, shared, &Frame::QueryReply { id, values })
+                    send(conn.get_mut(), shared, &Frame::QueryReply { id, values })
                 }
             }
             Frame::Store { id, entries } => {
@@ -533,10 +536,10 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
                     // have been lost.
                     shared.metrics.duplicates_suppressed.inc();
                 }
-                send(&mut stream, shared, &Frame::StoreAck { id })
+                send(conn.get_mut(), shared, &Frame::StoreAck { id })
             }
             other => send_error(
-                &mut stream,
+                conn.get_mut(),
                 shared,
                 other.request_id().unwrap_or(0),
                 ErrorCode::Unsupported,
@@ -553,15 +556,15 @@ fn serve_connection(mut stream: WireStream, shared: &Shared) {
 /// Reads and decodes one frame; refuses malformation and oversize with a
 /// typed error reply and `None` (caller drops the connection — the
 /// stream may no longer be frame-aligned).
-fn read_decoded(stream: &mut WireStream, shared: &Shared) -> Option<Frame> {
-    match read_frame(stream, shared.max_frame) {
+fn read_decoded(conn: &mut BufReader<WireStream>, shared: &Shared) -> Option<Frame> {
+    match read_frame(conn, shared.max_frame) {
         Ok(FrameRead::Frame(body)) => {
             shared.metrics.frames_in.inc();
             match Frame::decode(&body) {
                 Ok(frame) => Some(frame),
                 Err(e) => {
                     shared.metrics.decode_errors.inc();
-                    send_error(stream, shared, 0, ErrorCode::Malformed, e.to_string());
+                    send_error(conn.get_mut(), shared, 0, ErrorCode::Malformed, e.to_string());
                     None
                 }
             }
@@ -570,7 +573,7 @@ fn read_decoded(stream: &mut WireStream, shared: &Shared) -> Option<Frame> {
         Err(FrameIoError::TooLarge { len, max }) => {
             shared.metrics.oversize_frames.inc();
             send_error(
-                stream,
+                conn.get_mut(),
                 shared,
                 0,
                 ErrorCode::TooLarge,
@@ -584,7 +587,7 @@ fn read_decoded(stream: &mut WireStream, shared: &Shared) -> Option<Frame> {
             // best-effort and let the caller drop the connection.
             shared.metrics.corrupt_frames.inc();
             send_error(
-                stream,
+                conn.get_mut(),
                 shared,
                 0,
                 ErrorCode::Malformed,

@@ -201,7 +201,7 @@ fn uds_cluster_survives_replica_kill_and_restart_linearizably() {
     );
 
     // Phase 3: restart it on the same socket with its state intact; the
-    // transport's managers redial and the fleet heals to 3/3.
+    // transport's connection threads redial and the fleet heals to 3/3.
     servers.push(
         ReplicaServer::spawn_with_store(
             ServerConfig::new(endpoint, 2).with_registry(Arc::clone(&server_registry)),

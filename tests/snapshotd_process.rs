@@ -29,16 +29,30 @@ fn snapshotd_bin() -> Option<String> {
         .or_else(|| std::env::var("SNAPSHOTD_BIN").ok())
 }
 
+/// A `snapshotd` child, killed and reaped on drop. `Child` does neither,
+/// and the children inherit stderr: an orphan left by a failed assertion
+/// holds open any pipe reading the test's output.
+struct Replica(Child);
+
+impl Drop for Replica {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawns one `snapshotd` process and blocks until it prints its
 /// "listening on" banner (the socket is accepting by then).
-fn spawn_replica(bin: &str, endpoint: &Endpoint, index: usize) -> Child {
-    let mut child = Command::new(bin)
-        .args(["--listen", &endpoint.to_string(), "--replica", &index.to_string()])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawning snapshotd process");
-    let stdout = child.stdout.take().expect("piped stdout");
+fn spawn_replica(bin: &str, endpoint: &Endpoint, index: usize) -> Replica {
+    let mut child = Replica(
+        Command::new(bin)
+            .args(["--listen", &endpoint.to_string(), "--replica", &index.to_string()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .expect("spawning snapshotd process"),
+    );
+    let stdout = child.0.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
     let banner = lines
         .next()
@@ -69,7 +83,7 @@ fn snapshotd_processes_serve_the_service_and_survive_a_sigkill() {
             Endpoint::Uds(path)
         })
         .collect();
-    let mut children: Vec<Child> = endpoints
+    let mut children: Vec<Replica> = endpoints
         .iter()
         .enumerate()
         .map(|(i, e)| spawn_replica(&bin, e, i))
@@ -140,8 +154,8 @@ fn snapshotd_processes_serve_the_service_and_survive_a_sigkill() {
     // Full fleet, then SIGKILL one replica process and keep going: 2 of
     // 3 live processes is a majority, so the service stays up.
     soak(10, 1);
-    children[2].kill().expect("SIGKILL replica 2");
-    children[2].wait().expect("reaping replica 2");
+    children[2].0.kill().expect("SIGKILL replica 2");
+    children[2].0.wait().expect("reaping replica 2");
     soak(10, 2);
 
     // 2 lanes × 2 ops × 10 iters × 2 epochs = 80 ops ≤ 128.
@@ -155,11 +169,6 @@ fn snapshotd_processes_serve_the_service_and_survive_a_sigkill() {
         transport.registry().counter("abd.wire.disconnects").get() >= 1,
         "the SIGKILL must surface as a connection drop"
     );
-
-    for child in &mut children[..2] {
-        child.kill().expect("shutting down replica process");
-        child.wait().expect("reaping replica process");
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -173,25 +182,27 @@ fn spawn_durable(
     bin: &str,
     endpoint: &Endpoint,
     state: &Path,
-) -> (Child, String, std::thread::JoinHandle<Vec<String>>) {
-    let mut child = Command::new(bin)
-        .args([
-            "--listen",
-            &endpoint.to_string(),
-            "--replica",
-            "0",
-            "--state",
-            &state.display().to_string(),
-            "--fsync",
-            "always",
-            "--recover",
-            "truncate",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawning durable snapshotd process");
-    let stdout = child.stdout.take().expect("piped stdout");
+) -> (Replica, String, std::thread::JoinHandle<Vec<String>>) {
+    let mut child = Replica(
+        Command::new(bin)
+            .args([
+                "--listen",
+                &endpoint.to_string(),
+                "--replica",
+                "0",
+                "--state",
+                &state.display().to_string(),
+                "--fsync",
+                "always",
+                "--recover",
+                "truncate",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .expect("spawning durable snapshotd process"),
+    );
+    let stdout = child.0.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
     let mut recovered = String::new();
     loop {
@@ -272,11 +283,11 @@ fn sigterm_shuts_down_gracefully_and_restart_replays_the_checkpoint() {
     // SIGTERM (not SIGKILL): the server announces the drain, writes a
     // final checkpoint, and exits 0.
     let status = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args(["-TERM", &child.0.id().to_string()])
         .status()
         .expect("sending SIGTERM");
     assert!(status.success(), "kill -TERM failed");
-    let exit = child.wait().expect("reaping after SIGTERM");
+    let exit = child.0.wait().expect("reaping after SIGTERM");
     assert!(exit.success(), "SIGTERM must exit 0, got {exit:?}");
     let tail = drain.join().expect("joining stdout drain");
     assert!(
@@ -291,7 +302,7 @@ fn sigterm_shuts_down_gracefully_and_restart_replays_the_checkpoint() {
 
     // Restart on the same state: recovery must come entirely from the
     // checkpoint — zero replayed log records — with every value intact.
-    let (mut child, recovered, drain) = spawn_durable(&bin, &endpoint, &state);
+    let (child, recovered, drain) = spawn_durable(&bin, &endpoint, &state);
     assert_eq!(
         banner_field(&recovered, "replayed="),
         "0",
@@ -310,8 +321,7 @@ fn sigterm_shuts_down_gracefully_and_restart_replays_the_checkpoint() {
     );
     drop(service);
 
-    child.kill().expect("shutting down restarted replica");
-    child.wait().expect("reaping restarted replica");
+    drop(child);
     drop(drain);
     let _ = std::fs::remove_file(&state);
     let _ = std::fs::remove_file(ReplicaStore::checkpoint_path_for(&state));
