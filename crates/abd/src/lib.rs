@@ -40,8 +40,7 @@
 //!   (Figure 2) run *fallibly* over `AbdRegister` lanes through
 //!   `snapshot-core`'s `TrySnapshotCore` interface: where the infallible
 //!   backend panics past the liveness boundary, this surfaces typed
-//!   `CoreError`s the `snapshot-service` front-end retries, sheds, or
-//!   fans out to a coalescing cohort;
+//!   `CoreError`s the `snapshot-service` front-end retries or sheds;
 //! * [`Transport`] — the seam between the quorum engine and its medium.
 //!   The simulated [`Network`] is one implementation; [`RemoteTransport`]
 //!   carries the exact same protocol over TCP or Unix-domain sockets to

@@ -1,8 +1,8 @@
 //! Scripted cores: wrap any [`TrySnapshotCore`] and intercept its full
-//! scans, the one seam the service tests need — to hold a coalescing
-//! leader inside its collect, to inject an outage, to slow a collect
-//! down. Updates and native subset scans pass through untouched, so a
-//! scripted shard is degrading, not dead.
+//! scans, the one seam the service tests need — to hold scans inside
+//! their collect, to inject an outage, to slow a collect down. Updates
+//! and native subset scans pass through untouched, so a scripted shard is
+//! degrading, not dead.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -82,8 +82,10 @@ pub fn scripted_outage() -> CoreError {
 #[derive(Clone, Debug, Default)]
 pub struct Gate {
     /// While set, a full scan that has entered spins instead of
-    /// proceeding — the deterministic way to hold a coalescing leader
-    /// inside its collect so a cohort piles up behind it.
+    /// proceeding — the deterministic way to hold scans inside their
+    /// collect. A held scan is a stalled quorum wait: once its request's
+    /// deadline passes it gives up with [`scripted_outage`], as an ABD
+    /// phase does.
     pub held: Arc<AtomicBool>,
     /// Full scans that have entered (counted before the hold).
     pub entered: Arc<AtomicUsize>,
@@ -93,7 +95,8 @@ pub struct Gate {
 }
 
 /// Wraps `inner` so that every full scan counts itself in
-/// [`Gate::entered`], spins while [`Gate::held`] is set, then fails while
+/// [`Gate::entered`], spins while [`Gate::held`] is set (giving up with
+/// [`scripted_outage`] if its deadline passes first), then fails while
 /// [`Gate::failures`] (initially `failures`) remain.
 pub fn gated_core<C: TrySnapshotCore<u64>>(
     inner: C,
@@ -105,6 +108,9 @@ pub fn gated_core<C: TrySnapshotCore<u64>>(
         move |inner, lane, ctx| {
             gate.entered.fetch_add(1, Ordering::SeqCst);
             while gate.held.load(Ordering::SeqCst) {
+                if ctx.deadline.expired() {
+                    return Err(scripted_outage());
+                }
                 std::thread::yield_now();
             }
             let fail = |left: usize| left.checked_sub(1);
@@ -133,5 +139,17 @@ mod tests {
         // Subset scans never go through the hook.
         assert_eq!(core.try_scan_subset(lane, &[0], ctx).unwrap().unwrap().0, vec![7]);
         assert_eq!(gate.entered.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn held_scans_give_up_at_their_deadline() {
+        use snapshot_core::Deadline;
+        use std::time::Duration;
+
+        let (core, gate) = gated_core(UnboundedSnapshot::new(2, 0u64), 0);
+        gate.held.store(true, Ordering::SeqCst);
+        let ctx = RequestCtx::by(Deadline::after(Duration::from_millis(5)));
+        assert_eq!(core.try_scan(ProcessId::new(0), ctx).unwrap_err(), scripted_outage());
+        assert_eq!(gate.entered.load(Ordering::SeqCst), 1);
     }
 }

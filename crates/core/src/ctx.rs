@@ -1,14 +1,13 @@
 //! The request shape: what every operation carries down the stack.
 //!
 //! A [`RequestCtx`] travels with an operation — through service
-//! admission, the coalescer, the retry loop, into a fallible core's
-//! register phases — carrying the two things every layer needs to know
-//! about the request it works for: the wall-clock [`Deadline`] past which
-//! it must stop trying, and the identity of the causal span it runs under
-//! (so each layer parents its own spans under the request that caused the
-//! work). It is a tiny `Copy` value, cheap to pass by value everywhere,
-//! and has an inert default ([`RequestCtx::none`]) for unbounded,
-//! untraced callers.
+//! admission and the retry loop into a fallible core's register phases —
+//! carrying the two things every layer needs to know about the request it
+//! works for: the wall-clock [`Deadline`] past which it must stop trying,
+//! and the identity of the causal span it runs under (so each layer
+//! parents its own spans under the request that caused the work). It is a
+//! tiny `Copy` value, cheap to pass by value everywhere, and has an inert
+//! default ([`RequestCtx::none`]) for unbounded, untraced callers.
 
 use snapshot_obs::SpanId;
 

@@ -9,9 +9,9 @@
 //! an operation must stop trying and report failure instead of parking.
 //!
 //! A `Deadline` is a *point in time*, not a duration, so it composes under
-//! call nesting: a retry loop, the coalescing rendezvous and the ABD
-//! quorum waits below it all measure themselves against the same instant,
-//! and the remaining budget shrinks monotonically as the request descends.
+//! call nesting: a retry loop and the ABD quorum waits below it both
+//! measure themselves against the same instant, and the remaining budget
+//! shrinks monotonically as the request descends.
 //! It travels as the `deadline` field of [`RequestCtx`](crate::RequestCtx),
 //! the one value every layer hands to the next.
 
@@ -55,7 +55,13 @@ impl Deadline {
 
     /// True if the deadline has passed.
     pub fn expired(self) -> bool {
-        self.0.is_some_and(|d| Instant::now() >= d)
+        self.expired_at(Instant::now())
+    }
+
+    /// True if the deadline had passed at `now` — for a caller that
+    /// already holds a fresh clock reading.
+    pub fn expired_at(self, now: Instant) -> bool {
+        self.0.is_some_and(|d| now >= d)
     }
 
     /// Time left before expiry: `None` when unbounded, zero when already
@@ -113,8 +119,12 @@ mod tests {
 
     #[test]
     fn past_deadlines_report_expired() {
-        let d = Deadline::at(Instant::now() - Duration::from_millis(1));
+        let now = Instant::now();
+        let d = Deadline::at(now - Duration::from_millis(1));
         assert!(d.expired());
+        assert!(d.expired_at(now));
+        assert!(Deadline::at(now).expired_at(now), "a zero budget is spent at once");
+        assert!(!d.expired_at(now - Duration::from_millis(2)));
         assert_eq!(d.remaining(), Some(Duration::ZERO));
         assert_eq!(d.to_string(), "expired");
     }

@@ -127,8 +127,7 @@ impl fmt::Display for AbdPhaseKind {
 /// Each kind names one phase a service request can spend wall-clock time
 /// in, so a reconstructed span tree attributes a stall to a named phase:
 /// quorum wait ([`SpanKind::QuorumQuery`] / [`SpanKind::QuorumStore`] /
-/// [`SpanKind::Collect`]), coalesce park ([`SpanKind::CoalescePark`]), or
-/// retry backoff ([`SpanKind::Backoff`]).
+/// [`SpanKind::Collect`]) or retry backoff ([`SpanKind::Backoff`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// A full service scan, admission to reply.
@@ -141,8 +140,10 @@ pub enum SpanKind {
     Probe,
     /// One attempt inside a request's retry budget.
     Attempt,
-    /// Time spent parked in a coalescing cohort waiting for a leader's
-    /// view (or for the seat, when electing).
+    /// Time parked waiting for another request's collect. The service no
+    /// longer opens this span (every scan runs its own collect); the kind
+    /// stays only because the reference benchmark's span analysis still
+    /// matches on it, and goes when that analysis is re-pinned.
     CoalescePark,
     /// A collect pass over the backing registers (one of the two halves
     /// of a double collect, or a certified partial collect).
@@ -184,7 +185,7 @@ impl fmt::Display for SpanKind {
 pub enum SpanStatus {
     /// The spanned phase completed normally.
     Ok,
-    /// The spanned phase surfaced a backend or cohort error.
+    /// The spanned phase surfaced a backend error.
     Error,
     /// The spanned phase ran out of its request's deadline budget.
     Expired,
@@ -220,9 +221,9 @@ impl fmt::Display for SpanStatus {
 ///   and deterministic scheduler steps;
 /// * **snapshot-abd** — quorum phase lifecycle (start, retransmit,
 ///   quorum reached / failed);
-/// * **snapshot-service** — coalescing lead/join decisions, admission
-///   rejections, partial-collect outcomes, and the fault path (backend
-///   errors, leader abdications, retry exhaustion, shard degradation).
+/// * **snapshot-service** — admission rejections, partial-collect
+///   outcomes, and the fault path (backend errors, retry exhaustion,
+///   shard degradation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A scan operation began.
@@ -345,20 +346,6 @@ pub enum Event {
         /// Acks that would have been needed for a quorum.
         needed: usize,
     },
-    /// A service-layer scan became the leader of a coalescing cohort and
-    /// will run the underlying collect itself.
-    CoalesceLead {
-        /// The coalescing generation this leader's collect carries.
-        generation: u64,
-    },
-    /// A service-layer scan joined a coalescing cohort, accepting a view
-    /// whose collect started after this request (the paper's borrowed-view
-    /// rule lifted to the service layer).
-    CoalesceJoin {
-        /// The generation of the accepted view (strictly greater than the
-        /// generation current when this request arrived).
-        generation: u64,
-    },
     /// The service rejected a request at admission: the in-flight budget
     /// was exhausted (typed backpressure instead of queueing).
     ServiceOverload {
@@ -370,16 +357,15 @@ pub enum Event {
         /// Number of segments the caller requested.
         segments: usize,
         /// Double collects the backing's native subset scan ran (0 when
-        /// the request fell back, joined a cohort, or covered every
-        /// segment and was served as a full scan).
+        /// the request fell back, or covered every segment and was served
+        /// as a full scan).
         rounds: u32,
         /// Whether the partial scan fell back to projecting a full scan.
         fallback: bool,
     },
     /// A partial scan's native subset path yielded nothing (the backing
     /// has none, or its interference budget ran out) and the collect fell
-    /// back to projecting a full scan. Emitted by the request that ran
-    /// the collect, alongside the summarizing
+    /// back to projecting a full scan. Emitted alongside the summarizing
     /// [`PartialCollect`](Event::PartialCollect).
     PartialFallback {
         /// Number of segments the collect covered.
@@ -393,13 +379,6 @@ pub enum Event {
         /// Whether the error is transient (retrying may succeed once the
         /// backing heals).
         retryable: bool,
-    },
-    /// A coalescing leader abdicated without publishing: its collect
-    /// failed (or it panicked), the error was fanned out to the parked
-    /// cohort, and the seat was freed so a waiter can re-elect.
-    CoalesceAbdicate {
-        /// The generation the abdicating leader held.
-        generation: u64,
     },
     /// A service request exhausted its retry budget and surfaced the
     /// backend error to the caller.
@@ -465,15 +444,6 @@ pub enum Event {
         key: &'static str,
         /// Attribute value.
         value: u64,
-    },
-    /// A cross-tree causal link: the annotated span consumed the result
-    /// of another span (e.g. a coalesced joiner adopting the lead's
-    /// collect). Rendered as a flow arrow in the chrome exporter.
-    SpanFollows {
-        /// The span that consumed the result.
-        id: u64,
-        /// The span whose result was consumed.
-        from: u64,
     },
     /// A shard's windowed circuit breaker tripped open on this recorded
     /// outcome (rate past threshold at volume, or a terminal error).
@@ -594,13 +564,10 @@ impl Event {
             Event::AbdRetransmit { .. } => "abd_retransmit",
             Event::AbdQuorumReached { .. } => "abd_quorum_reached",
             Event::AbdQuorumFailed { .. } => "abd_quorum_failed",
-            Event::CoalesceLead { .. } => "coalesce_lead",
-            Event::CoalesceJoin { .. } => "coalesce_join",
             Event::ServiceOverload { .. } => "service_overload",
             Event::PartialCollect { .. } => "partial_collect",
             Event::PartialFallback { .. } => "partial_fallback",
             Event::BackendError { .. } => "backend_error",
-            Event::CoalesceAbdicate { .. } => "coalesce_abdicate",
             Event::RetryExhausted { .. } => "retry_exhausted",
             Event::ShardDegraded { .. } => "shard_degraded",
             Event::ShardShed { .. } => "shard_shed",
@@ -608,7 +575,6 @@ impl Event {
             Event::SpanBegin { .. } => "span_begin",
             Event::SpanEnd { .. } => "span_end",
             Event::SpanNote { .. } => "span_note",
-            Event::SpanFollows { .. } => "span_follows",
             Event::BreakerTrip { .. } => "breaker_trip",
             Event::LoadReport { .. } => "load_report",
             Event::TransportDial { .. } => "transport_dial",
@@ -663,12 +629,6 @@ impl fmt::Display for Event {
             Event::AbdQuorumFailed { phase, acks, needed } => {
                 write!(f, "abd_quorum_failed({phase}, acks={acks}/{needed})")
             }
-            Event::CoalesceLead { generation } => {
-                write!(f, "coalesce_lead(gen={generation})")
-            }
-            Event::CoalesceJoin { generation } => {
-                write!(f, "coalesce_join(gen={generation})")
-            }
             Event::ServiceOverload { inflight } => {
                 write!(f, "service_overload(inflight={inflight})")
             }
@@ -680,9 +640,6 @@ impl fmt::Display for Event {
             }
             Event::BackendError { attempt, retryable } => {
                 write!(f, "backend_error(attempt={attempt}, retryable={retryable})")
-            }
-            Event::CoalesceAbdicate { generation } => {
-                write!(f, "coalesce_abdicate(gen={generation})")
             }
             Event::RetryExhausted { attempts } => {
                 write!(f, "retry_exhausted(attempts={attempts})")
@@ -704,9 +661,6 @@ impl fmt::Display for Event {
             }
             Event::SpanNote { id, key, value } => {
                 write!(f, "span_note(S{id}, {key}={value})")
-            }
-            Event::SpanFollows { id, from } => {
-                write!(f, "span_follows(S{id} <- S{from})")
             }
             Event::BreakerTrip { shard, trips } => {
                 write!(f, "breaker_trip(shard={shard}, trips={trips})")

@@ -81,9 +81,6 @@ fn push_payload(out: &mut String, event: &Event) {
             push_field(out, "acks", acks);
             push_field(out, "needed", needed);
         }
-        Event::CoalesceLead { generation } | Event::CoalesceJoin { generation } => {
-            push_field(out, "generation", generation);
-        }
         Event::ServiceOverload { inflight } => {
             push_field(out, "inflight", inflight);
         }
@@ -98,9 +95,6 @@ fn push_payload(out: &mut String, event: &Event) {
         Event::BackendError { attempt, retryable } => {
             push_field(out, "attempt", attempt);
             push_field(out, "retryable", retryable);
-        }
-        Event::CoalesceAbdicate { generation } => {
-            push_field(out, "generation", generation);
         }
         Event::RetryExhausted { attempts } => {
             push_field(out, "attempts", attempts);
@@ -133,10 +127,6 @@ fn push_payload(out: &mut String, event: &Event) {
             push_field(out, "id", id);
             push_str_field(out, "key", key);
             push_field(out, "value", value);
-        }
-        Event::SpanFollows { id, from } => {
-            push_field(out, "id", id);
-            push_field(out, "from", from);
         }
         Event::BreakerTrip { shard, trips } => {
             push_field(out, "shard", shard);
@@ -231,29 +221,14 @@ fn push_chrome_args(out: &mut String, e: &TraceEvent) {
 /// Scan/update begin/end pairs become duration spans (`ph: "B"`/`"E"`);
 /// causal spans ([`Event::SpanBegin`] / [`Event::SpanEnd`]) become async
 /// spans (`ph: "b"`/`"e"`, category `span`, keyed by span id) so nested
-/// request phases render as stacked tracks; [`Event::SpanFollows`] links
-/// become flow arrows (`ph: "s"` at the producing span's begin, `ph: "f"`
-/// at the consumer — the coalesce-join → lead arrow); everything else
-/// becomes an instant event (`ph: "i"`, thread scope). A follows link
-/// whose producing span's begin is not in `events` (evicted from a
-/// bounded ring) degrades to an instant. Timestamps are the logical
+/// request phases render as stacked tracks; everything else becomes an
+/// instant event (`ph: "i"`, thread scope). Timestamps are the logical
 /// sequence numbers (the trace is a logical schedule, not a wall-clock
 /// profile), and each process id becomes a `tid` so the viewer shows one
 /// track per process.
 pub fn chrome_tracing(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 64);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    // Flow arrows anchor at the producing span's begin coordinates, so
-    // index the begins up front: (span id, seq, pid).
-    let begins: Vec<(u64, u64, usize)> = events
-        .iter()
-        .filter_map(|e| match e.event {
-            Event::SpanBegin { id, .. } => Some((id, e.seq, e.pid)),
-            _ => None,
-        })
-        .collect();
-    let begin_of =
-        |id: u64| begins.iter().find(|(i, _, _)| *i == id).map(|&(_, seq, pid)| (seq, pid));
     let mut first = true;
     for e in events {
         match e.event {
@@ -268,19 +243,6 @@ pub fn chrome_tracing(events: &[TraceEvent]) -> String {
                 open_chrome_event(&mut out, &mut first, kind.name(), "e", e.pid, e.seq);
                 push_str_field(&mut out, "cat", "span");
                 push_field(&mut out, "id", id);
-                push_chrome_args(&mut out, e);
-                out.push('}');
-            }
-            Event::SpanFollows { from, .. } if begin_of(from).is_some() => {
-                let (from_seq, from_pid) = begin_of(from).expect("guard checked");
-                open_chrome_event(&mut out, &mut first, "follows", "s", from_pid, from_seq);
-                push_str_field(&mut out, "cat", "flow");
-                push_field(&mut out, "id", e.seq);
-                out.push('}');
-                open_chrome_event(&mut out, &mut first, "follows", "f", e.pid, e.seq);
-                push_str_field(&mut out, "cat", "flow");
-                push_str_field(&mut out, "bp", "e");
-                push_field(&mut out, "id", e.seq);
                 push_chrome_args(&mut out, e);
                 out.push('}');
             }

@@ -235,9 +235,9 @@ mod tests {
         let scan = trace.root_span(0, SpanKind::Scan);
         let attempt = scan.child(SpanKind::Attempt);
         attempt.note("attempt", 1);
-        let park = attempt.child(SpanKind::CoalescePark);
-        park.end(SpanStatus::Expired);
-        attempt.end(SpanStatus::Error);
+        let collect = attempt.child(SpanKind::Collect);
+        collect.end(SpanStatus::Error);
+        attempt.end(SpanStatus::Expired);
         scan.end(SpanStatus::Expired);
 
         let events = sink.drain();
@@ -250,9 +250,10 @@ mod tests {
         let attempt = forest.node(root.children[0]).unwrap();
         assert_eq!(attempt.kind, SpanKind::Attempt);
         assert_eq!(attempt.notes, vec![("attempt", 1)]);
-        let park = forest.node(attempt.children[0]).unwrap();
-        assert_eq!(park.kind, SpanKind::CoalescePark);
-        assert_eq!(forest.path_to_root(park.id), vec![park.id, attempt.id, root.id]);
+        assert_eq!(attempt.status, Some(SpanStatus::Expired));
+        let collect = forest.node(attempt.children[0]).unwrap();
+        assert_eq!(collect.kind, SpanKind::Collect);
+        assert_eq!(forest.path_to_root(collect.id), vec![collect.id, attempt.id, root.id]);
         assert!(forest.attribute_stall(root.id).unwrap().is_stall_phase());
     }
 
@@ -318,22 +319,20 @@ mod tests {
     }
 
     #[test]
-    fn chrome_tracing_renders_spans_async_with_flow_arrows() {
+    fn chrome_tracing_renders_spans_async() {
         let sink = Arc::new(RingSink::new(2, 64));
         let trace = Trace::new(sink.clone());
-        let lead_collect = trace.root_span(0, SpanKind::Collect);
-        let joiner = trace.root_span(1, SpanKind::CoalescePark);
-        joiner.follows_from(lead_collect.id());
-        joiner.end(SpanStatus::Ok);
-        lead_collect.end(SpanStatus::Ok);
+        let scan = trace.root_span(0, SpanKind::Scan);
+        let collect = scan.child(SpanKind::Collect);
+        collect.note("shard", 1);
+        collect.end(SpanStatus::Ok);
+        scan.end(SpanStatus::Ok);
 
         let out = chrome_tracing(&sink.drain());
         assert_eq!(out.matches("\"ph\":\"b\"").count(), 2);
         assert_eq!(out.matches("\"ph\":\"e\"").count(), 2);
-        assert_eq!(out.matches("\"ph\":\"s\"").count(), 1);
-        assert_eq!(out.matches("\"ph\":\"f\"").count(), 1);
+        assert_eq!(out.matches("\"ph\":\"i\"").count(), 1, "the note is an instant");
         assert!(out.contains("\"cat\":\"span\""));
-        assert!(out.contains("\"cat\":\"flow\""));
         assert_eq!(out.matches('{').count(), out.matches('}').count());
     }
 

@@ -3,9 +3,8 @@
 //! The flat event stream of this crate records *that* things happened; a
 //! [`Span`] records *on whose behalf*. A span is opened against a
 //! [`Trace`] with a parent [`SpanId`], emits [`Event::SpanBegin`] /
-//! [`Event::SpanEnd`] (plus optional [`Event::SpanNote`] annotations and
-//! [`Event::SpanFollows`] cross-tree links) into the ordinary sink
-//! pipeline, and is reconstructed offline by
+//! [`Event::SpanEnd`] (plus optional [`Event::SpanNote`] annotations)
+//! into the ordinary sink pipeline, and is reconstructed offline by
 //! [`SpanForest`](crate::SpanForest). Like [`Trace::emit`], opening a
 //! span against a disabled trace costs one branch, ticks no clock, and
 //! allocates nothing; every method on the resulting disabled span is a
@@ -96,9 +95,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// This span's id, for parenting children or handing across a
-    /// rendezvous (e.g. a coalescing lead publishing its collect span to
-    /// the joiners).
+    /// This span's id, for parenting children — directly, or through the
+    /// request context the next layer receives.
     pub fn id(&self) -> SpanId {
         self.id
     }
@@ -126,16 +124,6 @@ impl Span {
     pub fn note(&self, key: &'static str, value: u64) {
         if self.is_recording() {
             self.trace.emit(self.pid, Event::SpanNote { id: self.id.raw(), key, value });
-        }
-    }
-
-    /// Records that this span consumed the result of `from` (a cross-tree
-    /// causal edge; the chrome exporter draws it as a flow arrow).
-    ///
-    /// No-op if either side is [`SpanId::NONE`].
-    pub fn follows_from(&self, from: SpanId) {
-        if self.is_recording() && !from.is_none() {
-            self.trace.emit(self.pid, Event::SpanFollows { id: self.id.raw(), from: from.raw() });
         }
     }
 

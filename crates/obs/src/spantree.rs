@@ -5,8 +5,7 @@
 //! [`SpanNode`]s, so a test — or a human reading a flight recording —
 //! can ask the questions the causal plane exists to answer: what did
 //! this request spend its budget on ([`SpanForest::attribute_stall`]),
-//! whose collect did this joiner adopt (`follows`), and do the spans
-//! nest the way the code claims ([`SpanForest::check`]).
+//! and do the spans nest the way the code claims ([`SpanForest::check`]).
 
 use std::fmt;
 
@@ -33,9 +32,6 @@ pub struct SpanNode {
     pub elapsed_us: u64,
     /// `key = value` annotations, in emission order.
     pub notes: Vec<(&'static str, u64)>,
-    /// Ids of spans whose results this span consumed
-    /// ([`Event::SpanFollows`] edges; e.g. joiner → lead collect).
-    pub follows: Vec<u64>,
     /// Ids of child spans, in begin order.
     pub children: Vec<u64>,
 }
@@ -43,17 +39,12 @@ pub struct SpanNode {
 impl SpanNode {
     /// Whether this span names a waiting phase a stall can be attributed
     /// to: a quorum wait ([`SpanKind::QuorumQuery`],
-    /// [`SpanKind::QuorumStore`], [`SpanKind::Collect`]), a coalesce park
-    /// ([`SpanKind::CoalescePark`]), or a retry backoff
-    /// ([`SpanKind::Backoff`]).
+    /// [`SpanKind::QuorumStore`], [`SpanKind::Collect`]) or a retry
+    /// backoff ([`SpanKind::Backoff`]).
     pub fn is_stall_phase(&self) -> bool {
         matches!(
             self.kind,
-            SpanKind::QuorumQuery
-                | SpanKind::QuorumStore
-                | SpanKind::Collect
-                | SpanKind::CoalescePark
-                | SpanKind::Backoff
+            SpanKind::QuorumQuery | SpanKind::QuorumStore | SpanKind::Collect | SpanKind::Backoff
         )
     }
 }
@@ -87,7 +78,6 @@ impl SpanForest {
                         status: None,
                         elapsed_us: 0,
                         notes: Vec::new(),
-                        follows: Vec::new(),
                         children: Vec::new(),
                     });
                 }
@@ -103,10 +93,6 @@ impl SpanForest {
                 }
                 Event::SpanNote { id, key, value } => match forest.index_of(id) {
                     Some(i) => forest.nodes[i].notes.push((key, value)),
-                    None => forest.orphans.push(*e),
-                },
-                Event::SpanFollows { id, from } => match forest.index_of(id) {
-                    Some(i) => forest.nodes[i].follows.push(from),
                     None => forest.orphans.push(*e),
                 },
                 _ => {}
@@ -205,7 +191,7 @@ impl SpanForest {
     /// Checks the span-tree invariants a complete (non-evicted) trace
     /// must satisfy, returning the first violation:
     ///
-    /// * every end/note/follows referenced a begin in the input;
+    /// * every end/note referenced a begin in the input;
     /// * span ids are unique;
     /// * each end comes after its begin on the shared clock axis;
     /// * every span ended at most once and with the kind it began with

@@ -67,9 +67,9 @@ pub enum ServiceError {
         error: CoreError,
     },
     /// The request's deadline budget ran out before the operation could
-    /// finish: it failed fast (admission, a coalescing wait, a retry
-    /// backoff, or an ABD quorum wait was cut short) instead of parking
-    /// past its budget. An update that reached the backend before the
+    /// finish: it failed fast (at admission, before a retry backoff, or
+    /// when an ABD quorum wait was cut short) instead of waiting past its
+    /// budget. An update that reached the backend before the
     /// deadline expired is **indeterminate**, exactly like
     /// [`Backend`](ServiceError::Backend).
     DeadlineExceeded {

@@ -8,22 +8,19 @@
 //! that never err, and fallible message-passing cores such as
 //! `snapshot-abd`'s `AbdSnapshotCore` implement it with typed errors) and
 //! adds the things a shared front-end can provide that the raw objects
-//! cannot:
+//! cannot, without making one request wait for another:
 //!
-//! ## Scan coalescing
+//! ## Wait-free above the core
 //!
-//! Under a scan-heavy load every caller runs its own double collect —
-//! `Θ(n)` register reads each, all observing nearly the same memory. The
-//! service instead lets concurrent scans rendezvous: one caller (the
-//! *leader*) runs the collect, everyone in the cohort returns the same
-//! view. This is sound for exactly the reason the paper's Observation 2 /
-//! Lemma 4.1 lets a scanner borrow an embedded view from a writer it saw
-//! move twice: a view may be borrowed only if the collect that produced
-//! it is nested inside the borrower's own operation interval. The
-//! coalescer enforces that with a generation counter — a request only
-//! accepts a view whose collect was *elected after the request arrived* —
-//! so a coalesced scan linearizes at the shared collect's linearization
-//! point, inside every cohort member's interval.
+//! Every scan runs its own collect and returns the core's own view, so
+//! the service adds no linearizability argument of its own and no
+//! request waits for another request's collect, retry or sleep. What the
+//! service adds is bounded per request: admission is a wait-free budget
+//! check, the one lock on the path (a shard breaker's window) guards
+//! O(1) work, and retry backoff sleeps never outlive the request's
+//! deadline. Views are not shared between requests: a request may only
+//! take a view whose collect began after it arrived, so taking one would
+//! mean waiting for another request's collect to finish.
 //!
 //! ## Partial scans
 //!
@@ -44,14 +41,13 @@
 //! ## Sharding and admission control
 //!
 //! Segments are partitioned into contiguous shards, each with its own
-//! cache-padded rendezvous, so subset scans confined to one shard
-//! coalesce among themselves without contending with full scans. A
-//! bounded in-flight budget turns overload into a typed
-//! [`ServiceError::Overloaded`] rejection (wait-free admission — there is
-//! no queue), and everything is observable through `snapshot-obs`
-//! metrics (`service.scan.coalesced`, `service.scan.solo`,
+//! cache-padded circuit breaker and load row, so a sick range sheds only
+//! the requests that touch it. A bounded in-flight budget turns overload
+//! into a typed [`ServiceError::Overloaded`] rejection (wait-free
+//! admission — there is no queue), and everything is observable through
+//! `snapshot-obs` metrics (`service.scan.solo`, `service.scan.partial`,
 //! `service.fault.*`, `service.inflight`, log₂-µs latency histograms)
-//! and trace events for each coalescing and failure decision.
+//! and trace events for each admission and failure decision.
 //!
 //! ## Fault tolerance and adaptive load management
 //!
@@ -63,16 +59,10 @@
 //!   retryable `CoreError`s are retried with capped backoff until an
 //!   attempt count runs out, then surface as [`ServiceError::Backend`];
 //! * each operation also carries a **wall-clock deadline budget**
-//!   (`Deadline`, threaded through admission, the coalescing rendezvous,
-//!   retry backoffs, and a fallible backend's quorum waits): it either
-//!   completes within its budget or returns a typed
-//!   [`ServiceError::DeadlineExceeded`] — it never parks past it, and a
-//!   coalesced waiter honors its *own* budget, never its leader's;
-//! * a coalescing leader whose collect fails **fans the error out** to
-//!   every waiter its collect was serving and frees the seat, so no
-//!   request parks forever behind a dead collect and post-heal views
-//!   still satisfy the Observation-2 nesting rule (see the `coalesce`
-//!   module docs);
+//!   (`Deadline`, threaded through admission, retry backoffs, and a
+//!   fallible backend's quorum waits): it either completes within its
+//!   budget or returns a typed [`ServiceError::DeadlineExceeded`] — it
+//!   never waits past it;
 //! * per-shard **error-rate windowed circuit breakers**
 //!   ([`HealthConfig`], [`Breaker`]) trip when the sliding window of
 //!   backend outcomes crosses an error-rate threshold past a minimum
@@ -99,13 +89,10 @@
 //! operation opens a request-scoped **span tree** on the shared trace
 //! plane (DESIGN.md §12): a root span per op (`scan` / `partial_scan` /
 //! `update` / `probe`, closed with the op's typed outcome), an
-//! `attempt` span per retry rung, `coalesce_park` for the rendezvous
-//! wait, `collect` for the lead's double collect, `backoff` for retry
-//! sleeps — and, on an ABD backing, `quorum_query`/`quorum_store`
-//! phases nested under the collect via `snapshot_core::RequestCtx`. A
-//! coalesced joiner records a *follows* edge to the lead's collect span
-//! (a flow arrow in the chrome://tracing export), so "who actually ran
-//! my collect" is reconstructable after the fact;
+//! `attempt` span per retry rung, `collect` for the request's own
+//! collect, `backoff` for retry sleeps — and, on an ABD backing,
+//! `quorum_query`/`quorum_store` phases nested under the collect via
+//! `snapshot_core::RequestCtx`.
 //! `snapshot_obs::SpanForest::attribute_stall` names the phase a slow
 //! request spent its time in. Wire a `snapshot_obs::FlightRecorder`
 //! into the same trace and every `DeadlineExceeded`, breaker trip, or
@@ -130,7 +117,7 @@
 //!         s.spawn(move || {
 //!             let mut client = service.client(lane);
 //!             client.update(lane, 7 * lane as u64 + 1).unwrap();
-//!             let view = client.scan().unwrap();          // possibly coalesced
+//!             let view = client.scan().unwrap();          // full scan
 //!             assert_eq!(view.len(), 4);
 //!             let pair = client.scan_subset(&[0, 1]).unwrap(); // partial scan
 //!             assert_eq!(pair.segments(), &[0, 1]);
@@ -143,7 +130,6 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
-mod coalesce;
 mod error;
 mod health;
 mod load;

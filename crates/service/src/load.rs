@@ -101,13 +101,14 @@ impl ShardLoad {
 pub struct ShardLoadStat {
     /// The shard index.
     pub shard: usize,
-    /// Backend operations that reached this shard and succeeded.
+    /// Requests through this shard that the backend served.
     pub hits: u64,
     /// Backend operations that reached this shard and errored.
     pub errors: u64,
     /// Requests shed at this shard's gate without touching the backend.
     pub shed: u64,
-    /// Mean backend latency of this shard's hits, in microseconds.
+    /// Mean latency of this shard's hits, start of request to reply, in
+    /// microseconds.
     pub mean_latency_us: u64,
     /// True if the shard's breaker was open when the report was taken.
     pub open: bool,
@@ -141,8 +142,8 @@ pub struct LoadReport {
     /// past a floor and the leader at ≥ 2× the mean).
     pub hot_shard: Option<usize>,
     /// Permille of served partial scans that did **not** fall back to a
-    /// projected full scan — they were served natively, joined a cohort,
-    /// or covered every segment. 1000 until the first partial is served
+    /// projected full scan — they were served natively or covered every
+    /// segment. 1000 until the first partial is served
     /// (a quiet service reads as healthy); a sagging ratio means subset
     /// traffic is paying full-scan cost and the backing (or contention
     /// profile) deserves a look.

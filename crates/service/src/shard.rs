@@ -1,10 +1,9 @@
 //! Contiguous partitioning of segments across shards.
 //!
-//! Shards exist for two reasons: per-shard coalescing state lives on its
-//! own cache line (scans of disjoint shard ranges never contend on one
-//! rendezvous mutex), and a subset scan confined to one shard can be
-//! served from that shard's coalesced range view instead of touching the
-//! whole memory.
+//! Shards are the unit of health gating and load accounting: each owns a
+//! circuit breaker and a load row on its own cache line, so a degrading
+//! range of segments sheds only the requests that touch it, and the load
+//! report can name a hot range.
 
 use std::ops::Range;
 
@@ -40,14 +39,6 @@ impl ShardMap {
     pub(crate) fn range(&self, shard: usize) -> Range<usize> {
         debug_assert!(shard < self.shards);
         (shard * self.segments / self.shards)..((shard + 1) * self.segments / self.shards)
-    }
-
-    /// The single shard containing every segment of a **sorted** subset,
-    /// or `None` if the subset spans shard boundaries.
-    pub(crate) fn shard_containing(&self, sorted_subset: &[usize]) -> Option<usize> {
-        let first = self.shard_of(*sorted_subset.first()?);
-        let last = self.shard_of(*sorted_subset.last()?);
-        (first == last).then_some(first)
     }
 }
 
@@ -86,14 +77,5 @@ mod tests {
     fn shard_count_is_clamped() {
         assert_eq!(ShardMap::new(3, 0).shards(), 1);
         assert_eq!(ShardMap::new(3, 99).shards(), 3);
-    }
-
-    #[test]
-    fn subset_confinement() {
-        let map = ShardMap::new(8, 4); // shards of 2
-        assert_eq!(map.shard_containing(&[2, 3]), Some(1));
-        assert_eq!(map.shard_containing(&[3, 4]), None);
-        assert_eq!(map.shard_containing(&[7]), Some(3));
-        assert_eq!(map.shard_containing(&[]), None);
     }
 }

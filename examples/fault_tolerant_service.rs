@@ -1,6 +1,6 @@
-//! The fault-tolerant service mode end to end: a coalescing snapshot
-//! service over an `AbdSnapshotCore` (Figure 2 running fallibly on
-//! ABD-replicated registers), walked through the whole failure path —
+//! The fault-tolerant service mode end to end: a snapshot service over
+//! an `AbdSnapshotCore` (Figure 2 running fallibly on ABD-replicated
+//! registers), walked through the whole failure path —
 //! replica crashes → quorum loss → typed `Backend` errors within the
 //! retry budget → the per-shard health gate shedding with `Degraded` →
 //! heal → half-open probe → full recovery.
@@ -81,7 +81,7 @@ fn main() {
     .with_registry(&registry)
     .with_trace(trace);
 
-    // Healthy fleet: every operation succeeds, scans coalesce as usual.
+    // Healthy fleet: every operation succeeds.
     let mut client = service.client(0);
     client.update(0, 10).expect("healthy quorum");
     service.client(1).update(1, 20).expect("healthy quorum");
@@ -157,7 +157,7 @@ fn main() {
 
     // Every operation can also carry a wall-clock budget: it completes
     // within the budget or returns a typed `DeadlineExceeded` — it never
-    // parks past its deadline, even coalesced behind a slower leader.
+    // waits past its deadline, and never waits on another request.
     let (view, _) =
         client.scan_with_stats(Some(Duration::from_secs(1))).expect("healthy quorum is fast");
     assert_eq!(view[0], 11);
@@ -171,13 +171,11 @@ fn main() {
         "service.fault.degraded_shed",
         "service.fault.deadline_exceeded",
         "service.load.shed",
-        "service.coalesce.abdicated",
     ] {
         println!("  {name:<34} {}", registry.counter(name).get());
     }
     assert!(registry.counter("service.fault.backend_errors").get() >= 1);
     assert_eq!(service.inflight(), 0);
-    assert_eq!(service.coalescing_waiters(), 0);
 
     // The anomalies above each froze a black-box dump: the expired
     // deadline and the breaker trip both captured the span tree of the

@@ -1,12 +1,10 @@
 //! A miniature "snapshot server": many client threads hitting one
 //! [`SnapshotService`] that fronts an unbounded atomic snapshot.
 //!
-//! The demo shows all three service features at once:
+//! The demo shows the service's features at once:
 //!
-//! * **scan coalescing** — a phase over a deliberately slow backing (a
-//!   stand-in for an expensive substrate such as replicated registers)
-//!   shows concurrent scans riding someone else's collect (watch
-//!   `service.scan.coalesced` vs `service.scan.solo` in the metrics dump);
+//! * **full scans** — every scan runs its own collect, so no client ever
+//!   waits for another (watch `service.scan.solo` in the metrics dump);
 //! * **partial scans** — half the reads ask for a two-segment window via
 //!   `scan_subset`, served natively at O(touched-segments) cost by the
 //!   backing's subset scan (watch `service.partial.native` and the
@@ -27,65 +25,10 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use snapshot_core::{
-    CoreError, RequestCtx, ScanStats, SnapshotView, TrySnapshotCore, UnboundedSnapshot,
-};
+use snapshot_core::UnboundedSnapshot;
 use snapshot_obs::{Event, Registry, RingSink, Trace};
-use snapshot_registers::ProcessId;
 use snapshot_service::{ServiceConfig, ServiceError, SnapshotService};
-
-/// A backing whose collects take a while — stands in for an expensive
-/// substrate (a replicated ABD register, a huge segment count) where
-/// coalescing pays. In-process collects are so fast that concurrent scans
-/// rarely overlap; against this wrapper they always do.
-struct SlowCore<C> {
-    inner: C,
-    collect_delay: Duration,
-}
-
-impl<V, C: TrySnapshotCore<V>> TrySnapshotCore<V> for SlowCore<C> {
-    fn segments(&self) -> usize {
-        self.inner.segments()
-    }
-
-    fn lanes(&self) -> usize {
-        self.inner.lanes()
-    }
-
-    fn single_writer(&self) -> bool {
-        self.inner.single_writer()
-    }
-
-    fn try_scan(
-        &self,
-        lane: ProcessId,
-        ctx: RequestCtx,
-    ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        std::thread::sleep(self.collect_delay);
-        self.inner.try_scan(lane, ctx)
-    }
-
-    fn try_update(
-        &self,
-        lane: ProcessId,
-        segment: usize,
-        value: V,
-        ctx: RequestCtx,
-    ) -> Result<ScanStats, CoreError> {
-        self.inner.try_update(lane, segment, value, ctx)
-    }
-
-    fn try_scan_subset(
-        &self,
-        lane: ProcessId,
-        segments: &[usize],
-        ctx: RequestCtx,
-    ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
-        self.inner.try_scan_subset(lane, segments, ctx)
-    }
-}
 
 const SEGMENTS: usize = 8;
 const OPS_PER_CLIENT: u64 = 2_000;
@@ -113,7 +56,7 @@ fn main() {
                     match k % 4 {
                         0 => client.update(lane, (lane as u64) << 32 | k).expect("own segment"),
                         1 | 2 => {
-                            // Full scan: the coalescing path.
+                            // Full scan: a collect of its own.
                             let view = client.scan().expect("within budget");
                             checksum = checksum.wrapping_add(view.iter().sum::<u64>());
                         }
@@ -131,34 +74,7 @@ fn main() {
         }
     });
 
-    // Phase 2: coalescing against an expensive backing. With each collect
-    // pinned at 200µs, scans issued while one is in flight park and ride
-    // the successor collect instead of running their own.
-    let slow = SnapshotService::new(SlowCore {
-        inner: UnboundedSnapshot::new(SEGMENTS, 0u64),
-        collect_delay: Duration::from_micros(200),
-    })
-    .with_registry(&registry);
-    let coalesced_before = registry.counter("service.scan.coalesced").get();
-    std::thread::scope(|s| {
-        for lane in 0..SEGMENTS {
-            let slow = &slow;
-            s.spawn(move || {
-                let mut client = slow.client(lane);
-                for _ in 0..50 {
-                    client.scan().expect("within budget");
-                }
-            });
-        }
-    });
-    let coalesced = registry.counter("service.scan.coalesced").get() - coalesced_before;
-    println!(
-        "slow-backing phase: {} of {} scans coalesced onto another scan's collect",
-        coalesced,
-        SEGMENTS * 50,
-    );
-
-    // Phase 3: backpressure. A budget of one means a scan issued while
+    // Phase 2: backpressure. A budget of one means a scan issued while
     // another request holds the slot is rejected, not queued.
     let tiny = SnapshotService::with_config(
         UnboundedSnapshot::new(2, 0u64),
@@ -214,20 +130,12 @@ fn main() {
     );
 
     let events = ring.drain();
-    let leads = events
-        .iter()
-        .filter(|e| matches!(e.event, Event::CoalesceLead { .. }))
-        .count();
-    let joins = events
-        .iter()
-        .filter(|e| matches!(e.event, Event::CoalesceJoin { .. }))
-        .count();
     let partials = events
         .iter()
         .filter(|e| matches!(e.event, Event::PartialCollect { .. }))
         .count();
     println!("\n--- trace ({} events buffered) ---", events.len());
-    println!("coalesce leads: {leads}, joins: {joins}, partial collects: {partials}");
+    println!("partial collects: {partials}");
     println!("first few events:");
     for event in events.iter().take(8) {
         println!("  {event}");

@@ -1,14 +1,13 @@
-//! Nemesis suite for the fault-tolerant service mode: a coalescing
-//! client fleet over an `AbdSnapshotCore` (Figure 2 run fallibly over
-//! emulated message-passing registers), attacked by phased partitions
-//! and crash/restart storms.
+//! Nemesis suite for the fault-tolerant service mode: a client fleet
+//! over an `AbdSnapshotCore` (Figure 2 run fallibly over emulated
+//! message-passing registers), attacked by phased partitions and
+//! crash/restart storms, plus scripted outages, stalls and overload.
 //!
 //! The contract under test, end to end:
 //!
-//! * **No deadlocked cohort.** Every request returns — a view or a typed
+//! * **No hung request.** Every request returns — a view or a typed
 //!   `ServiceError` — within its retry budget; after every phase the
-//!   coalescing rendezvous is empty and the admission budget is fully
-//!   returned.
+//!   admission budget is fully returned.
 //! * **Every success linearizes.** All completed operations, including
 //!   ones that straddle a heal boundary, pass the Wing & Gong checker
 //!   (failed updates are registered as pending: they are indeterminate,
@@ -168,9 +167,8 @@ fn nemesis_storm_service_returns_views_or_typed_errors() {
         storm(&network).join().unwrap();
     });
 
-    // (a) No deadlocked cohort: every thread returned, the rendezvous is
-    // drained and the admission budget is fully returned.
-    assert_eq!(service.coalescing_waiters(), 0, "waiters parked forever");
+    // (a) No hung request: every thread returned and the admission budget
+    // is fully returned.
     assert_eq!(service.inflight(), 0, "admission slots leaked");
 
     // (b) Every success linearizes, across heal boundaries, with failed
@@ -267,7 +265,6 @@ fn nemesis_subset_scans_return_projections_or_typed_errors() {
         storm(&network).join().unwrap();
     });
 
-    assert_eq!(service.coalescing_waiters(), 0, "waiters parked forever");
     assert_eq!(service.inflight(), 0, "admission slots leaked");
     assert!(!network.poisoned(), "a replica thread panicked");
 
@@ -300,8 +297,8 @@ fn nemesis_subset_scans_return_projections_or_typed_errors() {
 /// The observability acceptance scenario: a majority blackout makes a
 /// breaker trip *and* a deadline expire, and the flight recorder's dump
 /// must attribute the stalled request to a named phase — a quorum wait
-/// (`QuorumQuery`/`QuorumStore`/`Collect`), a coalesce park, or a retry
-/// backoff — from the span tree alone.
+/// (`QuorumQuery`/`QuorumStore`/`Collect`) or a retry backoff — from the
+/// span tree alone.
 #[test]
 fn blackout_flight_dump_attributes_the_stall_to_a_named_phase() {
     let ring = Arc::new(RingSink::new(LANES, 8192));
@@ -385,8 +382,8 @@ fn blackout_flight_dump_attributes_the_stall_to_a_named_phase() {
         .expect("the expired request has ended descendants to attribute");
     assert!(
         stall.is_stall_phase(),
-        "the stall must be attributed to a quorum wait, coalesce park, or \
-         retry backoff; got {:?} in:\n{forest}",
+        "the stall must be attributed to a quorum wait or retry backoff; \
+         got {:?} in:\n{forest}",
         stall.kind
     );
 
@@ -396,34 +393,36 @@ fn blackout_flight_dump_attributes_the_stall_to_a_named_phase() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic cohort fan-out (scripted backend, no timing luck)
+// Deterministic failure paths (scripted backend, no timing luck)
 // ---------------------------------------------------------------------------
 
-/// Scripted fallible core: full scans park (spinning) while the gate is
-/// held, then fail while failures remain — so the service's whole failure
-/// path runs without a network in the loop.
+/// Scripted fallible core: full scans spin while the gate is held (giving
+/// up at their request's deadline, like a stalled quorum wait), then fail
+/// while failures remain — so the service's whole failure path runs
+/// without a network in the loop.
 fn scripted_core(n: usize, failures: usize) -> (impl TrySnapshotCore<u64>, Gate) {
     gated_core(UnboundedSnapshot::new(n, 0u64), failures)
 }
 
 #[test]
-fn failed_leader_fans_errors_to_the_whole_cohort_within_budget() {
+fn concurrent_scans_against_an_outage_each_fail_typed_within_budget() {
     const CLIENTS: usize = 6;
     let (core, Gate { held: gate, entered, .. }) =
         scripted_core(CLIENTS, usize::MAX / 2); // outage outlasts every budget
     gate.store(true, Ordering::SeqCst);
 
+    let retry = RetryConfig {
+        max_attempts: 2,
+        initial_backoff: Duration::from_micros(50),
+        max_backoff: Duration::from_micros(200),
+        ..RetryConfig::default()
+    };
     let registry = Registry::new();
     let service = SnapshotService::with_config(
         core,
         ServiceConfig {
-            retry: RetryConfig {
-                max_attempts: 2,
-                initial_backoff: Duration::from_micros(50),
-                max_backoff: Duration::from_micros(200),
-                ..RetryConfig::default()
-            },
-            health: HealthConfig::disabled(), // isolate fan-out from shedding
+            retry,
+            health: HealthConfig::disabled(), // isolate retries from shedding
             ..ServiceConfig::default()
         },
     )
@@ -433,47 +432,129 @@ fn failed_leader_fans_errors_to_the_whole_cohort_within_budget() {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|lane| {
                 let service = &service;
-                s.spawn(move || service.client(lane).scan().unwrap_err())
+                s.spawn(move || {
+                    let start = Instant::now();
+                    let err = service.client(lane).scan().unwrap_err();
+                    (err, start.elapsed())
+                })
             })
             .collect();
 
-        // One leader is inside the (held) collect; the rest of the fleet
-        // parks behind it.
-        while entered.load(Ordering::SeqCst) == 0 {
+        // The whole fleet is inside the held collect at once: every scan
+        // runs its own, and none waits for another to get there.
+        while entered.load(Ordering::SeqCst) < CLIENTS {
             std::thread::yield_now();
         }
-        while service.coalescing_waiters() < CLIENTS - 1 {
-            std::thread::yield_now();
-        }
+        assert_eq!(service.inflight(), CLIENTS);
 
-        // Release the collect into the outage: the leader fails, the
-        // error fans out, successors re-elect and fail too. Nobody may
-        // park forever.
+        // Release the collects into the outage: every client fails typed
+        // on its own budget.
         gate.store(false, Ordering::SeqCst);
         for h in handles {
-            let err = h.join().unwrap();
+            let (err, elapsed) = h.join().unwrap();
             match err {
                 ServiceError::Backend { attempts, error } => {
-                    assert!(attempts <= 2, "budget overrun: {attempts}");
+                    assert_eq!(attempts, 2, "each client spends exactly its own budget");
                     assert!(error.retryable());
                 }
                 other => panic!("expected Backend, got {other:?}"),
             }
+            assert!(elapsed < retry.deadline, "returned within budget: {elapsed:?}");
         }
     });
 
-    assert_eq!(service.coalescing_waiters(), 0, "no waiter may stay parked");
     assert_eq!(service.inflight(), 0, "admission budget fully returned");
-    assert!(service.abdications() >= 1, "at least the first leader failed over");
-    assert!(
-        registry.counter("service.fault.cohort_errors").get() >= 1,
-        "someone must have received a fanned-out error"
-    );
+    assert_eq!(entered.load(Ordering::SeqCst), 2 * CLIENTS, "two collects per client");
+    assert_eq!(registry.counter("service.fault.backend_errors").get(), 2 * CLIENTS as u64);
+    assert_eq!(registry.counter("service.scan.solo").get(), 0, "no collect was served");
     assert_eq!(
         registry.counter("service.fault.retry_exhausted").get(),
         CLIENTS as u64,
         "every client exhausted its own budget"
     );
+}
+
+#[test]
+fn full_budget_rejects_with_overloaded() {
+    let (core, Gate { held, entered, .. }) = scripted_core(3, 0);
+    held.store(true, Ordering::SeqCst);
+    let registry = Registry::new();
+    let service = SnapshotService::with_config(
+        core,
+        ServiceConfig { max_inflight: 2, ..ServiceConfig::default() },
+    )
+    .with_registry(&registry);
+
+    std::thread::scope(|s| {
+        // Two scans held inside their collects fill the budget: a request
+        // holds its slot for its whole life, so stalled work counts.
+        let held_scans: Vec<_> = (0..2)
+            .map(|lane| {
+                let service = &service;
+                s.spawn(move || service.client(lane).scan())
+            })
+            .collect();
+        while entered.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(service.inflight(), 2);
+
+        // The budget is full: the next request is rejected, not queued.
+        let err = service.client(2).scan().unwrap_err();
+        assert_eq!(err, ServiceError::Overloaded { inflight: 2, budget: 2 });
+        assert_eq!(registry.counter("service.overloaded").get(), 1);
+        assert_eq!(entered.load(Ordering::SeqCst), 2, "the rejected scan never collected");
+
+        held.store(false, Ordering::SeqCst);
+        for h in held_scans {
+            assert!(h.join().unwrap().is_ok());
+        }
+    });
+
+    // Slots drain once the requests finish.
+    assert_eq!(service.inflight(), 0);
+    assert!(service.client(2).scan().is_ok());
+}
+
+#[test]
+fn failed_attempts_count_as_backend_errors_not_collects() {
+    // A flaky backend: its first two scans fail with a retryable error,
+    // then it recovers.
+    let (flaky, Gate { failures: remaining, .. }) = scripted_core(2, 2);
+    let registry = Registry::new();
+    let service = SnapshotService::with_config(
+        flaky,
+        ServiceConfig {
+            retry: RetryConfig {
+                max_attempts: 3,
+                initial_backoff: Duration::from_micros(50),
+                ..RetryConfig::default()
+            },
+            health: HealthConfig::disabled(),
+            ..ServiceConfig::default()
+        },
+    )
+    .with_registry(&registry);
+
+    let mut client = service.client(0);
+    let (view, stats) = client.scan_with_stats(None).expect("third attempt succeeds");
+    assert_eq!(view.len(), 2);
+    assert_eq!(stats.retries, 2, "two failed attempts before the success");
+
+    // Two failed attempts, one served collect: the error counters are
+    // disjoint from `service.scan.solo`.
+    assert_eq!(registry.counter("service.scan.solo").get(), 1);
+    assert_eq!(registry.counter("service.fault.backend_errors").get(), 2);
+    assert_eq!(registry.counter("service.fault.retries").get(), 2);
+    assert_eq!(registry.counter("service.fault.retry_exhausted").get(), 0);
+
+    // The budget is finite: with the outage longer than max_attempts the
+    // error surfaces typed, and exhaustion is counted.
+    remaining.store(10, Ordering::SeqCst);
+    let err = client.scan().unwrap_err();
+    assert!(matches!(err, ServiceError::Backend { attempts: 3, .. }), "{err:?}");
+    assert_eq!(registry.counter("service.fault.retry_exhausted").get(), 1);
+    assert_eq!(registry.counter("service.scan.solo").get(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -505,7 +586,6 @@ fn health_gate_trips_sheds_probes_and_recovers() {
     let service = SnapshotService::with_config(
         core,
         ServiceConfig {
-            coalesce: false,
             retry: RetryConfig::no_retries(), // one backend attempt per request
             health: ladder_health(cooldown),
             ..ServiceConfig::default()
@@ -598,18 +678,12 @@ fn healthy_abd_service_matches_in_process_semantics() {
     let history = recorder.finish();
     assert!(check_history(&history).is_linearizable(), "healthy ABD service must linearize");
 
-    // Coalescing happened through the same rendezvous as in-process
-    // cores, and no fault path ever fired. Full scans and single-shard
-    // partials each take exactly one solo-or-coalesced slot.
-    let solo = registry.counter("service.scan.solo").get();
-    let coalesced = registry.counter("service.scan.coalesced").get();
-    assert_eq!(solo + coalesced, (LANES * 8 * 2) as u64);
+    // No fault path ever fired, and every full scan and partial ran
+    // exactly one collect of its own, as over an in-process core.
+    assert_eq!(registry.counter("service.scan.solo").get(), (LANES * 8 * 2) as u64);
     assert_eq!(registry.counter("service.fault.backend_errors").get(), 0);
     assert_eq!(registry.counter("service.fault.degraded_shed").get(), 0);
-    assert_eq!(registry.counter("service.coalesce.abdicated").get(), 0);
-    assert_eq!(service.abdications(), 0);
     assert_eq!(service.inflight(), 0);
-    assert_eq!(service.coalescing_waiters(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -641,7 +715,6 @@ fn slow_degrading_shard_trips_the_windowed_breaker() {
     let service = SnapshotService::with_config(
         core,
         ServiceConfig {
-            coalesce: false,
             retry: RetryConfig::no_retries(),
             health: ladder_health(Duration::from_millis(40)),
             ..ServiceConfig::default()
@@ -688,7 +761,7 @@ fn slow_degrading_shard_trips_the_windowed_breaker() {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline soak: parked requests honor their own budget
+// Deadline soak: stalled requests honor their own budget
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -715,30 +788,27 @@ fn deadline_soak_parked_requests_complete_or_expire_within_budget() {
             let service = &service;
             let results = &results;
             s.spawn(move || {
-                let r = service
-                    .client(lane)
-                    .scan_with_stats(Some(budget))
-                    .map(|(view, _)| view.len());
+                // Lane 0 runs on the configured (long) deadline; the rest
+                // of the fleet carries 30ms budgets.
+                let budget = (lane > 0).then_some(budget);
+                let r =
+                    service.client(lane).scan_with_stats(budget).map(|(view, _)| view.len());
                 results.lock().unwrap().push(r);
             });
         }
-        // One leader is inside the held collect; the rest of the fleet
-        // parks behind it, each carrying its own 30ms budget.
-        while entered.load(Ordering::SeqCst) == 0 {
+        // The whole fleet is parked inside the held collect, each request
+        // carrying its own budget.
+        while entered.load(Ordering::SeqCst) < CLIENTS {
             std::thread::yield_now();
         }
-        while service.coalescing_waiters() < CLIENTS - 1 {
-            std::thread::yield_now();
-        }
-        // Hold the collect until every parked waiter has resolved: a
-        // waiter honors its *own* deadline — it cannot inherit the
-        // leader's open-ended wait, so all of them must return typed
-        // `DeadlineExceeded` while the leader is still stuck.
+        // Hold the collect until every budgeted request has resolved:
+        // each honors its *own* deadline, so all of them must return typed
+        // `DeadlineExceeded` while lane 0 is still stuck.
         let wait_start = Instant::now();
         while results.lock().unwrap().len() < CLIENTS - 1 {
             assert!(
                 wait_start.elapsed() < Duration::from_secs(20),
-                "waiters failed to time out: parked past their budget"
+                "requests failed to time out: parked past their budget"
             );
             std::thread::yield_now();
         }
@@ -748,12 +818,12 @@ fn deadline_soak_parked_requests_complete_or_expire_within_budget() {
     let results = results.into_inner().unwrap();
     assert_eq!(results.len(), CLIENTS);
     let ok = results.iter().filter(|r| r.is_ok()).count();
-    assert_eq!(ok, 1, "exactly the leader completes once released: {results:?}");
+    assert_eq!(ok, 1, "exactly lane 0 completes once released: {results:?}");
     for r in &results {
         match r {
             Ok(len) => assert_eq!(*len, CLIENTS),
             Err(ServiceError::DeadlineExceeded { attempts, budget: b }) => {
-                assert_eq!(*attempts, 1, "one attempt: the parked wait itself");
+                assert_eq!(*attempts, 1, "one attempt: the stalled collect itself");
                 assert_eq!(*b, budget);
             }
             Err(other) => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -763,7 +833,6 @@ fn deadline_soak_parked_requests_complete_or_expire_within_budget() {
         registry.counter("service.fault.deadline_exceeded").get(),
         (CLIENTS - 1) as u64
     );
-    assert_eq!(service.coalescing_waiters(), 0, "no waiter may stay parked");
     assert_eq!(service.inflight(), 0, "admission budget fully returned");
 }
 
@@ -895,6 +964,5 @@ fn overload_soak_flags_hot_shard_sheds_and_recovers_probe_first() {
     assert!(service.degraded_shards().is_empty(), "the ramp must close every breaker");
     let view = writer.scan().expect("full scans flow again after recovery");
     assert!(view[0] >= 40, "segment 0 must hold a write from the hammer or blackout phase");
-    assert_eq!(service.coalescing_waiters(), 0, "no waiter may stay parked");
     assert_eq!(service.inflight(), 0, "admission budget fully returned");
 }

@@ -1,17 +1,16 @@
-//! Partial scans through the service, checked against the projected
-//! sequential spec.
+//! Scans through the service, checked against the sequential specs.
 //!
-//! The service serves `scan_subset` three ways — the backing's native
-//! O(touched-segments) subset scan (all in-tree constructions),
-//! shard-coalesced range views, and projected full scans (the wait-free
-//! second rung, the only option for a backing without a native path) —
-//! and all three must produce views that are instantaneous pictures of
-//! the requested projection. The concurrent tests record every operation
-//! with a shared logical clock and hand the histories to the Wing & Gong
-//! checker under `snapshot_lin::check_partial_history`; the ladder test
-//! checks from the `service.partial.*` counters that the two rungs are
-//! total — every partial request is accounted to exactly one way of
-//! being served.
+//! The service serves `scan_subset` two ways — the backing's native
+//! O(touched-segments) subset scan (all in-tree constructions) and
+//! projected full scans (the wait-free second rung, the only option for
+//! a backing without a native path) — and both must produce views that
+//! are instantaneous pictures of the requested projection. The
+//! concurrent tests record every operation with a shared logical clock
+//! and hand the histories to the Wing & Gong checker under
+//! `snapshot_lin::check_partial_history` (or `check_history` for full
+//! scans); the ladder test checks from the `service.partial.*` counters
+//! that the two rungs are total — every partial request is accounted to
+//! exactly one way of being served.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,9 +20,9 @@ use snapshot_core::{
     BoundedSnapshot, CoreError, LockSnapshot, MultiWriterSnapshot, RequestCtx, ScanStats,
     SnapshotView, TrySnapshotCore, UnboundedSnapshot,
 };
-use snapshot_lin::{check_partial_history, PartialOp, WgOp, WgResult};
+use snapshot_lin::{check_history, check_partial_history, PartialOp, Recorder, WgOp, WgResult};
 use snapshot_obs::{Clock, Registry};
-use snapshot_registers::ProcessId;
+use snapshot_registers::{ProcessId, SeededRng};
 use snapshot_service::{ServiceConfig, SnapshotService};
 
 // ---------------------------------------------------------------------------
@@ -84,10 +83,7 @@ impl<V, C: TrySnapshotCore<V>> TrySnapshotCore<V> for Opaque<C> {
 fn native_and_fallback_paths_report_themselves() {
     // Unbounded: the native subset scan answers at O(touched) cost — two
     // passes of two registers per round, no borrow when quiescent.
-    let native = SnapshotService::with_config(
-        UnboundedSnapshot::new(4, 0u64),
-        ServiceConfig { coalesce: false, ..ServiceConfig::default() },
-    );
+    let native = SnapshotService::new(UnboundedSnapshot::new(4, 0u64));
     let mut c = native.client(0);
     let (_, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap();
     assert!(stats.native_subset);
@@ -95,12 +91,27 @@ fn native_and_fallback_paths_report_themselves() {
     assert!(stats.underlying.double_collects >= 1);
     assert_eq!(stats.underlying.reads, 2 * 2 * u64::from(stats.underlying.double_collects));
 
+    // A subset confined to one shard costs the same arithmetic: it reads
+    // its own segments, not the shard's whole range (here 4 segments).
+    let sharded = SnapshotService::with_config(
+        UnboundedSnapshot::new(8, 0u64),
+        ServiceConfig { shards: 2, ..ServiceConfig::default() },
+    );
+    let mut c = sharded.client(0);
+    let subset = [1, 3];
+    let (view, stats) = c.scan_subset_with_stats(&subset, None).unwrap();
+    assert_eq!(view.segments(), &subset);
+    assert!(stats.native_subset);
+    assert!(stats.underlying.double_collects >= 1);
+    assert_eq!(
+        stats.underlying.reads,
+        2 * subset.len() as u64 * u64::from(stats.underlying.double_collects),
+        "a shard-confined subset is O(touched): {stats:?}"
+    );
+
     // Bounded: no per-write sequence numbers, but the subset handshake
     // gives it a native path too.
-    let bounded = SnapshotService::with_config(
-        BoundedSnapshot::new(4, 0u64),
-        ServiceConfig { coalesce: false, ..ServiceConfig::default() },
-    );
+    let bounded = SnapshotService::new(BoundedSnapshot::new(4, 0u64));
     let mut c = bounded.client(0);
     let (_, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap();
     assert!(stats.native_subset);
@@ -108,10 +119,7 @@ fn native_and_fallback_paths_report_themselves() {
 
     // Opaque wrapper: no native path, so the service projects a full
     // scan instead.
-    let fallback = SnapshotService::with_config(
-        Opaque(BoundedSnapshot::new(4, 0u64)),
-        ServiceConfig { coalesce: false, ..ServiceConfig::default() },
-    );
+    let fallback = SnapshotService::new(Opaque(BoundedSnapshot::new(4, 0u64)));
     let mut c = fallback.client(0);
     let (_, stats) = c.scan_subset_with_stats(&[0, 3], None).unwrap();
     assert!(stats.fallback_full);
@@ -121,10 +129,9 @@ fn native_and_fallback_paths_report_themselves() {
 
 #[test]
 fn opaque_backings_fall_back_on_both_service_paths() {
-    // With coalescing on, a multi-shard subset collects directly and a
-    // single-shard one through the shard rendezvous; over a backing with
-    // no native path both must fall back, the shard leader must report
-    // it, and the certified ratio sags to zero.
+    // Over a backing with no native path, a subset spanning shards and a
+    // subset confined to one must both fall back and report it, and the
+    // certified ratio sags to zero.
     let svc = SnapshotService::with_config(
         Opaque(BoundedSnapshot::new(4, 0u32)),
         ServiceConfig { shards: 2, ..ServiceConfig::default() },
@@ -138,7 +145,7 @@ fn opaque_backings_fall_back_on_both_service_paths() {
 
     let (view, stats) = c.scan_subset_with_stats(&[0, 1], None).unwrap(); // single shard
     assert_eq!(view.values(), &[5, 0]);
-    assert!(stats.fallback_full, "shard leader must report its fallback");
+    assert!(stats.fallback_full, "a shard-confined subset reports its fallback");
     assert_eq!(svc.partial_certified_permille(), 0);
     assert_eq!(svc.load_report().partial_certified_permille, 0);
 }
@@ -157,8 +164,8 @@ struct LadderTally {
     /// `service.partial.fallback_full`: requests served by a projected
     /// full scan.
     fallback: u64,
-    /// Requests that ran neither rung: they joined a shard cohort, or
-    /// covered every segment and were served as a full scan.
+    /// Requests that ran neither rung: they covered every segment and
+    /// were served as a full scan.
     other: u64,
 }
 
@@ -205,6 +212,8 @@ fn ladder_tally<C: TrySnapshotCore<u64>>(core: C, rounds: usize) -> LadderTally 
         other: other.into_inner(),
     };
     assert_eq!(tally.partial, (lanes * rounds) as u64);
+    let full_coverage = (0..rounds).filter(|k| k % 3 == 2).count();
+    assert_eq!(tally.other, (lanes * full_coverage) as u64, "only full coverage skips the ladder");
     assert_eq!(
         tally.native + tally.fallback + tally.other,
         tally.partial,
@@ -234,7 +243,7 @@ fn the_two_rung_ladder_is_total_over_every_backing() {
     // give up under contention, and the identity is all that must hold.
     ladder_tally(MultiWriterSnapshot::new(4, 4, 0u64), 60);
     // No native path at all: the projected full scan serves everything
-    // that neither joined a cohort nor was a full scan to begin with.
+    // that was not a full scan to begin with.
     let opaque = ladder_tally(Opaque(BoundedSnapshot::new(4, 0u64)), 60);
     assert_eq!(opaque.native, 0);
     assert!(opaque.fallback > 0);
@@ -283,9 +292,8 @@ fn run_partial_history<C: TrySnapshotCore<u64>>(core: C, ops_per_thread: usize) 
                             record(inv, PartialOp::Update { word, value });
                         }
                         1 => {
-                            // A wrapping two-segment window: sometimes one
-                            // shard (coalesced range view), sometimes two
-                            // (direct native collect or fallback).
+                            // A wrapping two-segment window: sometimes
+                            // inside one shard, sometimes across two.
                             let subset = {
                                 let a = (lane + k) % words;
                                 let b = (a + 1) % words;
@@ -360,6 +368,63 @@ fn concurrent_partial_history_linearizes_on_a_multiwriter_backing() {
         assert!(
             matches!(verdict, WgResult::Linearizable { .. }),
             "round {round}: multi-writer history rejected: {verdict:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Full-scan histories (seeded property test)
+// ---------------------------------------------------------------------------
+
+/// One lane's scripted operations: `true` = update (with a fresh value),
+/// `false` = full scan.
+type Plan = Vec<bool>;
+
+/// Runs `plans` (one per lane) concurrently through a service over an
+/// unbounded snapshot, recording real-time intervals, and returns the
+/// Wing & Gong verdict.
+fn run_service_history(plans: &[Plan]) -> WgResult {
+    let n = plans.len();
+    let service = SnapshotService::new(UnboundedSnapshot::new(n, 0u64));
+    let recorder = Recorder::new(n, n, 0u64);
+    std::thread::scope(|s| {
+        for (lane, plan) in plans.iter().enumerate() {
+            let service = &service;
+            let recorder = &recorder;
+            s.spawn(move || {
+                let pid = ProcessId::new(lane);
+                let mut client = service.client(lane);
+                for (k, &is_update) in plan.iter().enumerate() {
+                    if is_update {
+                        let value = ((lane as u64) << 32) | (k as u64 + 1);
+                        let inv = recorder.begin();
+                        client.update(lane, value).expect("own segment, within budget");
+                        recorder.end_update(pid, lane, value, inv);
+                    } else {
+                        let inv = recorder.begin();
+                        let view = client.scan().expect("within budget");
+                        recorder.end_scan(pid, view.to_vec(), inv);
+                    }
+                }
+            });
+        }
+    });
+    check_history(&recorder.finish())
+}
+
+#[test]
+fn seeded_full_scan_histories_linearize() {
+    // Seeded so every run explores the same plans: the point is a
+    // reproducible certificate, not fresh randomness per CI run.
+    for case in 0..24 {
+        let mut rng = SeededRng::new(0x5E5E ^ case);
+        let plans: Vec<Plan> = (0..3)
+            .map(|_| (0..1 + rng.below(7)).map(|_| rng.chance(0.5)).collect())
+            .collect();
+        let verdict = run_service_history(&plans);
+        assert!(
+            matches!(verdict, WgResult::Linearizable { .. }),
+            "case {case}: history rejected: {verdict:?} (plans {plans:?})"
         );
     }
 }

@@ -2,18 +2,15 @@
 //! yields a reconstructable span tree over the shared trace clock.
 //!
 //! The invariants under test, end to end through
-//! `SnapshotService` → coalescer → retry loop → backing core:
+//! `SnapshotService` → retry loop → backing core:
 //!
 //! * **Balanced, nested trees.** Every span end has a matching begin, ids
 //!   are unique, and children nest inside their parents on the shared
 //!   seq axis (`SpanForest::check`).
-//! * **Joiners follow their lead.** A coalesced joiner's park span
-//!   records a `follows_from` edge to the lead's collect span — the
-//!   cross-tree arrow that says whose collect the joiner's view came
-//!   from.
 //! * **Anomalies carry their span path.** A forced `DeadlineExceeded`
-//!   freezes the flight recorder with the expired request's full span
-//!   path (root → attempt → park) already in the ring.
+//!   freezes the flight recorder with the expired request's span path
+//!   (root → attempt → collect) already in the ring, the attempt marked
+//!   expired.
 //! * **Quorum phases attach to the request.** With the service and the
 //!   ABD network sharing one `Trace`, the core's `QuorumQuery` /
 //!   `QuorumStore` spans nest under the service's collect and attempt
@@ -32,9 +29,9 @@ use snapshot_obs::{
 };
 use snapshot_service::{HealthConfig, ServiceConfig, ServiceError, SnapshotService};
 
-/// Core whose scans spin while the gate is held: the deterministic way
-/// to hold a coalescing lead inside its collect so a cohort piles up
-/// behind it (same pattern as the nemesis suite's scripted core).
+/// Core whose scans spin while the gate is held, until their request's
+/// deadline: the deterministic way to stall a collect (same pattern as
+/// the nemesis suite's scripted core).
 fn gate_core(n: usize) -> (impl TrySnapshotCore<u64>, Gate) {
     gated_core(UnboundedSnapshot::new(n, 0u64), 0)
 }
@@ -93,72 +90,6 @@ fn span_forest_invariants_hold_across_traced_operations() {
 }
 
 #[test]
-fn coalesced_joiner_parks_follow_the_leads_collect_span() {
-    const CLIENTS: usize = 4;
-    let (core, Gate { held: gate, entered, .. }) = gate_core(CLIENTS);
-    gate.store(true, Ordering::SeqCst);
-
-    let sink = Arc::new(RingSink::new(CLIENTS, 4096));
-    let service = SnapshotService::with_config(
-        core,
-        ServiceConfig { health: HealthConfig::disabled(), ..ServiceConfig::default() },
-    )
-    .with_trace(Trace::new(sink.clone()));
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|lane| {
-                let service = &service;
-                s.spawn(move || service.client(lane).scan().unwrap())
-            })
-            .collect();
-        // One lead is inside the held collect; the rest park behind it.
-        while entered.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        while service.coalescing_waiters() < CLIENTS - 1 {
-            std::thread::yield_now();
-        }
-        gate.store(false, Ordering::SeqCst);
-        for h in handles {
-            assert_eq!(h.join().unwrap().len(), CLIENTS);
-        }
-    });
-
-    let events = sink.drain();
-    let forest = SpanForest::build(&events);
-    forest.check().expect("span-tree invariants");
-
-    // The cohort parked during the held collect (gen g) is served by
-    // collect g+1: one waiter re-elects as its lead, every other waiter
-    // joins it — so CLIENTS - 2 park spans carry a follows edge to the
-    // serving lead's collect span, and each sits on a root → attempt →
-    // park path of its own tree.
-    let joined: Vec<_> = forest
-        .nodes()
-        .iter()
-        .filter(|n| n.kind == SpanKind::CoalescePark && !n.follows.is_empty())
-        .collect();
-    assert_eq!(joined.len(), CLIENTS - 2, "all but the two leads joined: {forest}");
-    for park in joined {
-        assert_eq!(park.status, Some(SpanStatus::Ok));
-        for &from in &park.follows {
-            let lead_collect = forest.node(from).expect("followed span is in the trace");
-            assert_eq!(lead_collect.kind, SpanKind::Collect, "joiners follow a collect");
-            assert_eq!(lead_collect.status, Some(SpanStatus::Ok));
-        }
-        let path = forest.path_to_root(park.id);
-        assert_eq!(path.len(), 3, "park → attempt → root: {forest}");
-        assert_eq!(forest.node(path[1]).unwrap().kind, SpanKind::Attempt);
-        assert_eq!(forest.node(path[2]).unwrap().kind, SpanKind::Scan);
-    }
-
-    // The follows edge exports as a chrome flow arrow pair.
-    let chrome = chrome_tracing(&events);
-    assert!(chrome.contains("\"ph\":\"s\"") && chrome.contains("\"ph\":\"f\""));
-}
-
-#[test]
 fn flight_recorder_dump_contains_the_expired_requests_span_path() {
     const CLIENTS: usize = 2;
     let (core, Gate { held: gate, entered, .. }) = gate_core(CLIENTS);
@@ -181,11 +112,11 @@ fn flight_recorder_dump_contains_the_expired_requests_span_path() {
         while entered.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
-        // The joiner parks behind the held collect carrying its own small
-        // budget; it must expire while the lead is still stuck.
+        // A second scan stalls in the held collect too, carrying its own
+        // small budget; it must expire while the first is still stuck.
         let budget = Some(Duration::from_millis(20));
         let err = service.client(1).scan_with_stats(budget).unwrap_err();
-        assert!(matches!(err, ServiceError::DeadlineExceeded { .. }), "{err:?}");
+        assert!(matches!(err, ServiceError::DeadlineExceeded { attempts: 1, .. }), "{err:?}");
         gate.store(false, Ordering::SeqCst);
         lead.join().unwrap();
     });
@@ -197,19 +128,27 @@ fn flight_recorder_dump_contains_the_expired_requests_span_path() {
         .expect("the expiry froze a flight dump");
 
     // The dump alone — not the full trace — reconstructs the expired
-    // request's span path: its park and attempt ended Expired before the
-    // trigger event, and the root's begin is in the ring.
+    // request's span path: its collect and attempt ended before the
+    // trigger event, the attempt marked Expired, and the root's begin is
+    // in the ring.
     let forest = SpanForest::build(&dump.events);
-    let park = forest
+    let attempt = forest
         .nodes()
         .iter()
-        .find(|n| n.kind == SpanKind::CoalescePark && n.status == Some(SpanStatus::Expired))
-        .expect("the expired park span is in the dump");
-    let path = forest.path_to_root(park.id);
-    assert_eq!(path.len(), 3, "park → attempt → root all in the dump: {forest}");
-    assert_eq!(forest.node(path[1]).unwrap().kind, SpanKind::Attempt);
-    assert_eq!(forest.node(path[1]).unwrap().status, Some(SpanStatus::Expired));
-    assert_eq!(forest.node(path[2]).unwrap().kind, SpanKind::Scan);
+        .find(|n| n.kind == SpanKind::Attempt && n.status == Some(SpanStatus::Expired))
+        .expect("the expired attempt span is in the dump");
+    assert_eq!(attempt.pid, 1, "the expiry belongs to the budgeted lane");
+    let path = forest.path_to_root(attempt.id);
+    assert_eq!(path.len(), 2, "attempt → root both in the dump: {forest}");
+    assert_eq!(forest.node(path[1]).unwrap().kind, SpanKind::Scan);
+    let collect = forest.node(attempt.children[0]).expect("the stalled collect is in the dump");
+    assert_eq!(collect.kind, SpanKind::Collect);
+    assert!(collect.end_seq.is_some(), "the collect gave up at the deadline: {forest}");
+    assert_eq!(
+        forest.attribute_stall(path[1]).map(|n| n.id),
+        Some(collect.id),
+        "the stall is attributed to the collect: {forest}"
+    );
 
     // The rendered dump is schema-compatible JSON-lines with the cause
     // in the header.

@@ -2,16 +2,22 @@
 //! bounds (≤ n+1 double collects for the single-writer algorithms,
 //! ≤ 2n+1 for the multi-writer one) hold on *every* schedule, while the
 //! plain double-collect baseline is starved forever by the same
-//! adversary — Observations 1 and 2 of Section 3, made executable.
+//! adversary — Observations 1 and 2 of Section 3, made executable. The
+//! last test lifts the property one layer up: a request to the service
+//! never waits for another request's step.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
+use snapshot_bench::scripted::ScanHook;
 use snapshot_core::{
     BoundedSnapshot, DoubleCollectSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle,
-    ScanStats, SwSnapshot, SwSnapshotHandle, UnboundedSnapshot,
+    ScanStats, SwSnapshot, SwSnapshotHandle, TrySnapshotCore, UnboundedSnapshot,
 };
 use snapshot_registers::{EpochBackend, Instrumented, ProcessId};
+use snapshot_service::{ServiceConfig, SnapshotService};
 use snapshot_sim::{HaltReason, ProcessStatus, RandomPolicy, RoundRobinPolicy, Sim, SimConfig};
 
 /// A poisoned lock yields its guard: simulated bodies may panic on
@@ -355,4 +361,65 @@ fn borrowed_views_actually_occur_under_adversarial_interleaving() {
         stats.expect("scanner completes").borrowed,
         "expected at least one scan to return a borrowed view under round-robin"
     );
+}
+
+#[test]
+fn a_scan_stalled_in_its_collect_never_delays_another_lanes_requests() {
+    // Lane 0's full scans finish their collect and then stop taking steps
+    // (a stalled process, not a crashed one: nothing is ever dropped)
+    // until the test releases them. Every other lane's scans pass
+    // straight through. Wait-freedom above the core means lane 1 finishes
+    // within a bound of its *own* steps, whatever lane 0 does.
+    const MARKER: u64 = 0xFEED;
+    let stalled = AtomicBool::new(false);
+    let release = AtomicBool::new(false);
+    let core = ScanHook::new(UnboundedSnapshot::new(4, 0u64), |inner, lane, ctx| {
+        let out = inner.try_scan(lane, ctx);
+        if lane.get() == 0 {
+            stalled.store(true, Ordering::SeqCst);
+            while !release.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+        out
+    });
+    let service =
+        SnapshotService::with_config(core, ServiceConfig { shards: 2, ..ServiceConfig::default() });
+    let budget = Some(Duration::from_millis(200));
+
+    /// Releases lane 0 when dropped, so a failed assertion below fails
+    /// the test instead of leaving the scope joining a thread that spins
+    /// forever.
+    struct Release<'a>(&'a AtomicBool);
+    impl Drop for Release<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    std::thread::scope(|s| {
+        let lane0 = s.spawn(|| service.client(0).scan().expect("completes once released"));
+        let release = Release(&release);
+        while !stalled.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+
+        // A write completes while lane 0 sits on a view that predates it.
+        let mut client = service.client(1);
+        client.update(1, MARKER).expect("own segment");
+        let (view, stats) =
+            client.scan_with_stats(budget).expect("a full scan must not wait for lane 0");
+        assert_eq!(view[1], MARKER, "the scan returned its own post-update view");
+        assert!(stats.underlying.double_collects >= 1, "it ran its own collect");
+        let (partial, stats) = client
+            .scan_subset_with_stats(&[0, 1], budget)
+            .expect("a shard-confined subset must not wait for lane 0");
+        assert_eq!(partial.values(), &[0, MARKER]);
+        assert!(stats.native_subset);
+        assert_eq!(service.inflight(), 1, "the stalled scan holds only its own slot");
+
+        drop(release);
+        assert_eq!(lane0.join().unwrap()[1], 0, "lane 0's view predates the write");
+    });
+    assert_eq!(service.inflight(), 0);
 }
