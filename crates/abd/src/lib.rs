@@ -41,12 +41,15 @@
 //!   `snapshot-core`'s `TrySnapshotCore` interface: where the infallible
 //!   backend panics past the liveness boundary, this surfaces typed
 //!   `CoreError`s the `snapshot-service` front-end retries or sheds;
-//! * [`Transport`] — the seam between the quorum engine and its medium.
-//!   The simulated [`Network`] is one implementation; [`RemoteTransport`]
-//!   carries the exact same protocol over TCP or Unix-domain sockets to
-//!   `snapshotd` replica processes (the `snapshot-wire` crate), so the
-//!   very same client stack — retries, breakers, deadlines, spans — runs
-//!   distributed for real ([`AbdSnapshotCore::remote`]).
+//! * [`Transport`] — the seam between the quorum engine and its medium,
+//!   which only carries messages: the engine's timeout, retry policy,
+//!   metrics, trace and ids are one [`EngineState`] each transport builds
+//!   once. The simulated [`Network`] is one implementation;
+//!   [`RemoteTransport`] carries the exact same protocol over TCP or
+//!   Unix-domain sockets to `snapshotd` replica processes (the
+//!   `snapshot-wire` crate), so the very same client stack — retries,
+//!   breakers, deadlines, spans — runs distributed for real
+//!   ([`AbdSnapshotCore::remote`]).
 //!
 //! [`Backend`]: snapshot_registers::Backend
 //!
@@ -107,8 +110,10 @@ pub use snapshot_core::AbdSnapshotCore;
 pub use error::{AbdError, AbdPhase};
 pub use fault::{Dwell, FaultPlan, LinkFault, Nemesis, NemesisEvent, NemesisPhase};
 pub use message::{ErasedValue, RegisterId, RequestId, Tag};
-pub use network::{Network, NetworkConfig, RetryPolicy};
+pub use network::{Network, NetworkConfig};
 pub use register::AbdRegister;
 pub use remote::{RemoteConfig, RemoteTransport};
 pub use stats::{LatencySnapshot, NetworkStats};
-pub use transport::{Payload, Phase, PhaseRequest, Reply, ReplyBody, Transport};
+pub use transport::{
+    EngineState, Payload, Phase, PhaseRequest, Reply, ReplyBody, ReplyInbox, RetryPolicy, Transport,
+};

@@ -30,7 +30,8 @@ impl RegisterId {
 
 /// Identifier of one client quorum round (a query or store phase).
 ///
-/// Every phase draws a fresh id from its network and stamps it on the
+/// Every phase draws a fresh id from its transport's engine state
+/// ([`EngineState`](crate::EngineState)) and stamps it on the
 /// initial broadcast *and* every retransmission, so replicas can
 /// deduplicate retries (`Store` is applied at most once per id) and
 /// clients can discard duplicate replies. This is what makes the client's

@@ -1,84 +1,27 @@
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use snapshot_obs::{Registry, Trace};
 use snapshot_registers::SeededRng;
+use snapshot_wire::DedupWindow;
 
 use crate::fault::{FaultPlan, LinkFault};
 use crate::message::{Request, RequestId};
 use crate::stats::{Counters, LatencySnapshot, NetworkStats};
-use crate::transport::{Payload, Phase, PhaseRequest, Reply, ReplyBody, ReplyInbox, Transport};
+use crate::transport::{
+    EngineState, Payload, Phase, PhaseRequest, Reply, ReplyBody, ReplyInbox, RetryPolicy, Transport,
+};
 use crate::{RegisterId, Tag};
-
-/// How many recently seen request ids each replica remembers for
-/// retransmission/duplication dedup. Retries of an id older than this
-/// window are re-applied — harmless, because `Store` is a max-by-tag
-/// merge and `Query` is read-only (idempotent either way; the window only
-/// keeps the `duplicates_suppressed` metric honest for live traffic).
-const DEDUP_WINDOW: usize = 4096;
 
 /// How long a replica with held-back (reordered) messages waits for new
 /// traffic before releasing them anyway, so reordering can never stall a
 /// quiescent system.
 const HOLDBACK_IDLE_FLUSH: Duration = Duration::from_millis(1);
-
-/// Client retry policy: capped exponential backoff with deterministic
-/// jitter.
-///
-/// A quorum phase broadcasts once, then retransmits to every replica that
-/// has not yet answered each time the backoff expires, until either a
-/// majority answers or [`NetworkConfig::op_timeout`] elapses. Jitter is
-/// derived from the request id (not a clock or global RNG), so a fixed
-/// fault-plan seed yields a reproducible retry cadence.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Backoff before the first retransmission.
-    pub initial_backoff: Duration,
-    /// Upper bound on the (pre-jitter) backoff.
-    pub max_backoff: Duration,
-    /// Backoff growth factor per retry (values `< 1` behave as `1`).
-    pub multiplier: u32,
-    /// Jitter fraction in `[0, 1]`: each backoff is stretched by up to
-    /// this fraction of itself.
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            multiplier: 2,
-            jitter: 0.5,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff following `current`, jittered deterministically by
-    /// `(id, attempt)`.
-    pub(crate) fn next_backoff(&self, current: Duration, id: RequestId, attempt: u32) -> Duration {
-        let mut next = current.saturating_mul(self.multiplier.max(1));
-        if next > self.max_backoff {
-            next = self.max_backoff;
-        }
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        if jitter > 0.0 {
-            // splitmix-style hash of (id, attempt): reproducible, no clock.
-            let mut h = id.0 ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h = h.wrapping_mul(0xD1B5_4A32_D192_ED03);
-            h ^= h >> 29;
-            let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-            next += next.mul_f64(jitter * frac);
-        }
-        next
-    }
-}
 
 /// Configuration of the simulated message-passing system.
 #[derive(Clone, Debug)]
@@ -216,8 +159,7 @@ impl Drop for PanicFlag {
 struct ReplicaCore {
     index: usize,
     store: HashMap<RegisterId, (Tag, Payload)>,
-    seen: HashSet<RequestId>,
-    seen_order: VecDeque<RequestId>,
+    seen: DedupWindow,
     crashed: Arc<AtomicBool>,
     link: Arc<LinkState>,
     counters: Arc<Counters>,
@@ -288,7 +230,7 @@ impl ReplicaCore {
                 // Queries are read-only: dedup only records the id; every
                 // delivery is (re-)answered with the current state, which
                 // is what lets a client whose reply was lost make progress.
-                self.note_seen(id);
+                self.seen.insert(id.0);
                 ReplyBody::Values(
                     registers
                         .iter()
@@ -300,7 +242,7 @@ impl ReplicaCore {
                 )
             }
             PhaseRequest::Store { entries } => {
-                if self.note_seen(id) {
+                if self.seen.insert(id.0) {
                     for (register, tag, value) in entries {
                         match self.store.entry(*register) {
                             Entry::Occupied(mut occupied) => {
@@ -329,20 +271,6 @@ impl ReplicaCore {
                 body,
             },
         );
-    }
-
-    /// Records `id` as seen; returns `true` the first time.
-    fn note_seen(&mut self, id: RequestId) -> bool {
-        if !self.seen.insert(id) {
-            return false;
-        }
-        self.seen_order.push_back(id);
-        if self.seen_order.len() > DEDUP_WINDOW {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        true
     }
 
     fn reply(&mut self, to: &ReplyInbox, reply: Reply) {
@@ -406,13 +334,7 @@ impl ReplicaCore {
 pub struct Network {
     replicas: Vec<Replica>,
     links: Vec<Arc<LinkState>>,
-    next_register: AtomicU64,
-    next_request: AtomicU64,
-    counters: Arc<Counters>,
-    registry: Arc<Registry>,
-    trace: Trace,
-    op_timeout: Duration,
-    retry: RetryPolicy,
+    engine: EngineState,
     panicked: Arc<AtomicBool>,
     /// Explicitly marked failed via [`Network::poison`]; unlike `panicked`
     /// this is not escalated to a panic on drop.
@@ -436,12 +358,13 @@ impl Network {
     /// Panics if `config.replicas` is zero.
     pub fn with_config(config: NetworkConfig) -> Self {
         assert!(config.replicas > 0, "a network needs at least one replica");
-        let registry = config.registry.unwrap_or_default();
-        // The transport-kind marker: sim and real transports report under
-        // the same `abd.*` keys, distinguished only by this gauge (the
-        // registry is name-keyed; labels are spelled into the name).
-        registry.gauge("abd.transport.sim").set(1);
-        let counters = Arc::new(Counters::new(&registry));
+        let engine = EngineState::new(
+            "sim",
+            config.op_timeout,
+            config.retry,
+            config.registry,
+            config.trace,
+        );
         let panicked = Arc::new(AtomicBool::new(false));
         let fault_seed = config.faults.as_ref().map(|p| p.seed).unwrap_or(0);
         let links: Vec<Arc<LinkState>> = (0..config.replicas)
@@ -461,11 +384,10 @@ impl Network {
                 let mut core = ReplicaCore {
                     index: i,
                     store: HashMap::new(),
-                    seen: HashSet::new(),
-                    seen_order: VecDeque::new(),
+                    seen: DedupWindow::default(),
                     crashed: Arc::clone(&crashed),
                     link: Arc::clone(&links[i]),
-                    counters: Arc::clone(&counters),
+                    counters: Arc::clone(&engine.counters),
                     rng: SeededRng::new(fault_seed.wrapping_add(i as u64)),
                     jitter: config
                         .jitter_seed
@@ -516,13 +438,7 @@ impl Network {
         Network {
             replicas,
             links,
-            next_register: AtomicU64::new(0),
-            next_request: AtomicU64::new(0),
-            counters,
-            registry,
-            trace: config.trace,
-            op_timeout: config.op_timeout,
-            retry: config.retry,
+            engine,
             panicked,
             marked_failed: AtomicBool::new(false),
         }
@@ -531,30 +447,24 @@ impl Network {
     /// Total client-to-replica messages sent so far (initial broadcasts
     /// and retransmissions).
     pub fn messages_sent(&self) -> u64 {
-        self.counters.snapshot().messages_sent
+        self.engine.counters.messages_sent.get()
     }
 
     /// A snapshot of all fault and traffic counters.
     pub fn stats(&self) -> NetworkStats {
-        self.counters.snapshot()
+        self.engine.counters.snapshot()
     }
 
     /// A snapshot of the per-operation quorum-phase latency histogram.
     pub fn quorum_latency(&self) -> LatencySnapshot {
-        self.counters.latency_snapshot()
+        self.engine.counters.latency_snapshot()
     }
 
     /// The metrics registry carrying this network's `abd.*` metrics
     /// (shared if one was installed via [`NetworkConfig::with_registry`],
     /// private otherwise).
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// The trace receiving this network's quorum-phase events (disabled
-    /// unless one was installed via [`NetworkConfig::with_trace`]).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.engine.registry
     }
 
     /// Number of replicas.
@@ -571,16 +481,6 @@ impl Network {
     /// staying live.
     pub fn fault_tolerance(&self) -> usize {
         self.replicas.len() - self.quorum()
-    }
-
-    /// The configured per-operation quorum timeout.
-    pub fn op_timeout(&self) -> Duration {
-        self.op_timeout
-    }
-
-    /// The configured retransmission policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Crashes replica `index`: it stops responding until
@@ -674,44 +574,6 @@ impl Network {
     pub fn poison(&self) {
         self.marked_failed.store(true, Ordering::Release);
     }
-
-    /// Allocates a fresh register id.
-    pub(crate) fn allocate_register(&self) -> RegisterId {
-        RegisterId(self.next_register.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Allocates a fresh request id for one quorum phase.
-    pub(crate) fn fresh_request_id(&self) -> RequestId {
-        RequestId(self.next_request.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Sends `make()` to every replica for which `include` holds; returns
-    /// how many were sent.
-    pub(crate) fn send_where(
-        &self,
-        mut include: impl FnMut(usize) -> bool,
-        make: impl Fn() -> Request,
-    ) -> usize {
-        let mut sent = 0usize;
-        for (i, replica) in self.replicas.iter().enumerate() {
-            if include(i) {
-                let _ = replica.inbox.send(make());
-                sent += 1;
-            }
-        }
-        self.counters.messages_sent.add(sent as u64);
-        sent
-    }
-
-    /// Counts client retransmissions (per replica re-contacted).
-    pub(crate) fn note_retries(&self, n: u64) {
-        self.counters.retries.add(n);
-    }
-
-    /// Records one completed quorum phase's latency.
-    pub(crate) fn record_quorum_latency(&self, elapsed: Duration) {
-        self.counters.record_quorum_latency(elapsed);
-    }
 }
 
 impl Drop for Network {
@@ -746,9 +608,9 @@ impl fmt::Debug for Network {
     }
 }
 
-/// One in-flight quorum phase on the simulated network: a private reply
-/// inbox, with the request id stamped on every (re)transmission so
-/// replicas dedupe.
+/// One in-flight quorum phase on the simulated network: the request id
+/// stamped on every (re)transmission so replicas dedupe, and the inbox
+/// every copy's reply goes to.
 struct SimPhase<'a> {
     net: &'a Network,
     id: RequestId,
@@ -758,15 +620,19 @@ struct SimPhase<'a> {
 
 impl Phase for SimPhase<'_> {
     fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize {
-        self.net.send_where(include, || Request::Phase {
-            id: self.id,
-            request: Arc::clone(&self.request),
-            reply: Arc::clone(&self.inbox),
-        })
-    }
-
-    fn recv_deadline(&mut self, deadline: std::time::Instant) -> Option<Reply> {
-        self.inbox.recv_deadline(deadline)
+        let mut sent = 0usize;
+        for (i, replica) in self.net.replicas.iter().enumerate() {
+            if include(i) {
+                let _ = replica.inbox.send(Request::Phase {
+                    id: self.id,
+                    request: Arc::clone(&self.request),
+                    reply: Arc::clone(&self.inbox),
+                });
+                sent += 1;
+            }
+        }
+        self.net.engine.counters.messages_sent.add(sent as u64);
+        sent
     }
 }
 
@@ -782,49 +648,26 @@ impl Transport for Network {
         "sim"
     }
 
-    fn op_timeout(&self) -> Duration {
-        Network::op_timeout(self)
-    }
-
-    fn retry_policy(&self) -> &RetryPolicy {
-        Network::retry_policy(self)
-    }
-
-    fn registry(&self) -> &Arc<Registry> {
-        Network::registry(self)
-    }
-
-    fn trace(&self) -> &Trace {
-        Network::trace(self)
-    }
-
     fn poisoned(&self) -> bool {
         Network::poisoned(self)
     }
 
-    fn allocate_register(&self) -> RegisterId {
-        Network::allocate_register(self)
+    fn engine(&self) -> &EngineState {
+        &self.engine
     }
 
-    fn fresh_request_id(&self) -> RequestId {
-        Network::fresh_request_id(self)
-    }
-
-    fn begin_phase(&self, id: RequestId, request: PhaseRequest) -> Box<dyn Phase + '_> {
+    fn begin_phase(
+        &self,
+        id: RequestId,
+        request: PhaseRequest,
+        inbox: Arc<ReplyInbox>,
+    ) -> Box<dyn Phase + '_> {
         Box::new(SimPhase {
             net: self,
             id,
             request: Arc::new(request),
-            inbox: Arc::new(ReplyInbox::new(self.quorum())),
+            inbox,
         })
-    }
-
-    fn note_retries(&self, n: u64) {
-        Network::note_retries(self, n)
-    }
-
-    fn record_quorum_latency(&self, elapsed: Duration) {
-        Network::record_quorum_latency(self, elapsed)
     }
 }
 
@@ -856,39 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn register_ids_are_unique() {
-        let net = Network::new(1);
-        let a = net.allocate_register();
-        let b = net.allocate_register();
-        assert_ne!(a, b);
-        assert_ne!(net.fresh_request_id(), net.fresh_request_id());
-    }
-
-    #[test]
-    fn backoff_grows_is_capped_and_jittered_deterministically() {
-        let policy = RetryPolicy {
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(8),
-            multiplier: 2,
-            jitter: 0.0,
-        };
-        let id = RequestId(42);
-        let b1 = policy.next_backoff(Duration::from_millis(1), id, 1);
-        assert_eq!(b1, Duration::from_millis(2));
-        let capped = policy.next_backoff(Duration::from_millis(8), id, 5);
-        assert_eq!(capped, Duration::from_millis(8));
-
-        let jittery = RetryPolicy {
-            jitter: 0.5,
-            ..policy
-        };
-        let a = jittery.next_backoff(Duration::from_millis(4), id, 2);
-        let b = jittery.next_backoff(Duration::from_millis(4), id, 2);
-        assert_eq!(a, b, "same (id, attempt) must jitter identically");
-        assert!(a >= Duration::from_millis(8) && a <= Duration::from_millis(12));
-    }
-
-    #[test]
     fn partitions_cut_and_heal() {
         let net = Network::new(3);
         net.partition(&[0, 2]);
@@ -901,29 +711,5 @@ mod tests {
         assert!(net.links[1].cut_inbound.load(Ordering::Acquire));
         assert!(!net.links[1].cut_outbound.load(Ordering::Acquire));
         net.heal();
-    }
-
-    #[test]
-    fn dedup_window_forgets_oldest() {
-        let mut core = ReplicaCore {
-            index: 0,
-            store: HashMap::new(),
-            seen: HashSet::new(),
-            seen_order: VecDeque::new(),
-            crashed: Arc::new(AtomicBool::new(false)),
-            link: Arc::new(LinkState::new(LinkFault::healthy())),
-            counters: Arc::new(Counters::default()),
-            rng: SeededRng::new(0),
-            jitter: None,
-        };
-        assert!(core.note_seen(RequestId(0)));
-        assert!(!core.note_seen(RequestId(0)), "immediate retry is a dup");
-        for i in 1..=DEDUP_WINDOW as u64 {
-            assert!(core.note_seen(RequestId(i)));
-        }
-        assert!(
-            core.note_seen(RequestId(0)),
-            "ids beyond the window are forgotten (and re-applying is safe)"
-        );
     }
 }

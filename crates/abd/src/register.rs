@@ -9,7 +9,7 @@ use snapshot_wire::{WireError, WireValue};
 
 use crate::error::{AbdError, AbdPhase};
 use crate::message::ErasedValue;
-use crate::transport::{Payload, PhaseRequest, ReplyBody, Transport};
+use crate::transport::{Payload, PhaseRequest, ReplyBody, ReplyInbox, Transport};
 use crate::{Network, RegisterId, Tag};
 
 /// Explicit max-by-tag fold over query-phase replies.
@@ -155,7 +155,7 @@ impl<V: Clone + Send + Sync + 'static> AbdRegister<V> {
              with `with_wire_codec`",
             transport.kind()
         );
-        let id = transport.allocate_register();
+        let id = transport.engine().allocate_register();
         AbdRegister {
             transport,
             id,
@@ -462,11 +462,12 @@ fn run_quorum_phase(
     if transport.poisoned() {
         return Err(AbdError::NetworkPoisoned);
     }
-    let id = transport.fresh_request_id();
+    let engine = transport.engine();
+    let id = engine.fresh_request_id();
     let started = Instant::now();
-    let deadline = caller_deadline.cap(started + transport.op_timeout());
+    let deadline = caller_deadline.cap(started + engine.op_timeout);
     let needed = transport.quorum();
-    let retry = transport.retry_policy().clone();
+    let retry = &engine.retry;
     // Replicas done with this request: accepted, or refused it for good.
     let mut acked = vec![false; transport.replicas()];
     let mut acks = 0usize;
@@ -478,17 +479,16 @@ fn run_quorum_phase(
     // A single register is the smallest request there is: a refusal of
     // it as too large is final, and times out like any other refusal.
     let divisible = request.len() > 1;
-    transport
-        .trace()
-        .emit(pid.get(), Event::AbdPhaseStart { phase: kind });
+    engine.trace.emit(pid.get(), Event::AbdPhaseStart { phase: kind });
 
-    let mut quorum = transport.begin_phase(id, request);
+    let inbox = Arc::new(ReplyInbox::new(needed));
+    let mut quorum = transport.begin_phase(id, request, Arc::clone(&inbox));
     quorum.send_where(&mut |_| true);
     let mut backoff = retry.initial_backoff;
     let mut attempt = 0u32;
     loop {
         let wake = deadline.min(Instant::now() + backoff);
-        while let Some(reply) = quorum.recv_deadline(wake) {
+        while let Some(reply) = inbox.recv_deadline(wake) {
             if reply.from >= acked.len() || acked[reply.from] {
                 continue;
             }
@@ -523,8 +523,8 @@ fn run_quorum_phase(
             acks += 1;
             if acks >= needed {
                 let elapsed = started.elapsed();
-                transport.record_quorum_latency(elapsed);
-                transport.trace().emit(
+                engine.counters.record_quorum_latency(elapsed);
+                engine.trace.emit(
                     pid.get(),
                     Event::AbdQuorumReached {
                         phase: kind,
@@ -536,7 +536,7 @@ fn run_quorum_phase(
             }
         }
         if Instant::now() >= deadline {
-            transport.trace().emit(
+            engine.trace.emit(
                 pid.get(),
                 Event::AbdQuorumFailed {
                     phase: kind,
@@ -566,8 +566,8 @@ fn run_quorum_phase(
         // so replicas dedupe) to every replica still silent.
         attempt += 1;
         let resent = quorum.send_where(&mut |i| !acked[i]);
-        transport.note_retries(resent as u64);
-        transport.trace().emit(
+        engine.counters.retries.add(resent as u64);
+        engine.trace.emit(
             pid.get(),
             Event::AbdRetransmit {
                 phase: kind,
@@ -985,12 +985,9 @@ mod tests {
         answer: Box<Script>,
         /// Every request a phase was begun for.
         begun: std::sync::Mutex<Vec<PhaseRequest>>,
-        registry: Arc<snapshot_obs::Registry>,
-        /// Counts the events of `trace` by name.
+        /// Counts the engine's trace events by name.
         events: Arc<snapshot_obs::CountingSink>,
-        trace: snapshot_obs::Trace,
-        retry: RetryPolicy,
-        next: std::sync::atomic::AtomicU64,
+        engine: crate::EngineState,
     }
 
     impl Scripted {
@@ -999,15 +996,19 @@ mod tests {
             answer: impl Fn(usize, &PhaseRequest) -> Option<ReplyBody> + Send + Sync + 'static,
         ) -> Self {
             let events = Arc::new(snapshot_obs::CountingSink::new());
+            let trace = snapshot_obs::Trace::new(Arc::clone(&events) as Arc<dyn snapshot_obs::Sink>);
             Scripted {
                 replicas,
                 answer: Box::new(answer),
                 begun: Default::default(),
-                registry: Default::default(),
-                trace: snapshot_obs::Trace::new(Arc::clone(&events) as Arc<dyn snapshot_obs::Sink>),
                 events,
-                retry: RetryPolicy::default(),
-                next: Default::default(),
+                engine: crate::EngineState::new(
+                    "scripted",
+                    Duration::from_millis(50),
+                    RetryPolicy::default(),
+                    None,
+                    trace,
+                ),
             }
         }
     }
@@ -1015,7 +1016,7 @@ mod tests {
     struct ScriptedPhase<'a> {
         transport: &'a Scripted,
         request: PhaseRequest,
-        inbox: crate::transport::ReplyInbox,
+        inbox: Arc<ReplyInbox>,
     }
 
     impl crate::Phase for ScriptedPhase<'_> {
@@ -1030,10 +1031,6 @@ mod tests {
             }
             addressed.len()
         }
-
-        fn recv_deadline(&mut self, deadline: Instant) -> Option<crate::Reply> {
-            self.inbox.recv_deadline(deadline)
-        }
     }
 
     impl Transport for Scripted {
@@ -1043,38 +1040,18 @@ mod tests {
         fn kind(&self) -> &'static str {
             "scripted"
         }
-        fn op_timeout(&self) -> Duration {
-            Duration::from_millis(50)
-        }
-        fn retry_policy(&self) -> &RetryPolicy {
-            &self.retry
-        }
-        fn registry(&self) -> &Arc<snapshot_obs::Registry> {
-            &self.registry
-        }
-        fn trace(&self) -> &snapshot_obs::Trace {
-            &self.trace
-        }
-        fn allocate_register(&self) -> RegisterId {
-            RegisterId(self.fresh_request_id().0)
-        }
-        fn fresh_request_id(&self) -> crate::RequestId {
-            crate::RequestId(self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
+        fn engine(&self) -> &crate::EngineState {
+            &self.engine
         }
         fn begin_phase(
             &self,
             _id: crate::RequestId,
             request: PhaseRequest,
+            inbox: Arc<ReplyInbox>,
         ) -> Box<dyn crate::Phase + '_> {
             self.begun.lock().unwrap().push(request.clone());
-            Box::new(ScriptedPhase {
-                transport: self,
-                request,
-                inbox: crate::transport::ReplyInbox::new(self.quorum()),
-            })
+            Box::new(ScriptedPhase { transport: self, request, inbox })
         }
-        fn note_retries(&self, _n: u64) {}
-        fn record_quorum_latency(&self, _elapsed: Duration) {}
     }
 
     fn refused(too_large: bool) -> ReplyBody {

@@ -48,7 +48,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufReader, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -59,10 +59,12 @@ use snapshot_wire::{
     StoreEntry, WireStream, WireTag, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
-use crate::message::{RegisterId, RequestId, Tag};
-use crate::network::RetryPolicy;
+use crate::message::{RequestId, Tag};
 use crate::stats::{Counters, LatencySnapshot, NetworkStats};
-use crate::transport::{Payload, Phase, PhaseRequest, Reply, ReplyBody, ReplyInbox, Transport};
+use crate::transport::{
+    EngineState, Payload, Phase, PhaseRequest, Reply, ReplyBody, ReplyInbox, RetryPolicy,
+    Transport,
+};
 
 /// Reply routes of the phases in flight, by request id.
 type Pending = Arc<Mutex<HashMap<u64, Arc<ReplyInbox>>>>;
@@ -420,14 +422,8 @@ pub struct RemoteTransport {
     threads: Vec<JoinHandle<()>>,
     kind: &'static str,
     max_frame: u32,
-    op_timeout: Duration,
-    retry: RetryPolicy,
-    registry: Arc<Registry>,
-    trace: Trace,
-    counters: Arc<Counters>,
+    engine: EngineState,
     pending: Pending,
-    next_register: AtomicU64,
-    next_request: AtomicU64,
 }
 
 impl RemoteTransport {
@@ -449,12 +445,9 @@ impl RemoteTransport {
         let first = config.endpoints[0].kind();
         let same = config.endpoints.iter().all(|e| e.kind() == first);
         let kind = if same { first } else { "mixed" };
-        let registry = config.registry.unwrap_or_default();
-        // Same name-keyed marker convention as the simulated network:
-        // one `abd.transport.<kind>` gauge per transport kind in play.
-        registry.gauge(&format!("abd.transport.{kind}")).set(1);
-        let counters = Arc::new(Counters::new(&registry));
-        let wire = WireCounters::new(&registry);
+        let engine =
+            EngineState::new(kind, config.op_timeout, config.retry, config.registry, config.trace);
+        let wire = WireCounters::new(&engine.registry);
         let pending = Pending::default();
         let (conns, threads) = config
             .endpoints
@@ -467,9 +460,9 @@ impl RemoteTransport {
                     writer: Mutex::new(None),
                     closing: AtomicBool::new(false),
                     pending: Arc::clone(&pending),
-                    counters: Arc::clone(&counters),
+                    counters: Arc::clone(&engine.counters),
                     wire: wire.clone(),
-                    trace: config.trace.clone(),
+                    trace: engine.trace.clone(),
                     max_frame: config.max_frame,
                     client: config.client,
                     redial_initial: config.redial_initial,
@@ -490,14 +483,8 @@ impl RemoteTransport {
             threads,
             kind,
             max_frame: config.max_frame,
-            op_timeout: config.op_timeout,
-            retry: config.retry,
-            registry,
-            trace: config.trace,
-            counters,
+            engine,
             pending,
-            next_register: AtomicU64::new(0),
-            next_request: AtomicU64::new(1),
         }
     }
 
@@ -527,18 +514,18 @@ impl RemoteTransport {
     /// The metrics registry carrying this transport's `abd.*` and
     /// `abd.wire.*` metrics.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        &self.engine.registry
     }
 
     /// A snapshot of the `abd.*` traffic counters (sent, dropped,
     /// retries, …) — same view the simulated network offers.
     pub fn stats(&self) -> NetworkStats {
-        self.counters.snapshot()
+        self.engine.counters.snapshot()
     }
 
     /// A snapshot of the per-operation quorum-phase latency histogram.
     pub fn quorum_latency(&self) -> LatencySnapshot {
-        self.counters.latency_snapshot()
+        self.engine.counters.latency_snapshot()
     }
 }
 
@@ -569,8 +556,9 @@ impl fmt::Debug for RemoteTransport {
 }
 
 /// One in-flight quorum phase on the wire: the request framed once for
-/// every replica, a private reply inbox routed by request id (which also
-/// takes the synthetic refusals of a frame that exceeds the wire cap).
+/// every replica, and the phase's reply inbox, routed by request id
+/// (which also takes the synthetic refusals of a frame that exceeds the
+/// wire cap).
 struct RemotePhase<'a> {
     transport: &'a RemoteTransport,
     id: RequestId,
@@ -604,7 +592,7 @@ impl Phase for RemotePhase<'_> {
                 // (which never counts toward a quorum, and tells the
                 // engine to try a smaller batch) and count the drop.
                 Err(refusal) => {
-                    self.transport.counters.messages_dropped.inc();
+                    self.transport.engine.counters.messages_dropped.inc();
                     conn.wire.oversize_dropped.inc();
                     self.inbox.push(Reply {
                         from: i,
@@ -617,13 +605,9 @@ impl Phase for RemotePhase<'_> {
             }
         }
         if self.framed.is_ok() {
-            self.transport.counters.messages_sent.add(sent as u64);
+            self.transport.engine.counters.messages_sent.add(sent as u64);
         }
         sent
-    }
-
-    fn recv_deadline(&mut self, deadline: Instant) -> Option<Reply> {
-        self.inbox.recv_deadline(deadline)
     }
 }
 
@@ -640,39 +624,16 @@ impl Transport for RemoteTransport {
         true
     }
 
-    fn op_timeout(&self) -> Duration {
-        self.op_timeout
+    fn engine(&self) -> &EngineState {
+        &self.engine
     }
 
-    fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
-    fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    fn allocate_register(&self) -> RegisterId {
-        // Client-local fallback only: sequential ids in the top lane.
-        // Distinct client processes would collide here — remote register
-        // sets are meant to be addressed explicitly via
-        // `RegisterId::from_lane_segment` (as `AbdSnapshotCore::remote`
-        // does), so every client names the same replica-side registers.
-        let n = self.next_register.fetch_add(1, Ordering::Relaxed);
-        RegisterId::from_lane_segment(u32::MAX, n as u32)
-    }
-
-    fn fresh_request_id(&self) -> RequestId {
-        // Request ids only need client-local uniqueness: `snapshotd`
-        // dedupes per connection, and each client holds its own.
-        RequestId(self.next_request.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn begin_phase(&self, id: RequestId, request: PhaseRequest) -> Box<dyn Phase + '_> {
+    fn begin_phase(
+        &self,
+        id: RequestId,
+        request: PhaseRequest,
+        inbox: Arc<ReplyInbox>,
+    ) -> Box<dyn Phase + '_> {
         let frame = match &request {
             PhaseRequest::Query { registers } => Frame::Query {
                 id: id.0,
@@ -699,7 +660,6 @@ impl Transport for RemoteTransport {
             },
         };
         let framed = encode_frame(&frame.encode(), self.max_frame).map(Arc::from);
-        let inbox = Arc::new(ReplyInbox::new(self.quorum()));
         self.pending
             .lock()
             .expect("pending route map")
@@ -711,19 +671,12 @@ impl Transport for RemoteTransport {
             inbox,
         })
     }
-
-    fn note_retries(&self, n: u64) {
-        self.counters.retries.add(n);
-    }
-
-    fn record_quorum_latency(&self, elapsed: Duration) {
-        self.counters.record_quorum_latency(elapsed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RegisterId;
     use snapshot_registers::ProcessId;
     use snapshot_wire::{ReplicaServer, ServerConfig};
 

@@ -183,7 +183,7 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
         registers: impl ExactSizeIterator<Item = usize>,
         ctx: RequestCtx,
     ) -> Result<Vec<AbdRecord<V>>, CoreError> {
-        let span = self.transport.trace().span(lane.get(), SpanKind::QuorumQuery, ctx.span);
+        let span = self.transport.engine().trace.span(lane.get(), SpanKind::QuorumQuery, ctx.span);
         span.note("registers", registers.len() as u64);
         let regs: Vec<&AbdRegister<AbdRecord<V>>> = registers.map(|j| &self.regs[j]).collect();
         let out = AbdRegister::read_many(&regs, lane, ctx.deadline).map_err(core_error);
@@ -334,7 +334,7 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
         let _guard = self.claim(lane);
         let (view, mut stats) = self.scan_inner(lane, ctx)?; // Fig. 2 update line 1
         let seq = self.seqs[lane.get()].fetch_add(1, Ordering::Relaxed) + 1;
-        let store = self.transport.trace().span(lane.get(), SpanKind::QuorumStore, ctx.span);
+        let store = self.transport.engine().trace.span(lane.get(), SpanKind::QuorumStore, ctx.span);
         store.note("seq", seq);
         let written = self.regs[lane.get()]
             .try_write_by(lane, AbdRecord { value, seq, view }, ctx.deadline) // line 2

@@ -4,7 +4,8 @@
 //! count distinct repliers, retransmit to the silent under capped
 //! backoff, give up at the deadline — is pure protocol; nothing in it
 //! cares whether a "replica" is a thread behind a channel or a process
-//! behind a socket. [`Transport`] is that boundary made explicit:
+//! behind a socket. [`Transport`] is that boundary made explicit, and it
+//! carries messages only:
 //!
 //! * the simulated [`Network`](crate::Network) implements it in-process,
 //!   with the full fault-injection plane (drops, duplication, reorder,
@@ -13,31 +14,159 @@
 //!   or Unix-domain sockets against `snapshotd` replica processes, where
 //!   the faults are real.
 //!
-//! Both report under the same `abd.*` metric keys (the transport is a
-//! `abd.transport.<kind>` gauge, since the registry is name-keyed), and
-//! both feed the same trace events, so every dashboard, soak assertion
-//! and flight recording reads identically across deployments.
+//! Everything the engine keeps for itself — the operation timeout, the
+//! [`RetryPolicy`], the `abd.*` metrics, the trace and the id counters —
+//! is one [`EngineState`], built once per transport by
+//! [`EngineState::new`] and reached through [`Transport::engine`]. So
+//! both media report under the same `abd.*` keys (the medium is a
+//! `abd.transport.<kind>` gauge, since the registry is name-keyed) and
+//! feed the same trace events, and every dashboard, soak assertion and
+//! flight recording reads identically across deployments.
 //!
-//! One quorum phase is one [`Transport::begin_phase`] call: the returned
-//! [`Phase`] owns the request id's reply route for its lifetime —
-//! [`Phase::send_where`] (re)transmits to a chosen subset of replicas
-//! and [`Phase::recv_deadline`] awaits the next reply. A request names a
-//! *batch* of registers (a single-register operation is a batch of one),
-//! so a whole collect is one phase. Values cross the seam as
-//! [`Payload`]s: in-process transports pass type-erased `Arc`s
+//! One quorum phase is one [`Transport::begin_phase`] call: the engine
+//! hands over the request, its id and the phase's [`ReplyInbox`], and the
+//! returned [`Phase`] routes replies to that inbox for its lifetime;
+//! [`Phase::send_where`] (re)transmits to a chosen subset of replicas. A
+//! request names a *batch* of registers (a single-register operation is a
+//! batch of one), so a whole collect is one phase. Values cross the seam
+//! as [`Payload`]s: in-process transports pass type-erased `Arc`s
 //! untouched, wire transports require encoded bytes
 //! ([`Transport::requires_bytes`]) which the register layer produces via
 //! its wire codec.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use snapshot_obs::{Registry, Trace};
 
 use crate::message::{ErasedValue, RegisterId, RequestId, Tag};
-use crate::network::RetryPolicy;
+use crate::stats::Counters;
+
+/// Client retry policy: capped exponential backoff with deterministic
+/// jitter.
+///
+/// A quorum phase broadcasts once, then retransmits to every replica that
+/// has not yet answered each time the backoff expires, until either a
+/// majority answers or the operation timeout elapses. Jitter is derived
+/// from the request id (not a clock or global RNG), so a fixed
+/// fault-plan seed yields a reproducible retry cadence.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RetryPolicy {
+    /// Backoff before the first retransmission.
+    pub initial_backoff: Duration,
+    /// Upper bound on the (pre-jitter) backoff.
+    pub max_backoff: Duration,
+    /// Backoff growth factor per retry (values `< 1` behave as `1`).
+    pub multiplier: u32,
+    /// Jitter fraction in `[0, 1]`: each backoff is stretched by up to
+    /// this fraction of itself.
+    pub jitter: f64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(50),
+            multiplier: 2,
+            jitter: 0.5,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// The backoff following `current`, jittered deterministically by
+    /// `(id, attempt)`.
+    pub(crate) fn next_backoff(&self, current: Duration, id: RequestId, attempt: u32) -> Duration {
+        let mut next = current.saturating_mul(self.multiplier.max(1));
+        if next > self.max_backoff {
+            next = self.max_backoff;
+        }
+        let jitter = self.jitter.clamp(0.0, 1.0);
+        if jitter > 0.0 {
+            // splitmix-style hash of (id, attempt): reproducible, no clock.
+            let mut h = id.0 ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h = h.wrapping_mul(0xD1B5_4A32_D192_ED03);
+            h ^= h >> 29;
+            let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
+            next += next.mul_f64(jitter * frac);
+        }
+        next
+    }
+}
+
+/// The quorum engine's own state, the same whatever medium carries its
+/// messages: the per-phase operation timeout, the retransmission policy,
+/// the `abd.*` metrics, the trace, and the request-id and register-id
+/// counters.
+///
+/// Each transport builds one with [`new`](Self::new) from its
+/// configuration and returns it from [`Transport::engine`]; the transport
+/// itself only counts what its medium does (messages sent and dropped,
+/// duplicates, reorders).
+pub struct EngineState {
+    pub(crate) op_timeout: Duration,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) registry: Arc<Registry>,
+    /// Shared with the medium's replica or connection threads.
+    pub(crate) counters: Arc<Counters>,
+    pub(crate) trace: Trace,
+    next_request: AtomicU64,
+    next_register: AtomicU64,
+}
+
+impl EngineState {
+    /// The engine state of a `kind` transport: `op_timeout` bounds each
+    /// quorum phase, `retry` paces its retransmissions, the `abd.*`
+    /// metrics live on `registry` (a private one when `None`) next to the
+    /// `abd.transport.<kind>` marker gauge, and phase events go to
+    /// `trace`.
+    pub fn new(
+        kind: &str,
+        op_timeout: Duration,
+        retry: RetryPolicy,
+        registry: Option<Arc<Registry>>,
+        trace: Trace,
+    ) -> Self {
+        let registry = registry.unwrap_or_default();
+        registry.gauge(&format!("abd.transport.{kind}")).set(1);
+        EngineState {
+            op_timeout,
+            retry,
+            counters: Arc::new(Counters::new(&registry)),
+            registry,
+            trace,
+            // Id 0 is reserved: a wire error frame carries it when the
+            // request's own id was unreadable.
+            next_request: AtomicU64::new(1),
+            next_register: AtomicU64::new(0),
+        }
+    }
+
+    /// A fresh request id for one quorum phase.
+    pub(crate) fn fresh_request_id(&self) -> RequestId {
+        RequestId(self.next_request.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// A fresh register id (wire registers are addressed explicitly via
+    /// [`RegisterId::from_lane_segment`] instead).
+    pub(crate) fn allocate_register(&self) -> RegisterId {
+        RegisterId(self.next_register.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl fmt::Debug for EngineState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EngineState")
+            .field("op_timeout", &self.op_timeout)
+            .field("retry", &self.retry)
+            .field("stats", &self.counters.snapshot())
+            .finish()
+    }
+}
 
 /// A register value crossing the transport seam.
 #[derive(Clone)]
@@ -128,9 +257,10 @@ pub enum ReplyBody {
     },
 }
 
-/// The reply inbox of one phase, latched on the quorum: replica threads
-/// (or wire connection threads) [`push`](Self::push), the phase's client
-/// [`recv_deadline`](Self::recv_deadline)s.
+/// The reply inbox of one phase, latched on the quorum: the engine
+/// creates it and hands it to [`Transport::begin_phase`], replica threads
+/// (or wire connection threads) [`push`](Self::push) onto it, and the
+/// engine waits on it.
 ///
 /// A reply short of the quorum cannot end the phase, so it is queued
 /// without waking the client; the push that brings the count to the
@@ -140,7 +270,7 @@ pub enum ReplyBody {
 /// per reply keeps the client from competing for a CPU with the replica
 /// whose reply it is still waiting for.
 #[derive(Debug)]
-pub(crate) struct ReplyInbox {
+pub struct ReplyInbox {
     state: Mutex<InboxState>,
     ready: Condvar,
     quorum: usize,
@@ -155,7 +285,7 @@ struct InboxState {
 
 impl ReplyInbox {
     /// An empty inbox whose client sleeps until `quorum` replies arrived.
-    pub fn new(quorum: usize) -> Self {
+    pub(crate) fn new(quorum: usize) -> Self {
         ReplyInbox {
             state: Mutex::default(),
             ready: Condvar::new(),
@@ -179,7 +309,7 @@ impl ReplyInbox {
 
     /// The next queued reply; with none queued, sleeps until woken or
     /// `deadline`, then returns what is queued by then (`None` = nothing).
-    pub fn recv_deadline(&self, deadline: Instant) -> Option<Reply> {
+    pub(crate) fn recv_deadline(&self, deadline: Instant) -> Option<Reply> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(reply) = state.replies.pop_front() {
@@ -206,23 +336,15 @@ impl ReplyInbox {
 /// One in-flight quorum phase on some transport.
 ///
 /// Created by [`Transport::begin_phase`]; while it lives, replies to its
-/// request id route to it. Dropping the phase releases the route (late
-/// replies are discarded — the engine has either reached its quorum or
-/// given up).
+/// request id route to the phase's [`ReplyInbox`]. Dropping the phase
+/// releases the route (late replies are discarded — the engine has either
+/// reached its quorum or given up).
 pub trait Phase {
     /// (Re)transmits the phase's request to every replica for which
     /// `include` holds; returns how many were sent. The engine calls
     /// this once for the initial broadcast (`include` = all) and again
     /// on each retransmission (`include` = the still-silent).
     fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize;
-
-    /// Awaits the next reply to this phase, until `deadline`: a queued
-    /// reply is returned at once, otherwise the caller sleeps until the
-    /// phase's reply inbox wakes it or the deadline passes. `None`
-    /// means the deadline passed with nothing queued (the engine decides
-    /// whether to retransmit or give up); duplicated replies may be
-    /// delivered and are the engine's to discard.
-    fn recv_deadline(&mut self, deadline: Instant) -> Option<Reply>;
 }
 
 /// A way to reach a replica fleet: the seam between the ABD quorum
@@ -253,19 +375,6 @@ pub trait Transport: Send + Sync + 'static {
         false
     }
 
-    /// Per-phase operation timeout: how long a phase may wait for its
-    /// quorum before failing with `QuorumUnavailable`.
-    fn op_timeout(&self) -> Duration;
-
-    /// The retransmission backoff policy.
-    fn retry_policy(&self) -> &RetryPolicy;
-
-    /// The metrics registry carrying the transport's `abd.*` metrics.
-    fn registry(&self) -> &Arc<Registry>;
-
-    /// The trace receiving quorum-phase events.
-    fn trace(&self) -> &Trace;
-
     /// Whether the fleet is terminally failed (a panicked replica
     /// thread, an explicitly poisoned network). Phases fail fast with
     /// `NetworkPoisoned` instead of retrying into the void.
@@ -273,31 +382,24 @@ pub trait Transport: Send + Sync + 'static {
         false
     }
 
-    /// Allocates a fresh register id (in-process transports hand out
-    /// sequential ids; wire registers are addressed explicitly via
-    /// [`RegisterId::from_lane_segment`]).
-    fn allocate_register(&self) -> RegisterId;
-
-    /// Allocates a fresh request id for one quorum phase.
-    fn fresh_request_id(&self) -> RequestId;
+    /// The quorum engine's state for this fleet.
+    fn engine(&self) -> &EngineState;
 
     /// Opens one quorum phase: `request` will be (re)transmitted under
-    /// `id`, and replies to `id` route to the returned [`Phase`] while
-    /// it lives.
+    /// `id`, and replies to `id` are pushed onto `inbox` while the
+    /// returned [`Phase`] lives.
     ///
     /// # Panics
     ///
     /// A byte-only transport panics on [`Payload::Erased`]; the register
     /// layer guards this at construction via
     /// [`requires_bytes`](Self::requires_bytes).
-    fn begin_phase(&self, id: RequestId, request: PhaseRequest) -> Box<dyn Phase + '_>;
-
-    /// Counts `n` retransmitted messages (the `abd.retries` counter).
-    fn note_retries(&self, n: u64);
-
-    /// Records one completed quorum phase's latency (the
-    /// `abd.quorum_latency_us` histogram).
-    fn record_quorum_latency(&self, elapsed: Duration);
+    fn begin_phase(
+        &self,
+        id: RequestId,
+        request: PhaseRequest,
+        inbox: Arc<ReplyInbox>,
+    ) -> Box<dyn Phase + '_>;
 }
 
 #[cfg(test)]
@@ -309,6 +411,39 @@ mod tests {
             from,
             body: ReplyBody::Ack,
         }
+    }
+
+    #[test]
+    fn backoff_grows_is_capped_and_jittered_deterministically() {
+        let policy = RetryPolicy {
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(8),
+            multiplier: 2,
+            jitter: 0.0,
+        };
+        let id = RequestId(42);
+        let b1 = policy.next_backoff(Duration::from_millis(1), id, 1);
+        assert_eq!(b1, Duration::from_millis(2));
+        let capped = policy.next_backoff(Duration::from_millis(8), id, 5);
+        assert_eq!(capped, Duration::from_millis(8));
+
+        let jittery = RetryPolicy {
+            jitter: 0.5,
+            ..policy
+        };
+        let a = jittery.next_backoff(Duration::from_millis(4), id, 2);
+        let b = jittery.next_backoff(Duration::from_millis(4), id, 2);
+        assert_eq!(a, b, "same (id, attempt) must jitter identically");
+        assert!(a >= Duration::from_millis(8) && a <= Duration::from_millis(12));
+    }
+
+    #[test]
+    fn engine_ids_are_unique_and_request_id_zero_is_reserved() {
+        let retry = RetryPolicy::default();
+        let engine = EngineState::new("sim", Duration::ZERO, retry, None, Trace::disabled());
+        assert_ne!(engine.fresh_request_id(), RequestId(0));
+        assert_ne!(engine.fresh_request_id(), engine.fresh_request_id());
+        assert_ne!(engine.allocate_register(), engine.allocate_register());
     }
 
     #[test]

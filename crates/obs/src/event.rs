@@ -386,14 +386,6 @@ pub enum Event {
         /// Attempts consumed (including the first).
         attempts: u32,
     },
-    /// The service shed a request because a shard's health gate is open
-    /// (circuit breaker tripped on the windowed backend error rate).
-    ShardDegraded {
-        /// The degraded shard.
-        shard: usize,
-        /// Microseconds until the gate half-opens for a probe.
-        retry_after_us: u64,
-    },
     /// The service shed a request at a shard's gate: the breaker is open,
     /// or its half-open ramp is not yet admitting this priority class.
     ShardShed {
@@ -569,7 +561,6 @@ impl Event {
             Event::PartialFallback { .. } => "partial_fallback",
             Event::BackendError { .. } => "backend_error",
             Event::RetryExhausted { .. } => "retry_exhausted",
-            Event::ShardDegraded { .. } => "shard_degraded",
             Event::ShardShed { .. } => "shard_shed",
             Event::DeadlineExceeded { .. } => "deadline_exceeded",
             Event::SpanBegin { .. } => "span_begin",
@@ -643,9 +634,6 @@ impl fmt::Display for Event {
             }
             Event::RetryExhausted { attempts } => {
                 write!(f, "retry_exhausted(attempts={attempts})")
-            }
-            Event::ShardDegraded { shard, retry_after_us } => {
-                write!(f, "shard_degraded(shard={shard}, retry_after={retry_after_us}us)")
             }
             Event::ShardShed { shard, rank, retry_after_us } => {
                 write!(f, "shard_shed(shard={shard}, rank={rank}, retry_after={retry_after_us}us)")

@@ -99,10 +99,6 @@ fn push_payload(out: &mut String, event: &Event) {
         Event::RetryExhausted { attempts } => {
             push_field(out, "attempts", attempts);
         }
-        Event::ShardDegraded { shard, retry_after_us } => {
-            push_field(out, "shard", shard);
-            push_field(out, "retry_after_us", retry_after_us);
-        }
         Event::ShardShed { shard, rank, retry_after_us } => {
             push_field(out, "shard", shard);
             push_field(out, "rank", rank);

@@ -14,8 +14,7 @@
 //!   `registers/epoch.rs` (a write is a single pointer swap, so
 //!   arbitrarily wide records are written atomically, exactly as the
 //!   paper assumes);
-//! * [`MutexCell`] and [`SeqLockCell`] — blocking and sequence-lock
-//!   baselines for the benchmarks;
+//! * [`MutexCell`] — the blocking baseline for the benchmarks;
 //! * [`BitCell`] — a specialized boolean register for the handshake bits
 //!   of the bounded algorithms;
 //! * [`Backend`] — a factory abstraction so each snapshot algorithm is
@@ -64,7 +63,6 @@ mod mwmr_from_swmr;
 mod pad;
 mod process;
 mod rng;
-mod seqlock;
 
 pub use backend::{
     Backend, EpochBackend, MutexBackend, PaddedBitRows, PaddedCells, RegisterValue,
@@ -80,7 +78,6 @@ pub use mwmr_from_swmr::{CompoundBackend, MwmrFromSwmr, Tagged};
 pub use pad::CachePadded;
 pub use process::ProcessId;
 pub use rng::SeededRng;
-pub use seqlock::SeqLockCell;
 
 /// A shared atomic (linearizable) read/write register.
 ///

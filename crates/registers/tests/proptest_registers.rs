@@ -5,7 +5,7 @@
 
 use snapshot_registers::{
     Backend, EpochBackend, EpochCell, MutexBackend, MwmrFromSwmr, OpCounters, OpKind, ProcessId,
-    Register, SeededRng, SeqLockCell,
+    Register, SeededRng,
 };
 
 const CASES: u64 = 256;
@@ -69,18 +69,6 @@ fn mutex_backend_is_a_sequential_register() {
         let ops = ops(&mut rng, 4, 64);
         let backend = MutexBackend::new();
         check_sequential(&backend.cell(init), init, &ops, case);
-    }
-}
-
-#[test]
-fn seqlock_is_a_sequential_register() {
-    for case in 0..CASES {
-        let mut rng = SeededRng::new(0x5E91 ^ case);
-        let init = rng.next_u64();
-        // SeqLock is single-writer: all ops by process 0.
-        let ops = ops(&mut rng, 1, 64);
-        let owner = ProcessId::new(0);
-        check_sequential(&SeqLockCell::new(owner, init), init, &ops, case);
     }
 }
 

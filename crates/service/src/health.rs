@@ -30,9 +30,9 @@
 //!   successes ([`ramp_successes`](HealthConfig::ramp_successes)) close
 //!   the breaker; any failure re-opens a fresh cooldown.
 //!
-//! Time enters only as a `now_us` reading from the service's injectable
-//! [`Clock`](crate::Clock), so every lifecycle here is testable without a
-//! single `sleep`.
+//! Time enters only as a `now_us` reading (microseconds on the service's
+//! monotone clock), so every lifecycle here is testable without a single
+//! `sleep`.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};

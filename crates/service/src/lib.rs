@@ -79,9 +79,11 @@
 //!   (`service.load.*` gauges) that also stretches the hot shard's
 //!   `retry_after` hints so shed cohorts spread out.
 //!
-//! Breaker lifecycles read an injectable [`Clock`]; tests drive a full
-//! closed → open → half-open → closed sequence with a [`ManualClock`]
-//! and zero sleeps.
+//! Breakers take time as an explicit `now_us` reading — microseconds
+//! since the service started, taken from the instants a request already
+//! reads for its deadline and latency — so their tests (`health.rs`,
+//! `proptest_health.rs`) drive a full closed → open → half-open → closed
+//! sequence by passing readings, with zero sleeps.
 //!
 //! ## Causal span tracing
 //!
@@ -129,7 +131,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod clock;
 mod error;
 mod health;
 mod load;
@@ -137,7 +138,6 @@ mod retry;
 mod service;
 mod shard;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use error::ServiceError;
 pub use health::{Breaker, BreakerState, Gate, HealthConfig};
 pub use load::{LoadReport, Priority, ShardLoadStat};

@@ -11,7 +11,6 @@ use snapshot_obs::{
 };
 use snapshot_registers::{CachePadded, ProcessId, RegisterValue};
 
-use crate::clock::{Clock, MonotonicClock};
 use crate::health::{Breaker, Gate, HealthConfig};
 use crate::load::{LoadReport, Priority, ShardLoad};
 use crate::retry::RetryConfig;
@@ -314,9 +313,9 @@ pub struct SnapshotService<V: RegisterValue, C: TrySnapshotCore<V>> {
     health: Box<[CachePadded<Breaker>]>,
     /// Per-shard load accumulators feeding [`LoadReport`].
     load: Box<[CachePadded<ShardLoad>]>,
-    /// Time source for breaker cooldowns and half-open ramps
-    /// (deterministic lifecycle tests inject a manual clock).
-    clock: Arc<dyn Clock>,
+    /// The origin of the breakers' microsecond clock (cooldowns and
+    /// half-open ramps).
+    epoch: Instant,
     inflight: CachePadded<AtomicUsize>,
     /// Partial scans served (`Ok`) and, of those, how many fell back to
     /// a projected full scan — the pair behind the
@@ -355,7 +354,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             map,
             health: (0..map.shards()).map(|s| CachePadded::new(Breaker::new(s as u64))).collect(),
             load: (0..map.shards()).map(|_| CachePadded::new(ShardLoad::default())).collect(),
-            clock: Arc::new(MonotonicClock::new()),
+            epoch: Instant::now(),
             inflight: CachePadded::new(AtomicUsize::new(0)),
             partial_served: CachePadded::new(AtomicU64::new(0)),
             partial_fallbacks: CachePadded::new(AtomicU64::new(0)),
@@ -372,16 +371,6 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     #[must_use]
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.metrics = Metrics::from_registry(registry, self.map.shards());
-        self
-    }
-
-    /// Replaces the health layer's time source. Breaker cooldowns and
-    /// half-open ramps read this clock; tests inject a
-    /// [`ManualClock`](crate::ManualClock) and advance it by hand to
-    /// drive a full breaker lifecycle without sleeping.
-    #[must_use]
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
         self
     }
 
@@ -449,7 +438,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
 
     /// Shards whose health gate is currently open (shedding requests).
     pub fn degraded_shards(&self) -> Vec<usize> {
-        let now = self.now_us();
+        let now = self.us_at(Instant::now());
         (0..self.health.len()).filter(|&s| self.health[s].is_open(now)).collect()
     }
 
@@ -461,7 +450,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     /// a registry is attached) and a [`Event::LoadReport`] trace event is
     /// emitted, so dashboards and post-mortems see what the caller saw.
     pub fn load_report(&self) -> LoadReport {
-        let now = self.now_us();
+        let now = self.us_at(Instant::now());
         let stats = (0..self.load.len())
             .map(|s| self.load[s].stat(s, self.health[s].is_open(now)))
             .collect();
@@ -514,8 +503,10 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         ServiceClient { service: self, lane: ProcessId::new(lane) }
     }
 
-    fn now_us(&self) -> u64 {
-        self.clock.now_us()
+    /// `at` on the breakers' clock: microseconds since the service's
+    /// epoch.
+    fn us_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_micros().min(u128::from(u64::MAX)) as u64
     }
 
     /// Wait-free admission check: takes an in-flight slot for `lane`'s
@@ -532,17 +523,18 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         Ok(Admitted { service: self })
     }
 
-    /// Consults the health gates of every shard the operation touches:
-    /// sheds with [`ServiceError::Degraded`] if any breaker is open
-    /// (releasing probes claimed on earlier shards), claims half-open
-    /// probes otherwise.
+    /// Consults the health gates of every shard the operation touches at
+    /// `at` (the request's start): sheds with [`ServiceError::Degraded`]
+    /// if any breaker is open (releasing probes claimed on earlier
+    /// shards), claims half-open probes otherwise.
     fn gate(
         &self,
         lane: ProcessId,
         shards: Shards<'_>,
         priority: Priority,
+        at: Instant,
     ) -> Result<GateClaims<'_>, ServiceError> {
-        let now = self.now_us();
+        let now = self.us_at(at);
         let mut claims = GateClaims { health: &self.health, claimed: Vec::new() };
         for s in shards.iter(self.health.len()) {
             match self.health[s].check(now, priority, &self.cfg.health) {
@@ -577,9 +569,10 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         LoadReport::compute(stats).retry_after_hint(shard, base)
     }
 
-    fn record_ok(&self, shards: Shards<'_>, latency: Duration) {
+    /// Feeds a success completed at `done` to the breakers and load rows.
+    fn record_ok(&self, shards: Shards<'_>, latency: Duration, done: Instant) {
         let cfg = &self.cfg.health;
-        let now = self.now_us();
+        let now = self.us_at(done);
         for s in shards.iter(self.health.len()) {
             if self.health[s].on_success(now, cfg) {
                 self.note_breaker_trip(s);
@@ -589,7 +582,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     }
 
     fn record_err(&self, shards: Shards<'_>, retryable: bool) {
-        let now = self.now_us();
+        let now = self.us_at(Instant::now());
         let cfg = &self.cfg.health;
         for s in shards.iter(self.health.len()) {
             if self.health[s].on_failure(retryable, now, cfg) {
@@ -649,9 +642,10 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     /// rows of `shards` (errors were accounted per attempt by
     /// [`recorded`](Self::recorded)).
     ///
-    /// Besides the request's start, a successful request reads the wall
-    /// clock once here and the health [`Clock`] twice (gate and
-    /// outcome).
+    /// Besides the request's start, a successful request reads the clock
+    /// once, here at completion: the gate runs at the start instant, and
+    /// the latency and the breakers' outcome share the completion
+    /// instant.
     fn admitted<T>(
         &self,
         req: Request,
@@ -664,14 +658,15 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             return Err(self.deadline_exceeded(req, 0));
         }
         let _slot = self.admit(req.lane)?;
-        let _claims = self.gate(req.lane, shards, priority)?;
+        let _claims = self.gate(req.lane, shards, priority, req.start)?;
         let out = run();
-        let elapsed = req.start.elapsed();
+        let done = Instant::now();
+        let elapsed = done.saturating_duration_since(req.start);
         if let Some(latency) = latency {
             latency.record(elapsed);
         }
         if out.is_ok() {
-            self.record_ok(shards, elapsed);
+            self.record_ok(shards, elapsed, done);
         }
         out
     }

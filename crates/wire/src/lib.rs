@@ -51,7 +51,7 @@ pub use frame::{
 pub use hostile::{drive_phases, HostileKnobs, HostilePhase, HostileProfile, HostileProxy, HostileStream};
 pub use net::{Endpoint, WireListener, WireStream};
 pub use proto::{ErrorCode, Frame, StoreEntry, WireTag, PROTOCOL_VERSION};
-pub use server::{ReplicaServer, ServerConfig};
+pub use server::{DedupWindow, ReplicaServer, ServerConfig};
 pub use store::{
     FsyncPolicy, RecoveryPolicy, RecoverySummary, ReplicaStore, StoreConfig, StoreError,
 };

@@ -48,10 +48,40 @@ use crate::net::{Endpoint, WireListener, WireStream};
 use crate::proto::{ErrorCode, Frame, WireTag, PROTOCOL_VERSION};
 use crate::store::{FsyncPolicy, RecoveryPolicy, ReplicaStore, StoreConfig, StoreError};
 
-/// How many recently seen request ids each connection remembers for
-/// retransmission dedup (same window, and same rationale, as the
-/// simulated network's replicas).
-const DEDUP_WINDOW: usize = 4096;
+/// The request ids a replica saw last, for retransmission dedup: a
+/// retried or duplicated `Store` is applied at most once and re-acked.
+///
+/// Only the last [`CAPACITY`](Self::CAPACITY) ids are remembered. A retry
+/// of an older id is applied again — harmless, because a store is a
+/// max-by-tag merge and a query is read-only; the window only keeps the
+/// `duplicates_suppressed` metric honest for live traffic. Every
+/// `snapshotd` connection keeps one, and so does every replica thread of
+/// `snapshot-abd`'s simulated network.
+#[derive(Debug, Default)]
+pub struct DedupWindow {
+    seen: HashSet<u64>,
+    order: VecDeque<u64>,
+}
+
+impl DedupWindow {
+    /// How many recent ids the window remembers.
+    pub const CAPACITY: usize = 4096;
+
+    /// Records `id` as seen; returns `true` unless it is already in the
+    /// window.
+    pub fn insert(&mut self, id: u64) -> bool {
+        if !self.seen.insert(id) {
+            return false;
+        }
+        self.order.push_back(id);
+        if self.order.len() > Self::CAPACITY {
+            if let Some(old) = self.order.pop_front() {
+                self.seen.remove(&old);
+            }
+        }
+        true
+    }
+}
 
 /// Configuration of one replica server.
 #[derive(Clone, Debug)]
@@ -463,20 +493,7 @@ fn serve_connection(stream: WireStream, shared: &Shared) {
         None => return,
     }
 
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut seen_order: VecDeque<u64> = VecDeque::new();
-    let mut note_seen = move |id: u64| -> bool {
-        if !seen.insert(id) {
-            return false;
-        }
-        seen_order.push_back(id);
-        if seen_order.len() > DEDUP_WINDOW {
-            if let Some(old) = seen_order.pop_front() {
-                seen.remove(&old);
-            }
-        }
-        true
-    };
+    let mut seen = DedupWindow::default();
 
     while !shared.shutdown.load(Ordering::Acquire) {
         let frame = match read_decoded(&mut conn, shared) {
@@ -491,7 +508,7 @@ fn serve_connection(stream: WireStream, shared: &Shared) {
             Frame::Query { id, registers } => {
                 // Read-only: dedup records the id but every delivery is
                 // (re-)answered with the current state.
-                note_seen(id);
+                seen.insert(id);
                 // `held` shares the stored values; nothing is copied until
                 // the reply is known to fit, so a query naming many (or one
                 // big register many times) costs this replica no more
@@ -523,7 +540,7 @@ fn serve_connection(stream: WireStream, shared: &Shared) {
                 }
             }
             Frame::Store { id, entries } => {
-                if note_seen(id) {
+                if seen.insert(id) {
                     let batch: Vec<_> = entries
                         .into_iter()
                         .map(|e| (e.lane, e.segment, e.tag, e.value.into()))
@@ -798,6 +815,20 @@ mod tests {
             0,
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn dedup_window_forgets_oldest() {
+        let mut seen = DedupWindow::default();
+        assert!(seen.insert(0));
+        assert!(!seen.insert(0), "immediate retry is a dup");
+        for id in 1..=DedupWindow::CAPACITY as u64 {
+            assert!(seen.insert(id));
+        }
+        assert!(
+            seen.insert(0),
+            "ids beyond the window are forgotten (and re-applying is safe)"
+        );
     }
 
     #[test]
