@@ -23,8 +23,6 @@
 //!   the modeled Anderson constructions;
 //! * `e5` — linearizability battery: exhaustive + randomized model
 //!   checking and threaded stress, plus the Figure 4 retry-edge ablation;
-//! * `e6` — wall-clock latency/throughput of all algorithms vs the lock
-//!   baseline (`bash benchmark/run.sh` gives the distributions);
 //! * `e7` — snapshots over message passing via \[ABD\] under replica
 //!   crashes (Section 6);
 //! * `e8` — observability demo: one shared trace across a threaded soak,
@@ -38,8 +36,8 @@ use snapshot_bench::anderson_model as model;
 use snapshot_bench::harness::{self, run_mw_sim, run_sw_sim, sw_mixed_scripts, MwStep, SwStep};
 use snapshot_bench::report::Table;
 use snapshot_core::{
-    BoundedSnapshot, DoubleCollectSnapshot, LockSnapshot, MultiWriterSnapshot, MwSnapshot,
-    MwSnapshotHandle, MwVariant, SwSnapshot, SwSnapshotHandle, UnboundedSnapshot,
+    BoundedSnapshot, DoubleCollectSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle,
+    MwVariant, SwSnapshot, SwSnapshotHandle, UnboundedSnapshot,
 };
 use snapshot_lin::{check_history, check_intervals, WgResult};
 use snapshot_registers::OpKind;
@@ -94,9 +92,6 @@ fn main() {
     }
     if want("e5") {
         e5_linearizability();
-    }
-    if want("e6") {
-        e6_wall_clock();
     }
     if want("e7") {
         e7_message_passing();
@@ -827,129 +822,3 @@ fn figure4_attack_finds_violation(variant: MwVariant) -> bool {
     matches!(check_history(&history), WgResult::NotLinearizable)
 }
 
-fn e6_wall_clock() {
-    let mut t = Table::new(
-        "E6 — wall-clock costs on this machine (real threads; `bash benchmark/run.sh` for distributions)",
-        &[
-            "n",
-            "algorithm",
-            "uncontended scan (ns)",
-            "uncontended update (ns)",
-            "contended scan+update ops/ms",
-        ],
-    );
-    for n in [2usize, 4, 8] {
-        wall_clock_row(
-            &mut t,
-            n,
-            "unbounded (Fig 2)",
-            &UnboundedSnapshot::new(n, 0u64),
-        );
-        wall_clock_row(&mut t, n, "bounded (Fig 3)", &BoundedSnapshot::new(n, 0u64));
-        let mw = MultiWriterSnapshot::new(n, n, 0u64);
-        wall_clock_row_mw(&mut t, n, "multi-writer (Fig 4)", &mw);
-        wall_clock_row(&mut t, n, "lock baseline", &LockSnapshot::new(n, 0u64));
-        wall_clock_row(
-            &mut t,
-            n,
-            "double-collect baseline",
-            &DoubleCollectSnapshot::new(n, 0u64),
-        );
-    }
-    println!("{t}");
-    println!("   (single-CPU machine: contended numbers reflect timeslicing, not");
-    println!("    parallel cache traffic; shapes, not absolutes, are the claim)");
-    println!();
-}
-
-fn wall_clock_row<O: SwSnapshot<u64>>(t: &mut Table, n: usize, name: &str, object: &O) {
-    const ITERS: u32 = 20_000;
-    // Uncontended.
-    let (scan_ns, update_ns) = {
-        let mut h = object.handle(ProcessId::new(0));
-        let start = std::time::Instant::now();
-        for _ in 0..ITERS {
-            std::hint::black_box(h.scan());
-        }
-        let scan_ns = start.elapsed().as_nanos() / ITERS as u128;
-        let start = std::time::Instant::now();
-        for k in 0..ITERS {
-            h.update(k as u64);
-        }
-        (scan_ns, start.elapsed().as_nanos() / ITERS as u128)
-    };
-    // Contended: every process mixes scans and updates for a fixed time.
-    let ops_per_ms = {
-        let total_ops = std::sync::atomic::AtomicU64::new(0);
-        let start = std::time::Instant::now();
-        std::thread::scope(|s| {
-            for i in 0..n {
-                let total_ops = &total_ops;
-                s.spawn(move || {
-                    let mut h = object.handle(ProcessId::new(i));
-                    let mut ops = 0u64;
-                    while start.elapsed().as_millis() < 150 {
-                        h.update(ops);
-                        std::hint::black_box(h.scan());
-                        ops += 2;
-                    }
-                    total_ops.fetch_add(ops, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-        });
-        total_ops.load(std::sync::atomic::Ordering::Relaxed) as u128 * 1000
-            / start.elapsed().as_micros().max(1)
-    };
-    t.row(&[
-        n.to_string(),
-        name.to_string(),
-        scan_ns.to_string(),
-        update_ns.to_string(),
-        ops_per_ms.to_string(),
-    ]);
-}
-
-fn wall_clock_row_mw<O: MwSnapshot<u64>>(t: &mut Table, n: usize, name: &str, object: &O) {
-    const ITERS: u32 = 20_000;
-    let (scan_ns, update_ns) = {
-        let mut h = object.handle(ProcessId::new(0));
-        let start = std::time::Instant::now();
-        for _ in 0..ITERS {
-            std::hint::black_box(h.scan());
-        }
-        let scan_ns = start.elapsed().as_nanos() / ITERS as u128;
-        let start = std::time::Instant::now();
-        for k in 0..ITERS {
-            h.update(0, k as u64);
-        }
-        (scan_ns, start.elapsed().as_nanos() / ITERS as u128)
-    };
-    let ops_per_ms = {
-        let total_ops = std::sync::atomic::AtomicU64::new(0);
-        let start = std::time::Instant::now();
-        std::thread::scope(|s| {
-            for i in 0..n {
-                let total_ops = &total_ops;
-                s.spawn(move || {
-                    let mut h = object.handle(ProcessId::new(i));
-                    let mut ops = 0u64;
-                    while start.elapsed().as_millis() < 150 {
-                        h.update(i % object.words(), ops);
-                        std::hint::black_box(h.scan());
-                        ops += 2;
-                    }
-                    total_ops.fetch_add(ops, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-        });
-        total_ops.load(std::sync::atomic::Ordering::Relaxed) as u128 * 1000
-            / start.elapsed().as_micros().max(1)
-    };
-    t.row(&[
-        n.to_string(),
-        name.to_string(),
-        scan_ns.to_string(),
-        update_ns.to_string(),
-        ops_per_ms.to_string(),
-    ]);
-}

@@ -37,12 +37,6 @@ impl Algo {
     }
 }
 
-impl fmt::Display for Algo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Outcome of one double-collect round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RoundOutcome {
@@ -61,12 +55,6 @@ impl RoundOutcome {
             RoundOutcome::Clean => "clean",
             RoundOutcome::Moved => "moved",
         }
-    }
-}
-
-impl fmt::Display for RoundOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -90,12 +78,6 @@ impl RegOp {
     }
 }
 
-impl fmt::Display for RegOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Which ABD quorum phase an event belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AbdPhaseKind {
@@ -112,12 +94,6 @@ impl AbdPhaseKind {
             AbdPhaseKind::Query => "query",
             AbdPhaseKind::Store => "store",
         }
-    }
-}
-
-impl fmt::Display for AbdPhaseKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -174,12 +150,6 @@ impl SpanKind {
     }
 }
 
-impl fmt::Display for SpanKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// How a causal span ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanStatus {
@@ -202,12 +172,6 @@ impl SpanStatus {
             SpanStatus::Expired => "expired",
             SpanStatus::Shed => "shed",
         }
-    }
-}
-
-impl fmt::Display for SpanStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -534,166 +498,263 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// Stable snake_case name of the variant, used as the JSON `kind`
-    /// field and the chrome://tracing event name.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::ScanBegin { .. } => "scan_begin",
-            Event::ScanEnd { .. } => "scan_end",
-            Event::UpdateBegin { .. } => "update_begin",
-            Event::UpdateEnd { .. } => "update_end",
-            Event::RoundStart { .. } => "round_start",
-            Event::RoundEnd { .. } => "round_end",
-            Event::HandshakeCopy { .. } => "handshake_copy",
-            Event::HandshakeFlip { .. } => "handshake_flip",
-            Event::ToggleFlip { .. } => "toggle_flip",
-            Event::BorrowDecision { .. } => "borrow_decision",
-            Event::RegisterRead => "register_read",
-            Event::RegisterWrite => "register_write",
-            Event::ScheduleStep { .. } => "schedule_step",
-            Event::AbdPhaseStart { .. } => "abd_phase_start",
-            Event::AbdRetransmit { .. } => "abd_retransmit",
-            Event::AbdQuorumReached { .. } => "abd_quorum_reached",
-            Event::AbdQuorumFailed { .. } => "abd_quorum_failed",
-            Event::ServiceOverload { .. } => "service_overload",
-            Event::PartialCollect { .. } => "partial_collect",
-            Event::PartialFallback { .. } => "partial_fallback",
-            Event::BackendError { .. } => "backend_error",
-            Event::RetryExhausted { .. } => "retry_exhausted",
-            Event::ShardShed { .. } => "shard_shed",
-            Event::DeadlineExceeded { .. } => "deadline_exceeded",
-            Event::SpanBegin { .. } => "span_begin",
-            Event::SpanEnd { .. } => "span_end",
-            Event::SpanNote { .. } => "span_note",
-            Event::BreakerTrip { .. } => "breaker_trip",
-            Event::LoadReport { .. } => "load_report",
-            Event::TransportDial { .. } => "transport_dial",
-            Event::TransportConnected { .. } => "transport_connected",
-            Event::TransportDropped { .. } => "transport_dropped",
-            Event::StoreTruncated { .. } => "store_truncated",
-            Event::StoreCorrupt { .. } => "store_corrupt",
-            Event::StoreCheckpoint { .. } => "store_checkpoint",
-            Event::StoreCheckpointFailed { .. } => "store_checkpoint_failed",
-            Event::StoreReplayed { .. } => "store_replayed",
+/// One field value of an [`Event`]: a number, a bool, or a static name
+/// from the taxonomy (rendered quoted in JSON, bare elsewhere).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Value {
+    Num(u64),
+    Bool(bool),
+    Name(&'static str),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Num(n) => write!(f, "{n}"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Name(name) => f.write_str(name),
         }
     }
 }
 
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// The most fields any variant carries.
+const MAX_FIELDS: usize = 4;
+
+/// An event's kind name and its `(key, value)` fields in export order,
+/// held inline so building one never allocates.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fields {
+    pub(crate) kind: &'static str,
+    len: usize,
+    pairs: [(&'static str, Value); MAX_FIELDS],
+}
+
+impl Fields {
+    fn new<const N: usize>(kind: &'static str, pairs: [(&'static str, Value); N]) -> Self {
+        let mut all = [("", Value::Num(0)); MAX_FIELDS];
+        all[..N].copy_from_slice(&pairs);
+        Fields { kind, len: N, pairs: all }
+    }
+
+    /// The fields, in the order the exporters write them.
+    pub(crate) fn pairs(&self) -> &[(&'static str, Value)] {
+        &self.pairs[..self.len]
+    }
+}
+
+impl Event {
+    /// The variant's kind name and fields: the one place that lists them.
+    /// [`Event::kind`], `Display` and both exporters render from it.
+    #[inline]
+    pub(crate) fn fields(&self) -> Fields {
+        use Value::{Bool, Name, Num};
         match *self {
-            Event::ScanBegin { algo } => write!(f, "scan_begin({algo})"),
-            Event::ScanEnd { algo, double_collects, borrowed } => {
-                write!(f, "scan_end({algo}, dc={double_collects}, borrowed={borrowed})")
+            Event::ScanBegin { algo } => Fields::new("scan_begin", [("algo", Name(algo.name()))]),
+            Event::ScanEnd { algo, double_collects, borrowed } => Fields::new(
+                "scan_end",
+                [
+                    ("algo", Name(algo.name())),
+                    ("double_collects", Num(double_collects as u64)),
+                    ("borrowed", Bool(borrowed)),
+                ],
+            ),
+            Event::UpdateBegin { algo } => {
+                Fields::new("update_begin", [("algo", Name(algo.name()))])
             }
-            Event::UpdateBegin { algo } => write!(f, "update_begin({algo})"),
-            Event::UpdateEnd { algo, double_collects } => {
-                write!(f, "update_end({algo}, dc={double_collects})")
-            }
-            Event::RoundStart { algo, round } => write!(f, "round_start({algo}, r{round})"),
-            Event::RoundEnd { algo, round, outcome } => {
-                write!(f, "round_end({algo}, r{round}, {outcome})")
-            }
-            Event::HandshakeCopy { partner, bit } => {
-                write!(f, "handshake_copy(partner=P{partner}, bit={bit})")
-            }
-            Event::HandshakeFlip { partner, bit } => {
-                write!(f, "handshake_flip(partner=P{partner}, bit={bit})")
-            }
+            Event::UpdateEnd { algo, double_collects } => Fields::new(
+                "update_end",
+                [("algo", Name(algo.name())), ("double_collects", Num(double_collects as u64))],
+            ),
+            Event::RoundStart { algo, round } => Fields::new(
+                "round_start",
+                [("algo", Name(algo.name())), ("round", Num(round as u64))],
+            ),
+            Event::RoundEnd { algo, round, outcome } => Fields::new(
+                "round_end",
+                [
+                    ("algo", Name(algo.name())),
+                    ("round", Num(round as u64)),
+                    ("outcome", Name(outcome.name())),
+                ],
+            ),
+            Event::HandshakeCopy { partner, bit } => Fields::new(
+                "handshake_copy",
+                [("partner", Num(partner as u64)), ("bit", Bool(bit))],
+            ),
+            Event::HandshakeFlip { partner, bit } => Fields::new(
+                "handshake_flip",
+                [("partner", Num(partner as u64)), ("bit", Bool(bit))],
+            ),
             Event::ToggleFlip { word, toggle } => {
-                write!(f, "toggle_flip(word={word}, toggle={toggle})")
+                Fields::new("toggle_flip", [("word", Num(word as u64)), ("toggle", Bool(toggle))])
             }
-            Event::BorrowDecision { lender, moved } => {
-                write!(f, "borrow_decision(lender=P{lender}, moved={moved})")
+            Event::BorrowDecision { lender, moved } => Fields::new(
+                "borrow_decision",
+                [("lender", Num(lender as u64)), ("moved", Num(moved as u64))],
+            ),
+            Event::RegisterRead => Fields::new("register_read", []),
+            Event::RegisterWrite => Fields::new("register_write", []),
+            Event::ScheduleStep { step, op } => {
+                Fields::new("schedule_step", [("step", Num(step)), ("op", Name(op.name()))])
             }
-            Event::RegisterRead => f.write_str("register_read"),
-            Event::RegisterWrite => f.write_str("register_write"),
-            Event::ScheduleStep { step, op } => write!(f, "schedule_step(#{step}, {op})"),
-            Event::AbdPhaseStart { phase } => write!(f, "abd_phase_start({phase})"),
-            Event::AbdRetransmit { phase, attempt, resent } => {
-                write!(f, "abd_retransmit({phase}, attempt={attempt}, resent={resent})")
+            Event::AbdPhaseStart { phase } => {
+                Fields::new("abd_phase_start", [("phase", Name(phase.name()))])
             }
-            Event::AbdQuorumReached { phase, acks, elapsed_us } => {
-                write!(f, "abd_quorum_reached({phase}, acks={acks}, {elapsed_us}us)")
-            }
-            Event::AbdQuorumFailed { phase, acks, needed } => {
-                write!(f, "abd_quorum_failed({phase}, acks={acks}/{needed})")
-            }
+            Event::AbdRetransmit { phase, attempt, resent } => Fields::new(
+                "abd_retransmit",
+                [
+                    ("phase", Name(phase.name())),
+                    ("attempt", Num(attempt as u64)),
+                    ("resent", Num(resent as u64)),
+                ],
+            ),
+            Event::AbdQuorumReached { phase, acks, elapsed_us } => Fields::new(
+                "abd_quorum_reached",
+                [
+                    ("phase", Name(phase.name())),
+                    ("acks", Num(acks as u64)),
+                    ("elapsed_us", Num(elapsed_us)),
+                ],
+            ),
+            Event::AbdQuorumFailed { phase, acks, needed } => Fields::new(
+                "abd_quorum_failed",
+                [
+                    ("phase", Name(phase.name())),
+                    ("acks", Num(acks as u64)),
+                    ("needed", Num(needed as u64)),
+                ],
+            ),
             Event::ServiceOverload { inflight } => {
-                write!(f, "service_overload(inflight={inflight})")
+                Fields::new("service_overload", [("inflight", Num(inflight as u64))])
             }
-            Event::PartialCollect { segments, rounds, fallback } => {
-                write!(f, "partial_collect(segments={segments}, rounds={rounds}, fallback={fallback})")
-            }
+            Event::PartialCollect { segments, rounds, fallback } => Fields::new(
+                "partial_collect",
+                [
+                    ("segments", Num(segments as u64)),
+                    ("rounds", Num(rounds as u64)),
+                    ("fallback", Bool(fallback)),
+                ],
+            ),
             Event::PartialFallback { segments } => {
-                write!(f, "partial_fallback(segments={segments})")
+                Fields::new("partial_fallback", [("segments", Num(segments as u64))])
             }
-            Event::BackendError { attempt, retryable } => {
-                write!(f, "backend_error(attempt={attempt}, retryable={retryable})")
-            }
+            Event::BackendError { attempt, retryable } => Fields::new(
+                "backend_error",
+                [("attempt", Num(attempt as u64)), ("retryable", Bool(retryable))],
+            ),
             Event::RetryExhausted { attempts } => {
-                write!(f, "retry_exhausted(attempts={attempts})")
+                Fields::new("retry_exhausted", [("attempts", Num(attempts as u64))])
             }
-            Event::ShardShed { shard, rank, retry_after_us } => {
-                write!(f, "shard_shed(shard={shard}, rank={rank}, retry_after={retry_after_us}us)")
-            }
-            Event::DeadlineExceeded { attempts, budget_us } => {
-                write!(f, "deadline_exceeded(attempts={attempts}, budget={budget_us}us)")
-            }
-            Event::SpanBegin { id, parent, kind } => {
-                write!(f, "span_begin(S{id}, parent=S{parent}, {kind})")
-            }
-            Event::SpanEnd { id, kind, status, elapsed_us } => {
-                write!(f, "span_end(S{id}, {kind}, {status}, {elapsed_us}us)")
-            }
-            Event::SpanNote { id, key, value } => {
-                write!(f, "span_note(S{id}, {key}={value})")
-            }
+            Event::ShardShed { shard, rank, retry_after_us } => Fields::new(
+                "shard_shed",
+                [
+                    ("shard", Num(shard as u64)),
+                    ("rank", Num(rank as u64)),
+                    ("retry_after_us", Num(retry_after_us)),
+                ],
+            ),
+            Event::DeadlineExceeded { attempts, budget_us } => Fields::new(
+                "deadline_exceeded",
+                [("attempts", Num(attempts as u64)), ("budget_us", Num(budget_us))],
+            ),
+            Event::SpanBegin { id, parent, kind } => Fields::new(
+                "span_begin",
+                [("id", Num(id)), ("parent", Num(parent)), ("span", Name(kind.name()))],
+            ),
+            Event::SpanEnd { id, kind, status, elapsed_us } => Fields::new(
+                "span_end",
+                [
+                    ("id", Num(id)),
+                    ("span", Name(kind.name())),
+                    ("status", Name(status.name())),
+                    ("elapsed_us", Num(elapsed_us)),
+                ],
+            ),
+            Event::SpanNote { id, key, value } => Fields::new(
+                "span_note",
+                [("id", Num(id)), ("key", Name(key)), ("value", Num(value))],
+            ),
             Event::BreakerTrip { shard, trips } => {
-                write!(f, "breaker_trip(shard={shard}, trips={trips})")
+                Fields::new("breaker_trip", [("shard", Num(shard as u64)), ("trips", Num(trips))])
             }
-            Event::LoadReport { hot_shard, skewed, skew_permille, open_shards } => {
-                write!(
-                    f,
-                    "load_report(hot={hot_shard}, skewed={skewed}, skew={skew_permille}‰, \
-                     open={open_shards})"
-                )
-            }
-            Event::TransportDial { replica, attempt } => {
-                write!(f, "transport_dial(replica=R{replica}, attempt={attempt})")
-            }
-            Event::TransportConnected { replica, attempt } => {
-                write!(f, "transport_connected(replica=R{replica}, attempt={attempt})")
-            }
+            Event::LoadReport { hot_shard, skewed, skew_permille, open_shards } => Fields::new(
+                "load_report",
+                [
+                    ("hot_shard", Num(hot_shard as u64)),
+                    ("skewed", Bool(skewed)),
+                    ("skew_permille", Num(skew_permille)),
+                    ("open_shards", Num(open_shards as u64)),
+                ],
+            ),
+            Event::TransportDial { replica, attempt } => Fields::new(
+                "transport_dial",
+                [("replica", Num(replica as u64)), ("attempt", Num(attempt as u64))],
+            ),
+            Event::TransportConnected { replica, attempt } => Fields::new(
+                "transport_connected",
+                [("replica", Num(replica as u64)), ("attempt", Num(attempt as u64))],
+            ),
             Event::TransportDropped { replica } => {
-                write!(f, "transport_dropped(replica=R{replica})")
+                Fields::new("transport_dropped", [("replica", Num(replica as u64))])
             }
-            Event::StoreTruncated { replica, bytes } => {
-                write!(f, "store_truncated(replica=R{replica}, bytes={bytes})")
-            }
-            Event::StoreCorrupt { replica, offset, truncated } => {
-                write!(
-                    f,
-                    "store_corrupt(replica=R{replica}, offset={offset}, truncated={truncated})"
-                )
-            }
-            Event::StoreCheckpoint { replica, registers, bytes } => {
-                write!(
-                    f,
-                    "store_checkpoint(replica=R{replica}, registers={registers}, bytes={bytes})"
-                )
-            }
+            Event::StoreTruncated { replica, bytes } => Fields::new(
+                "store_truncated",
+                [("replica", Num(replica as u64)), ("bytes", Num(bytes))],
+            ),
+            Event::StoreCorrupt { replica, offset, truncated } => Fields::new(
+                "store_corrupt",
+                [
+                    ("replica", Num(replica as u64)),
+                    ("offset", Num(offset)),
+                    ("truncated", Bool(truncated)),
+                ],
+            ),
+            Event::StoreCheckpoint { replica, registers, bytes } => Fields::new(
+                "store_checkpoint",
+                [
+                    ("replica", Num(replica as u64)),
+                    ("registers", Num(registers)),
+                    ("bytes", Num(bytes)),
+                ],
+            ),
             Event::StoreCheckpointFailed { replica } => {
-                write!(f, "store_checkpoint_failed(replica=R{replica})")
+                Fields::new("store_checkpoint_failed", [("replica", Num(replica as u64))])
             }
             Event::StoreReplayed { replica, checkpoint_registers, records, elapsed_us } => {
-                write!(
-                    f,
-                    "store_replayed(replica=R{replica}, ckpt={checkpoint_registers}, \
-                     records={records}, {elapsed_us}us)"
+                Fields::new(
+                    "store_replayed",
+                    [
+                        ("replica", Num(replica as u64)),
+                        ("checkpoint_registers", Num(checkpoint_registers)),
+                        ("records", Num(records)),
+                        ("elapsed_us", Num(elapsed_us)),
+                    ],
                 )
             }
+        }
+    }
+
+    /// Stable snake_case name of the variant, used as the JSON `kind`
+    /// field and the chrome://tracing event name.
+    pub fn kind(&self) -> &'static str {
+        self.fields().kind
+    }
+}
+
+/// `kind(key=value, …)` with the JSON keys, or the bare kind for a
+/// variant without fields.
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields = self.fields();
+        f.write_str(fields.kind)?;
+        for (i, (key, value)) in fields.pairs().iter().enumerate() {
+            let sep = if i == 0 { "(" } else { ", " };
+            write!(f, "{sep}{key}={value}")?;
+        }
+        if fields.pairs().is_empty() {
+            Ok(())
+        } else {
+            f.write_str(")")
         }
     }
 }

@@ -1,26 +1,25 @@
 //! Anomaly-triggered flight recorder.
 //!
-//! A [`FlightRecorder`] is a [`Sink`] that keeps a bounded ring of the
-//! most recent events (spans included) and, when an anomaly event flows
-//! through it — a [`DeadlineExceeded`](crate::Event::DeadlineExceeded), a
-//! [`BreakerTrip`](crate::Event::BreakerTrip), or an
-//! [`Overloaded` shed](crate::Event::ServiceOverload) — freezes a copy of
-//! the ring as a [`FlightDump`]: the black-box recording of what the
-//! stack was doing in the run-up to the anomaly. Dumps render as
-//! JSON-lines with a `flight_dump` cause header, so the same tooling that
-//! reads ordinary trace dumps reads these.
+//! A [`FlightRecorder`] is a [`Sink`] built from a [`RingSink`]: every
+//! event (spans included) goes into that ring, and when an anomaly event
+//! flows through — a [`DeadlineExceeded`](crate::Event::DeadlineExceeded),
+//! a [`BreakerTrip`](crate::Event::BreakerTrip), or an
+//! [`Overloaded` shed](crate::Event::ServiceOverload) — the recorder
+//! freezes a copy of the ring as a [`FlightDump`]: the black-box
+//! recording of what the stack was doing in the run-up to the anomaly.
+//! Dumps render as JSON-lines with a `flight_dump` cause header, so the
+//! same tooling that reads ordinary trace dumps reads these.
 //!
-//! Wire it next to (not instead of) a [`RingSink`](crate::RingSink) with
-//! a [`FanoutSink`](crate::FanoutSink), or alone when only anomaly
-//! forensics are wanted.
+//! The recorder is the trace's only sink when it is wanted: the full
+//! rolling window stays readable through [`FlightRecorder::ring`].
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::event::{Event, TraceEvent};
 use crate::export::json_lines;
-use crate::trace::Sink;
+use crate::trace::{RingSink, Sink};
 
 /// Why a [`FlightDump`] was captured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -54,7 +53,7 @@ impl fmt::Display for DumpCause {
     }
 }
 
-/// A frozen copy of the recorder's ring at the moment an anomaly fired.
+/// A frozen copy of the recorder's rings at the moment an anomaly fired.
 #[derive(Clone, Debug)]
 pub struct FlightDump {
     /// What froze the ring.
@@ -63,9 +62,11 @@ pub struct FlightDump {
     /// `events` for automatic dumps; the newest buffered event, if any,
     /// for manual ones).
     pub trigger_seq: u64,
-    /// Pid that emitted the triggering event (0 for manual dumps).
+    /// Pid that emitted the triggering event (for manual dumps, the pid of
+    /// the newest buffered event, or 0 when the ring is empty).
     pub trigger_pid: usize,
-    /// The buffered events, oldest first (the trigger included, last).
+    /// The buffered events of every pid up to and including the trigger,
+    /// in `seq` order (the trigger last).
     pub events: Vec<TraceEvent>,
 }
 
@@ -93,94 +94,86 @@ impl FlightDump {
     }
 }
 
-struct FlightInner {
-    ring: VecDeque<TraceEvent>,
-    dumps: Vec<FlightDump>,
-}
-
-/// The black-box recorder: a bounded event ring frozen on anomalies.
+/// The black-box recorder: a [`RingSink`] frozen on anomalies.
 ///
-/// Retains at most `max_dumps` dumps (later anomalies inside an already
-/// captured storm are counted but not re-captured), so a flapping breaker
-/// cannot grow memory without bound. The ring itself keeps recording
-/// after a dump.
+/// An event costs what it costs the ring: one lock on its pid's ring.
+/// The dump list is locked only when an anomaly freezes the rings and
+/// when dumps are read. At most `max_dumps` dumps are retained (later
+/// anomalies inside an already captured storm are counted but not
+/// re-captured), so a flapping breaker cannot grow memory without bound.
+/// The ring keeps recording after a dump.
 pub struct FlightRecorder {
-    inner: Mutex<FlightInner>,
-    capacity: usize,
+    ring: RingSink,
+    dumps: Mutex<Vec<FlightDump>>,
     max_dumps: usize,
-    suppressed: std::sync::atomic::AtomicU64,
+    suppressed: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// A recorder whose ring holds the most recent `capacity` events,
-    /// retaining up to 8 dumps.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_max_dumps(capacity, 8)
+    /// A recorder freezing `ring`, retaining up to 8 dumps.
+    pub fn new(ring: RingSink) -> Self {
+        Self::with_max_dumps(ring, 8)
     }
 
-    /// A recorder retaining up to `max_dumps` dumps.
+    /// A recorder freezing `ring`, retaining up to `max_dumps` dumps.
     ///
     /// # Panics
-    /// Panics if `capacity` or `max_dumps` is zero.
-    pub fn with_max_dumps(capacity: usize, max_dumps: usize) -> Self {
-        assert!(capacity > 0, "FlightRecorder needs a nonzero ring");
+    /// Panics if `max_dumps` is zero.
+    pub fn with_max_dumps(ring: RingSink, max_dumps: usize) -> Self {
         assert!(max_dumps > 0, "FlightRecorder needs room for at least one dump");
         FlightRecorder {
-            inner: Mutex::new(FlightInner {
-                ring: VecDeque::with_capacity(capacity),
-                dumps: Vec::new(),
-            }),
-            capacity,
+            ring,
+            dumps: Mutex::new(Vec::new()),
             max_dumps,
-            suppressed: std::sync::atomic::AtomicU64::new(0),
+            suppressed: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FlightInner> {
-        self.inner.lock().expect("FlightRecorder poisoned")
+    /// The ring every event goes into; drain it for the full window.
+    pub fn ring(&self) -> &RingSink {
+        &self.ring
     }
 
-    fn capture(inner: &mut FlightInner, max_dumps: usize, dump: FlightDump) -> bool {
-        if inner.dumps.len() >= max_dumps {
+    fn lock(&self) -> MutexGuard<'_, Vec<FlightDump>> {
+        self.dumps.lock().expect("FlightRecorder poisoned")
+    }
+
+    /// Freezes the rings up to and including `trigger` as a dump, or
+    /// returns false if the dump budget is exhausted. Without a trigger
+    /// the whole ring is frozen and its newest event stands in for one.
+    fn freeze(&self, cause: DumpCause, trigger: Option<&TraceEvent>) -> bool {
+        let mut dumps = self.lock();
+        if dumps.len() >= self.max_dumps {
             return false;
         }
-        inner.dumps.push(dump);
+        let events = self.ring.copy_through(trigger.map_or(u64::MAX, |e| e.seq));
+        let (trigger_seq, trigger_pid) =
+            trigger.or(events.last()).map_or((0, 0), |e| (e.seq, e.pid));
+        dumps.push(FlightDump { cause, trigger_seq, trigger_pid, events });
         true
     }
 
-    /// Freezes the current ring as a [`DumpCause::Manual`] dump. Returns
+    /// Freezes the current rings as a dump of the given cause. Returns
     /// false if the dump budget was already exhausted.
     pub fn trigger(&self, cause: DumpCause) -> bool {
-        let mut inner = self.lock();
-        let (trigger_seq, trigger_pid) =
-            inner.ring.back().map_or((0, 0), |e| (e.seq, e.pid));
-        let dump = FlightDump {
-            cause,
-            trigger_seq,
-            trigger_pid,
-            events: inner.ring.iter().copied().collect(),
-        };
-        Self::capture(&mut inner, self.max_dumps, dump)
+        self.freeze(cause, None)
     }
 
     /// Dumps captured so far (clones; the recorder keeps its copies).
     #[must_use]
     pub fn dumps(&self) -> Vec<FlightDump> {
-        self.lock().dumps.clone()
+        self.lock().clone()
     }
 
     /// Removes and returns the captured dumps, freeing the dump budget.
     #[must_use = "taking discards the dumps if the result is unused"]
     pub fn take_dumps(&self) -> Vec<FlightDump> {
-        std::mem::take(&mut self.lock().dumps)
+        std::mem::take(&mut *self.lock())
     }
 
     /// Anomalies that fired while the dump budget was exhausted.
     pub fn suppressed(&self) -> u64 {
-        self.suppressed.load(std::sync::atomic::Ordering::Relaxed)
+        self.suppressed.load(Ordering::Relaxed)
     }
 
     fn cause_of(event: &Event) -> Option<DumpCause> {
@@ -195,20 +188,10 @@ impl FlightRecorder {
 
 impl Sink for FlightRecorder {
     fn emit(&self, event: TraceEvent) {
-        let mut inner = self.lock();
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
-        }
-        inner.ring.push_back(event);
+        self.ring.emit(event);
         if let Some(cause) = Self::cause_of(&event.event) {
-            let dump = FlightDump {
-                cause,
-                trigger_seq: event.seq,
-                trigger_pid: event.pid,
-                events: inner.ring.iter().copied().collect(),
-            };
-            if !Self::capture(&mut inner, self.max_dumps, dump) {
-                self.suppressed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if !self.freeze(cause, Some(&event)) {
+                self.suppressed.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -216,11 +199,9 @@ impl Sink for FlightRecorder {
 
 impl fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.lock();
         f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity)
-            .field("buffered", &inner.ring.len())
-            .field("dumps", &inner.dumps.len())
+            .field("ring", &self.ring)
+            .field("dumps", &self.lock().len())
             .field("suppressed", &self.suppressed())
             .finish()
     }

@@ -17,21 +17,23 @@
 //!   code holds; disabled by default so an untraced hot path pays one
 //!   branch and touches no shared state;
 //! * **Sinks** — [`RingSink`] (bounded per-process rings, merged on
-//!   drain), [`CountingSink`] (per-kind counts), [`FanoutSink`];
+//!   drain), [`CountingSink`] (per-kind counts), [`FanoutSink`] (one event
+//!   to several sinks);
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`], [`Registry`]) —
 //!   pre-resolved atomic handles behind a named registry; histograms use
 //!   the log₂-microsecond buckets the ABD layer has always reported;
 //! * **Exporters** ([`json_lines`], [`chrome_tracing`]) — JSON-lines for
 //!   machine consumption and a chrome://tracing document loadable in
-//!   `about:tracing` or Perfetto;
+//!   `about:tracing` or Perfetto, both rendered from the one field list
+//!   each [`Event`] variant declares (which its `Display` uses too);
 //! * **Causal spans** ([`Span`], [`SpanId`], [`SpanForest`]) — the
 //!   request-scoped tracing plane: parent-linked begin/end/annotate
 //!   emitted through the same sinks, reconstructable into span trees
 //!   that attribute a request's latency to named phases;
 //! * **Flight recorder** ([`FlightRecorder`], [`FlightDump`]) — a
-//!   bounded black-box ring frozen on anomalies (deadline exceeded,
-//!   breaker trip, overload shed) and rendered as cause-headed
-//!   JSON-lines.
+//!   [`RingSink`] whose rings are frozen, in `seq` order up to the
+//!   trigger, on anomalies (deadline exceeded, breaker trip, overload
+//!   shed) and rendered as cause-headed JSON-lines.
 //!
 //! Sharing a trace's [`Clock`] with the linearizability recorder puts
 //! operation intervals and trace events on one timestamp axis, which is
@@ -194,41 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_emits_one_parseable_object_per_event() {
-        let events = vec![
-            TraceEvent { seq: 0, pid: 1, event: Event::ScanBegin { algo: Algo::BoundedSw } },
-            TraceEvent {
-                seq: 1,
-                pid: 0,
-                event: Event::AbdQuorumReached {
-                    phase: AbdPhaseKind::Query,
-                    acks: 2,
-                    elapsed_us: 37,
-                },
-            },
-            TraceEvent {
-                seq: 2,
-                pid: 1,
-                event: Event::ScanEnd { algo: Algo::BoundedSw, double_collects: 1, borrowed: false },
-            },
-        ];
-        let out = json_lines(&events);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(
-            lines[0],
-            "{\"seq\":0,\"pid\":1,\"kind\":\"scan_begin\",\"algo\":\"bounded_sw\"}"
-        );
-        assert!(lines[1].contains("\"phase\":\"query\""));
-        assert!(lines[1].contains("\"elapsed_us\":37"));
-        assert!(lines[2].contains("\"borrowed\":false"));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-        }
-    }
-
-    #[test]
     fn spans_nest_annotate_and_reconstruct() {
         let sink = Arc::new(RingSink::new(2, 128));
         let trace = Trace::new(sink.clone());
@@ -338,7 +305,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_freezes_the_ring_on_anomalies() {
-        let recorder = Arc::new(FlightRecorder::new(16));
+        let recorder = Arc::new(FlightRecorder::new(RingSink::new(3, 16)));
         let trace = Trace::new(recorder.clone());
         let span = trace.root_span(2, SpanKind::Scan);
         span.note("attempt", 1);
@@ -369,8 +336,25 @@ mod tests {
     }
 
     #[test]
+    fn flight_recorder_freezes_every_pid_up_to_the_trigger() {
+        let recorder = Arc::new(FlightRecorder::new(RingSink::new(2, 16)));
+        let trace = Trace::new(recorder.clone());
+        trace.emit(0, Event::RegisterRead);
+        trace.emit(1, Event::RegisterWrite);
+        trace.emit(0, Event::RegisterWrite);
+        trace.emit(1, Event::BreakerTrip { shard: 0, trips: 1 });
+        trace.emit(0, Event::RegisterRead);
+
+        let dump = &recorder.dumps()[0];
+        assert_eq!((dump.trigger_seq, dump.trigger_pid), (3, 1));
+        let seen: Vec<(u64, usize)> = dump.events.iter().map(|e| (e.seq, e.pid)).collect();
+        assert_eq!(seen, vec![(0, 0), (1, 1), (2, 0), (3, 1)], "seq order, trigger last");
+        assert_eq!(recorder.ring().drain().len(), 5, "the ring keeps recording");
+    }
+
+    #[test]
     fn flight_recorder_bounds_its_dumps() {
-        let recorder = Arc::new(FlightRecorder::with_max_dumps(4, 2));
+        let recorder = Arc::new(FlightRecorder::with_max_dumps(RingSink::new(1, 4), 2));
         let trace = Trace::new(recorder.clone());
         for _ in 0..5 {
             trace.emit(0, Event::BreakerTrip { shard: 1, trips: 1 });
@@ -409,26 +393,5 @@ mod tests {
         assert_eq!(s.p50_us, 16);
         assert_eq!(s.p95_us, 16);
         assert_eq!(s.p99_us, 16);
-    }
-
-    #[test]
-    fn chrome_tracing_pairs_spans_and_marks_instants() {
-        let events = vec![
-            TraceEvent { seq: 0, pid: 3, event: Event::UpdateBegin { algo: Algo::MultiWriter } },
-            TraceEvent { seq: 1, pid: 3, event: Event::ToggleFlip { word: 0, toggle: true } },
-            TraceEvent {
-                seq: 2,
-                pid: 3,
-                event: Event::UpdateEnd { algo: Algo::MultiWriter, double_collects: 1 },
-            },
-        ];
-        let out = chrome_tracing(&events);
-        assert!(out.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(out.ends_with("]}"));
-        assert_eq!(out.matches("\"ph\":\"B\"").count(), 1);
-        assert_eq!(out.matches("\"ph\":\"E\"").count(), 1);
-        assert_eq!(out.matches("\"ph\":\"i\"").count(), 1);
-        assert!(out.contains("\"tid\":3"));
-        assert_eq!(out.matches('{').count(), out.matches('}').count());
     }
 }

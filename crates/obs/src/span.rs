@@ -6,9 +6,9 @@
 //! [`Event::SpanEnd`] (plus optional [`Event::SpanNote`] annotations)
 //! into the ordinary sink pipeline, and is reconstructed offline by
 //! [`SpanForest`](crate::SpanForest). Like [`Trace::emit`], opening a
-//! span against a disabled trace costs one branch, ticks no clock, and
-//! allocates nothing; every method on the resulting disabled span is a
-//! no-op.
+//! span against a disabled trace costs one branch, ticks no clock,
+//! allocates nothing and touches no shared state (the inert span keeps
+//! no handle on the trace); every method on it is a no-op.
 //!
 //! Span ids are derived from the begin event's sequence number
 //! (`seq + 1`), so they are globally unique on the shared [`Clock`]
@@ -86,12 +86,13 @@ impl fmt::Display for SpanId {
 /// clock; the end's `elapsed_us` is wall-clock, because stall attribution
 /// needs real time while ordering needs the logical axis.
 pub struct Span {
-    trace: Trace,
+    /// The trace the span reports to and when it opened; `None` once the
+    /// span has ended, and from the start on a disabled trace, so an inert
+    /// span holds no reference to anything shared.
+    open: Option<(Trace, Instant)>,
     id: SpanId,
     pid: usize,
     kind: SpanKind,
-    started: Option<Instant>,
-    ended: bool,
 }
 
 impl Span {
@@ -114,7 +115,14 @@ impl Span {
 
     /// Opens a child span on the same trace and pid.
     pub fn child(&self, kind: SpanKind) -> Span {
-        self.trace.span(self.pid, kind, self.id)
+        match &self.open {
+            Some((trace, _)) => trace.span(self.pid, kind, self.id),
+            None => Span::inert(self.pid, kind),
+        }
+    }
+
+    fn inert(pid: usize, kind: SpanKind) -> Span {
+        Span { open: None, id: SpanId::NONE, pid, kind }
     }
 
     /// Attaches a `key = value` annotation to this span.
@@ -122,8 +130,8 @@ impl Span {
     /// `key` must be a plain identifier (the exporters emit it unescaped,
     /// like every other static name in the taxonomy).
     pub fn note(&self, key: &'static str, value: u64) {
-        if self.is_recording() {
-            self.trace.emit(self.pid, Event::SpanNote { id: self.id.raw(), key, value });
+        if let Some((trace, _)) = &self.open {
+            trace.emit(self.pid, Event::SpanNote { id: self.id.raw(), key, value });
         }
     }
 
@@ -133,18 +141,13 @@ impl Span {
     }
 
     fn finish(&mut self, status: SpanStatus) {
-        if self.ended {
-            return;
+        if let Some((trace, started)) = self.open.take() {
+            let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            trace.emit(
+                self.pid,
+                Event::SpanEnd { id: self.id.raw(), kind: self.kind, status, elapsed_us },
+            );
         }
-        self.ended = true;
-        let elapsed_us = self
-            .started
-            .map(|t| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        self.trace.emit(
-            self.pid,
-            Event::SpanEnd { id: self.id.raw(), kind: self.kind, status, elapsed_us },
-        );
     }
 }
 
@@ -172,33 +175,15 @@ impl Trace {
     /// On a disabled trace this returns an inert span without ticking the
     /// clock, mirroring [`Trace::emit`].
     pub fn span(&self, pid: usize, kind: SpanKind, parent: SpanId) -> Span {
-        match self.sink() {
-            Some(sink) => {
-                let seq = self.clock().tick();
-                let id = SpanId(seq + 1);
-                sink.emit(TraceEvent {
-                    seq,
-                    pid,
-                    event: Event::SpanBegin { id: id.raw(), parent: parent.raw(), kind },
-                });
-                Span {
-                    trace: self.clone(),
-                    id,
-                    pid,
-                    kind,
-                    started: Some(Instant::now()),
-                    ended: false,
-                }
-            }
-            None => Span {
-                trace: self.clone(),
-                id: SpanId::NONE,
-                pid,
-                kind,
-                started: None,
-                ended: true,
-            },
-        }
+        let Some(sink) = self.sink() else { return Span::inert(pid, kind) };
+        let seq = self.clock().tick();
+        let id = SpanId(seq + 1);
+        sink.emit(TraceEvent {
+            seq,
+            pid,
+            event: Event::SpanBegin { id: id.raw(), parent: parent.raw(), kind },
+        });
+        Span { open: Some((self.clone(), Instant::now())), id, pid, kind }
     }
 
     /// Opens a root span (no parent) of `kind` on behalf of `pid`.

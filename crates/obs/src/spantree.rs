@@ -255,7 +255,7 @@ impl fmt::Display for SpanForest {
                 "{:indent$}S{} {} [{status}] {}us pid={} seq={}..{}",
                 "",
                 n.id,
-                n.kind,
+                n.kind.name(),
                 n.elapsed_us,
                 n.pid,
                 n.begin_seq,

@@ -1,8 +1,8 @@
 //! The trace handle, the [`Sink`] trait, and the built-in sinks.
 //!
 //! A [`Trace`] is the cheap, cloneable handle components hold. It is either
-//! disabled (the default — emitting costs exactly one branch and performs
-//! no atomic operation) or carries an `Arc<dyn Sink>` plus a shared
+//! disabled (the default — emitting an event or opening a span costs
+//! exactly one branch and performs no atomic operation) or carries an `Arc<dyn Sink>` plus a shared
 //! [`Clock`] that stamps every event with a global sequence number.
 
 use std::collections::VecDeque;
@@ -174,6 +174,18 @@ impl RingSink {
         all.sort_by_key(|e| e.seq);
         all
     }
+
+    /// Copies, without draining, every buffered event with `seq <= through`,
+    /// merged into one sequence ordered by `seq`.
+    pub(crate) fn copy_through(&self, through: u64) -> Vec<TraceEvent> {
+        let mut all: Vec<TraceEvent> = Vec::new();
+        for ring in &self.rings {
+            let g = ring.lock().expect("RingSink ring poisoned");
+            all.extend(g.iter().filter(|e| e.seq <= through));
+        }
+        all.sort_by_key(|e| e.seq);
+        all
+    }
 }
 
 impl Sink for RingSink {
@@ -272,5 +284,23 @@ impl Sink for FanoutSink {
 impl fmt::Debug for FanoutSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FanoutSink").field("sinks", &self.sinks.len()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SpanId, SpanKind};
+
+    #[test]
+    fn disabled_spans_leave_the_shared_clock_alone() {
+        let trace = Trace::disabled();
+        let refs = Arc::strong_count(&trace.clock.0);
+        let span = trace.span(0, SpanKind::Scan, SpanId::NONE);
+        let child = span.child(SpanKind::Collect);
+        assert_eq!(Arc::strong_count(&trace.clock.0), refs, "an inert span holds no trace");
+        drop(child);
+        drop(span);
+        assert_eq!(Arc::strong_count(&trace.clock.0), refs);
     }
 }

@@ -34,7 +34,7 @@
 //! monotone clock), so every lifecycle here is testable without a single
 //! `sleep`.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
@@ -209,9 +209,6 @@ pub struct Breaker {
     mode: AtomicU8,
     /// Microsecond reading when an open breaker may half-open.
     open_until_us: AtomicU64,
-    /// Consecutive backend failures since the last success (diagnostic;
-    /// trips no longer key off it). Saturates at `u32::MAX`.
-    consecutive: AtomicU32,
     /// Times this breaker has tripped open.
     trips: AtomicU64,
     /// Jitter sequence counter (deterministic splitmix64 stream).
@@ -228,7 +225,6 @@ impl Breaker {
         Breaker {
             mode: AtomicU8::new(CLOSED),
             open_until_us: AtomicU64::new(0),
-            consecutive: AtomicU32::new(0),
             trips: AtomicU64::new(0),
             jitter_seq: AtomicU64::new(0),
             seed,
@@ -319,7 +315,6 @@ impl Breaker {
     /// so the caller can surface the transition (trace event, flight
     /// recorder) without polling [`state`](Self::state).
     pub fn on_success(&self, now_us: u64, cfg: &HealthConfig) -> bool {
-        self.consecutive.store(0, Ordering::Release);
         let mut w = self.lock();
         match self.mode.load(Ordering::Acquire) {
             CLOSED => {
@@ -359,11 +354,6 @@ impl Breaker {
     /// (closed→open or half-open→open), so the caller can surface the
     /// transition (trace event, flight recorder) at the moment it happens.
     pub fn on_failure(&self, retryable: bool, now_us: u64, cfg: &HealthConfig) -> bool {
-        // Saturating, not wrapping: a counter that wraps to zero after
-        // u32::MAX failures would report a long-dead shard as healthy.
-        let _ = self
-            .consecutive
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| Some(c.saturating_add(1)));
         let mut w = self.lock();
         if !retryable {
             self.trip(&mut w, now_us, cfg);
@@ -401,11 +391,6 @@ impl Breaker {
     pub fn is_open(&self, now_us: u64) -> bool {
         self.mode.load(Ordering::Acquire) == OPEN
             && now_us < self.open_until_us.load(Ordering::Acquire)
-    }
-
-    /// Consecutive backend failures since the last success (saturating).
-    pub fn consecutive(&self) -> u32 {
-        self.consecutive.load(Ordering::Acquire)
     }
 
     /// Times this breaker has tripped open since construction.
@@ -570,20 +555,6 @@ mod tests {
         // ... but terminal errors still trip it.
         b.on_failure(false, 0, &cfg);
         assert!(b.is_open(0));
-    }
-
-    #[test]
-    fn consecutive_counter_saturates_instead_of_wrapping() {
-        // Regression: `fetch_add` wraps at u32::MAX, so a long outage
-        // would roll the diagnostic counter back to zero.
-        let b = Breaker::new(11);
-        b.consecutive.store(u32::MAX - 1, Ordering::Release);
-        b.on_failure(true, 0, &CFG);
-        assert_eq!(b.consecutive(), u32::MAX);
-        b.on_failure(true, 0, &CFG);
-        assert_eq!(b.consecutive(), u32::MAX, "must saturate, not wrap to 0");
-        b.on_success(0, &CFG);
-        assert_eq!(b.consecutive(), 0);
     }
 
     #[test]

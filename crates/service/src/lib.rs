@@ -96,10 +96,11 @@
 //! `quorum_query`/`quorum_store` phases nested under the collect via
 //! `snapshot_core::RequestCtx`.
 //! `snapshot_obs::SpanForest::attribute_stall` names the phase a slow
-//! request spent its time in. Wire a `snapshot_obs::FlightRecorder`
-//! into the same trace and every `DeadlineExceeded`, breaker trip, or
+//! request spent its time in. Make a `snapshot_obs::FlightRecorder`
+//! the trace's sink and every `DeadlineExceeded`, breaker trip, or
 //! `Overloaded` shed freezes a black-box dump of the events (spans
-//! included) leading up to it. Per-op-class latency quantiles come from
+//! included) leading up to it, while the recorder's `RingSink` keeps the
+//! whole rolling window. Per-op-class latency quantiles come from
 //! [`SnapshotService::latency_summaries`].
 //!
 //! ## Quickstart

@@ -5,9 +5,9 @@
 //! retry budget → the per-shard health gate shedding with `Degraded` →
 //! heal → half-open probe → full recovery.
 //!
-//! The whole run is causally traced: a [`FlightRecorder`] rides the same
-//! trace as the ring buffer, so the breaker trip and the expired deadline
-//! each freeze a black-box dump of the spans leading up to them. Pass an
+//! The whole run is causally traced into a [`FlightRecorder`]'s ring
+//! buffer, so the breaker trip and the expired deadline each freeze a
+//! black-box dump of the spans leading up to them. Pass an
 //! output path as the first argument to write the breaker-trip dump as
 //! JSON-lines (plus a chrome://tracing span file next to it) for offline
 //! forensics.
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use snapshot_abd::{AbdSnapshotCore, Network, NetworkConfig, RetryPolicy};
 use snapshot_obs::{
-    chrome_tracing, DumpCause, FanoutSink, FlightRecorder, Registry, RingSink, Trace,
+    chrome_tracing, DumpCause, FlightRecorder, Registry, RingSink, Trace,
 };
 use snapshot_service::{
     HealthConfig, RetryConfig, ServiceConfig, ServiceError, SnapshotService,
@@ -30,12 +30,11 @@ fn main() {
     const REPLICAS: usize = 5;
 
     let registry = Registry::new();
-    // One trace plane for the whole stack: the ring keeps a rolling
-    // window for the final report, the flight recorder freezes a dump
-    // whenever a breaker trips or a deadline expires.
-    let ring = Arc::new(RingSink::new(LANES, 8_192));
-    let recorder = Arc::new(FlightRecorder::with_max_dumps(4_096, 16));
-    let trace = Trace::new(Arc::new(FanoutSink::new(vec![ring.clone(), recorder.clone()])));
+    // One trace plane for the whole stack: the flight recorder's ring
+    // keeps a rolling window for the final report, and the recorder
+    // freezes it whenever a breaker trips or a deadline expires.
+    let recorder = Arc::new(FlightRecorder::with_max_dumps(RingSink::new(LANES, 8_192), 16));
+    let trace = Trace::new(recorder.clone());
     let network = Arc::new(Network::with_config(
         NetworkConfig::new(REPLICAS)
             .with_op_timeout(Duration::from_millis(50))
@@ -206,7 +205,7 @@ fn main() {
     // ordinary trace dump) and the ring's span trace (chrome://tracing).
     if let Some(path) = std::env::args().nth(1) {
         std::fs::write(&path, &rendered).expect("write the flight dump");
-        let events = ring.drain();
+        let events = recorder.ring().drain();
         std::fs::write(format!("{path}.chrome.json"), chrome_tracing(&events))
             .expect("write the chrome span trace");
         println!("flight dump written to {path} (+ .chrome.json span trace)");

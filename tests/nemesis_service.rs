@@ -29,7 +29,7 @@ use snapshot_bench::scripted::{gated_core, Gate, ScanHook};
 use snapshot_core::{CoreError, TrySnapshotCore, UnboundedSnapshot};
 use snapshot_lin::{check_history, Recorder};
 use snapshot_obs::{
-    DumpCause, FanoutSink, FlightRecorder, Registry, RingSink, SpanForest, SpanStatus, Trace,
+    DumpCause, FlightRecorder, Registry, RingSink, SpanForest, SpanStatus, Trace,
 };
 use snapshot_registers::ProcessId;
 use snapshot_service::{
@@ -301,9 +301,8 @@ fn nemesis_subset_scans_return_projections_or_typed_errors() {
 /// span tree alone.
 #[test]
 fn blackout_flight_dump_attributes_the_stall_to_a_named_phase() {
-    let ring = Arc::new(RingSink::new(LANES, 8192));
-    let recorder = Arc::new(FlightRecorder::with_max_dumps(1024, 64));
-    let trace = Trace::new(Arc::new(FanoutSink::new(vec![ring.clone(), recorder.clone()])));
+    let recorder = Arc::new(FlightRecorder::with_max_dumps(RingSink::new(LANES, 1024), 64));
+    let trace = Trace::new(recorder.clone());
     let network = Arc::new(Network::with_config(
         NetworkConfig::new(REPLICAS)
             .with_op_timeout(Duration::from_millis(5))
@@ -746,16 +745,14 @@ fn slow_degrading_shard_trips_the_windowed_breaker() {
     let history = recorder.finish();
     assert!(check_history(&history).is_linearizable(), "{history:?}");
 
-    // The consecutive-failure counter the windowed breaker replaced
-    // provably cannot fire here: the same alternating outcome schedule
-    // never stacks two failures, so its count never leaves {0, 1}.
+    // The same alternating outcome schedule never stacks two failures,
+    // yet a bare breaker fed it trips: a success does not reset the
+    // window the way it reset the consecutive-failure counter it replaced.
     let raw = Breaker::new(0);
     let cfg = ladder_health(Duration::from_millis(40));
     for t in 0..32u64 {
         raw.on_success(t, &cfg);
-        assert_eq!(raw.consecutive(), 0, "success resets the consecutive count");
         raw.on_failure(true, t, &cfg);
-        assert_eq!(raw.consecutive(), 1, "the alternating schedule never stacks failures");
     }
     assert!(raw.trips() >= 1, "the window still tripped on the same schedule");
 }

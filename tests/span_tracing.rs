@@ -24,7 +24,7 @@ use snapshot_abd::{AbdSnapshotCore, Network, NetworkConfig};
 use snapshot_bench::scripted::{gated_core, Gate};
 use snapshot_core::{TrySnapshotCore, UnboundedSnapshot};
 use snapshot_obs::{
-    chrome_tracing, DumpCause, FanoutSink, FlightRecorder, RingSink, SpanForest, SpanKind,
+    chrome_tracing, DumpCause, FlightRecorder, RingSink, SpanForest, SpanKind,
     SpanStatus, Trace,
 };
 use snapshot_service::{HealthConfig, ServiceConfig, ServiceError, SnapshotService};
@@ -95,9 +95,8 @@ fn flight_recorder_dump_contains_the_expired_requests_span_path() {
     let (core, Gate { held: gate, entered, .. }) = gate_core(CLIENTS);
     gate.store(true, Ordering::SeqCst);
 
-    let ring = Arc::new(RingSink::new(CLIENTS, 1024));
-    let recorder = Arc::new(FlightRecorder::new(512));
-    let trace = Trace::new(Arc::new(FanoutSink::new(vec![ring.clone(), recorder.clone()])));
+    let recorder = Arc::new(FlightRecorder::new(RingSink::new(CLIENTS, 512)));
+    let trace = Trace::new(recorder.clone());
     let service = SnapshotService::with_config(
         core,
         ServiceConfig { health: HealthConfig::disabled(), ..ServiceConfig::default() },

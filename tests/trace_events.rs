@@ -308,7 +308,7 @@ fn rejected_history_renders_an_annotated_timeline() {
     );
     assert!(timeline.contains("scan -> [0, 0]"), "the stale view is on the timeline");
     assert!(
-        timeline.contains("borrow_decision(lender=P0, moved=3)"),
+        timeline.contains("borrow_decision(lender=0, moved=3)"),
         "the fatal borrow is on the timeline:\n{timeline}"
     );
     assert!(
