@@ -2,8 +2,9 @@
 //!
 //! A [`Trace`] is the cheap, cloneable handle components hold. It is either
 //! disabled (the default — emitting an event or opening a span costs
-//! exactly one branch and performs no atomic operation) or carries an `Arc<dyn Sink>` plus a shared
-//! [`Clock`] that stamps every event with a global sequence number.
+//! exactly one branch and performs no atomic operation) or carries an
+//! `Arc<dyn Sink>` plus a shared [`Clock`] that stamps every event with a
+//! global sequence number.
 
 use std::collections::VecDeque;
 use std::fmt;
