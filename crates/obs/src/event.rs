@@ -409,19 +409,6 @@ pub enum Event {
         /// Lifetime trip count for the shard, including this one.
         trips: u64,
     },
-    /// A load report was taken: the service's instantaneous diagnosis of
-    /// per-shard traffic skew.
-    LoadReport {
-        /// The busiest shard (meaningful only when `skewed` is true).
-        hot_shard: usize,
-        /// True if the report diagnosed meaningful skew (volume past the
-        /// floor and the leader at ≥ 2× the per-shard mean).
-        skewed: bool,
-        /// The leader's hit share, in permille of the per-shard mean.
-        skew_permille: u64,
-        /// Shards whose breakers were open when the report was taken.
-        open_shards: u32,
-    },
     /// A real-transport client dialed (or redialed) a replica endpoint.
     TransportDial {
         /// The replica index being dialed.
@@ -677,15 +664,6 @@ impl Event {
             Event::BreakerTrip { shard, trips } => {
                 Fields::new("breaker_trip", [("shard", Num(shard as u64)), ("trips", Num(trips))])
             }
-            Event::LoadReport { hot_shard, skewed, skew_permille, open_shards } => Fields::new(
-                "load_report",
-                [
-                    ("hot_shard", Num(hot_shard as u64)),
-                    ("skewed", Bool(skewed)),
-                    ("skew_permille", Num(skew_permille)),
-                    ("open_shards", Num(open_shards as u64)),
-                ],
-            ),
             Event::TransportDial { replica, attempt } => Fields::new(
                 "transport_dial",
                 [("replica", Num(replica as u64)), ("attempt", Num(attempt as u64))],

@@ -41,7 +41,6 @@ fn one_of_each() -> Vec<Event> {
         Event::SpanEnd { id: 32, kind: SpanKind::QuorumStore, status: SpanStatus::Expired, elapsed_us: 33 },
         Event::SpanNote { id: 34, key: "shard", value: 35 },
         Event::BreakerTrip { shard: 36, trips: 37 },
-        Event::LoadReport { hot_shard: 38, skewed: true, skew_permille: 39, open_shards: 40 },
         Event::TransportDial { replica: 41, attempt: 42 },
         Event::TransportConnected { replica: 43, attempt: 44 },
         Event::TransportDropped { replica: 45 },
@@ -64,7 +63,7 @@ fn stamped() -> Vec<TraceEvent> {
 #[test]
 fn every_variant_renders_to_the_checked_in_json_lines() {
     let events = stamped();
-    assert_eq!(events.len(), 37, "one instance per variant");
+    assert_eq!(events.len(), 36, "one instance per variant");
     assert_eq!(json_lines(&events), include_str!("golden/events.jsonl"));
 }
 

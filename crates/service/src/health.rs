@@ -14,7 +14,9 @@
 //!   not a sick shard). A terminal, non-retryable error (a poisoned
 //!   replica fleet) trips immediately. Unlike a consecutive-failure
 //!   counter, a shard failing every *other* request — degrading, but
-//!   never twice in a row — still trips;
+//!   never twice in a row — still trips. A closed breaker whose window
+//!   is full and holds no error is **clean**: a success cannot change
+//!   that window, so recording one is a single atomic load;
 //! * **open** — requests are shed with
 //!   [`ServiceError::Degraded`](crate::ServiceError::Degraded) carrying a
 //!   **jittered** `retry_after` hint (so a shed cohort does not
@@ -38,7 +40,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::load::Priority;
+use crate::priority::Priority;
 
 /// Circuit-breaker tuning for the per-shard health gates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,7 +122,7 @@ pub enum Gate {
 /// Breaker mode for [`Breaker::state`] (diagnostics and tests).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakerState {
-    /// Admitting normally, watching the outcome window.
+    /// Admitting normally, watching the outcome window (clean or not).
     Closed,
     /// Shedding until the cooldown instant.
     Open {
@@ -137,6 +139,11 @@ pub enum BreakerState {
 const CLOSED: u8 = 0;
 const OPEN: u8 = 1;
 const HALF_OPEN: u8 = 2;
+/// Closed, with a full window that holds no error. Pushing a success onto
+/// such a window leaves it as it was, so a success seen here needs no
+/// lock. Entered only under the lock, by a success that fills an
+/// error-free window; any failure leaves it.
+const CLEAN: u8 = 3;
 
 /// Sliding outcome window plus half-open ramp bookkeeping, under one
 /// mutex (consulted only off the closed-breaker fast path).
@@ -157,9 +164,9 @@ struct Window {
 }
 
 impl Window {
+    /// Pushes one outcome, evicting the oldest once `window` are held.
     fn push(&mut self, err: bool, window: u32) {
-        let window = window.clamp(1, 64);
-        while self.len >= window {
+        if self.len == window {
             let oldest = 1u64 << (self.len - 1);
             if self.bits & oldest != 0 {
                 self.errors -= 1;
@@ -199,13 +206,15 @@ fn duration_us(d: Duration) -> u64 {
 /// One shard's error-rate windowed circuit breaker.
 ///
 /// The closed-state admission check is a single atomic load (the gate
-/// sits on the request fast path); window and ramp bookkeeping live
-/// behind a mutex taken only on failures, on half-open traffic, and on
-/// closed-state success recording.
+/// sits on the request fast path), and so is recording a success on a
+/// clean breaker; window and ramp bookkeeping live behind a mutex taken
+/// only on failures, on half-open traffic, and on successes that change
+/// the window.
 #[derive(Debug)]
 pub struct Breaker {
-    /// `CLOSED` / `OPEN` / `HALF_OPEN` fast-path mode. Transitions happen
-    /// under `window`'s lock; this is the lock-free read hint.
+    /// `CLOSED` / `CLEAN` / `OPEN` / `HALF_OPEN` fast-path mode.
+    /// Transitions happen under `window`'s lock; this is the lock-free
+    /// read hint.
     mode: AtomicU8,
     /// Microsecond reading when an open breaker may half-open.
     open_until_us: AtomicU64,
@@ -215,19 +224,24 @@ pub struct Breaker {
     jitter_seq: AtomicU64,
     /// Per-breaker jitter seed (the shard index, so shards de-correlate).
     seed: u64,
+    /// The tuning, fixed for the breaker's life (`window` clamped into
+    /// `[1, 64]`), so the window size `CLEAN` depends on never changes.
+    cfg: HealthConfig,
     window: Mutex<Window>,
 }
 
 impl Breaker {
-    /// A closed breaker. `seed` de-correlates this breaker's jitter
-    /// stream from its siblings' (the service passes the shard index).
-    pub fn new(seed: u64) -> Self {
+    /// A closed breaker tuned by `cfg`. `seed` de-correlates this
+    /// breaker's jitter stream from its siblings' (the service passes the
+    /// shard index).
+    pub fn new(seed: u64, cfg: HealthConfig) -> Self {
         Breaker {
             mode: AtomicU8::new(CLOSED),
             open_until_us: AtomicU64::new(0),
             trips: AtomicU64::new(0),
             jitter_seq: AtomicU64::new(0),
             seed,
+            cfg: HealthConfig { window: cfg.window.clamp(1, 64), ..cfg },
             window: Mutex::new(Window::default()),
         }
     }
@@ -238,8 +252,8 @@ impl Breaker {
 
     /// `base` ± `jitter_pct`%, drawn from this breaker's deterministic
     /// jitter stream.
-    fn jittered(&self, base: Duration, cfg: &HealthConfig) -> Duration {
-        let pct = u64::from(cfg.jitter_pct.min(100));
+    fn jittered(&self, base: Duration) -> Duration {
+        let pct = u64::from(self.cfg.jitter_pct.min(100));
         let base_us = duration_us(base);
         if pct == 0 || base_us == 0 {
             return base;
@@ -251,22 +265,23 @@ impl Breaker {
     }
 
     /// Consults the gate at `now_us` for a request of class `priority`.
-    pub fn check(&self, now_us: u64, priority: Priority, cfg: &HealthConfig) -> Gate {
-        if self.mode.load(Ordering::Acquire) == CLOSED {
+    pub fn check(&self, now_us: u64, priority: Priority) -> Gate {
+        if let CLOSED | CLEAN = self.mode.load(Ordering::Acquire) {
             return Gate::Admit;
         }
-        self.check_slow(now_us, priority, cfg)
+        self.check_slow(now_us, priority)
     }
 
-    fn check_slow(&self, now_us: u64, priority: Priority, cfg: &HealthConfig) -> Gate {
+    fn check_slow(&self, now_us: u64, priority: Priority) -> Gate {
+        let cfg = &self.cfg;
         let mut w = self.lock();
         match self.mode.load(Ordering::Acquire) {
-            CLOSED => return Gate::Admit, // raced with a close
+            CLOSED | CLEAN => return Gate::Admit, // raced with a close
             OPEN => {
                 let open_until = self.open_until_us.load(Ordering::Acquire);
                 if now_us < open_until {
                     let left = Duration::from_micros(open_until - now_us);
-                    return Gate::Shed { retry_after: self.jittered(left, cfg) };
+                    return Gate::Shed { retry_after: self.jittered(left) };
                 }
                 // Cooldown elapsed: half-open and start the ramp fresh.
                 self.mode.store(HALF_OPEN, Ordering::Release);
@@ -286,11 +301,11 @@ impl Breaker {
         if u64::from(priority.rank()) < required {
             let wait = required - u64::from(priority.rank());
             let hint = cfg.ramp_interval.saturating_mul(wait.min(4) as u32);
-            return Gate::Shed { retry_after: self.jittered(hint, cfg) };
+            return Gate::Shed { retry_after: self.jittered(hint) };
         }
         let granted = u64::from(cfg.ramp_tokens.max(1)).saturating_mul(1 + elapsed_intervals);
         if u64::from(w.tokens_used) >= granted {
-            return Gate::Shed { retry_after: self.jittered(cfg.ramp_interval, cfg) };
+            return Gate::Shed { retry_after: self.jittered(cfg.ramp_interval) };
         }
         w.tokens_used += 1;
         Gate::Probe
@@ -314,14 +329,24 @@ impl Breaker {
     /// Returns `true` exactly when this outcome tripped the breaker open,
     /// so the caller can surface the transition (trace event, flight
     /// recorder) without polling [`state`](Self::state).
-    pub fn on_success(&self, now_us: u64, cfg: &HealthConfig) -> bool {
+    ///
+    /// On a clean breaker this returns at once, without the lock: the
+    /// success would leave the full error-free window as it was.
+    pub fn on_success(&self, now_us: u64) -> bool {
+        if self.mode.load(Ordering::Acquire) == CLEAN {
+            return false;
+        }
+        let cfg = &self.cfg;
         let mut w = self.lock();
         match self.mode.load(Ordering::Acquire) {
             CLOSED => {
                 w.push(false, cfg.window);
                 if w.rate_tripped(cfg) {
-                    self.trip(&mut w, now_us, cfg);
+                    self.trip(&mut w, now_us);
                     return true;
+                }
+                if w.errors == 0 && w.len == cfg.window {
+                    self.mode.store(CLEAN, Ordering::Release);
                 }
             }
             HALF_OPEN => {
@@ -339,8 +364,9 @@ impl Breaker {
                     w.reset();
                 }
             }
-            // A success from an operation admitted before the trip: the
-            // cooldown stands (the ramp, not a straggler, closes it).
+            // A success from an operation admitted before the trip (the
+            // cooldown stands: the ramp, not a straggler, closes it), or
+            // one that raced another into `CLEAN`.
             _ => {}
         }
         false
@@ -353,22 +379,23 @@ impl Breaker {
     /// Returns `true` exactly when this outcome tripped the breaker open
     /// (closed→open or half-open→open), so the caller can surface the
     /// transition (trace event, flight recorder) at the moment it happens.
-    pub fn on_failure(&self, retryable: bool, now_us: u64, cfg: &HealthConfig) -> bool {
+    pub fn on_failure(&self, retryable: bool, now_us: u64) -> bool {
         let mut w = self.lock();
         if !retryable {
-            self.trip(&mut w, now_us, cfg);
+            self.trip(&mut w, now_us);
             return true;
         }
         match self.mode.load(Ordering::Acquire) {
-            CLOSED => {
-                w.push(true, cfg.window);
-                if w.rate_tripped(cfg) {
-                    self.trip(&mut w, now_us, cfg);
+            CLOSED | CLEAN => {
+                w.push(true, self.cfg.window);
+                if w.rate_tripped(&self.cfg) {
+                    self.trip(&mut w, now_us);
                     return true;
                 }
+                self.mode.store(CLOSED, Ordering::Release);
             }
             HALF_OPEN => {
-                self.trip(&mut w, now_us, cfg);
+                self.trip(&mut w, now_us);
                 return true;
             }
             // Already open: a straggler from before the trip.
@@ -377,9 +404,9 @@ impl Breaker {
         false
     }
 
-    fn trip(&self, w: &mut Window, now_us: u64, cfg: &HealthConfig) {
+    fn trip(&self, w: &mut Window, now_us: u64) {
         self.open_until_us
-            .store(now_us.saturating_add(duration_us(cfg.cooldown)), Ordering::Release);
+            .store(now_us.saturating_add(duration_us(self.cfg.cooldown)), Ordering::Release);
         self.mode.store(OPEN, Ordering::Release);
         self.trips.fetch_add(1, Ordering::Relaxed);
         w.reset();
@@ -408,12 +435,6 @@ impl Breaker {
     }
 }
 
-impl Default for Breaker {
-    fn default() -> Self {
-        Breaker::new(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,17 +453,17 @@ mod tests {
 
     fn fail_n(b: &Breaker, n: usize, now_us: u64) {
         for _ in 0..n {
-            b.on_failure(true, now_us, &CFG);
+            b.on_failure(true, now_us);
         }
     }
 
     #[test]
     fn volume_guard_blocks_low_sample_trips() {
-        let b = Breaker::new(1);
+        let b = Breaker::new(1, CFG);
         fail_n(&b, 3, 0); // 100% error rate but below min_volume = 4
-        assert!(matches!(b.check(0, Priority::Full, &CFG), Gate::Admit));
+        assert!(matches!(b.check(0, Priority::Full), Gate::Admit));
         assert_eq!(b.trips(), 0);
-        b.on_failure(true, 0, &CFG); // volume reached, rate 100%
+        b.on_failure(true, 0); // volume reached, rate 100%
         assert!(b.is_open(50));
         assert_eq!(b.trips(), 1);
     }
@@ -452,39 +473,39 @@ mod tests {
         // The consecutive-failure counter this breaker replaced reset on
         // every success: an alternating shard never tripped it. A 50%
         // window rate trips here as soon as the volume guard is met.
-        let b = Breaker::new(2);
+        let b = Breaker::new(2, CFG);
         for _ in 0..2 {
-            b.on_success(0, &CFG);
-            b.on_failure(true, 0, &CFG);
+            b.on_success(0);
+            b.on_failure(true, 0);
         }
         assert!(b.is_open(0), "S F S F is a 50% window: must trip");
     }
 
     #[test]
     fn below_rate_windows_never_trip() {
-        let b = Breaker::new(3);
+        let b = Breaker::new(3, CFG);
         for _ in 0..20 {
-            b.on_success(0, &CFG);
-            b.on_success(0, &CFG);
-            b.on_success(0, &CFG);
-            b.on_failure(true, 0, &CFG); // 25% < 50%
+            b.on_success(0);
+            b.on_success(0);
+            b.on_success(0);
+            b.on_failure(true, 0); // 25% < 50%
         }
-        assert!(matches!(b.check(0, Priority::Bulk, &CFG), Gate::Admit));
+        assert!(matches!(b.check(0, Priority::Bulk), Gate::Admit));
         assert_eq!(b.trips(), 0);
     }
 
     #[test]
     fn terminal_errors_trip_immediately() {
-        let b = Breaker::new(4);
-        b.on_failure(false, 0, &CFG);
+        let b = Breaker::new(4, CFG);
+        b.on_failure(false, 0);
         assert!(b.is_open(0), "one non-retryable failure is enough");
     }
 
     #[test]
     fn open_breaker_sheds_with_remaining_cooldown() {
-        let b = Breaker::new(5);
+        let b = Breaker::new(5, CFG);
         fail_n(&b, 4, 0);
-        match b.check(40, Priority::Full, &CFG) {
+        match b.check(40, Priority::Full) {
             Gate::Shed { retry_after } => {
                 assert_eq!(retry_after, Duration::from_micros(60), "no jitter configured")
             }
@@ -494,77 +515,75 @@ mod tests {
 
     #[test]
     fn half_open_ramp_admits_by_priority_then_closes() {
-        let b = Breaker::new(6);
+        let b = Breaker::new(6, CFG);
         fail_n(&b, 4, 0);
         let t = 150; // past cooldown: first consult half-opens
         // Ramp step 0: probe-class only.
-        assert!(matches!(b.check(t, Priority::Full, &CFG), Gate::Shed { .. }));
-        assert!(matches!(b.check(t, Priority::Probe, &CFG), Gate::Probe));
-        b.on_success(0, &CFG); // ramp 1/2: partials now eligible
-        assert!(matches!(b.check(t, Priority::Partial, &CFG), Gate::Probe));
-        assert!(matches!(b.check(t, Priority::Full, &CFG), Gate::Shed { .. }));
-        b.on_success(0, &CFG); // ramp 2/2: fully closed
+        assert!(matches!(b.check(t, Priority::Full), Gate::Shed { .. }));
+        assert!(matches!(b.check(t, Priority::Probe), Gate::Probe));
+        b.on_success(0); // ramp 1/2: partials now eligible
+        assert!(matches!(b.check(t, Priority::Partial), Gate::Probe));
+        assert!(matches!(b.check(t, Priority::Full), Gate::Shed { .. }));
+        b.on_success(0); // ramp 2/2: fully closed
         assert_eq!(b.state(), BreakerState::Closed);
-        assert!(matches!(b.check(t, Priority::Bulk, &CFG), Gate::Admit));
+        assert!(matches!(b.check(t, Priority::Bulk), Gate::Admit));
         assert!(!b.is_open(t));
     }
 
     #[test]
     fn elapsed_ramp_intervals_lower_the_admitted_rank() {
         // Liveness without probe traffic: rank descends with time alone.
-        let b = Breaker::new(7);
+        let b = Breaker::new(7, CFG);
         fail_n(&b, 4, 0);
-        assert!(matches!(b.check(150, Priority::Bulk, &CFG), Gate::Shed { .. }));
+        assert!(matches!(b.check(150, Priority::Bulk), Gate::Shed { .. }));
         // 3 intervals after half-opening at t=150, even bulk is eligible.
-        assert!(matches!(b.check(150 + 30, Priority::Bulk, &CFG), Gate::Probe));
+        assert!(matches!(b.check(150 + 30, Priority::Bulk), Gate::Probe));
     }
 
     #[test]
     fn ramp_tokens_bound_half_open_admissions() {
-        let b = Breaker::new(8);
+        let b = Breaker::new(8, CFG);
         fail_n(&b, 4, 0);
-        assert!(matches!(b.check(150, Priority::Probe, &CFG), Gate::Probe));
+        assert!(matches!(b.check(150, Priority::Probe), Gate::Probe));
         // One token per interval; the same instant has none left.
-        assert!(matches!(b.check(150, Priority::Probe, &CFG), Gate::Shed { .. }));
+        assert!(matches!(b.check(150, Priority::Probe), Gate::Shed { .. }));
         // A released (unused) token can be reclaimed.
         b.release_probe();
-        assert!(matches!(b.check(150, Priority::Probe, &CFG), Gate::Probe));
+        assert!(matches!(b.check(150, Priority::Probe), Gate::Probe));
         // The next interval grants a fresh one.
-        assert!(matches!(b.check(161, Priority::Probe, &CFG), Gate::Probe));
+        assert!(matches!(b.check(161, Priority::Probe), Gate::Probe));
     }
 
     #[test]
     fn failed_probe_reopens_a_fresh_cooldown() {
-        let b = Breaker::new(9);
+        let b = Breaker::new(9, CFG);
         fail_n(&b, 4, 0);
-        assert!(matches!(b.check(150, Priority::Probe, &CFG), Gate::Probe));
-        b.on_failure(true, 150, &CFG);
+        assert!(matches!(b.check(150, Priority::Probe), Gate::Probe));
+        b.on_failure(true, 150);
         assert!(b.is_open(200), "failed probe re-opens");
-        assert!(matches!(b.check(151, Priority::Probe, &CFG), Gate::Shed { .. }));
-        assert!(matches!(b.check(251, Priority::Probe, &CFG), Gate::Probe));
+        assert!(matches!(b.check(151, Priority::Probe), Gate::Shed { .. }));
+        assert!(matches!(b.check(251, Priority::Probe), Gate::Probe));
     }
 
     #[test]
     fn disabled_config_never_rate_trips() {
-        let cfg = HealthConfig::disabled();
-        let b = Breaker::new(10);
+        let b = Breaker::new(10, HealthConfig::disabled());
         for _ in 0..1000 {
-            b.on_failure(true, 0, &cfg);
+            b.on_failure(true, 0);
         }
-        assert!(matches!(b.check(0, Priority::Full, &cfg), Gate::Admit));
+        assert!(matches!(b.check(0, Priority::Full), Gate::Admit));
         // ... but terminal errors still trip it.
-        b.on_failure(false, 0, &cfg);
+        b.on_failure(false, 0);
         assert!(b.is_open(0));
     }
 
     #[test]
     fn retry_hints_are_jittered_within_the_band() {
-        let cfg = HealthConfig { jitter_pct: 25, ..CFG };
-        let b = Breaker::new(12);
-        b.on_failure(false, 0, &cfg); // open until 100µs
+        let b = Breaker::new(12, HealthConfig { jitter_pct: 25, ..CFG });
+        b.on_failure(false, 0); // open until 100µs
         let mut seen = std::collections::HashSet::new();
         for _ in 0..32 {
-            match b.check(0, Priority::Full, &cfg) {
+            match b.check(0, Priority::Full) {
                 Gate::Shed { retry_after } => {
                     let us = retry_after.as_micros() as u64;
                     assert!((75..=125).contains(&us), "hint {us}µs outside ±25% of 100µs");
@@ -577,14 +596,30 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_window_evicts_oldest_outcomes() {
-        let mut w = Window::default();
-        for _ in 0..8 {
-            w.push(true, 8);
+    fn clean_is_entered_on_a_full_error_free_window_and_left_on_a_failure() {
+        let b = Breaker::new(13, CFG);
+        let mode = || b.mode.load(Ordering::Acquire);
+        for _ in 1..CFG.window {
+            b.on_success(0);
+            assert_eq!(mode(), CLOSED, "the window is not full yet");
         }
-        assert_eq!((w.len, w.errors), (8, 8));
-        w.push(false, 4); // window shrank: evict down to 3 then push
-        assert_eq!(w.len, 4);
-        assert_eq!(w.errors, 3);
+        b.on_success(0);
+        assert_eq!(mode(), CLEAN, "`window` successes fill an error-free window");
+        assert_eq!(b.state(), BreakerState::Closed);
+        b.on_success(0); // the lock-free return: the window is unchanged
+        let w = b.lock();
+        assert_eq!((w.len, w.errors), (CFG.window, 0));
+        drop(w);
+
+        b.on_failure(true, 0);
+        assert_eq!(mode(), CLOSED, "a failure leaves CLEAN");
+        assert!(matches!(b.check(0, Priority::Bulk), Gate::Admit));
+        for _ in 1..CFG.window {
+            b.on_success(0);
+            assert_eq!(mode(), CLOSED, "the failure is still in the window");
+        }
+        b.on_success(0);
+        assert_eq!(mode(), CLEAN, "`window` more successes evict it");
+        assert_eq!(b.trips(), 0);
     }
 }

@@ -16,9 +16,10 @@
 //! the service adds no linearizability argument of its own and no
 //! request waits for another request's collect, retry or sleep. What the
 //! service adds is bounded per request: admission is a wait-free budget
-//! check, the one lock on the path (a shard breaker's window) guards
-//! O(1) work, and retry backoff sleeps never outlive the request's
-//! deadline. Views are not shared between requests: a request may only
+//! check, a healthy shard's breaker records a success with one atomic
+//! load (its window lock is taken only when the window changes, and then
+//! guards O(1) work), and retry backoff sleeps never outlive the
+//! request's deadline. Views are not shared between requests: a request may only
 //! take a view whose collect began after it arrived, so taking one would
 //! mean waiting for another request's collect to finish.
 //!
@@ -41,13 +42,13 @@
 //! ## Sharding and admission control
 //!
 //! Segments are partitioned into contiguous shards, each with its own
-//! cache-padded circuit breaker and load row, so a sick range sheds only
-//! the requests that touch it. A bounded in-flight budget turns overload
-//! into a typed [`ServiceError::Overloaded`] rejection (wait-free
-//! admission — there is no queue), and everything is observable through
-//! `snapshot-obs` metrics (`service.scan.solo`, `service.scan.partial`,
-//! `service.fault.*`, `service.inflight`, log₂-µs latency histograms)
-//! and trace events for each admission and failure decision.
+//! cache-padded circuit breaker, so a sick range sheds only the requests
+//! that touch it. A bounded in-flight budget turns overload into a typed
+//! [`ServiceError::Overloaded`] rejection (wait-free admission — there is
+//! no queue; [`SnapshotService::inflight`] reads it), and everything is
+//! observable through `snapshot-obs` metrics (`service.scan.solo`,
+//! `service.scan.partial`, `service.fault.*`, log₂-µs latency
+//! histograms) and trace events for each admission and failure decision.
 //!
 //! ## Fault tolerance and adaptive load management
 //!
@@ -72,12 +73,7 @@
 //!   `retry_after` hint, and recover through a **priority-aware
 //!   half-open ramp** ([`Priority`]: health probes first, then partial
 //!   scans, full scans, and bulk updates, token-bucketed per ramp
-//!   interval);
-//! * a **metrics-driven load report**
-//!   ([`SnapshotService::load_report`]) aggregates per-shard
-//!   hit/error/latency counts into a hot-shard skew diagnosis
-//!   (`service.load.*` gauges) that also stretches the hot shard's
-//!   `retry_after` hints so shed cohorts spread out.
+//!   interval).
 //!
 //! Breakers take time as an explicit `now_us` reading — microseconds
 //! since the service started, taken from the instants a request already
@@ -134,14 +130,14 @@
 
 mod error;
 mod health;
-mod load;
+mod priority;
 mod retry;
 mod service;
 mod shard;
 
 pub use error::ServiceError;
 pub use health::{Breaker, BreakerState, Gate, HealthConfig};
-pub use load::{LoadReport, Priority, ShardLoadStat};
+pub use priority::Priority;
 pub use retry::RetryConfig;
 pub use service::{
     PartialView, ServiceClient, ServiceConfig, ServiceLatency, ServiceStats, SnapshotService,

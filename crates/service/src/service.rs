@@ -12,7 +12,7 @@ use snapshot_obs::{
 use snapshot_registers::{CachePadded, ProcessId, RegisterValue};
 
 use crate::health::{Breaker, Gate, HealthConfig};
-use crate::load::{LoadReport, Priority, ShardLoad};
+use crate::priority::Priority;
 use crate::retry::RetryConfig;
 use crate::shard::ShardMap;
 use crate::ServiceError;
@@ -26,7 +26,7 @@ use crate::ServiceError;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Number of shards the segments are partitioned into (contiguous
-    /// balanced ranges, each with its own circuit breaker and load row).
+    /// balanced ranges, each with its own circuit breaker).
     pub shards: usize,
     /// Admission budget: requests in flight beyond this are rejected with
     /// [`ServiceError::Overloaded`].
@@ -139,27 +139,13 @@ struct Metrics {
     degraded: Counter,
     breaker_trips: Counter,
     deadline_exceeded: Counter,
-    load_shed: Counter,
-    inflight: Gauge,
-    load_skew: Gauge,
-    load_hot: Gauge,
-    /// Per-shard `service.load.shard{i}.*` gauges, refreshed when a
-    /// [`LoadReport`] is taken (empty until a registry is attached —
-    /// the registry is not retained, so handles resolve eagerly).
-    shard_hits: Vec<Gauge>,
-    shard_errors: Vec<Gauge>,
-    shard_shed: Vec<Gauge>,
-    shard_latency: Vec<Gauge>,
     scan_latency: Histogram,
     partial_latency: Histogram,
     update_latency: Histogram,
 }
 
 impl Metrics {
-    fn from_registry(registry: &Registry, shards: usize) -> Self {
-        let per_shard = |field: &str| -> Vec<Gauge> {
-            (0..shards).map(|i| registry.gauge(&format!("service.load.shard{i}.{field}"))).collect()
-        };
+    fn from_registry(registry: &Registry) -> Self {
         Metrics {
             solo: registry.counter("service.scan.solo"),
             partial: registry.counter("service.scan.partial"),
@@ -173,14 +159,6 @@ impl Metrics {
             degraded: registry.counter("service.fault.degraded_shed"),
             breaker_trips: registry.counter("service.fault.breaker_trips"),
             deadline_exceeded: registry.counter("service.fault.deadline_exceeded"),
-            load_shed: registry.counter("service.load.shed"),
-            inflight: registry.gauge("service.inflight"),
-            load_skew: registry.gauge("service.load.skew_permille"),
-            load_hot: registry.gauge("service.load.hot_shard"),
-            shard_hits: per_shard("hits"),
-            shard_errors: per_shard("errors"),
-            shard_shed: per_shard("shed"),
-            shard_latency: per_shard("mean_latency_us"),
             scan_latency: registry.histogram("service.scan.latency_us"),
             partial_latency: registry.histogram("service.partial.latency_us"),
             update_latency: registry.histogram("service.update.latency_us"),
@@ -188,7 +166,7 @@ impl Metrics {
     }
 }
 
-/// Which shards an operation touches (for health gating and accounting).
+/// Which shards an operation touches (for health gating).
 #[derive(Clone, Copy)]
 enum Shards<'a> {
     /// Every shard (full scans read all segments).
@@ -294,13 +272,11 @@ impl Drop for GateClaims<'_> {
 ///   ([`ServiceError::Degraded`]). Shedding and half-open recovery are
 ///   [`Priority`]-aware (probes first, bulk updates last), every request
 ///   carries a wall-clock deadline budget (it completes or returns
-///   [`ServiceError::DeadlineExceeded`] — never waits past it), and
-///   [`load_report`](Self::load_report) diagnoses hot-shard skew.
+///   [`ServiceError::DeadlineExceeded`] — never waits past it).
 ///
 /// Everything is observable through [`Registry`] metrics
-/// (`service.scan.*`, `service.fault.*`, `service.inflight`, log₂-µs
-/// latency histograms) and [`Trace`] events for every admission and
-/// failure decision.
+/// (`service.scan.*`, `service.fault.*`, log₂-µs latency histograms) and
+/// [`Trace`] events for every admission and failure decision.
 ///
 /// Clients are claimed per lane with [`client`](Self::client); the
 /// service itself is `Sync` and meant to be shared by reference across
@@ -311,17 +287,14 @@ pub struct SnapshotService<V: RegisterValue, C: TrySnapshotCore<V>> {
     map: ShardMap,
     /// Per-shard circuit breakers.
     health: Box<[CachePadded<Breaker>]>,
-    /// Per-shard load accumulators feeding [`LoadReport`].
-    load: Box<[CachePadded<ShardLoad>]>,
     /// The origin of the breakers' microsecond clock (cooldowns and
     /// half-open ramps).
     epoch: Instant,
     inflight: CachePadded<AtomicUsize>,
-    /// Partial scans served (`Ok`) and, of those, how many fell back to
-    /// a projected full scan — the pair behind the
+    /// Partial scans served (`Ok`): with the
+    /// `service.partial.fallback_full` counter, the pair behind the
     /// `service.partial.certified_ratio` permille gauge.
     partial_served: CachePadded<AtomicU64>,
-    partial_fallbacks: CachePadded<AtomicU64>,
     lanes: Box<[AtomicBool]>,
     metrics: Metrics,
     trace: Trace,
@@ -352,12 +325,12 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         SnapshotService {
             cfg,
             map,
-            health: (0..map.shards()).map(|s| CachePadded::new(Breaker::new(s as u64))).collect(),
-            load: (0..map.shards()).map(|_| CachePadded::new(ShardLoad::default())).collect(),
+            health: (0..map.shards())
+                .map(|s| CachePadded::new(Breaker::new(s as u64, cfg.health)))
+                .collect(),
             epoch: Instant::now(),
             inflight: CachePadded::new(AtomicUsize::new(0)),
             partial_served: CachePadded::new(AtomicU64::new(0)),
-            partial_fallbacks: CachePadded::new(AtomicU64::new(0)),
             lanes,
             metrics: Metrics::default(),
             trace: Trace::disabled(),
@@ -370,7 +343,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     /// `service.*`).
     #[must_use]
     pub fn with_registry(mut self, registry: &Registry) -> Self {
-        self.metrics = Metrics::from_registry(registry, self.map.shards());
+        self.metrics = Metrics::from_registry(registry);
         self
     }
 
@@ -425,14 +398,13 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     /// service reports healthy.
     ///
     /// The same number is exported as the
-    /// `service.partial.certified_ratio` gauge and carried in
-    /// [`LoadReport::partial_certified_permille`].
+    /// `service.partial.certified_ratio` gauge.
     pub fn partial_certified_permille(&self) -> u64 {
         let served = self.partial_served.load(Ordering::Relaxed);
         if served == 0 {
             return 1000;
         }
-        let fallbacks = self.partial_fallbacks.load(Ordering::Relaxed).min(served);
+        let fallbacks = self.metrics.fallback_full.get().min(served);
         (served - fallbacks) * 1000 / served
     }
 
@@ -440,53 +412,6 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     pub fn degraded_shards(&self) -> Vec<usize> {
         let now = self.us_at(Instant::now());
         (0..self.health.len()).filter(|&s| self.health[s].is_open(now)).collect()
-    }
-
-    /// Takes an instantaneous [`LoadReport`] across shards: per-shard
-    /// hit/error/shed/latency rows plus a skew diagnosis flagging the hot
-    /// shard once traffic is meaningfully imbalanced.
-    ///
-    /// The same numbers are exported to the `service.load.*` gauges (when
-    /// a registry is attached) and a [`Event::LoadReport`] trace event is
-    /// emitted, so dashboards and post-mortems see what the caller saw.
-    pub fn load_report(&self) -> LoadReport {
-        let now = self.us_at(Instant::now());
-        let stats = (0..self.load.len())
-            .map(|s| self.load[s].stat(s, self.health[s].is_open(now)))
-            .collect();
-        let mut report = LoadReport::compute(stats);
-        report.partial_certified_permille = self.partial_certified_permille();
-        self.metrics
-            .partial_certified_ratio
-            .set(report.partial_certified_permille.min(i64::MAX as u64) as i64);
-        self.metrics.load_skew.set(report.skew_permille.min(i64::MAX as u64) as i64);
-        self.metrics.load_hot.set(report.hot_shard.map_or(-1, |s| s as i64));
-        for row in &report.shards {
-            let clamp = |v: u64| v.min(i64::MAX as u64) as i64;
-            if let Some(g) = self.metrics.shard_hits.get(row.shard) {
-                g.set(clamp(row.hits));
-            }
-            if let Some(g) = self.metrics.shard_errors.get(row.shard) {
-                g.set(clamp(row.errors));
-            }
-            if let Some(g) = self.metrics.shard_shed.get(row.shard) {
-                g.set(clamp(row.shed));
-            }
-            if let Some(g) = self.metrics.shard_latency.get(row.shard) {
-                g.set(clamp(row.mean_latency_us));
-            }
-        }
-        let open_shards = report.shards.iter().filter(|s| s.open).count() as u32;
-        self.trace.emit(
-            0,
-            Event::LoadReport {
-                hot_shard: report.hot_shard.unwrap_or(usize::MAX),
-                skewed: report.is_skewed(),
-                skew_permille: report.skew_permille,
-                open_shards,
-            },
-        );
-        report
     }
 
     /// Claims the client for `lane`.
@@ -519,7 +444,6 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             self.trace.emit(lane.get(), Event::ServiceOverload { inflight: prev });
             return Err(ServiceError::Overloaded { inflight: prev, budget: self.cfg.max_inflight });
         }
-        self.metrics.inflight.add(1);
         Ok(Admitted { service: self })
     }
 
@@ -537,14 +461,11 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         let now = self.us_at(at);
         let mut claims = GateClaims { health: &self.health, claimed: Vec::new() };
         for s in shards.iter(self.health.len()) {
-            match self.health[s].check(now, priority, &self.cfg.health) {
+            match self.health[s].check(now, priority) {
                 Gate::Admit => {}
                 Gate::Probe => claims.claimed.push(s),
                 Gate::Shed { retry_after } => {
-                    let retry_after = self.shed_hint(s, retry_after);
-                    self.load[s].record_shed();
                     self.metrics.degraded.inc();
-                    self.metrics.load_shed.inc();
                     self.trace.emit(
                         lane.get(),
                         Event::ShardShed {
@@ -561,34 +482,22 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         Ok(claims)
     }
 
-    /// Stretches a shed hint when `shard` is the hot shard of a skewed
-    /// load distribution, so the shed cohort's retries spread out instead
-    /// of re-converging on the hotspot the moment it half-opens.
-    fn shed_hint(&self, shard: usize, base: Duration) -> Duration {
-        let stats = (0..self.load.len()).map(|s| self.load[s].stat(s, false)).collect();
-        LoadReport::compute(stats).retry_after_hint(shard, base)
-    }
-
-    /// Feeds a success completed at `done` to the breakers and load rows.
-    fn record_ok(&self, shards: Shards<'_>, latency: Duration, done: Instant) {
-        let cfg = &self.cfg.health;
+    /// Feeds a success completed at `done` to the breakers.
+    fn record_ok(&self, shards: Shards<'_>, done: Instant) {
         let now = self.us_at(done);
         for s in shards.iter(self.health.len()) {
-            if self.health[s].on_success(now, cfg) {
+            if self.health[s].on_success(now) {
                 self.note_breaker_trip(s);
             }
-            self.load[s].record_hit(latency);
         }
     }
 
     fn record_err(&self, shards: Shards<'_>, retryable: bool) {
         let now = self.us_at(Instant::now());
-        let cfg = &self.cfg.health;
         for s in shards.iter(self.health.len()) {
-            if self.health[s].on_failure(retryable, now, cfg) {
+            if self.health[s].on_failure(retryable, now) {
                 self.note_breaker_trip(s);
             }
-            self.load[s].record_error();
         }
     }
 
@@ -601,8 +510,8 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     }
 
     /// Runs one core operation and accounts an error as this request's
-    /// own backend error: it feeds the breakers and load rows of
-    /// `shards`, and is counted and traced. A success is accounted once
+    /// own backend error: it feeds the breakers of `shards`, and is
+    /// counted and traced. A success is accounted once
     /// per request, by [`admitted`](Self::admitted).
     fn recorded<T>(
         &self,
@@ -638,8 +547,8 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     /// already spent, take an in-flight slot, pass the health gates of
     /// `shards`, then `run`. The request's latency — from
     /// [`Request::start`] to the outcome — goes into `latency` when the op
-    /// class has a histogram, and a success feeds the breakers and load
-    /// rows of `shards` (errors were accounted per attempt by
+    /// class has a histogram, and a success feeds the breakers of
+    /// `shards` (errors were accounted per attempt by
     /// [`recorded`](Self::recorded)).
     ///
     /// Besides the request's start, a successful request reads the clock
@@ -661,12 +570,11 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         let _claims = self.gate(req.lane, shards, priority, req.start)?;
         let out = run();
         let done = Instant::now();
-        let elapsed = done.saturating_duration_since(req.start);
         if let Some(latency) = latency {
-            latency.record(elapsed);
+            latency.record(done.saturating_duration_since(req.start));
         }
         if out.is_ok() {
-            self.record_ok(shards, elapsed, done);
+            self.record_ok(shards, done);
         }
         out
     }
@@ -837,7 +745,6 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         let Some(stats) = served else { return };
         self.partial_served.fetch_add(1, Ordering::Relaxed);
         if stats.fallback_full {
-            self.partial_fallbacks.fetch_add(1, Ordering::Relaxed);
             self.metrics.fallback_full.inc();
         }
         self.metrics
@@ -896,7 +803,6 @@ struct Admitted<'a, V: RegisterValue, C: TrySnapshotCore<V>> {
 impl<V: RegisterValue, C: TrySnapshotCore<V>> Drop for Admitted<'_, V, C> {
     fn drop(&mut self) {
         self.service.inflight.fetch_sub(1, Ordering::AcqRel);
-        self.service.metrics.inflight.add(-1);
     }
 }
 
@@ -1274,19 +1180,20 @@ mod tests {
     }
 
     #[test]
-    fn probe_and_load_report_round_trip() {
+    fn probe_round_trip() {
         let registry = Registry::new();
         let svc = SnapshotService::new(UnboundedSnapshot::new(4, 0u64)).with_registry(&registry);
         let mut c = svc.client(0);
-        c.probe_shard(0).unwrap();
+        for shard in 0..svc.config().shards {
+            c.probe_shard(shard).unwrap();
+        }
         c.update(0, 1).unwrap();
-        c.scan().unwrap();
-        let report = svc.load_report();
-        assert!(!report.is_skewed(), "three quiet requests are not skew");
-        assert!(report.shards.iter().all(|s| !s.open));
-        assert!(report.shards[0].hits >= 3, "probe + update + scan all hit shard 0");
-        assert!(registry.gauge("service.load.shard0.hits").get() >= 3);
-        assert_eq!(registry.gauge("service.load.hot_shard").get(), -1);
+        assert_eq!(c.scan().unwrap()[0], 1, "probes leave the memory as it was");
+        assert!(svc.degraded_shards().is_empty());
+        assert_eq!(svc.inflight(), 0);
+        assert_eq!(registry.counter("service.fault.backend_errors").get(), 0);
+        assert_eq!(registry.counter("service.fault.degraded_shed").get(), 0);
+        assert_eq!(registry.counter("service.scan.solo").get(), 1, "a probe is not a collect");
     }
 
     #[test]

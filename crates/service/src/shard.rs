@@ -1,9 +1,8 @@
 //! Contiguous partitioning of segments across shards.
 //!
-//! Shards are the unit of health gating and load accounting: each owns a
-//! circuit breaker and a load row on its own cache line, so a degrading
-//! range of segments sheds only the requests that touch it, and the load
-//! report can name a hot range.
+//! Shards are the unit of health gating: each owns a circuit breaker on
+//! its own cache line, so a degrading range of segments sheds only the
+//! requests that touch it.
 
 use std::ops::Range;
 

@@ -58,20 +58,24 @@ fn config(rng: &mut SeededRng) -> HealthConfig {
 /// The breaker trips exactly when the reference model says the
 /// window rate crosses the threshold with the volume guard met —
 /// for arbitrary outcome sequences and arbitrary (window,
-/// threshold, volume) tunings, at the exact same outcome.
+/// threshold, volume) tunings, at the exact same outcome. Each case
+/// draws its error probability from [0, 0.5] and runs up to 400
+/// outcomes, so full error-free windows of every size (the breaker's
+/// lock-free clean state) meet the model too.
 #[test]
 fn trips_iff_rate_over_threshold_and_volume_met() {
     'case: for case in 0..CASES {
         let mut rng = SeededRng::new(0x7219 ^ case);
         let cfg = config(&mut rng);
-        let b = Breaker::new(0);
+        let b = Breaker::new(0, cfg);
         let mut model = ModelWindow::new(cfg.window);
-        for i in 0..rng.below(200) {
-            let err = rng.chance(0.5);
+        let p_err = rng.range(0..=50) as f64 / 100.0;
+        for i in 0..rng.below(401) {
+            let err = rng.chance(p_err);
             if err {
-                b.on_failure(true, 0, &cfg);
+                b.on_failure(true, 0);
             } else {
-                b.on_success(0, &cfg);
+                b.on_success(0);
             }
             model.push(err);
             if model.tripped(&cfg) {
@@ -107,10 +111,10 @@ fn retry_hints_stay_inside_the_jitter_band() {
             cooldown: Duration::from_micros(cooldown_us),
             ..HealthConfig::default()
         };
-        let b = Breaker::new(seed);
-        b.on_failure(false, 0, &cfg); // terminal: open until cooldown_us
+        let b = Breaker::new(seed, cfg);
+        b.on_failure(false, 0); // terminal: open until cooldown_us
         let left = cooldown_us - probe_at;
-        match b.check(probe_at, Priority::Full, &cfg) {
+        match b.check(probe_at, Priority::Full) {
             Gate::Shed { retry_after } => {
                 let us = retry_after.as_micros() as u64;
                 let span = left / 100 * u64::from(jitter_pct)
@@ -141,21 +145,21 @@ fn deterministic_lifecycle_closed_open_half_open_closed() {
         ramp_interval: Duration::from_micros(100_000), // no rank decay by time
         jitter_pct: 0,
     };
-    let b = Breaker::new(7);
+    let b = Breaker::new(7, cfg);
     assert_eq!(b.state(), BreakerState::Closed);
 
     // Closed: an alternating shard — the schedule a consecutive-failure
     // breaker can never trip on — crosses the 50% window rate as soon as
     // the volume guard is met.
     for t in 0..2u64 {
-        b.on_success(t, &cfg);
-        b.on_failure(true, t, &cfg);
+        b.on_success(t);
+        b.on_failure(true, t);
     }
     assert_eq!(b.state(), BreakerState::Open { until_us: 1_001 });
     assert_eq!(b.trips(), 1);
 
     // Open: everything sheds, with the exact remaining cooldown.
-    match b.check(501, Priority::Probe, &cfg) {
+    match b.check(501, Priority::Probe) {
         Gate::Shed { retry_after } => assert_eq!(retry_after, Duration::from_micros(500)),
         g => panic!("cooling breaker must shed even probes, got {g:?}"),
     }
@@ -163,22 +167,22 @@ fn deterministic_lifecycle_closed_open_half_open_closed() {
     // Cooldown elapsed: the first consult half-opens. The ramp starts
     // probe-only; each success admits the next rank down.
     let t = 1_001;
-    assert!(matches!(b.check(t, Priority::Full, &cfg), Gate::Shed { .. }));
+    assert!(matches!(b.check(t, Priority::Full), Gate::Shed { .. }));
     assert_eq!(b.state(), BreakerState::HalfOpen { ramp_successes: 0 });
-    assert!(matches!(b.check(t, Priority::Probe, &cfg), Gate::Probe));
-    b.on_success(t, &cfg);
-    assert!(matches!(b.check(t, Priority::Bulk, &cfg), Gate::Shed { .. }));
-    assert!(matches!(b.check(t, Priority::Partial, &cfg), Gate::Probe));
-    b.on_success(t, &cfg);
+    assert!(matches!(b.check(t, Priority::Probe), Gate::Probe));
+    b.on_success(t);
+    assert!(matches!(b.check(t, Priority::Bulk), Gate::Shed { .. }));
+    assert!(matches!(b.check(t, Priority::Partial), Gate::Probe));
+    b.on_success(t);
     assert_eq!(b.state(), BreakerState::HalfOpen { ramp_successes: 2 });
-    assert!(matches!(b.check(t, Priority::Full, &cfg), Gate::Probe));
-    b.on_success(t, &cfg);
+    assert!(matches!(b.check(t, Priority::Full), Gate::Probe));
+    b.on_success(t);
 
     // Third success closes the breaker with a clean window: the old
     // outage's evidence cannot re-trip the now-healthy shard.
     assert_eq!(b.state(), BreakerState::Closed);
-    assert!(matches!(b.check(t, Priority::Bulk, &cfg), Gate::Admit));
-    b.on_failure(true, t, &cfg);
+    assert!(matches!(b.check(t, Priority::Bulk), Gate::Admit));
+    b.on_failure(true, t);
     assert_eq!(b.state(), BreakerState::Closed, "window must restart clean after recovery");
 }
 
@@ -196,18 +200,18 @@ fn half_open_failure_restarts_the_lifecycle() {
         ramp_interval: Duration::from_micros(100_000),
         jitter_pct: 0,
     };
-    let b = Breaker::new(8);
-    b.on_failure(true, 0, &cfg);
-    b.on_failure(true, 0, &cfg);
+    let b = Breaker::new(8, cfg);
+    b.on_failure(true, 0);
+    b.on_failure(true, 0);
     assert_eq!(b.trips(), 1);
 
-    assert!(matches!(b.check(1_001, Priority::Probe, &cfg), Gate::Probe));
-    b.on_failure(true, 1_500, &cfg); // the probe fails
+    assert!(matches!(b.check(1_001, Priority::Probe), Gate::Probe));
+    b.on_failure(true, 1_500); // the probe fails
     assert_eq!(b.state(), BreakerState::Open { until_us: 2_500 });
     assert_eq!(b.trips(), 2);
-    assert!(matches!(b.check(2_499, Priority::Probe, &cfg), Gate::Shed { .. }));
-    assert!(matches!(b.check(2_500, Priority::Probe, &cfg), Gate::Probe));
-    b.on_success(2_500, &cfg);
-    b.on_success(2_500, &cfg);
+    assert!(matches!(b.check(2_499, Priority::Probe), Gate::Shed { .. }));
+    assert!(matches!(b.check(2_500, Priority::Probe), Gate::Probe));
+    b.on_success(2_500);
+    b.on_success(2_500);
     assert_eq!(b.state(), BreakerState::Closed);
 }

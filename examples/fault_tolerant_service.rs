@@ -169,7 +169,6 @@ fn main() {
         "service.fault.retry_exhausted",
         "service.fault.degraded_shed",
         "service.fault.deadline_exceeded",
-        "service.load.shed",
     ] {
         println!("  {name:<34} {}", registry.counter(name).get());
     }

@@ -147,7 +147,6 @@ fn opaque_backings_fall_back_on_both_service_paths() {
     assert_eq!(view.values(), &[5, 0]);
     assert!(stats.fallback_full, "a shard-confined subset reports its fallback");
     assert_eq!(svc.partial_certified_permille(), 0);
-    assert_eq!(svc.load_report().partial_certified_permille, 0);
 }
 
 // ---------------------------------------------------------------------------
