@@ -106,7 +106,7 @@ mod stats;
 mod transport;
 
 pub use backend::AbdBackend;
-pub use snapshot_core::AbdSnapshotCore;
+pub use snapshot_core::{AbdLane, AbdSnapshotCore};
 pub use error::{AbdError, AbdPhase};
 pub use fault::{Dwell, FaultPlan, LinkFault, Nemesis, NemesisEvent, NemesisPhase};
 pub use message::{ErasedValue, RegisterId, RequestId, Tag};

@@ -12,12 +12,12 @@
 //! [`CoreError`] the service layer can retry, shed, or surface.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use snapshot_core::{CoreError, RequestCtx, ScanStats, SnapshotView, TrySnapshotCore};
 use snapshot_obs::{SpanKind, SpanStatus};
-use snapshot_registers::{CachePadded, ProcessId};
+use snapshot_registers::ProcessId;
 use snapshot_wire::{Reader, WireError, WireValue};
 
 use crate::transport::Transport;
@@ -100,21 +100,25 @@ fn core_error(e: AbdError) -> CoreError {
 /// the paper's model — its sequence number is consumed either way, so a
 /// retry never reuses one.
 ///
-/// The single-writer discipline is per **lane**: the caller (normally
-/// `snapshot-service`) must run at most one operation per lane at a time;
-/// a busy lane panics, mirroring the in-process constructions' handle
-/// registry.
+/// The single-writer discipline is per **lane** ([`AbdLane`]): a lane
+/// is claimed once per client and owns its writer's sequence number, and
+/// claiming a lane that is already claimed panics, mirroring the
+/// in-process constructions' handle registry.
 pub struct AbdSnapshotCore<V> {
     transport: Arc<dyn Transport>,
     regs: Box<[AbdRegister<AbdRecord<V>>]>,
-    /// Next sequence number per lane. Authoritative because registers are
-    /// allocated fresh by this core and written only by their own lane;
-    /// bumped *before* each write so an indeterminate (errored) write
-    /// still consumes its number.
-    seqs: Box<[CachePadded<AtomicU64>]>,
-    busy: Box<[AtomicBool]>,
+    /// Each unclaimed lane's last consumed sequence number, parked here
+    /// between claims ([`CLAIMED`] while an [`AbdLane`] holds it). Touched
+    /// only when a lane is claimed or dropped, never per operation. A
+    /// re-claimed lane must not re-read its seq from its register: an
+    /// indeterminate write may have consumed a number the register does
+    /// not show yet.
+    parked: Box<[AtomicU64]>,
     n: usize,
 }
+
+/// The parked value of a lane an [`AbdLane`] holds.
+const CLAIMED: u64 = u64::MAX;
 
 impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
     /// Creates the object for `n` lanes over `network`'s replicas, every
@@ -148,8 +152,7 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
                     )
                 })
                 .collect(),
-            seqs: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-            busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            parked: (0..n).map(|_| AtomicU64::new(0)).collect(),
             transport,
             n,
         }
@@ -158,14 +161,6 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
     /// The transport this core's registers run over.
     pub fn transport(&self) -> &Arc<dyn Transport> {
         &self.transport
-    }
-
-    fn claim(&self, lane: ProcessId) -> LaneGuard<'_> {
-        let i = lane.get();
-        assert!(i < self.n, "lane {i} out of range ({} lanes)", self.n);
-        let was = self.busy[i].swap(true, Ordering::AcqRel);
-        assert!(!was, "lane {i} already has an operation in flight");
-        LaneGuard { flag: &self.busy[i] }
     }
 
     /// One collect: read the given registers (all `n` for a full scan,
@@ -191,8 +186,7 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
         out
     }
 
-    /// `procedure scan_i` of Figure 2, fallibly. The caller holds the
-    /// lane claim.
+    /// `procedure scan_i` of Figure 2, fallibly, on behalf of `lane`.
     fn scan_inner(
         &self,
         lane: ProcessId,
@@ -266,27 +260,42 @@ impl<V: WireValue + Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
                     )
                 })
                 .collect(),
-            seqs: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
-            busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            parked: (0..n).map(|_| AtomicU64::new(0)).collect(),
             transport,
             n,
         }
     }
 }
 
-/// Releases the lane's busy flag even when an operation errors or panics
-/// mid-flight, so a failed operation never wedges its lane.
-struct LaneGuard<'a> {
-    flag: &'a AtomicBool,
+/// One lane of an [`AbdSnapshotCore`]: the process id and its writer's
+/// last consumed sequence number, which Figure 2 keeps as local state.
+/// Dropping the lane parks the number in the core for the next claim —
+/// also after an errored operation, so a failed operation never wedges
+/// its lane.
+pub struct AbdLane<'a, V> {
+    core: &'a AbdSnapshotCore<V>,
+    pid: ProcessId,
+    seq: u64,
 }
 
-impl Drop for LaneGuard<'_> {
+impl<V> Drop for AbdLane<'_, V> {
     fn drop(&mut self) {
-        self.flag.store(false, Ordering::Release);
+        self.core.parked[self.pid.get()].store(self.seq, Ordering::Release);
+    }
+}
+
+impl<V> fmt::Debug for AbdLane<'_, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AbdLane").field("pid", &self.pid).field("seq", &self.seq).finish()
     }
 }
 
 impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V> {
+    type Lane<'a>
+        = AbdLane<'a, V>
+    where
+        Self: 'a;
+
     fn segments(&self) -> usize {
         self.n
     }
@@ -299,6 +308,14 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
         true
     }
 
+    fn lane(&self, pid: ProcessId) -> AbdLane<'_, V> {
+        let i = pid.get();
+        assert!(i < self.n, "lane {i} out of range ({} lanes)", self.n);
+        let seq = self.parked[i].swap(CLAIMED, Ordering::AcqRel);
+        assert!(seq != CLAIMED, "lane {i} already claimed");
+        AbdLane { core: self, pid, seq }
+    }
+
     /// Every quorum wait underneath is capped at `ctx.deadline`, so a scan
     /// that cannot finish in the caller's budget surfaces
     /// [`CoreError::Unavailable`] fast instead of waiting out the full
@@ -307,11 +324,10 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
     /// when the transport's trace is disabled).
     fn try_scan(
         &self,
-        lane: ProcessId,
+        lane: &mut AbdLane<'_, V>,
         ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        let _guard = self.claim(lane);
-        self.scan_inner(lane, ctx)
+        self.scan_inner(lane.pid, ctx)
     }
 
     /// A deadline-cut write is *indeterminate* exactly like a
@@ -321,23 +337,26 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
     /// [`SpanKind::QuorumStore`] spans parented under `ctx.span`.
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut AbdLane<'_, V>,
         segment: usize,
         value: V,
         ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
+        let pid = lane.pid;
         assert_eq!(
             segment,
-            lane.get(),
-            "single-writer construction: lane {lane} cannot update segment {segment}"
+            pid.get(),
+            "single-writer construction: lane {pid} cannot update segment {segment}"
         );
-        let _guard = self.claim(lane);
-        let (view, mut stats) = self.scan_inner(lane, ctx)?; // Fig. 2 update line 1
-        let seq = self.seqs[lane.get()].fetch_add(1, Ordering::Relaxed) + 1;
-        let store = self.transport.engine().trace.span(lane.get(), SpanKind::QuorumStore, ctx.span);
+        let (view, mut stats) = self.scan_inner(pid, ctx)?; // Fig. 2 update line 1
+        // Consumed before the write: an indeterminate (errored) write
+        // keeps its number.
+        lane.seq += 1;
+        let seq = lane.seq;
+        let store = self.transport.engine().trace.span(pid.get(), SpanKind::QuorumStore, ctx.span);
         store.note("seq", seq);
-        let written = self.regs[lane.get()]
-            .try_write_by(lane, AbdRecord { value, seq, view }, ctx.deadline) // line 2
+        let written = self.regs[pid.get()]
+            .try_write_by(pid, AbdRecord { value, seq, view }, ctx.deadline) // line 2
             .map_err(core_error);
         store.end(if written.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
         written?;
@@ -358,14 +377,14 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
     /// scan.
     fn try_scan_subset(
         &self,
-        lane: ProcessId,
+        lane: &mut AbdLane<'_, V>,
         segments: &[usize],
         ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
-        let _guard = self.claim(lane);
+        let lane = lane.pid;
         let k = segments.len();
         let mut moved = vec![0u8; k];
         let mut stats = ScanStats::default();
@@ -434,9 +453,9 @@ mod tests {
     fn healthy_round_trip() {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 3, 0u32);
-        let p1 = ProcessId::new(1);
-        let _ = core.try_update(p1, 1, 11, NONE).unwrap();
-        let (view, stats) = core.try_scan(p1, NONE).unwrap();
+        let mut p1 = core.lane(ProcessId::new(1));
+        let _ = core.try_update(&mut p1, 1, 11, NONE).unwrap();
+        let (view, stats) = core.try_scan(&mut p1, NONE).unwrap();
         assert_eq!(view.to_vec(), vec![0, 11, 0]);
         assert!(stats.double_collects >= 1);
         assert_eq!(stats.reads % 6, 0, "collects touch all 3 registers");
@@ -446,17 +465,17 @@ mod tests {
     fn majority_partition_surfaces_retryable_error_then_recovers() {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 2, 0u32);
-        let p0 = ProcessId::new(0);
-        let _ = core.try_update(p0, 0, 1, NONE).unwrap();
+        let mut p0 = core.lane(ProcessId::new(0));
+        let _ = core.try_update(&mut p0, 0, 1, NONE).unwrap();
 
         net.partition(&[0, 1]); // majority gone
-        let err = core.try_scan(p0, NONE).unwrap_err();
+        let err = core.try_scan(&mut p0, NONE).unwrap_err();
         assert!(err.retryable(), "quorum loss must be retryable: {err}");
-        let err = core.try_update(p0, 0, 2, NONE).unwrap_err();
+        let err = core.try_update(&mut p0, 0, 2, NONE).unwrap_err();
         assert!(err.retryable());
 
         net.heal();
-        let (view, _) = core.try_scan(p0, NONE).unwrap();
+        let (view, _) = core.try_scan(&mut p0, NONE).unwrap();
         // The partitioned update was indeterminate; either outcome is
         // linearizable, and the register must answer again.
         assert!(view[0] == 1 || view[0] == 2, "view {:?}", view.to_vec());
@@ -467,26 +486,57 @@ mod tests {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 1, 0u32);
         let p0 = ProcessId::new(0);
-        let _ = core.try_update(p0, 0, 1, NONE).unwrap();
+        let mut lane = core.lane(p0);
+        let _ = core.try_update(&mut lane, 0, 1, NONE).unwrap();
         let seq = |core: &AbdSnapshotCore<u32>| {
             core.regs[0].try_read_by(p0, Deadline::none()).unwrap().seq
         };
         let c1 = seq(&core);
 
         net.partition(&[0, 1, 2]);
-        assert!(core.try_update(p0, 0, 2, NONE).is_err());
+        assert!(core.try_update(&mut lane, 0, 2, NONE).is_err());
         net.heal();
 
-        let _ = core.try_update(p0, 0, 3, NONE).unwrap();
-        assert_eq!(core.try_scan(p0, NONE).unwrap().0[0], 3);
+        // A new client on the same lane continues the sequence.
+        drop(lane);
+        let mut lane = core.lane(p0);
+        let _ = core.try_update(&mut lane, 0, 3, NONE).unwrap();
+        assert_eq!(core.try_scan(&mut lane, NONE).unwrap().0[0], 3);
         let c2 = seq(&core);
         // Sequence numbers stay strictly monotone across the error. (The
         // blackout starved the update's *embedded scan*, before the seq
         // allocation — nothing consumed. A write-phase failure would have
-        // consumed its seq: the `fetch_add` makes reuse impossible either
-        // way.)
+        // consumed its seq: the lane counts it before the write, and
+        // parks the count for the next claim.)
         assert_eq!(c2, c1 + 1);
         assert!(c2 > c1, "the sequence number must move on the successful retry");
+    }
+
+    #[test]
+    fn a_reclaimed_lane_keeps_a_seq_its_register_never_showed() {
+        // An update whose write errored consumed its number, yet the
+        // register may still show the one before. The next client on
+        // the lane must continue past the consumed number, not re-read
+        // the register's.
+        let net = fast_net(3);
+        let core = AbdSnapshotCore::new(&net, 1, 0u32);
+        let p0 = ProcessId::new(0);
+        {
+            let mut lane = core.lane(p0);
+            lane.seq = 41; // as if 41 writes had been issued, some lost
+        }
+        let mut lane = core.lane(p0);
+        let _ = core.try_update(&mut lane, 0, 9, NONE).unwrap();
+        assert_eq!(core.regs[0].try_read_by(p0, Deadline::none()).unwrap().seq, 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "already claimed")]
+    fn a_lane_is_claimed_once() {
+        let net = fast_net(3);
+        let core = AbdSnapshotCore::new(&net, 2, 0u32);
+        let _a = core.lane(ProcessId::new(1));
+        let _b = core.lane(ProcessId::new(1));
     }
 
     #[test]
@@ -497,26 +547,26 @@ mod tests {
             NetworkConfig::new(3).with_op_timeout(Duration::from_secs(10)),
         ));
         let core = AbdSnapshotCore::new(&net, 2, 0u32);
-        let p0 = ProcessId::new(0);
+        let mut p0 = core.lane(ProcessId::new(0));
         net.partition(&[0, 1]);
         let started = std::time::Instant::now();
         let err = core
-            .try_scan(p0, RequestCtx::by(Deadline::after(Duration::from_millis(25))))
+            .try_scan(&mut p0, RequestCtx::by(Deadline::after(Duration::from_millis(25))))
             .unwrap_err();
         assert!(err.retryable(), "deadline expiry is the retryable boundary: {err}");
         assert!(started.elapsed() < Duration::from_secs(2));
         net.heal();
-        assert!(core.try_scan(p0, NONE).is_ok(), "lane released, core answers again");
+        assert!(core.try_scan(&mut p0, NONE).is_ok(), "the lane answers again");
     }
 
     #[test]
     fn poisoned_fleet_is_a_terminal_error() {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 2, 0u32);
-        let p0 = ProcessId::new(0);
-        let _ = core.try_update(p0, 0, 5, NONE).unwrap();
+        let mut p0 = core.lane(ProcessId::new(0));
+        let _ = core.try_update(&mut p0, 0, 5, NONE).unwrap();
         net.poison();
-        let err = core.try_scan(p0, NONE).unwrap_err();
+        let err = core.try_scan(&mut p0, NONE).unwrap_err();
         assert!(!err.retryable(), "poisoned fleet must be terminal: {err}");
     }
 
@@ -524,10 +574,9 @@ mod tests {
     fn subset_scans_touch_only_their_registers() {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 8, 0u32);
-        let p3 = ProcessId::new(3);
-        let _ = core.try_update(p3, 3, 33, NONE).unwrap();
+        let _ = core.try_update(&mut core.lane(ProcessId::new(3)), 3, 33, NONE).unwrap();
         let (values, stats) = core
-            .try_scan_subset(ProcessId::new(0), &[3, 6], NONE)
+            .try_scan_subset(&mut core.lane(ProcessId::new(0)), &[3, 6], NONE)
             .unwrap()
             .expect("the single-writer emulation always serves subsets");
         assert_eq!(values, vec![33, 0]);
@@ -536,15 +585,15 @@ mod tests {
     }
 
     #[test]
-    fn subset_scan_errors_are_typed_and_release_the_lane() {
+    fn subset_scan_errors_are_typed_and_leave_the_lane_usable() {
         let net = fast_net(3);
         let core = AbdSnapshotCore::new(&net, 4, 0u32);
-        let p0 = ProcessId::new(0);
+        let mut p0 = core.lane(ProcessId::new(0));
         net.partition(&[0, 1]);
-        let err = core.try_scan_subset(p0, &[1, 2], NONE).unwrap_err();
+        let err = core.try_scan_subset(&mut p0, &[1, 2], NONE).unwrap_err();
         assert!(err.retryable(), "quorum loss must be retryable: {err}");
         net.heal();
-        assert!(core.try_scan_subset(p0, &[1, 2], NONE).unwrap().is_some());
+        assert!(core.try_scan_subset(&mut p0, &[1, 2], NONE).unwrap().is_some());
     }
 
     #[test]
@@ -580,10 +629,10 @@ mod tests {
         let value = |lane: usize| format!("lane-{lane}-{}", "x".repeat(33));
         for lane in 0..8 {
             let _ = core
-                .try_update(ProcessId::new(lane), lane, value(lane), NONE)
+                .try_update(&mut core.lane(ProcessId::new(lane)), lane, value(lane), NONE)
                 .unwrap();
         }
-        let (view, stats) = core.try_scan(ProcessId::new(0), NONE).unwrap();
+        let (view, stats) = core.try_scan(&mut core.lane(ProcessId::new(0)), NONE).unwrap();
         assert_eq!(view.to_vec(), (0..8).map(value).collect::<Vec<_>>());
         assert_eq!(
             stats.reads, 16,
@@ -615,9 +664,9 @@ mod tests {
         let core = AbdSnapshotCore::new(&net, 2, 0u32);
         let p0 = ProcessId::new(0);
         net.partition(&[0, 1, 2]);
-        assert!(core.try_scan(p0, NONE).is_err());
+        assert!(core.try_scan(&mut core.lane(p0), NONE).is_err());
         net.heal();
-        // The lane is reusable after the error.
-        assert!(core.try_scan(p0, NONE).is_ok());
+        // The lane can be claimed again after the error.
+        assert!(core.try_scan(&mut core.lane(p0), NONE).is_ok());
     }
 }

@@ -13,9 +13,14 @@ use snapshot_registers::ProcessId;
 /// What a full scan of a `u64` core returns.
 pub type ScanOutcome = Result<(SnapshotView<u64>, ScanStats), CoreError>;
 
-/// A core whose full scans run through `hook` (which decides whether,
-/// when and how often to run the wrapped core's own `try_scan`);
-/// everything else forwards to the wrapped core.
+/// The wrapped core's own full scan of the lane a hooked scan runs on.
+pub type InnerScan<'s> = dyn FnMut(RequestCtx) -> ScanOutcome + 's;
+
+/// A core whose full scans run through `hook`, which is handed the lane's
+/// process id, the request's context and the wrapped core's own scan of
+/// that lane (and decides whether, when and how often to run it);
+/// everything else forwards to the wrapped core. Its lane is the wrapped
+/// core's, with the process id beside it.
 pub struct ScanHook<C, F> {
     inner: C,
     hook: F,
@@ -24,7 +29,7 @@ pub struct ScanHook<C, F> {
 impl<C, F> ScanHook<C, F>
 where
     C: TrySnapshotCore<u64>,
-    F: Fn(&C, ProcessId, RequestCtx) -> ScanOutcome + Send + Sync,
+    F: Fn(ProcessId, RequestCtx, &mut InnerScan<'_>) -> ScanOutcome + Send + Sync,
 {
     /// Wraps `inner`, routing its full scans through `hook`.
     pub fn new(inner: C, hook: F) -> Self {
@@ -35,8 +40,13 @@ where
 impl<C, F> TrySnapshotCore<u64> for ScanHook<C, F>
 where
     C: TrySnapshotCore<u64>,
-    F: Fn(&C, ProcessId, RequestCtx) -> ScanOutcome + Send + Sync,
+    F: Fn(ProcessId, RequestCtx, &mut InnerScan<'_>) -> ScanOutcome + Send + Sync,
 {
+    type Lane<'a>
+        = (ProcessId, C::Lane<'a>)
+    where
+        Self: 'a;
+
     fn segments(&self) -> usize {
         self.inner.segments()
     }
@@ -49,27 +59,32 @@ where
         self.inner.single_writer()
     }
 
-    fn try_scan(&self, lane: ProcessId, ctx: RequestCtx) -> ScanOutcome {
-        (self.hook)(&self.inner, lane, ctx)
+    fn lane(&self, pid: ProcessId) -> Self::Lane<'_> {
+        (pid, self.inner.lane(pid))
+    }
+
+    fn try_scan(&self, lane: &mut (ProcessId, C::Lane<'_>), ctx: RequestCtx) -> ScanOutcome {
+        let (pid, inner) = lane;
+        (self.hook)(*pid, ctx, &mut |ctx| self.inner.try_scan(inner, ctx))
     }
 
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut (ProcessId, C::Lane<'_>),
         segment: usize,
         value: u64,
         ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
-        self.inner.try_update(lane, segment, value, ctx)
+        self.inner.try_update(&mut lane.1, segment, value, ctx)
     }
 
     fn try_scan_subset(
         &self,
-        lane: ProcessId,
+        lane: &mut (ProcessId, C::Lane<'_>),
         segments: &[usize],
         ctx: RequestCtx,
     ) -> Result<Option<(Vec<u64>, ScanStats)>, CoreError> {
-        self.inner.try_scan_subset(lane, segments, ctx)
+        self.inner.try_scan_subset(&mut lane.1, segments, ctx)
     }
 }
 
@@ -105,7 +120,7 @@ pub fn gated_core<C: TrySnapshotCore<u64>>(
     let gate = Gate { failures: Arc::new(AtomicUsize::new(failures)), ..Gate::default() };
     let core = ScanHook::new(inner, {
         let gate = gate.clone();
-        move |inner, lane, ctx| {
+        move |_, ctx, scan| {
             gate.entered.fetch_add(1, Ordering::SeqCst);
             while gate.held.load(Ordering::SeqCst) {
                 if ctx.deadline.expired() {
@@ -117,7 +132,7 @@ pub fn gated_core<C: TrySnapshotCore<u64>>(
             if gate.failures.fetch_update(Ordering::SeqCst, Ordering::SeqCst, fail).is_ok() {
                 return Err(scripted_outage());
             }
-            inner.try_scan(lane, ctx)
+            scan(ctx)
         }
     });
     (core, gate)
@@ -131,13 +146,13 @@ mod tests {
     #[test]
     fn gated_core_counts_fails_then_forwards() {
         let (core, gate) = gated_core(UnboundedSnapshot::new(2, 0u64), 1);
-        let (lane, ctx) = (ProcessId::new(0), RequestCtx::none());
-        let _ = core.try_update(lane, 0, 7, ctx).unwrap();
-        assert_eq!(core.try_scan(lane, ctx).unwrap_err(), scripted_outage());
-        assert_eq!(core.try_scan(lane, ctx).unwrap().0[0], 7);
+        let (mut lane, ctx) = (core.lane(ProcessId::new(0)), RequestCtx::none());
+        let _ = core.try_update(&mut lane, 0, 7, ctx).unwrap();
+        assert_eq!(core.try_scan(&mut lane, ctx).unwrap_err(), scripted_outage());
+        assert_eq!(core.try_scan(&mut lane, ctx).unwrap().0[0], 7);
         assert_eq!(gate.entered.load(Ordering::SeqCst), 2);
         // Subset scans never go through the hook.
-        assert_eq!(core.try_scan_subset(lane, &[0], ctx).unwrap().unwrap().0, vec![7]);
+        assert_eq!(core.try_scan_subset(&mut lane, &[0], ctx).unwrap().unwrap().0, vec![7]);
         assert_eq!(gate.entered.load(Ordering::SeqCst), 2);
     }
 
@@ -149,7 +164,8 @@ mod tests {
         let (core, gate) = gated_core(UnboundedSnapshot::new(2, 0u64), 0);
         gate.held.store(true, Ordering::SeqCst);
         let ctx = RequestCtx::by(Deadline::after(Duration::from_millis(5)));
-        assert_eq!(core.try_scan(ProcessId::new(0), ctx).unwrap_err(), scripted_outage());
+        let mut lane = core.lane(ProcessId::new(0));
+        assert_eq!(core.try_scan(&mut lane, ctx).unwrap_err(), scripted_outage());
         assert_eq!(gate.entered.load(Ordering::SeqCst), 1);
     }
 }

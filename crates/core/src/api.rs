@@ -171,26 +171,6 @@ impl HandleRegistry {
     pub(crate) fn release(&self, pid: ProcessId) {
         self.taken[pid.get()].store(false, std::sync::atomic::Ordering::Release);
     }
-
-    /// Claims `pid`'s slot for the lifetime of the returned guard —
-    /// the panic-safe transient claim the `try_scan_subset` paths use
-    /// instead of constructing a full per-process handle.
-    pub(crate) fn claim_guard(&self, pid: ProcessId) -> LaneClaim<'_> {
-        self.claim(pid);
-        LaneClaim { registry: self, pid }
-    }
-}
-
-/// RAII lane claim: releases the slot on drop, even on unwind.
-pub(crate) struct LaneClaim<'a> {
-    registry: &'a HandleRegistry,
-    pid: ProcessId,
-}
-
-impl Drop for LaneClaim<'_> {
-    fn drop(&mut self) {
-        self.registry.release(self.pid);
-    }
 }
 
 impl fmt::Debug for HandleRegistry {

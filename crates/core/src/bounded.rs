@@ -151,6 +151,9 @@ impl<V: RegisterValue, B: Backend> SwSnapshot<V> for BoundedSnapshot<V, B> {
             pid,
             toggle,
             cache: TrackedCollect::new(),
+            moved: vec![0; self.n],
+            q_local: vec![false; self.n],
+            pa: vec![false; self.n],
         }
     }
 }
@@ -164,6 +167,11 @@ impl<V: RegisterValue, B: Backend> fmt::Debug for BoundedSnapshot<V, B> {
 }
 
 impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for BoundedSnapshot<V, B> {
+    type Lane<'a>
+        = BoundedHandle<'a, V, B>
+    where
+        Self: 'a;
+
     fn segments(&self) -> usize {
         self.n
     }
@@ -176,27 +184,32 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for BoundedSnapshot
         true
     }
 
+    fn lane(&self, pid: ProcessId) -> BoundedHandle<'_, V, B> {
+        self.handle(pid)
+    }
+
     fn try_scan(
         &self,
-        lane: ProcessId,
+        lane: &mut BoundedHandle<'_, V, B>,
         _ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        Ok(self.handle(lane).scan_with_stats())
+        Ok(lane.scan_with_stats())
     }
 
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut BoundedHandle<'_, V, B>,
         segment: usize,
         value: V,
         _ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
         assert_eq!(
             segment,
-            lane.get(),
-            "single-writer construction: lane {lane} cannot update segment {segment}"
+            lane.pid.get(),
+            "single-writer construction: lane {} cannot update segment {segment}",
+            lane.pid
         );
-        Ok(self.handle(lane).update_with_stats(value))
+        Ok(lane.update_with_stats(value))
     }
 
     /// Figure 3's scan restricted to the requested registers. The
@@ -217,14 +230,14 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for BoundedSnapshot
     /// and always `Ok(Some(..))`.
     fn try_scan_subset(
         &self,
-        lane: ProcessId,
+        lane: &mut BoundedHandle<'_, V, B>,
         segments: &[usize],
         _ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
-        let _lane = self.registry.claim_guard(lane);
+        let lane = lane.pid;
         let i = lane.get();
         let k = segments.len();
         let mut moved = vec![0u8; k];
@@ -280,13 +293,24 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for BoundedSnapshot
 
 /// Process-local state for [`BoundedSnapshot`]: the current toggle of the
 /// own register (the writer knows its own register's contents, so no read
-/// is needed to flip it).
+/// is needed to flip it), and what the scans keep between operations —
+/// the record cache and the per-partner buffers — so that a warm scan
+/// allocates only the view it returns.
+///
+/// It is also the object's [`TrySnapshotCore`](crate::TrySnapshotCore)
+/// lane.
 pub struct BoundedHandle<'a, V: RegisterValue, B: Backend> {
     shared: &'a BoundedSnapshot<V, B>,
     pid: ProcessId,
     toggle: bool,
     /// Scanner-local record cache for the incremental collect path.
     cache: TrackedCollect<BndRecord<V>>,
+    /// Figure 3's `moved[j]`, reset at the start of every scan.
+    moved: Vec<u8>,
+    /// The last value this scan wrote to each `q_{i,j}`.
+    q_local: Vec<bool>,
+    /// Each partner's `p_{j,i}` as collect a saw it.
+    pa: Vec<bool>,
 }
 
 impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
@@ -385,7 +409,7 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
     /// paper's `moved` predicate (Lemma 4.1 excludes the key ABA there),
     /// while in any wider window — across the handshake, across rounds,
     /// across scans — two completed updates can restore a key, so only a
-    /// version probe (proof that *no write completed*) may skip a read.
+    /// version probe (proof that *no write took effect*) may skip a read.
     ///
     /// The blame predicate is rewritten but equivalent: with `pa[j]` the
     /// pass-a value of `p_{j,i}` and `changed_b[j]` the pass-b key
@@ -397,10 +421,8 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
         let n = shared.n;
         let i = self.pid.get();
         let same = |a: &BndRecord<V>, b: &BndRecord<V>| a.p[i] == b.p[i] && a.toggle == b.toggle;
-        let mut moved = vec![0u8; n];
+        self.moved.fill(0);
         let mut stats = ScanStats::default();
-        let mut q_local = vec![false; n];
-        let mut pa = vec![false; n];
         loop {
             shared.trace.emit(
                 i,
@@ -409,7 +431,7 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
             // Line 0.5 — handshake, interleaved per partner as in the
             // literal path. Keys untrusted: this window spans our own
             // q-writes, outside Lemma 4.1's double-collect interval.
-            for (j, q) in q_local.iter_mut().enumerate() {
+            for (j, q) in self.q_local.iter_mut().enumerate() {
                 let _ = self.cache.advance_one(self.pid, &shared.regs, j, false, same);
                 *q = self.cache.records()[j].p[i];
                 shared.q[i][j].write(self.pid, *q);
@@ -419,12 +441,12 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
             }
             // Line 1 — collect a (keys untrusted for the same reason).
             let _ = self.cache.advance(self.pid, &shared.regs, false, same);
-            for (j, slot) in pa.iter_mut().enumerate() {
-                *slot = self.cache.records()[j].p[i];
+            for (slot, r) in self.pa.iter_mut().zip(self.cache.records()) {
+                *slot = r.p[i];
             }
             // Line 2 — collect b; within the double collect, keys are the
             // paper's own movement test and may skip clones.
-            let pass_b = self.cache.advance(self.pid, &shared.regs, true, same);
+            let _ = self.cache.advance(self.pid, &shared.regs, true, same);
             stats.double_collects += 1;
             stats.reads += 2 * n as u64;
             debug_assert!(
@@ -432,7 +454,8 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
                 "wait-freedom bound violated: {} double collects for n = {n}",
                 stats.double_collects
             );
-            let moved_now = |j: usize| pa[j] != q_local[j] || pass_b.changed[j];
+            let (pa, q_local, changed_b) = (&self.pa, &self.q_local, self.cache.changed());
+            let moved_now = |j: usize| pa[j] != q_local[j] || changed_b[j];
             if (0..n).all(|j| !moved_now(j)) {
                 shared.trace.emit(
                     i,
@@ -442,7 +465,7 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
                         outcome: RoundOutcome::Clean,
                     },
                 );
-                let values: Vec<V> =
+                let values: Arc<[V]> =
                     self.cache.records().iter().map(|r| r.value.clone()).collect();
                 return (SnapshotView::from(values), stats); // line 4
             }
@@ -454,7 +477,7 @@ impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {
                     outcome: RoundOutcome::Moved,
                 },
             );
-            for (j, strikes) in moved.iter_mut().enumerate() {
+            for (j, strikes) in self.moved.iter_mut().enumerate() {
                 if moved_now(j) {
                     if *strikes == 1 {
                         stats.borrowed = true;

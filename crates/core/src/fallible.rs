@@ -1,13 +1,14 @@
 //! The object-level interface a request-serving front-end multiplexes
 //! over.
 //!
-//! The per-process handle traits ([`SwSnapshot`](crate::SwSnapshot) /
-//! [`MwSnapshot`](crate::MwSnapshot)) are the right shape for a process
-//! that *owns* its algorithm state, but a front-end (`snapshot-service`)
-//! multiplexes many short-lived requests over one object: it needs
-//! operations that take `&self` plus a lane. [`TrySnapshotCore`] is that
-//! interface — three operations (scan, update, partial scan), each taking
-//! the request's [`RequestCtx`] and returning `Result<_, CoreError>`.
+//! A front-end (`snapshot-service`) multiplexes many short-lived requests
+//! over one object, each on behalf of a client that owns one **lane**.
+//! [`TrySnapshotCore`] is that interface: a lane is claimed once per
+//! client and holds the process-local state the algorithm keeps between
+//! operations (for the in-process constructions, the per-process handle
+//! itself, with its warm collect cache), and three operations (scan,
+//! update, partial scan) each take the lane and the request's
+//! [`RequestCtx`] and return `Result<_, CoreError>`.
 //!
 //! The paper's constructions assume registers that never fail, and the
 //! four in-process constructions of this crate implement the trait with
@@ -80,11 +81,14 @@ impl std::error::Error for CoreError {}
 
 /// Object-level entry points the service layer multiplexes over.
 ///
-/// A **lane** is a process id reserved for one service client; every call
-/// names the lane on whose behalf it runs. Implementations claim the
-/// lane's per-process state transiently (the service guarantees at most
-/// one in-flight operation per lane, exactly the discipline the handle
-/// registry enforces).
+/// A **lane** is one process's local state, claimed once with
+/// [`lane`](Self::lane) and passed by `&mut` to every operation run on
+/// that process's behalf: the borrow is the one-operation-at-a-time
+/// discipline, so no operation claims anything. For the in-process
+/// constructions a lane is the per-process handle (its sequence number or
+/// toggles and its collect cache stay warm between operations); for a
+/// message-passing core it is the writer's sequence number. Pass a lane
+/// only to the core that claimed it.
 ///
 /// Every operation takes the request's [`RequestCtx`]. A core whose steps
 /// can stall (message-passing register emulations) caps its internal
@@ -94,11 +98,20 @@ impl std::error::Error for CoreError {}
 /// bounded number of their own steps (wait-freedom), so there is nothing
 /// for a deadline to cut short and no internal phase worth a span.
 ///
-/// Contract violations (a lane out of range, a busy lane, a single-writer
-/// update to a foreign segment) panic — they are caller bugs the service
-/// layer validates away before calling, not runtime faults. `CoreError`
-/// is reserved for the backing losing liveness mid-operation.
+/// Contract violations (a lane out of range or claimed twice, a
+/// single-writer update to a foreign segment) panic — they are caller
+/// bugs the service layer validates away before calling, not runtime
+/// faults. `CoreError` is reserved for the backing losing liveness
+/// mid-operation.
+///
+/// The trait has a generic associated type, so it is used through
+/// generics (`C: TrySnapshotCore<V>`), not as a trait object.
 pub trait TrySnapshotCore<V>: Send + Sync {
+    /// One process's local state, borrowed from the core.
+    type Lane<'a>: Send
+    where
+        Self: 'a;
+
     /// Number of memory segments a scan covers (`n` for the single-writer
     /// constructions, `m` words for the multi-writer one).
     fn segments(&self) -> usize;
@@ -110,15 +123,18 @@ pub trait TrySnapshotCore<V>: Send + Sync {
     /// single-writer discipline of Sections 3–4).
     fn single_writer(&self) -> bool;
 
-    /// Runs one full scan on behalf of `lane`.
+    /// Claims process `pid`'s lane until the returned value drops.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or has another operation in
-    /// flight.
+    /// Panics if `pid` is out of range or its lane is already claimed
+    /// (each process's local state must be unique).
+    fn lane(&self, pid: ProcessId) -> Self::Lane<'_>;
+
+    /// Runs one full scan on behalf of `lane`.
     fn try_scan(
         &self,
-        lane: ProcessId,
+        lane: &mut Self::Lane<'_>,
         ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError>;
 
@@ -130,13 +146,13 @@ pub trait TrySnapshotCore<V>: Send + Sync {
     ///
     /// # Panics
     ///
-    /// Panics if `segment` is out of range, if `lane` is out of range or
-    /// busy, or if the construction is [single-writer](Self::single_writer)
-    /// and `segment != lane` — the service validates and surfaces a typed
-    /// error before calling.
+    /// Panics if `segment` is out of range, or if the construction is
+    /// [single-writer](Self::single_writer) and `segment` is not the
+    /// lane's own — the service validates and surfaces a typed error
+    /// before calling.
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut Self::Lane<'_>,
         segment: usize,
         value: V,
         ctx: RequestCtx,
@@ -164,11 +180,11 @@ pub trait TrySnapshotCore<V>: Send + Sync {
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or busy, or if `segments`
-    /// violates the canonical-form contract (debug assertions).
+    /// Panics if `segments` violates the canonical-form contract (debug
+    /// assertions).
     fn try_scan_subset(
         &self,
-        lane: ProcessId,
+        lane: &mut Self::Lane<'_>,
         segments: &[usize],
         ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
@@ -184,30 +200,31 @@ mod tests {
         BoundedSnapshot, LockSnapshot, MultiWriterSnapshot, SwSnapshot, UnboundedSnapshot,
     };
 
+    /// The three operations on one lane of `core`, which holds 3
+    /// segments.
+    fn serve_three_operations<C: TrySnapshotCore<u32>>(core: &C, single_writer: bool) {
+        let ctx = RequestCtx::none();
+        assert_eq!(core.single_writer(), single_writer);
+        assert_eq!((core.segments(), core.lanes()), (3, 3));
+        let mut lane = core.lane(ProcessId::new(0));
+        let _ = core.try_update(&mut lane, 0, 7, ctx).unwrap();
+        assert_eq!(core.try_scan(&mut lane, ctx).unwrap().0[0], 7);
+        let (values, stats) = core
+            .try_scan_subset(&mut lane, &[0, 2], ctx)
+            .unwrap()
+            .expect("quiescent native subset scans always certify");
+        assert_eq!(values, vec![7, 0]);
+        assert!(!stats.borrowed);
+        // The lane serves a full scan after a subset scan.
+        assert_eq!(core.try_scan(&mut lane, ctx).unwrap().0[0], 7);
+    }
+
     #[test]
     fn all_four_constructions_serve_the_three_operations() {
-        let lane = ProcessId::new(0);
-        let ctx = RequestCtx::none();
-        let unb = UnboundedSnapshot::new(3, 0u32);
-        let bnd = BoundedSnapshot::new(3, 0u32);
-        let lck = LockSnapshot::new(3, 0u32);
-        let mw = MultiWriterSnapshot::new(3, 3, 0u32);
-        let cores: [(&dyn TrySnapshotCore<u32>, bool); 4] =
-            [(&unb, true), (&bnd, true), (&lck, true), (&mw, false)];
-        for (core, single_writer) in cores {
-            assert_eq!(core.single_writer(), single_writer);
-            assert_eq!((core.segments(), core.lanes()), (3, 3));
-            let _ = core.try_update(lane, 0, 7, ctx).unwrap();
-            assert_eq!(core.try_scan(lane, ctx).unwrap().0[0], 7);
-            let (values, stats) = core
-                .try_scan_subset(lane, &[0, 2], ctx)
-                .unwrap()
-                .expect("quiescent native subset scans always certify");
-            assert_eq!(values, vec![7, 0]);
-            assert!(!stats.borrowed);
-            // The lane is released again: a full scan still works.
-            assert_eq!(core.try_scan(lane, ctx).unwrap().0[0], 7);
-        }
+        serve_three_operations(&UnboundedSnapshot::new(3, 0u32), true);
+        serve_three_operations(&BoundedSnapshot::new(3, 0u32), true);
+        serve_three_operations(&LockSnapshot::new(3, 0u32), true);
+        serve_three_operations(&MultiWriterSnapshot::new(3, 3, 0u32), false);
     }
 
     #[test]
@@ -215,11 +232,13 @@ mod tests {
         let mw = MultiWriterSnapshot::new(2, 5, 0u32);
         let ctx = RequestCtx::none();
         assert_eq!((mw.segments(), mw.lanes()), (5, 2));
-        let _ = mw.try_update(ProcessId::new(1), 3, 9, ctx).unwrap();
+        let _ = mw.try_update(&mut mw.lane(ProcessId::new(1)), 3, 9, ctx).unwrap();
         // Version-filtered over the epoch backend: a quiescent subset
         // scan certifies on the first probe round.
-        let (values, stats) =
-            mw.try_scan_subset(ProcessId::new(0), &[1, 3], ctx).unwrap().expect("quiescent");
+        let (values, stats) = mw
+            .try_scan_subset(&mut mw.lane(ProcessId::new(0)), &[1, 3], ctx)
+            .unwrap()
+            .expect("quiescent");
         assert_eq!(values, vec![0, 9]);
         assert!(stats.reads <= 6, "O(k) cost: {} reads for k = 2", stats.reads);
     }
@@ -228,19 +247,20 @@ mod tests {
     #[should_panic(expected = "single-writer")]
     fn single_writer_update_rejects_foreign_segments() {
         let snap = UnboundedSnapshot::new(2, 0u32);
-        let _ = snap.try_update(ProcessId::new(0), 1, 5, RequestCtx::none());
+        let _ = snap.try_update(&mut snap.lane(ProcessId::new(0)), 1, 5, RequestCtx::none());
     }
 
     #[test]
-    fn transient_claims_leave_the_lane_reusable() {
+    fn a_dropped_lane_can_be_claimed_again() {
         let snap = UnboundedSnapshot::new(2, 0u32);
-        let lane = ProcessId::new(0);
+        let pid = ProcessId::new(0);
         for k in 1..=5 {
-            let _ = snap.try_update(lane, 0, k, RequestCtx::none()).unwrap();
-            assert_eq!(snap.try_scan(lane, RequestCtx::none()).unwrap().0[0], k);
+            let mut lane = snap.lane(pid);
+            let _ = snap.try_update(&mut lane, 0, k, RequestCtx::none()).unwrap();
+            assert_eq!(snap.try_scan(&mut lane, RequestCtx::none()).unwrap().0[0], k);
         }
         // The ordinary handle interface still works afterwards.
-        let _h = snap.handle(lane);
+        let _h = snap.handle(pid);
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //!
 //! The unbounded, bounded, multi-writer and locked constructions also
 //! implement [`TrySnapshotCore`] — the object-level multiplexing
-//! interface (`&self` scan / update / partial scan, each taking a lane and
-//! the request's [`RequestCtx`]) that the `snapshot-service` front-end
-//! serves many concurrent clients over. Its operations return `Result` so
+//! interface (`&self` scan / update / partial scan, each taking a lane —
+//! for these four, the per-process handle — and the request's
+//! [`RequestCtx`]) that the `snapshot-service` front-end serves many
+//! concurrent clients over. Its operations return `Result` so
 //! the same front-end also runs over emulated registers whose operations
 //! can fail — see `snapshot-abd`'s `AbdSnapshotCore`; the in-process
 //! constructions never err.

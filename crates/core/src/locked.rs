@@ -1,5 +1,5 @@
 use std::fmt;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use snapshot_registers::{CachePadded, ProcessId, RegisterValue};
 
@@ -84,6 +84,11 @@ impl<V> fmt::Debug for LockSnapshot<V> {
 }
 
 impl<V: RegisterValue> crate::TrySnapshotCore<V> for LockSnapshot<V> {
+    type Lane<'a>
+        = LockHandle<'a, V>
+    where
+        Self: 'a;
+
     fn segments(&self) -> usize {
         self.n
     }
@@ -96,27 +101,32 @@ impl<V: RegisterValue> crate::TrySnapshotCore<V> for LockSnapshot<V> {
         true
     }
 
+    fn lane(&self, pid: ProcessId) -> LockHandle<'_, V> {
+        self.handle(pid)
+    }
+
     fn try_scan(
         &self,
-        lane: ProcessId,
+        lane: &mut LockHandle<'_, V>,
         _ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        Ok(self.handle(lane).scan_with_stats())
+        Ok(lane.scan_with_stats())
     }
 
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut LockHandle<'_, V>,
         segment: usize,
         value: V,
         _ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
         assert_eq!(
             segment,
-            lane.get(),
-            "single-writer construction: lane {lane} cannot update segment {segment}"
+            lane.pid.get(),
+            "single-writer construction: lane {} cannot update segment {segment}",
+            lane.pid
         );
-        Ok(self.handle(lane).update_with_stats(value))
+        Ok(lane.update_with_stats(value))
     }
 
     /// A lock-scoped projection: the read lock makes the whole memory
@@ -125,20 +135,20 @@ impl<V: RegisterValue> crate::TrySnapshotCore<V> for LockSnapshot<V> {
     /// `n`, which is the entire point for wide objects.
     fn try_scan_subset(
         &self,
-        lane: ProcessId,
+        _lane: &mut LockHandle<'_, V>,
         segments: &[usize],
         _ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
-        let _lane = self.registry.claim_guard(lane);
         let mem = self.mem();
         Ok(Some((segments.iter().map(|&s| mem[s].clone()).collect(), ScanStats::default())))
     }
 }
 
-/// Process handle for [`LockSnapshot`].
+/// Process handle for [`LockSnapshot`]; also its
+/// [`TrySnapshotCore`](crate::TrySnapshotCore) lane.
 pub struct LockHandle<'a, V> {
     shared: &'a LockSnapshot<V>,
     pid: ProcessId,
@@ -158,7 +168,8 @@ impl<V: RegisterValue> SwSnapshotHandle<V> for LockHandle<'_, V> {
     }
 
     fn scan_with_stats(&mut self) -> (SnapshotView<V>, ScanStats) {
-        let view = SnapshotView::from(self.shared.mem().clone());
+        let values: Arc<[V]> = self.shared.mem().iter().cloned().collect();
+        let view = SnapshotView::from(values);
         // No primitive registers, no double collects: all stats are zero.
         (view, ScanStats::default())
     }

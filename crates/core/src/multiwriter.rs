@@ -1,5 +1,5 @@
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use snapshot_obs::{Algo, Event, RoundOutcome, Trace};
 use snapshot_registers::{
@@ -242,6 +242,9 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MwSnapshot<V> for MultiWriterSna
             pid,
             toggles,
             cache: TrackedCollect::new(),
+            moved: vec![0; self.n],
+            q_local: vec![false; self.n],
+            h: vec![false; self.n],
         }
     }
 }
@@ -259,6 +262,11 @@ impl<V: RegisterValue, B: Backend, BM: Backend> fmt::Debug for MultiWriterSnapsh
 impl<V: RegisterValue, B: Backend, BM: Backend> crate::TrySnapshotCore<V>
     for MultiWriterSnapshot<V, B, BM>
 {
+    type Lane<'a>
+        = MultiWriterHandle<'a, V, B, BM>
+    where
+        Self: 'a;
+
     fn segments(&self) -> usize {
         self.m
     }
@@ -271,22 +279,26 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::TrySnapshotCore<V>
         false
     }
 
+    fn lane(&self, pid: ProcessId) -> MultiWriterHandle<'_, V, B, BM> {
+        self.handle(pid)
+    }
+
     fn try_scan(
         &self,
-        lane: ProcessId,
+        lane: &mut MultiWriterHandle<'_, V, B, BM>,
         _ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        Ok(self.handle(lane).scan_with_stats())
+        Ok(lane.scan_with_stats())
     }
 
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut MultiWriterHandle<'_, V, B, BM>,
         segment: usize,
         value: V,
         _ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
-        Ok(self.handle(lane).update_with_stats(segment, value))
+        Ok(lane.update_with_stats(segment, value))
     }
 
     /// Version-filtered subset collect over the requested value words.
@@ -310,7 +322,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::TrySnapshotCore<V>
     /// backends (mutex cells, gated simulation) also return `Ok(None)`.
     fn try_scan_subset(
         &self,
-        lane: ProcessId,
+        lane: &mut MultiWriterHandle<'_, V, B, BM>,
         segments: &[usize],
         _ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
@@ -320,10 +332,9 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::TrySnapshotCore<V>
         // Interference budget: enough rounds to ride out a burst, small
         // enough that the fallback's O(n·m) bound still dominates cost.
         const MAX_ROUNDS: u32 = 4;
-        let _lane = self.registry.claim_guard(lane);
         let slots: Vec<&BM::Cell<MwRecord<V>>> =
             segments.iter().map(|&w| &*self.vals[w]).collect();
-        Ok(match subset_collect(lane, &slots, MAX_ROUNDS) {
+        Ok(match subset_collect(lane.pid, &slots, MAX_ROUNDS) {
             SubsetOutcome::Clean { records, rounds, reads } => Some((
                 records.into_iter().map(|r| r.value).collect(),
                 ScanStats { double_collects: rounds, borrowed: false, reads, writes: 0 },
@@ -334,13 +345,24 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::TrySnapshotCore<V>
 }
 
 /// Process-local state for [`MultiWriterSnapshot`]: the per-word toggle
-/// bits `t_k` of Figure 4 (saved between updates).
+/// bits `t_k` of Figure 4 (saved between updates), and what the scans
+/// keep between operations — the value-record cache and the per-partner
+/// buffers — so that a warm scan allocates only the view it returns.
+///
+/// It is also the object's [`TrySnapshotCore`](crate::TrySnapshotCore)
+/// lane.
 pub struct MultiWriterHandle<'a, V: RegisterValue, B: Backend, BM: Backend> {
     shared: &'a MultiWriterSnapshot<V, B, BM>,
     pid: ProcessId,
     toggles: Vec<bool>,
     /// Scanner-local value-record cache for the incremental collect path.
     cache: TrackedCollect<MwRecord<V>>,
+    /// Figure 4's `moved[j]`, reset at the start of every scan.
+    moved: Vec<u8>,
+    /// The last value this scan wrote to each `q_{i,j}`.
+    q_local: Vec<bool>,
+    /// Line 2.5's collect of `p_{j,i}`.
+    h: Vec<bool>,
 }
 
 impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> {
@@ -458,9 +480,8 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
         let pid = self.pid;
         let trace = &shared.trace;
         let same = |a: &MwRecord<V>, b: &MwRecord<V>| a.id == b.id && a.toggle == b.toggle;
-        let mut moved = vec![0u8; n];
+        self.moved.fill(0);
         let mut stats = ScanStats::default();
-        let mut q_local = vec![false; n];
 
         let handshake = |q_local: &mut [bool], stats: &mut ScanStats| {
             // Line 0.5: q_{i,j} := p_{j,i}.
@@ -473,7 +494,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
             }
         };
 
-        handshake(&mut q_local, &mut stats);
+        handshake(&mut self.q_local, &mut stats);
         loop {
             trace.emit(
                 i,
@@ -484,7 +505,9 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
             // Line 2 — collect b: key comparison is the paper's own test.
             let pass_b = self.cache.advance(pid, &shared.vals, true, same);
             // Line 2.5: h := collect(p_{j,i}).
-            let h: Vec<bool> = (0..n).map(|j| shared.p[j][i].read(pid)).collect();
+            for (j, h) in self.h.iter_mut().enumerate() {
+                *h = shared.p[j][i].read(pid);
+            }
             stats.double_collects += 1;
             stats.reads += 2 * m as u64 + n as u64;
             debug_assert!(
@@ -492,7 +515,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
                 "wait-freedom bound violated: {} double collects for n = {n}",
                 stats.double_collects
             );
-            let handshakes_clean = (0..n).all(|j| q_local[j] == h[j]);
+            let handshakes_clean = self.q_local == self.h;
             if handshakes_clean && pass_b.clean() {
                 trace.emit(
                     i,
@@ -502,7 +525,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
                         outcome: RoundOutcome::Clean,
                     },
                 );
-                let values: Vec<V> =
+                let values: Arc<[V]> =
                     self.cache.records().iter().map(|r| r.value.clone()).collect();
                 return (SnapshotView::from(values), stats); // line 4
             }
@@ -514,23 +537,23 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> 
                     outcome: RoundOutcome::Moved,
                 },
             );
+            let (records, changed_b) = (self.cache.records(), self.cache.changed());
             for j in 0..n {
-                let hs_moved = q_local[j] != h[j];
-                let val_moved =
-                    (0..m).any(|k| pass_b.changed[k] && self.cache.records()[k].id == j);
+                let hs_moved = self.q_local[j] != self.h[j];
+                let val_moved = (0..m).any(|k| changed_b[k] && records[k].id == j);
                 if hs_moved || val_moved {
-                    if moved[j] == 2 {
+                    if self.moved[j] == 2 {
                         stats.borrowed = true;
                         stats.reads += 1;
                         trace.emit(i, Event::BorrowDecision { lender: j, moved: 3 });
                         return (shared.views[j].read(pid), stats);
                     }
-                    moved[j] += 1; // line 9
+                    self.moved[j] += 1; // line 9
                 }
             }
             // Line 10: the retry edge — see `MwVariant`.
             if shared.variant == MwVariant::RescanHandshake {
-                handshake(&mut q_local, &mut stats);
+                handshake(&mut self.q_local, &mut stats);
             }
         }
     }

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use snapshot_obs::{Algo, Event, RoundOutcome, Trace};
 use snapshot_registers::{
@@ -143,6 +144,7 @@ impl<V: RegisterValue, B: Backend> SwSnapshot<V> for UnboundedSnapshot<V, B> {
             pid,
             seq,
             cache: TrackedCollect::new(),
+            moved: vec![0; self.n],
         }
     }
 }
@@ -156,6 +158,11 @@ impl<V: RegisterValue, B: Backend> fmt::Debug for UnboundedSnapshot<V, B> {
 }
 
 impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for UnboundedSnapshot<V, B> {
+    type Lane<'a>
+        = UnboundedHandle<'a, V, B>
+    where
+        Self: 'a;
+
     fn segments(&self) -> usize {
         self.n
     }
@@ -168,27 +175,32 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for UnboundedSnapsh
         true
     }
 
+    fn lane(&self, pid: ProcessId) -> UnboundedHandle<'_, V, B> {
+        self.handle(pid)
+    }
+
     fn try_scan(
         &self,
-        lane: ProcessId,
+        lane: &mut UnboundedHandle<'_, V, B>,
         _ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
-        Ok(self.handle(lane).scan_with_stats())
+        Ok(lane.scan_with_stats())
     }
 
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut UnboundedHandle<'_, V, B>,
         segment: usize,
         value: V,
         _ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
         assert_eq!(
             segment,
-            lane.get(),
-            "single-writer construction: lane {lane} cannot update segment {segment}"
+            lane.pid.get(),
+            "single-writer construction: lane {} cannot update segment {segment}",
+            lane.pid
         );
-        Ok(self.handle(lane).update_with_stats(value))
+        Ok(lane.update_with_stats(value))
     }
 
     /// Figure 2's scan run over only the requested registers. Equal `seq`
@@ -206,14 +218,14 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for UnboundedSnapsh
     /// `Ok(None)`.
     fn try_scan_subset(
         &self,
-        lane: ProcessId,
+        lane: &mut UnboundedHandle<'_, V, B>,
         segments: &[usize],
         _ctx: RequestCtx,
     ) -> Result<Option<(Vec<V>, ScanStats)>, CoreError> {
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
-        let _lane = self.registry.claim_guard(lane);
+        let lane = lane.pid;
         let k = segments.len();
         let mut moved = vec![0u8; k];
         let mut stats = ScanStats::default();
@@ -252,13 +264,20 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for UnboundedSnapsh
 }
 
 /// Process-local state for [`UnboundedSnapshot`]: the saved sequence
-/// number `seq_i` of Figure 2.
+/// number `seq_i` of Figure 2, and what the scans keep between
+/// operations — the record cache and the move counts — so that a warm
+/// scan allocates only the view it returns.
+///
+/// It is also the object's [`TrySnapshotCore`](crate::TrySnapshotCore)
+/// lane.
 pub struct UnboundedHandle<'a, V: RegisterValue, B: Backend> {
     shared: &'a UnboundedSnapshot<V, B>,
     pid: ProcessId,
     seq: u64,
     /// Scanner-local record cache for the incremental collect path.
     cache: TrackedCollect<UnbRecord<V>>,
+    /// Figure 2's `moved[j]`, reset at the start of every scan.
+    moved: Vec<u8>,
 }
 
 impl<V: RegisterValue, B: Backend> UnboundedHandle<'_, V, B> {
@@ -340,7 +359,7 @@ impl<V: RegisterValue, B: Backend> UnboundedHandle<'_, V, B> {
     /// Per-writer `seq` is monotone, so equal keys mean the *same write*
     /// in any window — the unbounded construction may trust keys on every
     /// pass, not just the round-internal one (see `TrackedCollect`).
-    /// `changed[j]` from the second pass equals Figure 2's
+    /// `changed()[j]` after the second pass equals Figure 2's
     /// `a[j].seq != b[j].seq`, so move-counting, the clean rule and the
     /// borrow rule are bitwise those of `scan_inner_full`.
     fn scan_inner_incremental(&mut self) -> (SnapshotView<V>, ScanStats) {
@@ -348,7 +367,7 @@ impl<V: RegisterValue, B: Backend> UnboundedHandle<'_, V, B> {
         let n = shared.n;
         let me = self.pid.get();
         let same = |a: &UnbRecord<V>, b: &UnbRecord<V>| a.seq == b.seq;
-        let mut moved = vec![0u8; n];
+        self.moved.fill(0);
         let mut stats = ScanStats::default();
         loop {
             shared.trace.emit(
@@ -368,13 +387,13 @@ impl<V: RegisterValue, B: Backend> UnboundedHandle<'_, V, B> {
             );
             if pass_b.clean() {
                 trace_round_end(&shared.trace, me, stats.double_collects, RoundOutcome::Clean);
-                let values: Vec<V> =
+                let values: Arc<[V]> =
                     self.cache.records().iter().map(|r| r.value.clone()).collect();
                 return (SnapshotView::from(values), stats);
             }
             trace_round_end(&shared.trace, me, stats.double_collects, RoundOutcome::Moved);
-            for (j, strikes) in moved.iter_mut().enumerate() {
-                if pass_b.changed[j] {
+            for (j, strikes) in self.moved.iter_mut().enumerate() {
+                if self.cache.changed()[j] {
                     if *strikes == 1 {
                         stats.borrowed = true;
                         shared.trace.emit(me, Event::BorrowDecision { lender: j, moved: 2 });

@@ -1,4 +1,4 @@
-use crate::{ProcessId, Register};
+use crate::{ProcessId, Register, Version};
 
 /// Reads every register in `regs`, in index order, on behalf of `reader`.
 ///
@@ -26,8 +26,8 @@ pub fn collect<T, R: Register<T>>(reader: ProcessId, regs: &[R]) -> Vec<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotOutcome {
     /// The register's [`Register::version_hint`] matched the one recorded
-    /// with the cached record, so no write completed since the record was
-    /// read — the cache is current and the register was not touched.
+    /// with the cached record, so no write took effect since the record
+    /// was read — the cache is current and the register was not touched.
     ReusedByVersion,
     /// The register was read in place ([`Register::read_with`]) and the
     /// caller's key comparison said the stored record is the *same write*
@@ -45,11 +45,13 @@ pub enum SlotOutcome {
 }
 
 /// Summary of one full [`TrackedCollect::advance`] pass over the array.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Which slots changed stays in the collect ([`TrackedCollect::changed`]),
+/// so a pass allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassSummary {
-    /// Per-slot: did this pass observe a different write than the cache
-    /// held before the pass? (Index = register index.)
-    pub changed: Vec<bool>,
+    /// How many slots observed a different write than the cache held
+    /// before the pass.
+    pub changed: usize,
     /// How many slots were actually cloned (the `k` in the "n probes +
     /// k clones" steady-state cost).
     pub cloned: usize,
@@ -58,7 +60,7 @@ pub struct PassSummary {
 impl PassSummary {
     /// `true` when no slot changed — the collect equals the previous one.
     pub fn clean(&self) -> bool {
-        self.changed.iter().all(|c| !c)
+        self.changed == 0
     }
 }
 
@@ -69,11 +71,15 @@ impl PassSummary {
 /// per round even when nothing changed. `TrackedCollect` keeps the last
 /// record seen per register together with the [`Register::version_hint`]
 /// observed *just before* that record was read. A later pass first probes
-/// the version: if it is unchanged, **no write completed in between**
+/// the version: if it is unchanged, **no write took effect in between**
 /// (see the `version_hint` contract), so the cached record is still the
-/// register's current content and the slot costs one atomic load — no
+/// register's current content and the slot costs a version probe — no
 /// read, no clone. In the steady state a pass is `n` version probes plus
 /// `k` clones, where `k` is the number of registers that actually moved.
+/// Because the proof holds in any window, the cache stays sound across
+/// scans: a scanner that keeps its `TrackedCollect` between operations
+/// returns nothing older than what any read that finished before its
+/// probe returned.
 ///
 /// When the version differs (or the register keeps no versions), the slot
 /// is read in place via [`Register::read_with`] and the caller's `same`
@@ -88,7 +94,7 @@ impl PassSummary {
 /// The two reuse paths have *different* soundness windows, and the
 /// `trust_keys` flag exists to keep them apart:
 ///
-/// * A **version** match proves no write completed between the two
+/// * A **version** match proves no write took effect between the two
 ///   observations, full stop. It is sound in *any* window — across
 ///   rounds, across scans, across handshakes.
 /// * A **key** match only proves the keys are equal. For the bounded
@@ -137,13 +143,16 @@ impl PassSummary {
 ///
 /// regs[2].write(ProcessId::new(2), 99);
 /// let pass = tc.advance(p, &regs, false, same);
-/// assert_eq!(pass.changed, vec![false, false, true, false]);
+/// assert_eq!(pass.changed, 1);
+/// assert_eq!(tc.changed(), &[false, false, true, false]);
 /// assert_eq!(tc.records()[2], 99);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrackedCollect<T> {
     records: Vec<T>,
-    versions: Vec<Option<u64>>,
+    versions: Vec<Option<Version>>,
+    /// Per slot: whether its last advance saw a different write.
+    changed: Vec<bool>,
 }
 
 impl<T: Clone> Default for TrackedCollect<T> {
@@ -158,6 +167,7 @@ impl<T: Clone> TrackedCollect<T> {
         TrackedCollect {
             records: Vec::new(),
             versions: Vec::new(),
+            changed: Vec::new(),
         }
     }
 
@@ -171,10 +181,19 @@ impl<T: Clone> TrackedCollect<T> {
         &self.records
     }
 
+    /// Per slot, in index order: whether the slot's last advance
+    /// observed a different write than the cache held before it — after
+    /// [`advance`](Self::advance), that pass's mask. Always `true` on the
+    /// priming pass.
+    pub fn changed(&self) -> &[bool] {
+        &self.changed
+    }
+
     /// Drops the cache; the next pass will prime from scratch.
     pub fn invalidate(&mut self) {
         self.records.clear();
         self.versions.clear();
+        self.changed.clear();
     }
 
     /// Advances the cache for register `j` alone.
@@ -196,8 +215,8 @@ impl<T: Clone> TrackedCollect<T> {
         same: impl Fn(&T, &T) -> bool,
     ) -> SlotOutcome {
         // Observe the version BEFORE reading the record: an unchanged
-        // probe later then certifies the record (contract: no write
-        // completed between the two probes, and the read sits between).
+        // probe later then certifies the record (contract: no write took
+        // effect between the two probes, and the read sits between).
         let hint = regs[j].version_hint();
         if j >= self.records.len() {
             // Priming: first visit of this slot.
@@ -205,12 +224,12 @@ impl<T: Clone> TrackedCollect<T> {
             let rec = regs[j].read_with(reader, |cur| cur.clone());
             self.records.push(rec);
             self.versions.push(hint);
+            self.changed.push(true);
             return SlotOutcome::Cloned { changed: true };
         }
-        if let (Some(h), Some(v)) = (hint, self.versions[j]) {
-            if h == v {
-                return SlotOutcome::ReusedByVersion;
-            }
+        if hint.is_some() && hint == self.versions[j] {
+            self.changed[j] = false;
+            return SlotOutcome::ReusedByVersion;
         }
         let prev = &self.records[j];
         let fresh = regs[j].read_with(reader, |cur| {
@@ -236,18 +255,21 @@ impl<T: Clone> TrackedCollect<T> {
                 // version (probed before `prev` was read) preserves the
                 // pairing invariant, so the next pass sees the version
                 // mismatch and re-validates the slot by reading.
+                self.changed[j] = false;
                 SlotOutcome::ReusedByKey
             }
             Some((rec, changed)) => {
                 self.records[j] = rec;
                 self.versions[j] = hint;
+                self.changed[j] = changed;
                 SlotOutcome::Cloned { changed }
             }
         }
     }
 
     /// Advances the cache across the whole array — one incremental
-    /// collect pass — and reports which slots moved.
+    /// collect pass — and reports how many slots moved; which ones is
+    /// [`changed`](Self::changed).
     ///
     /// On an unprimed cache this is the priming pass: every slot is
     /// cloned and reported `changed` (callers discard the mask of a
@@ -259,16 +281,16 @@ impl<T: Clone> TrackedCollect<T> {
         trust_keys: bool,
         same: impl Fn(&T, &T) -> bool,
     ) -> PassSummary {
-        let mut changed = Vec::with_capacity(regs.len());
-        let mut cloned = 0;
+        let mut pass = PassSummary { changed: 0, cloned: 0 };
         for j in 0..regs.len() {
-            let outcome = self.advance_one(reader, regs, j, trust_keys, &same);
-            changed.push(matches!(outcome, SlotOutcome::Cloned { changed: true }));
-            if matches!(outcome, SlotOutcome::Cloned { .. }) {
-                cloned += 1;
+            if let SlotOutcome::Cloned { changed } =
+                self.advance_one(reader, regs, j, trust_keys, &same)
+            {
+                pass.cloned += 1;
+                pass.changed += usize::from(changed);
             }
         }
-        PassSummary { changed, cloned }
+        pass
     }
 }
 
@@ -322,22 +344,14 @@ pub enum SubsetOutcome<T> {
 ///
 /// # Soundness
 ///
-/// The hint contract says equal probes prove no write *returned*
+/// The hint contract says equal probes prove no write took effect
 /// between them. Each returned record was read inside a window whose
-/// endpoints are equal probes of its slot, and every window contains
-/// the instant between the last two passes — so there is a common
-/// instant `T` such that, for every slot, no write returned in a
-/// window around `T` in which its record was read. A write that would
-/// contradict the returned picture (one slot's record missing a write
-/// that another slot's record can only follow) must have returned
-/// inside some window, which would have bumped that slot's version and
-/// dirtied the pass. Note what is **not** claimed: a still-in-flight
-/// write may have swapped a slot's physical contents inside a window.
-/// Such a write is concurrent with the whole collect and may be
-/// linearized after it — callers whose updates linearize at the
-/// register write (and who need nothing else from the round) get a
-/// linearizable subset read; callers with handshake obligations to
-/// writers outside the subset must not use this filter alone.
+/// endpoints are equal probes of its slot, so the register held that
+/// record throughout its window; and every window contains the instant
+/// between the last two passes. At that instant every slot held the
+/// record returned for it: the records are an instantaneous picture of
+/// the subset, which is exactly a linearizable subset read for callers
+/// whose updates linearize at the register write.
 ///
 /// Quiescent cost: `k` reads plus `2k` probes for `k` slots — the
 /// priming pass and one clean confirmation pass — independent of how
@@ -443,7 +457,8 @@ mod tests {
         tc.advance(P0, &regs, false, same);
         regs[1].write(ProcessId::new(1), 77);
         let pass = tc.advance(P0, &regs, false, same);
-        assert_eq!(pass.changed, vec![false, true, false, false]);
+        assert_eq!(pass.changed, 1);
+        assert_eq!(tc.changed(), &[false, true, false, false]);
         assert_eq!(pass.cloned, 1);
         assert_eq!(tc.records(), collect(P0, &regs).as_slice());
     }
@@ -489,7 +504,8 @@ mod tests {
         assert_eq!(pass.cloned, 0, "key-equal slots reuse the cache");
         regs[2].write(ProcessId::new(2), 9);
         let pass = tc.advance(P0, &regs, true, same);
-        assert_eq!(pass.changed, vec![false, false, true]);
+        assert_eq!(pass.changed, 1);
+        assert_eq!(tc.changed(), &[false, false, true]);
         assert_eq!(tc.records(), collect(P0, &regs).as_slice());
     }
 
@@ -616,8 +632,8 @@ mod tests {
                 0
             }
             fn write(&self, _writer: ProcessId, _value: u64) {}
-            fn version_hint(&self) -> Option<u64> {
-                Some(self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
+            fn version_hint(&self) -> Option<Version> {
+                Some(Version::new(self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed), 1))
             }
         }
         let slots = [Restless(std::sync::atomic::AtomicU64::new(0))];

@@ -2,7 +2,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use crate::{epoch, ProcessId, Register, TryRegister};
+use crate::{epoch, ProcessId, Register, TryRegister, Version};
 
 /// The default lock-free atomic register: an immutable record behind an
 /// atomic pointer, reclaimed with epoch-based garbage collection.
@@ -19,12 +19,23 @@ use crate::{epoch, ProcessId, Register, TryRegister};
 /// cheap — and the [`Register::read_with`] override here avoids even that
 /// clone by borrowing the record under the epoch pin.
 ///
-/// The cell also keeps a *write-version* counter for
-/// [`Register::version_hint`]: it is bumped **after** each pointer swap,
-/// inside `write`, so an unchanged version between two observations
-/// proves no write completed in between (a swap the observer missed can
-/// only belong to a `write` call that had not yet returned — a concurrent
-/// write, which a linearizable reader may order after itself).
+/// The cell also keeps a completed-write count for
+/// [`Register::version_hint`]. A probe reads the count, then the slot
+/// pointer, then the count again, and returns the pair (count, pointer):
+/// two equal probes prove that **no swap took effect between them**, even
+/// one whose `write` has not returned yet. The pointer carries that
+/// proof — a swap always installs a fresh allocation — and the count
+/// rules out the one way a pointer can look unchanged: its address being
+/// freed and reused. `write` bumps the count *before* it retires the
+/// swapped-out record, so an address can only come back into the slot
+/// after the count has moved past the value a probe that saw the old
+/// occupant read first; a probe that then sees the reused address reads
+/// the moved count last. A probe whose two count loads differ (a write
+/// completed during it) returns a pair with a null pointer, which equals
+/// no later probe: a later clean probe differs in the pointer, and a
+/// later one whose own count loads differ carries a larger count. Writers
+/// pay nothing for this — one swap, one increment, as before; the probe
+/// pays two extra loads from the line it already reads.
 ///
 /// # Memory-ordering audit
 ///
@@ -69,8 +80,9 @@ pub struct EpochCell<T> {
     /// `Send + Sync` for every `T`, which a cell handing `&T` to any
     /// thread must not be.
     _owns: PhantomData<T>,
-    /// Write-version for `version_hint`; bumped after every swap.
-    version: AtomicU64,
+    /// Completed writes, for `version_hint`: bumped after every swap and
+    /// before the swapped-out record is retired.
+    writes: AtomicU64,
 }
 
 impl<T: Clone + Send + Sync> EpochCell<T> {
@@ -79,8 +91,35 @@ impl<T: Clone + Send + Sync> EpochCell<T> {
         EpochCell {
             slot: AtomicPtr::new(Box::into_raw(Box::new(init))),
             _owns: PhantomData,
-            version: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
         }
+    }
+
+    /// The first half of `write`: installs `value`, returning the
+    /// swapped-out record. The new value is readable from here on.
+    fn swap_in(&self, value: T) -> *mut T {
+        // SeqCst: same global-order requirement as `read`.
+        self.slot
+            .swap(Box::into_raw(Box::new(value)), Ordering::SeqCst)
+    }
+
+    /// The second half of `write`: counts the write complete, then
+    /// retires `old`. The order is what makes a version sound: `old`'s
+    /// address can be reused only after the count has moved.
+    ///
+    /// # Safety
+    ///
+    /// `old` must be the pointer one `swap_in` on this cell returned, and
+    /// no other `complete` may have been given it.
+    unsafe fn complete(&self, guard: &epoch::Guard, old: *mut T) {
+        self.writes.fetch_add(1, Ordering::SeqCst);
+        // SAFETY: `old` was produced by `Box::into_raw` (in `swap_in` or
+        // `new`) and is now unreachable from the slot, and the swap that
+        // returned it is the only one that did, so it is retired once;
+        // readers that loaded it are pinned, so destruction is deferred
+        // past their epochs. `T: Send` lets whichever thread collects the
+        // bag drop it.
+        unsafe { guard.retire(old) };
     }
 }
 
@@ -100,21 +139,9 @@ impl<T: Clone + Send + Sync> Register<T> for EpochCell<T> {
 
     fn write(&self, _writer: ProcessId, value: T) {
         let guard = epoch::pin();
-        // SeqCst: same global-order requirement as `read`.
-        let new = Box::into_raw(Box::new(value));
-        let old = self.slot.swap(new, Ordering::SeqCst);
-        // The version bump follows the swap (both SeqCst, same thread):
-        // once this `write` returns, the bump is visible, so an observer
-        // seeing an unchanged version can only have missed swaps of writes
-        // that had not yet returned — concurrent writes, which the
-        // `version_hint` contract explicitly permits missing.
-        self.version.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: `old` was produced by `Box::into_raw` (here or in `new`)
-        // and is now unreachable from the slot, and this swap is the only
-        // one that returned it, so it is retired once; readers that loaded
-        // it are pinned, so destruction is deferred past their epochs.
-        // `T: Send` lets whichever thread collects the bag drop it.
-        unsafe { guard.retire(old) };
+        let old = self.swap_in(value);
+        // SAFETY: `old` is what this call's own swap returned.
+        unsafe { self.complete(&guard, old) };
     }
 
     fn read_with<U>(&self, _reader: ProcessId, f: impl FnOnce(&T) -> U) -> U {
@@ -125,8 +152,15 @@ impl<T: Clone + Send + Sync> Register<T> for EpochCell<T> {
         f(unsafe { &*ptr })
     }
 
-    fn version_hint(&self) -> Option<u64> {
-        Some(self.version.load(Ordering::SeqCst))
+    fn version_hint(&self) -> Option<Version> {
+        // SeqCst: the proof in the type-level docs orders these loads
+        // against the writers' swap and bump in one total order.
+        let writes = self.writes.load(Ordering::SeqCst);
+        let slot = self.slot.load(Ordering::SeqCst) as usize;
+        let after = self.writes.load(Ordering::SeqCst);
+        // A write completed mid-probe: the pointer may predate it, so the
+        // probe must match nothing (the slot is never null).
+        Some(Version::new(after, if after == writes { slot } else { 0 }))
     }
 }
 
@@ -201,6 +235,28 @@ mod tests {
         // distinguishable writes.
         cell.write(P0, 1);
         assert_ne!(cell.version_hint().unwrap(), v1);
+    }
+
+    #[test]
+    fn a_swap_moves_the_version_before_its_write_returns() {
+        // The window a count alone cannot see: the new value is readable
+        // from the swap on, but the count moves only at the bump. A warm
+        // cache that trusted an unmoved count here would return the old
+        // value after another reader had already returned the new one.
+        let cell = EpochCell::new(1u32);
+        let before = cell.version_hint();
+        let guard = epoch::pin();
+        let old = cell.swap_in(2);
+        let mid = cell.version_hint();
+        assert_ne!(before, mid, "a swap must move the version by itself");
+        assert_eq!(cell.read(P1), 2, "the swapped-in value is already readable");
+        // SAFETY: `old` is what the swap above returned.
+        unsafe { cell.complete(&guard, old) };
+        assert_ne!(
+            cell.version_hint(),
+            mid,
+            "and the completing bump moves it again"
+        );
     }
 
     #[test]

@@ -209,7 +209,7 @@ impl<T, R: Register<T>> Register<T> for InstrumentedCell<R> {
         self.inner.read_with(reader, f)
     }
 
-    fn version_hint(&self) -> Option<u64> {
+    fn version_hint(&self) -> Option<crate::Version> {
         // Under a gate, deliberately no hint even when the inner cell
         // keeps versions: a version probe would let callers skip reads
         // *without parking at the gate*, hiding steps from the

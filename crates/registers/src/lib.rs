@@ -132,22 +132,42 @@ pub trait Register<T>: Send + Sync {
     /// A cheap *write-version* observation, if the implementation keeps
     /// one ([`None`] otherwise, the default).
     ///
-    /// Contract for implementers: the counter changes with every `write`,
-    /// and the change becomes visible no later than the write's return.
-    /// Hence if two calls return the same `Some(v)`, **no write completed
-    /// between them** — a write the pair missed is still in flight, i.e.
-    /// concurrent with both observations. A caller that observes the
-    /// version, then reads the record, may later treat an unchanged
-    /// version as proof that its record is still current: the only writes
-    /// it can be missing are concurrent ones, which may legally be
-    /// linearized after the read. [`TrackedCollect`] uses exactly this to
-    /// skip re-reading registers that have not moved.
+    /// Contract for implementers: if two calls return the same
+    /// `Some(v)`, **no write took effect between them** — no write's
+    /// new value became readable in the interval between the two
+    /// observations, whether or not that write has returned yet. A
+    /// caller that observes the version, then reads the record, may
+    /// later treat an unchanged version as proof that the register still
+    /// holds that record: every read in between would have returned it,
+    /// so the cached record is what a read at the second observation
+    /// returns. [`TrackedCollect`] uses exactly this to skip re-reading
+    /// registers that have not moved, within a scan and across scans.
     ///
     /// [`TrackedCollect`]: crate::TrackedCollect
-    fn version_hint(&self) -> Option<u64> {
+    fn version_hint(&self) -> Option<Version> {
         None
     }
 }
+
+/// An opaque write-version observation ([`Register::version_hint`]).
+///
+/// Only equality means anything: two equal observations of the same
+/// register prove that no write took effect between them. For
+/// [`EpochCell`] a version is the pair (completed-write count, slot
+/// pointer) — see its docs for why the pair, and not the count alone,
+/// carries the contract.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Version {
+    writes: u64,
+    slot: usize,
+}
+
+impl Version {
+    pub(crate) const fn new(writes: u64, slot: usize) -> Self {
+        Version { writes, slot }
+    }
+}
+
 /// A register whose operations can fail with a typed error.
 ///
 /// In-process registers never fail (their `Error` is
@@ -191,7 +211,7 @@ impl<T, R: Register<T>> Register<T> for &R {
         (**self).read_with(reader, f)
     }
 
-    fn version_hint(&self) -> Option<u64> {
+    fn version_hint(&self) -> Option<Version> {
         (**self).version_hint()
     }
 }
@@ -209,7 +229,7 @@ impl<T, R: Register<T>> Register<T> for std::sync::Arc<R> {
         (**self).read_with(reader, f)
     }
 
-    fn version_hint(&self) -> Option<u64> {
+    fn version_hint(&self) -> Option<Version> {
         (**self).version_hint()
     }
 }

@@ -94,7 +94,7 @@ impl<T, R: Register<T>> Register<T> for CachePadded<R> {
         self.value.read_with(reader, f)
     }
 
-    fn version_hint(&self) -> Option<u64> {
+    fn version_hint(&self) -> Option<crate::Version> {
         self.value.version_hint()
     }
 }

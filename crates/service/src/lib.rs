@@ -14,7 +14,10 @@
 //!
 //! Every scan runs its own collect and returns the core's own view, so
 //! the service adds no linearizability argument of its own and no
-//! request waits for another request's collect, retry or sleep. What the
+//! request waits for another request's collect, retry or sleep. Each
+//! client owns its core lane (for an in-process core, the per-process
+//! handle with its warm collect cache), so a request claims nothing and
+//! re-reads nothing it already knows. What the
 //! service adds is bounded per request: admission is a wait-free budget
 //! check, a healthy shard's breaker records a success with one atomic
 //! load (its window lock is taken only when the window changes, and then

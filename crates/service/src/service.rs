@@ -1,7 +1,7 @@
 //! The sharded snapshot front-end.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -278,9 +278,11 @@ impl Drop for GateClaims<'_> {
 /// (`service.scan.*`, `service.fault.*`, log₂-µs latency histograms) and
 /// [`Trace`] events for every admission and failure decision.
 ///
-/// Clients are claimed per lane with [`client`](Self::client); the
-/// service itself is `Sync` and meant to be shared by reference across
-/// threads.
+/// Clients are claimed per lane with [`client`](Self::client): each owns
+/// its core lane ([`TrySnapshotCore::Lane`]) for its whole life, so an
+/// in-process client's scans run on the same warm handle a direct caller
+/// would keep. The service itself is `Sync` and meant to be shared by
+/// reference across threads.
 pub struct SnapshotService<V: RegisterValue, C: TrySnapshotCore<V>> {
     core: C,
     cfg: ServiceConfig,
@@ -295,7 +297,6 @@ pub struct SnapshotService<V: RegisterValue, C: TrySnapshotCore<V>> {
     /// `service.partial.fallback_full` counter, the pair behind the
     /// `service.partial.certified_ratio` permille gauge.
     partial_served: CachePadded<AtomicU64>,
-    lanes: Box<[AtomicBool]>,
     metrics: Metrics,
     trace: Trace,
     /// The service holds no values of its own: `V` only names the core's
@@ -321,7 +322,6 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             retry: config.retry,
             health: config.health,
         };
-        let lanes = (0..core.lanes()).map(|_| AtomicBool::new(false)).collect();
         SnapshotService {
             cfg,
             map,
@@ -331,7 +331,6 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             epoch: Instant::now(),
             inflight: CachePadded::new(AtomicUsize::new(0)),
             partial_served: CachePadded::new(AtomicU64::new(0)),
-            lanes,
             metrics: Metrics::default(),
             trace: Trace::disabled(),
             values: PhantomData,
@@ -366,7 +365,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
 
     /// Number of client lanes.
     pub fn lanes(&self) -> usize {
-        self.lanes.len()
+        self.core.lanes()
     }
 
     /// The backing snapshot object.
@@ -414,18 +413,17 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         (0..self.health.len()).filter(|&s| self.health[s].is_open(now)).collect()
     }
 
-    /// Claims the client for `lane`.
+    /// Claims the client for `lane`, with the core's lane for it.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range or already claimed (one client
-    /// per lane, mirroring the per-process handle discipline of the
-    /// constructions).
+    /// per lane: the core's lane claim enforces it).
     pub fn client(&self, lane: usize) -> ServiceClient<'_, V, C> {
-        assert!(lane < self.lanes.len(), "lane {lane} out of range ({} lanes)", self.lanes.len());
-        let was = self.lanes[lane].swap(true, Ordering::AcqRel);
-        assert!(!was, "client for lane {lane} already claimed");
-        ServiceClient { service: self, lane: ProcessId::new(lane) }
+        let lanes = self.core.lanes();
+        assert!(lane < lanes, "lane {lane} out of range ({lanes} lanes)");
+        let pid = ProcessId::new(lane);
+        ServiceClient { service: self, pid, lane: self.core.lane(pid) }
     }
 
     /// `at` on the breakers' clock: microseconds since the service's
@@ -667,13 +665,17 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         Ok((value, ServiceStats { retries: attempt - 1, ..stats }))
     }
 
-    /// One full scan under the retry budget.
-    fn full_scan(&self, req: Request) -> Result<(SnapshotView<V>, ServiceStats), ServiceError> {
-        let lane = req.lane;
+    /// One full scan on `lane` under the retry budget.
+    fn full_scan(
+        &self,
+        req: Request,
+        lane: &mut C::Lane<'_>,
+    ) -> Result<(SnapshotView<V>, ServiceStats), ServiceError> {
+        let pid = req.lane;
         self.run_with_retry(req, |attempt, ctx| {
-            self.collect_attempt(lane, attempt, ctx, |ctx| {
+            self.collect_attempt(pid, attempt, ctx, |ctx| {
                 let (view, underlying) =
-                    self.recorded(lane, attempt, Shards::All, || self.core.try_scan(lane, ctx))?;
+                    self.recorded(pid, attempt, Shards::All, || self.core.try_scan(lane, ctx))?;
                 Ok((view, ServiceStats { underlying, ..ServiceStats::default() }))
             })
         })
@@ -692,20 +694,21 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     fn partial_scan(
         &self,
         req: Request,
+        lane: &mut C::Lane<'_>,
         subset: &[usize],
         covered: &[usize],
     ) -> Result<(PartialView<V>, ServiceStats), ServiceError> {
-        let lane = req.lane;
+        let pid = req.lane;
         if subset.len() == self.core.segments() {
             // Full coverage: this *is* a full scan, serve it as one.
-            let (view, stats) = self.full_scan(req)?;
+            let (view, stats) = self.full_scan(req, lane)?;
             let values: Arc<[V]> = view.iter().cloned().collect();
             return Ok((PartialView::new(subset, values), stats));
         }
         let shards = Shards::Set(covered);
         self.run_with_retry(req, |attempt, ctx| {
-            let (values, stats) = self.collect_attempt(lane, attempt, ctx, |ctx| {
-                self.recorded(lane, attempt, shards, || {
+            let (values, stats) = self.collect_attempt(pid, attempt, ctx, |ctx| {
+                self.recorded(pid, attempt, shards, || {
                     match self.core.try_scan_subset(lane, subset, ctx)? {
                         Some((values, underlying)) => {
                             self.metrics.partial_native.inc();
@@ -718,7 +721,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
                         }
                         None => {
                             self.trace.emit(
-                                lane.get(),
+                                pid.get(),
                                 Event::PartialFallback { segments: subset.len() },
                             );
                             let (view, underlying) = self.core.try_scan(lane, ctx)?;
@@ -789,7 +792,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> std::fmt::Debug for SnapshotServic
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotService")
             .field("segments", &self.core.segments())
-            .field("lanes", &self.lanes.len())
+            .field("lanes", &self.core.lanes())
             .field("config", &self.cfg)
             .finish()
     }
@@ -808,18 +811,21 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> Drop for Admitted<'_, V, C> {
 
 /// One lane's interface to a [`SnapshotService`].
 ///
+/// The client owns the core's lane for its process id, claimed once in
+/// [`SnapshotService::client`] and released when the client drops.
 /// Operations take `&mut self`: a lane runs at most one request at a
-/// time, which is exactly the discipline the constructions' handle
-/// registry enforces underneath.
+/// time, and each passes the lane down to the core as `&mut` — no
+/// request claims anything.
 pub struct ServiceClient<'a, V: RegisterValue, C: TrySnapshotCore<V>> {
     service: &'a SnapshotService<V, C>,
-    lane: ProcessId,
+    pid: ProcessId,
+    lane: C::Lane<'a>,
 }
 
-impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
+impl<'a, V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'a, V, C> {
     /// The lane this client owns.
     pub fn lane(&self) -> usize {
-        self.lane.get()
+        self.pid.get()
     }
 
     /// The service this client belongs to.
@@ -834,18 +840,18 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
     /// validation, admission and the deadline check, so rejects, sheds
     /// and instant expiries still appear in the request's tree.
     fn request<T>(
-        &self,
+        &mut self,
         kind: SpanKind,
         budget: Option<Duration>,
-        body: impl FnOnce(Request) -> Result<T, ServiceError>,
+        body: impl FnOnce(Request, &mut C::Lane<'a>) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
         let svc = self.service;
         let budget = budget.unwrap_or(svc.cfg.retry.deadline);
-        let root = svc.trace.root_span(self.lane.get(), kind);
+        let root = svc.trace.root_span(self.pid.get(), kind);
         let start = Instant::now();
         let deadline = start.checked_add(budget).map_or(Deadline::none(), Deadline::at);
         let ctx = RequestCtx::by(deadline).under(root.id());
-        let out = body(Request { lane: self.lane, ctx, budget, start });
+        let out = body(Request { lane: self.pid, ctx, budget, start }, &mut self.lane);
         root.end(status_of(&out));
         out
     }
@@ -868,9 +874,9 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
         budget: Option<Duration>,
     ) -> Result<(SnapshotView<V>, ServiceStats), ServiceError> {
         let svc = self.service;
-        self.request(SpanKind::Scan, budget, |req| {
+        self.request(SpanKind::Scan, budget, |req, lane| {
             let latency = Some(&svc.metrics.scan_latency);
-            svc.admitted(req, Shards::All, Priority::Full, latency, || svc.full_scan(req))
+            svc.admitted(req, Shards::All, Priority::Full, latency, || svc.full_scan(req, lane))
         })
     }
 
@@ -889,12 +895,12 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
         budget: Option<Duration>,
     ) -> Result<(PartialView<V>, ServiceStats), ServiceError> {
         let svc = self.service;
-        self.request(SpanKind::PartialScan, budget, |req| {
+        self.request(SpanKind::PartialScan, budget, |req, lane| {
             let subset = svc.canonical_subset(segments)?;
             let covered = svc.covered_shards(&subset);
             let latency = Some(&svc.metrics.partial_latency);
             svc.admitted(req, Shards::Set(&covered), Priority::Partial, latency, || {
-                let out = svc.partial_scan(req, &subset, &covered);
+                let out = svc.partial_scan(req, lane, &subset, &covered);
                 svc.note_partial(req.lane, subset.len(), out.as_ref().ok().map(|(_, s)| s));
                 out
             })
@@ -928,7 +934,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
         budget: Option<Duration>,
     ) -> Result<ScanStats, ServiceError> {
         let svc = self.service;
-        self.request(SpanKind::Update, budget, |req| {
+        self.request(SpanKind::Update, budget, |req, lane| {
             svc.check_segment(segment)?;
             if svc.core.single_writer() && segment != req.lane.get() {
                 return Err(ServiceError::NotOwner { lane: req.lane.get(), segment });
@@ -937,7 +943,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
             let latency = Some(&svc.metrics.update_latency);
             svc.admitted(req, shards, Priority::Bulk, latency, || {
                 svc.run_with_retry(req, |attempt, ctx| {
-                    let update = || svc.core.try_update(req.lane, segment, value.clone(), ctx);
+                    let update = || svc.core.try_update(lane, segment, value.clone(), ctx);
                     svc.recorded(req.lane, attempt, shards, update)
                 })
             })
@@ -962,12 +968,12 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
             svc.map.shards()
         );
         let segment = svc.map.range(shard).start;
-        self.request(SpanKind::Probe, None, |req| {
+        self.request(SpanKind::Probe, None, |req, lane| {
             svc.admitted(req, Shards::One(shard), Priority::Probe, None, || {
                 svc.run_with_retry(req, |attempt, ctx| {
-                    let probe = || match svc.core.try_scan_subset(req.lane, &[segment], ctx)? {
+                    let probe = || match svc.core.try_scan_subset(lane, &[segment], ctx)? {
                         Some(_) => Ok(()),
-                        None => svc.core.try_scan(req.lane, ctx).map(|_| ()),
+                        None => svc.core.try_scan(lane, ctx).map(|_| ()),
                     };
                     svc.recorded(req.lane, attempt, Shards::One(shard), probe)
                 })
@@ -976,15 +982,9 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> ServiceClient<'_, V, C> {
     }
 }
 
-impl<V: RegisterValue, C: TrySnapshotCore<V>> Drop for ServiceClient<'_, V, C> {
-    fn drop(&mut self) {
-        self.service.lanes[self.lane.get()].store(false, Ordering::Release);
-    }
-}
-
 impl<V: RegisterValue, C: TrySnapshotCore<V>> std::fmt::Debug for ServiceClient<'_, V, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceClient").field("lane", &self.lane).finish()
+        f.debug_struct("ServiceClient").field("lane", &self.pid).finish()
     }
 }
 

@@ -19,7 +19,12 @@
 //!    modes execute the same gated operation sequence);
 //! 3. threaded runs of the incremental path on the real (non-gated)
 //!    backend, where version probes genuinely skip clones, checked for
-//!    linearizability.
+//!    linearizability;
+//! 4. threaded hunts for a new-old inversion *across* operations: a
+//!    scanner whose cache stays warm between scans must never return a
+//!    value older than one a scan that already finished returned — the
+//!    window a write opens between its pointer swap and its version bump,
+//!    which the gated simulator cannot reach because it hides versions.
 //!
 //! The property tests have a blind spot the deterministic tests below
 //! close: under the gated simulator `InstrumentedCell` hides version
@@ -35,8 +40,12 @@ use snapshot_bench::harness::{
     mw_contended_scripts, mw_disjoint_scripts, run_mw_sim, run_sw_sim, run_sw_threaded,
     sw_random_scripts, GatedBackend, SwStep,
 };
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
 use snapshot_core::{
-    BoundedSnapshot, MultiWriterSnapshot, SwSnapshot, SwSnapshotHandle, UnboundedSnapshot,
+    BoundedSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle, SwSnapshot,
+    SwSnapshotHandle, UnboundedSnapshot,
 };
 use snapshot_lin::{check_history, check_intervals, History};
 use snapshot_registers::{
@@ -385,4 +394,78 @@ fn warm_cache_is_stable_when_memory_is_quiet() {
     for _ in 0..100 {
         assert_eq!(scanner.scan().to_vec(), first);
     }
+}
+
+// ---------------------------------------------------------------------------
+// 4. A warm cache never returns older than a finished scan
+// ---------------------------------------------------------------------------
+
+/// How long each new-old inversion hunt runs.
+const INVERSION_HUNT: Duration = Duration::from_secs(1);
+
+/// Three threads for [`INVERSION_HUNT`]: `write(k)` publishes an
+/// increasing value to segment 0; a cold scanner takes a fresh handle for
+/// every scan and `fetch_max`es the segment-0 value it returned into a
+/// floor; a warm scanner, whose handle (and collect cache) lives across
+/// scans, reads the floor before each scan and must never return less —
+/// a scan that finished before it began already returned the floor.
+fn hunt_new_old_inversions(
+    mut write: impl FnMut(u64) + Send,
+    mut cold_scan: impl FnMut() -> u64 + Send,
+    mut warm_scan: impl FnMut() -> u64,
+) {
+    let (floor, stop) = (&AtomicU64::new(0), &AtomicBool::new(false));
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut k = 0;
+            while !stop.load(Ordering::Relaxed) {
+                k += 1;
+                write(k);
+            }
+        });
+        s.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                floor.fetch_max(cold_scan(), Ordering::SeqCst);
+            }
+        });
+        let mut warm_scans = 0u64;
+        while start.elapsed() < INVERSION_HUNT {
+            let before = floor.load(Ordering::SeqCst);
+            let seen = warm_scan();
+            warm_scans += 1;
+            if seen < before {
+                stop.store(true, Ordering::Relaxed);
+                panic!(
+                    "warm scan {warm_scans} returned {seen} for segment 0 after a finished \
+                     scan had returned {before}"
+                );
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
+#[test]
+fn unbounded_warm_scans_never_return_older_than_a_finished_scan() {
+    let object = UnboundedSnapshot::new(3, 0u64);
+    let mut writer = object.handle(ProcessId::new(0));
+    let mut warm = object.handle(ProcessId::new(2));
+    hunt_new_old_inversions(
+        |k| writer.update(k),
+        || object.handle(ProcessId::new(1)).scan()[0],
+        || warm.scan()[0],
+    );
+}
+
+#[test]
+fn multiwriter_warm_scans_never_return_older_than_a_finished_scan() {
+    let object = MultiWriterSnapshot::new(3, 2, 0u64);
+    let mut writer = object.handle(ProcessId::new(0));
+    let mut warm = object.handle(ProcessId::new(2));
+    hunt_new_old_inversions(
+        |k| writer.update(0, k),
+        || object.handle(ProcessId::new(1)).scan()[0],
+        || warm.scan()[0],
+    );
 }

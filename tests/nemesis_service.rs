@@ -693,11 +693,11 @@ fn healthy_abd_service_matches_in_process_semantics() {
 /// at a steady 50% error rate that never fails twice in a row.
 fn alternating_core(n: usize) -> impl TrySnapshotCore<u64> {
     let calls = AtomicUsize::new(0);
-    ScanHook::new(UnboundedSnapshot::new(n, 0u64), move |inner, lane, ctx| {
+    ScanHook::new(UnboundedSnapshot::new(n, 0u64), move |_, ctx, scan| {
         if calls.fetch_add(1, Ordering::SeqCst) % 2 == 1 {
             return Err(CoreError::Unavailable { reason: "degrading shard".into() });
         }
-        inner.try_scan(lane, ctx)
+        scan(ctx)
     })
 }
 

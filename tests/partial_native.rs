@@ -31,7 +31,7 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
     const N: usize = 64;
     let subset = [5usize, 60];
     let k = subset.len() as u64;
-    let lane = ProcessId::new(0);
+    let pid = ProcessId::new(0);
 
     // Unbounded: two collect passes over the subset — 2k reads, no
     // writes, no borrow.
@@ -40,11 +40,13 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
         let backend =
             Instrumented::new(EpochBackend::new()).with_counters(Arc::clone(&counters));
         let object = UnboundedSnapshot::with_backend(N, 0u64, &backend);
-        let _ = object.try_update(ProcessId::new(5), 5, 55, NONE).unwrap();
-        let before = counters.snapshot(lane);
+        let _ = object.try_update(&mut object.lane(ProcessId::new(5)), 5, 55, NONE).unwrap();
+        // Claiming a lane reads its own register: claim before counting.
+        let mut lane = object.lane(pid);
+        let before = counters.snapshot(pid);
         let (values, stats) =
-            object.try_scan_subset(lane, &subset, NONE).unwrap().expect("native");
-        let delta = counters.snapshot(lane) - before;
+            object.try_scan_subset(&mut lane, &subset, NONE).unwrap().expect("native");
+        let delta = counters.snapshot(pid) - before;
         assert_eq!(values, vec![55, 0]);
         assert!(!stats.borrowed);
         assert_eq!(stats.double_collects, 1);
@@ -59,11 +61,13 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
         let backend =
             Instrumented::new(EpochBackend::new()).with_counters(Arc::clone(&counters));
         let object = BoundedSnapshot::with_backend(N, 0u64, &backend);
-        let _ = object.try_update(ProcessId::new(5), 5, 55, NONE).unwrap();
-        let before = counters.snapshot(lane);
+        let _ = object.try_update(&mut object.lane(ProcessId::new(5)), 5, 55, NONE).unwrap();
+        // Claiming a lane reads its own register: claim before counting.
+        let mut lane = object.lane(pid);
+        let before = counters.snapshot(pid);
         let (values, stats) =
-            object.try_scan_subset(lane, &subset, NONE).unwrap().expect("native");
-        let delta = counters.snapshot(lane) - before;
+            object.try_scan_subset(&mut lane, &subset, NONE).unwrap().expect("native");
+        let delta = counters.snapshot(pid) - before;
         assert_eq!(values, vec![55, 0]);
         assert!(!stats.borrowed);
         assert_eq!(delta.reads, 3 * k, "O(k) reads, not O({N})");
@@ -77,11 +81,12 @@ fn quiescent_subset_scans_cost_o_touched_not_o_n() {
         let backend =
             Instrumented::new(EpochBackend::new()).with_counters(Arc::clone(&counters));
         let object = MultiWriterSnapshot::with_backend(2, N, 0u64, &backend);
-        let _ = object.try_update(ProcessId::new(1), 5, 55, NONE).unwrap();
-        let before = counters.snapshot(lane);
+        let _ = object.try_update(&mut object.lane(ProcessId::new(1)), 5, 55, NONE).unwrap();
+        let mut lane = object.lane(pid);
+        let before = counters.snapshot(pid);
         let (values, stats) =
-            object.try_scan_subset(lane, &subset, NONE).unwrap().expect("quiescent");
-        let delta = counters.snapshot(lane) - before;
+            object.try_scan_subset(&mut lane, &subset, NONE).unwrap().expect("quiescent");
+        let delta = counters.snapshot(pid) - before;
         assert_eq!(values, vec![55, 0]);
         assert!(delta.reads <= 2 * k, "O(k) reads, not O({N}): {}", delta.reads);
         assert_eq!(delta.writes, 0);
@@ -114,6 +119,7 @@ fn run_native_history<C: TrySnapshotCore<u64>>(
             let ops = &ops;
             s.spawn(move || {
                 let pid = ProcessId::new(lane);
+                let mut handle = core.lane(pid);
                 // One generator per (seed, lane).
                 let mut rng =
                     SeededRng::new(seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(lane as u64 + 1));
@@ -122,7 +128,7 @@ fn run_native_history<C: TrySnapshotCore<u64>>(
                         let word = if single_writer { lane } else { rng.below(words) };
                         let value = ((lane as u64) << 32) | (k as u64 + 1);
                         let inv = clock.tick();
-                        let _ = core.try_update(pid, word, value, NONE).unwrap();
+                        let _ = core.try_update(&mut handle, word, value, NONE).unwrap();
                         let res = Some(clock.tick());
                         ops.lock().unwrap().push(WgOp {
                             pid,
@@ -137,14 +143,14 @@ fn run_native_history<C: TrySnapshotCore<u64>>(
                         subset.sort_unstable();
                         subset.dedup();
                         let inv = clock.tick();
-                        let view = match core.try_scan_subset(pid, &subset, NONE).unwrap() {
+                        let view = match core.try_scan_subset(&mut handle, &subset, NONE).unwrap() {
                             Some((values, _)) => values,
                             // The bounded interference budget ran out (the
                             // multi-writer path under heavy contention):
                             // project a full scan, exactly as the service
                             // fallback does.
                             None => {
-                                let (full, _) = core.try_scan(pid, NONE).unwrap();
+                                let (full, _) = core.try_scan(&mut handle, NONE).unwrap();
                                 subset.iter().map(|&s| full[s]).collect()
                             }
                         };

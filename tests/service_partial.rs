@@ -33,7 +33,7 @@ use snapshot_service::{ServiceConfig, SnapshotService};
 fn quiescent_partial_scans_equal_the_projected_full_scan() {
     let service = SnapshotService::new(UnboundedSnapshot::new(6, 0u64));
     for lane in 0..6 {
-        // Claim each lane transiently just to seed its segment.
+        // Claim each lane briefly just to seed its segment.
         let mut writer = service.client(lane);
         writer.update(lane, 100 + lane as u64).unwrap();
     }
@@ -52,6 +52,10 @@ fn quiescent_partial_scans_equal_the_projected_full_scan() {
 struct Opaque<C>(C);
 
 impl<V, C: TrySnapshotCore<V>> TrySnapshotCore<V> for Opaque<C> {
+    type Lane<'a>
+        = C::Lane<'a>
+    where
+        Self: 'a;
     fn segments(&self) -> usize {
         self.0.segments()
     }
@@ -61,16 +65,19 @@ impl<V, C: TrySnapshotCore<V>> TrySnapshotCore<V> for Opaque<C> {
     fn single_writer(&self) -> bool {
         self.0.single_writer()
     }
+    fn lane(&self, pid: ProcessId) -> C::Lane<'_> {
+        self.0.lane(pid)
+    }
     fn try_scan(
         &self,
-        lane: ProcessId,
+        lane: &mut C::Lane<'_>,
         ctx: RequestCtx,
     ) -> Result<(SnapshotView<V>, ScanStats), CoreError> {
         self.0.try_scan(lane, ctx)
     }
     fn try_update(
         &self,
-        lane: ProcessId,
+        lane: &mut C::Lane<'_>,
         segment: usize,
         value: V,
         ctx: RequestCtx,

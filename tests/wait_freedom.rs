@@ -14,7 +14,7 @@ use std::time::Duration;
 use snapshot_bench::scripted::ScanHook;
 use snapshot_core::{
     BoundedSnapshot, DoubleCollectSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle,
-    ScanStats, SwSnapshot, SwSnapshotHandle, TrySnapshotCore, UnboundedSnapshot,
+    ScanStats, SwSnapshot, SwSnapshotHandle, UnboundedSnapshot,
 };
 use snapshot_registers::{EpochBackend, Instrumented, ProcessId};
 use snapshot_service::{ServiceConfig, SnapshotService};
@@ -373,9 +373,9 @@ fn a_scan_stalled_in_its_collect_never_delays_another_lanes_requests() {
     const MARKER: u64 = 0xFEED;
     let stalled = AtomicBool::new(false);
     let release = AtomicBool::new(false);
-    let core = ScanHook::new(UnboundedSnapshot::new(4, 0u64), |inner, lane, ctx| {
-        let out = inner.try_scan(lane, ctx);
-        if lane.get() == 0 {
+    let core = ScanHook::new(UnboundedSnapshot::new(4, 0u64), |pid, ctx, scan| {
+        let out = scan(ctx);
+        if pid.get() == 0 {
             stalled.store(true, Ordering::SeqCst);
             while !release.load(Ordering::SeqCst) {
                 std::thread::yield_now();
