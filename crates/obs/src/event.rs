@@ -313,7 +313,7 @@ pub enum Event {
     /// The service rejected a request at admission: the in-flight budget
     /// was exhausted (typed backpressure instead of queueing).
     ServiceOverload {
-        /// Requests in flight when the rejection was issued.
+        /// Other requests in flight when the rejection was issued.
         inflight: usize,
     },
     /// A service-layer partial collect completed.

@@ -20,8 +20,11 @@
 //!   drain), [`CountingSink`] (per-kind counts), [`FanoutSink`] (one event
 //!   to several sinks);
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`], [`Registry`]) —
-//!   pre-resolved atomic handles behind a named registry; histograms use
-//!   the log₂-microsecond buckets the ABD layer has always reported;
+//!   pre-resolved handles behind a named registry; counters and
+//!   histograms are striped over per-thread [`CachePadded`] cells and
+//!   summed on read, so an update writes only its own thread's cache
+//!   line; histograms use the log₂-microsecond buckets the ABD layer has
+//!   always reported;
 //! * **Exporters** ([`json_lines`], [`chrome_tracing`]) — JSON-lines for
 //!   machine consumption and a chrome://tracing document loadable in
 //!   `about:tracing` or Perfetto, both rendered from the one field list
@@ -64,6 +67,7 @@ mod event;
 mod export;
 mod flight;
 mod metrics;
+mod pad;
 mod span;
 mod spantree;
 mod trace;
@@ -77,6 +81,7 @@ pub use metrics::{
     bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, LatencySummary, MetricValue,
     Registry, HISTOGRAM_BUCKETS,
 };
+pub use pad::CachePadded;
 pub use span::{Span, SpanId};
 pub use spantree::{SpanForest, SpanNode};
 pub use trace::{Clock, CountingSink, FanoutSink, RingSink, Sink, Trace};

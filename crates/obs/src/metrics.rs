@@ -1,25 +1,71 @@
 //! Metrics registry: named counters, gauges, and fixed-bucket histograms.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones
-//! of the registered metric, so hot paths update a pre-resolved atomic and
-//! never touch the registry lock. Histogram buckets use the same
-//! log₂-of-microseconds scheme the ABD layer has always reported, so
-//! migrating `NetworkStats` onto the registry changes no observable
-//! quantiles.
+//! of the registered metric, so hot paths never touch the registry lock.
+//! Counters and histograms are **striped**: each holds 16 cache-padded
+//! cells, a thread claims one cell index round-robin on its first update
+//! (through a thread-local, shared by every striped metric), and `get` /
+//! `snapshot` sum the cells. A hot path therefore writes only its own
+//! thread's cache line — two client threads bumping the same counter
+//! never move a line between cores — and every count stays exact, since
+//! each cell is updated with an atomic add and a reader folds all of
+//! them. (Threads beyond the 16th share cells; that costs contention,
+//! never a count.) Gauges are set, not accumulated, so they stay one
+//! atomic; a hot path should store one only when its value changes.
+//!
+//! Histogram buckets use the same log₂-of-microseconds scheme the ABD
+//! layer has always reported, so migrating `NetworkStats` onto the
+//! registry changes no observable quantiles.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use crate::CachePadded;
 
 /// Number of histogram buckets; bucket `k` holds samples whose value `v`
 /// (in microseconds) satisfies `ilog2(max(v, 1)) == k`, with the last
 /// bucket absorbing everything larger.
 pub const HISTOGRAM_BUCKETS: usize = 32;
 
-/// A monotonically increasing counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
+/// Cells per striped metric ([`Counter`], [`Histogram`]): the number of
+/// threads that can update one metric without sharing a cache line.
+const CELLS: usize = 16;
+
+/// The next cell index to hand out.
+static NEXT_CELL: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's cell in every striped metric; `CELLS` until claimed.
+    static CELL: Cell<usize> = const { Cell::new(CELLS) };
+}
+
+/// The calling thread's cell index, claimed on first use.
+#[inline]
+fn my_cell() -> usize {
+    CELL.with(|cell| {
+        let i = cell.get();
+        if i < CELLS {
+            i
+        } else {
+            claim_cell(cell)
+        }
+    })
+}
+
+#[cold]
+fn claim_cell(cell: &Cell<usize>) -> usize {
+    let i = NEXT_CELL.fetch_add(1, Ordering::Relaxed) % CELLS;
+    cell.set(i);
+    i
+}
+
+/// A monotonically increasing counter, striped over 16 padded cells (see
+/// the module docs).
+#[derive(Clone, Default)]
+pub struct Counter(Arc<[CachePadded<AtomicU64>; CELLS]>);
 
 impl Counter {
     /// A free-standing counter (not attached to any registry).
@@ -27,10 +73,10 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n` to the counter.
+    /// Adds `n` to the counter (to the calling thread's cell).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0[my_cell()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increments the counter by one.
@@ -39,9 +85,15 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value.
+    /// Current value: the sum of the cells.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().fold(0, |sum, c| sum.wrapping_add(c.load(Ordering::Relaxed)))
+    }
+}
+
+impl fmt::Debug for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
     }
 }
 
@@ -73,23 +125,14 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket log₂ histogram over microsecond-scale values.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram(Arc<HistogramInner>);
+/// A fixed-bucket log₂ histogram over microsecond-scale values, striped
+/// like [`Counter`]: each cell is one thread's full bucket array.
+#[derive(Clone, Default)]
+pub struct Histogram(Arc<[CachePadded<[AtomicU64; HISTOGRAM_BUCKETS]>; CELLS]>);
 
-struct HistogramInner {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for HistogramInner {
-    fn default() -> Self {
-        HistogramInner { buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
-impl fmt::Debug for HistogramInner {
+impl fmt::Debug for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HistogramInner").finish_non_exhaustive()
+        f.debug_tuple("Histogram").field(&self.snapshot()).finish()
     }
 }
 
@@ -114,14 +157,16 @@ impl Histogram {
     /// Records a raw microsecond value.
     #[inline]
     pub fn record_micros(&self, micros: u64) {
-        self.0.buckets[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
+        self.0[my_cell()][bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An immutable copy of the bucket counts.
+    /// An immutable copy of the bucket counts, each summed over the cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(self.0.buckets.iter()) {
-            *out = b.load(Ordering::Relaxed);
+        for cell in self.0.iter() {
+            for (out, b) in buckets.iter_mut().zip(cell.iter()) {
+                *out = out.wrapping_add(b.load(Ordering::Relaxed));
+            }
         }
         HistogramSnapshot { buckets }
     }
@@ -338,5 +383,63 @@ impl Registry {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn striped_counts_are_exact_across_threads() {
+        // Twice as many threads as cells, released together. Even threads
+        // claim their cells as usual; odd ones are all put on cell 0, so
+        // that cell is updated concurrently. The count must be exact, for
+        // a counter and for a histogram alike.
+        const THREADS: usize = 2 * CELLS;
+        const OPS: u64 = 100_000;
+        let counter = Counter::new();
+        let histogram = Histogram::new();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (counter, histogram, start) = (&counter, &histogram, &start);
+                s.spawn(move || {
+                    if t % 2 == 1 {
+                        CELL.with(|cell| cell.set(0));
+                    }
+                    start.wait();
+                    for k in 0..OPS {
+                        counter.inc();
+                        histogram.record_micros(k % 4 + t as u64);
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.get(), THREADS as u64 * OPS);
+        assert_eq!(histogram.snapshot().count(), THREADS as u64 * OPS);
+    }
+
+    #[test]
+    fn a_thread_writes_one_cell_and_reads_fold_them_all() {
+        let counter = Counter::new();
+        let histogram = Histogram::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                counter.add(5);
+                counter.inc();
+                histogram.record_micros(3);
+                histogram.record_micros(3);
+            });
+        });
+        counter.add(10);
+        histogram.record_micros(100);
+        let used = counter.0.iter().filter(|c| c.load(Ordering::Relaxed) > 0).count();
+        assert!((1..=2).contains(&used), "each thread adds into its own cell: {used} used");
+        assert_eq!(counter.get(), 16);
+        let snap = histogram.snapshot();
+        assert_eq!(snap.buckets[bucket_of(3)], 2);
+        assert_eq!(snap.buckets[bucket_of(100)], 1);
+        assert_eq!(snap.count(), 3);
     }
 }

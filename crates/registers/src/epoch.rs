@@ -55,6 +55,8 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use crate::CachePadded;
+
 /// Records queued in the open bag before it is sealed with an epoch.
 pub(crate) const BAG_CAPACITY: usize = 64;
 /// Pins between two collection attempts by a thread that retires nothing.
@@ -75,10 +77,7 @@ struct Participant {
     next: AtomicPtr<Participant>,
 }
 
-#[repr(align(128))]
-struct GlobalEpoch(AtomicUsize);
-
-static EPOCH: GlobalEpoch = GlobalEpoch(AtomicUsize::new(0));
+static EPOCH: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
 static PARTICIPANTS: AtomicPtr<Participant> = AtomicPtr::new(ptr::null_mut());
 /// Bags abandoned by exited threads; `ORPHAN_BAGS` mirrors the length so
 /// the common case (none) costs one relaxed load.
@@ -122,7 +121,7 @@ fn register() -> &'static Participant {
 /// Tries to move the global epoch forward by one; returns the epoch the
 /// caller may judge bag expiry against. Must be called while pinned.
 fn try_advance() -> usize {
-    let global = EPOCH.0.load(Ordering::Relaxed);
+    let global = EPOCH.load(Ordering::Relaxed);
     fence(Ordering::SeqCst);
     let mut cur = PARTICIPANTS.load(Ordering::Acquire);
     // SAFETY: participants are never freed (see `register`).
@@ -137,7 +136,7 @@ fn try_advance() -> usize {
     fence(Ordering::Acquire);
     // The caller is pinned at `global`, so no other thread can have moved
     // the epoch past `global + 1`: concurrent advancers store one value.
-    EPOCH.0.store(global.wrapping_add(1), Ordering::Release);
+    EPOCH.store(global.wrapping_add(1), Ordering::Release);
     global.wrapping_add(1)
 }
 
@@ -226,7 +225,7 @@ impl Local {
         self.guards.set(guards + 1);
         if guards == 0 {
             let p = self.participant();
-            let global = EPOCH.0.load(Ordering::Relaxed);
+            let global = EPOCH.load(Ordering::Relaxed);
             p.state.store((global << 1) | 1, Ordering::Relaxed);
             // Orders the slot write before every load inside the critical
             // section, against the fence in `try_advance`.
@@ -277,7 +276,7 @@ impl Local {
             return;
         }
         fence(Ordering::SeqCst);
-        let epoch = EPOCH.0.load(Ordering::Relaxed);
+        let epoch = EPOCH.load(Ordering::Relaxed);
         self.sealed
             .borrow_mut()
             .push_back(SealedBag { epoch, items });
@@ -472,14 +471,14 @@ mod tests {
                 "freed while a thread pinned before the retire was still pinned"
             );
             assert!(
-                EPOCH.0.load(Ordering::SeqCst).wrapping_sub(sealed_at) < 2,
+                EPOCH.load(Ordering::SeqCst).wrapping_sub(sealed_at) < 2,
                 "the epoch ran two past a bag sealed under a live pin"
             );
 
             release_tx.send(()).unwrap();
             reader.join().unwrap();
             flush_until("the record is freed", || drops.load(Ordering::SeqCst) == 1);
-            assert!(EPOCH.0.load(Ordering::SeqCst).wrapping_sub(sealed_at) >= 2);
+            assert!(EPOCH.load(Ordering::SeqCst).wrapping_sub(sealed_at) >= 2);
         });
     }
 

@@ -28,7 +28,8 @@
 //!   construction), used to trace the multi-writer snapshot's cost back to
 //!   single-writer operations as in Section 6 of the paper;
 //! * [`CachePadded`] — 128-byte padding for per-process cell arrays, so
-//!   neighbouring processes' registers never false-share a cache line;
+//!   neighbouring processes' registers never false-share a cache line
+//!   (re-exported from `snapshot-obs`, whose striped metrics use it too);
 //! * [`TrackedCollect`] — an incremental collect that re-reads only the
 //!   registers that moved, using [`Register::version_hint`] probes and the
 //!   algorithms' own seq/handshake keys (see `registers/collect.rs`);

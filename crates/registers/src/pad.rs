@@ -1,101 +1,28 @@
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+//! [`CachePadded`] lives in `snapshot-obs` (the striped metrics pad their
+//! cells with it too); this module re-exports it and forwards the
+//! [`Register`] interface through it — including the clone-free
+//! [`Register::read_with`] path and [`Register::version_hint`] — so a
+//! padded cell array drops into any code that held a plain one.
 
 use crate::{ProcessId, Register};
 
-/// Pads and aligns a value to 128 bytes so that neighbouring values never
-/// share a cache line.
-///
-/// The snapshot constructions keep one register per process in a dense
-/// array (`Box<[Cell]>`), and every process hammers its own slot on every
-/// update while scanners sweep all of them. Without padding, two
-/// processes' registers can land on the same cache line and every write
-/// invalidates the neighbour's line — *false sharing*, a pure
-/// constant-factor tax the paper's `O(n²)` step bounds know nothing
-/// about. The alignment is 128 (not 64) because adjacent-line hardware
-/// prefetchers on x86 pull cache lines in pairs, and several ARM cores
-/// use 128-byte lines outright.
-///
-/// `CachePadded<R>` is transparent: it derefs to the inner value and
-/// forwards the [`Register`] interface (including the clone-free
-/// [`Register::read_with`] path and [`Register::version_hint`]), so a
-/// padded cell array drops into any code that held a plain one.
-///
-/// # Example
-///
-/// ```
-/// use snapshot_registers::CachePadded;
-///
-/// let padded = CachePadded::new(7u64);
-/// assert_eq!(*padded, 7);
-/// assert!(std::mem::size_of::<CachePadded<u64>>() >= 128);
-/// assert_eq!(std::mem::align_of::<CachePadded<u64>>(), 128);
-/// ```
-#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[repr(align(128))]
-pub struct CachePadded<T> {
-    value: T,
-}
-
-// The padding claim the counters rely on, checked at compile time: even a
-// bare 8-byte atomic occupies a full aligned block once padded, so two
-// padded slots can never share a line.
-const _: () = assert!(std::mem::size_of::<CachePadded<std::sync::atomic::AtomicU64>>() >= 128);
-const _: () = assert!(std::mem::align_of::<CachePadded<std::sync::atomic::AtomicU64>>() == 128);
-
-impl<T> CachePadded<T> {
-    /// Pads `value` to its own cache-line block.
-    pub const fn new(value: T) -> Self {
-        CachePadded { value }
-    }
-
-    /// Consumes the padding, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
-}
-
-impl<T> Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
-    }
-}
-
-impl<T> From<T> for CachePadded<T> {
-    fn from(value: T) -> Self {
-        CachePadded::new(value)
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for CachePadded<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("CachePadded").field(&self.value).finish()
-    }
-}
+pub use snapshot_obs::CachePadded;
 
 impl<T, R: Register<T>> Register<T> for CachePadded<R> {
     fn read(&self, reader: ProcessId) -> T {
-        self.value.read(reader)
+        (**self).read(reader)
     }
 
     fn write(&self, writer: ProcessId, value: T) {
-        self.value.write(writer, value)
+        (**self).write(writer, value)
     }
 
     fn read_with<U>(&self, reader: ProcessId, f: impl FnOnce(&T) -> U) -> U {
-        self.value.read_with(reader, f)
+        (**self).read_with(reader, f)
     }
 
     fn version_hint(&self) -> Option<crate::Version> {
-        self.value.version_hint()
+        (**self).version_hint()
     }
 }
 
@@ -103,19 +30,6 @@ impl<T, R: Register<T>> Register<T> for CachePadded<R> {
 mod tests {
     use super::*;
     use crate::EpochCell;
-    use std::mem::{align_of, size_of};
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn padded_atomics_do_not_share_cache_lines() {
-        assert!(size_of::<CachePadded<AtomicU64>>() >= 128);
-        assert_eq!(align_of::<CachePadded<AtomicU64>>(), 128);
-        // Array layout: consecutive elements are a full block apart.
-        let arr = [CachePadded::new(0u8), CachePadded::new(0u8)];
-        let a = &arr[0] as *const _ as usize;
-        let b = &arr[1] as *const _ as usize;
-        assert!(b - a >= 128);
-    }
 
     #[test]
     fn register_interface_passes_through() {
@@ -128,12 +42,5 @@ mod tests {
         let v0 = cell.version_hint().expect("EpochCell has versions");
         cell.write(p, 5);
         assert_ne!(cell.version_hint(), Some(v0));
-    }
-
-    #[test]
-    fn deref_reaches_the_inner_value() {
-        let mut padded = CachePadded::new(vec![1, 2]);
-        padded.push(3);
-        assert_eq!(padded.into_inner(), vec![1, 2, 3]);
     }
 }

@@ -26,7 +26,7 @@ pub enum ServiceError {
     /// The bounded in-flight budget was exhausted. Retry later (the
     /// admission check is wait-free; there is no queue to sit in).
     Overloaded {
-        /// Requests in flight when the rejection was issued.
+        /// Other requests in flight when the rejection was issued.
         inflight: usize,
         /// The configured budget.
         budget: usize,

@@ -1,7 +1,7 @@
 //! The sharded snapshot front-end.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,7 +29,9 @@ pub struct ServiceConfig {
     /// balanced ranges, each with its own circuit breaker).
     pub shards: usize,
     /// Admission budget: requests in flight beyond this are rejected with
-    /// [`ServiceError::Overloaded`].
+    /// [`ServiceError::Overloaded`]. A lane runs one request at a time,
+    /// so a budget of at least [`lanes`](SnapshotService::lanes) never
+    /// binds, and admission then reads no other lane's state.
     pub max_inflight: usize,
     /// Retry budget applied when the backing core returns a retryable
     /// [`CoreError`] (infallible in-process cores never do).
@@ -262,8 +264,9 @@ impl Drop for GateClaims<'_> {
 ///   wait-free second rung (each fallback is traced as
 ///   [`Event::PartialFallback`] and sags the
 ///   `service.partial.certified_ratio` gauge);
-/// * **admission control** — a wait-free bounded in-flight budget with
-///   typed [`ServiceError::Overloaded`] rejections instead of unbounded
+/// * **admission control** — a wait-free bounded in-flight budget, kept
+///   as one in-flight flag per lane, with typed
+///   [`ServiceError::Overloaded`] rejections instead of unbounded
 ///   queueing;
 /// * **fault tolerance and load management** — typed backend errors are
 ///   retried under a per-operation budget ([`RetryConfig`]) and shed
@@ -292,11 +295,14 @@ pub struct SnapshotService<V: RegisterValue, C: TrySnapshotCore<V>> {
     /// The origin of the breakers' microsecond clock (cooldowns and
     /// half-open ramps).
     epoch: Instant,
-    inflight: CachePadded<AtomicUsize>,
+    /// Per lane: whether the lane has a request in flight. Only the lane's
+    /// own client writes its flag (the core's lane claim makes the client
+    /// unique), so admission writes no line another lane writes.
+    inflight: Box<[CachePadded<AtomicBool>]>,
     /// Partial scans served (`Ok`): with the
     /// `service.partial.fallback_full` counter, the pair behind the
     /// `service.partial.certified_ratio` permille gauge.
-    partial_served: CachePadded<AtomicU64>,
+    partial_served: Counter,
     metrics: Metrics,
     trace: Trace,
     /// The service holds no values of its own: `V` only names the core's
@@ -322,20 +328,22 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
             retry: config.retry,
             health: config.health,
         };
-        SnapshotService {
+        let service = SnapshotService {
             cfg,
             map,
             health: (0..map.shards())
                 .map(|s| CachePadded::new(Breaker::new(s as u64, cfg.health)))
                 .collect(),
             epoch: Instant::now(),
-            inflight: CachePadded::new(AtomicUsize::new(0)),
-            partial_served: CachePadded::new(AtomicU64::new(0)),
+            inflight: (0..core.lanes()).map(|_| CachePadded::new(AtomicBool::new(false))).collect(),
+            partial_served: Counter::new(),
             metrics: Metrics::default(),
             trace: Trace::disabled(),
             values: PhantomData,
             core,
-        }
+        };
+        service.publish_certified_ratio();
+        service
     }
 
     /// Resolves this service's metrics from `registry` (names under
@@ -343,6 +351,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     #[must_use]
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.metrics = Metrics::from_registry(registry);
+        self.publish_certified_ratio();
         self
     }
 
@@ -373,9 +382,10 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         &self.core
     }
 
-    /// Requests currently in flight (admitted and not yet finished).
+    /// Requests currently in flight (admitted and not yet finished): the
+    /// lanes whose in-flight flag is set.
     pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Acquire)
+        self.inflight.iter().filter(|flag| flag.load(Ordering::SeqCst)).count()
     }
 
     /// Distills the per-op-class latency histograms into p50/p95/p99
@@ -399,7 +409,7 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     /// The same number is exported as the
     /// `service.partial.certified_ratio` gauge.
     pub fn partial_certified_permille(&self) -> u64 {
-        let served = self.partial_served.load(Ordering::Relaxed);
+        let served = self.partial_served.get();
         if served == 0 {
             return 1000;
         }
@@ -432,17 +442,33 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
         at.saturating_duration_since(self.epoch).as_micros().min(u128::from(u64::MAX)) as u64
     }
 
-    /// Wait-free admission check: takes an in-flight slot for `lane`'s
-    /// request or rejects it.
-    fn admit(&self, lane: ProcessId) -> Result<Admitted<'_, V, C>, ServiceError> {
-        let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.cfg.max_inflight {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.metrics.overloaded.inc();
-            self.trace.emit(lane.get(), Event::ServiceOverload { inflight: prev });
-            return Err(ServiceError::Overloaded { inflight: prev, budget: self.cfg.max_inflight });
+    /// Wait-free admission check: sets `lane`'s in-flight flag or rejects
+    /// the request.
+    ///
+    /// While the budget cannot bind (`max_inflight >= lanes`) this is one
+    /// store to the lane's own flag. Otherwise the request sets its flag
+    /// (SeqCst), counts the set flags (SeqCst) and, if that exceeds the
+    /// budget, clears its flag and is refused. Of any requests inside the
+    /// core at once, the last to set its flag saw all the others', so the
+    /// budget is never exceeded; two requests racing for the last slot may
+    /// both see each other and both be refused.
+    fn admit(&self, lane: ProcessId) -> Result<Admitted<'_>, ServiceError> {
+        let flag = &*self.inflight[lane.get()];
+        if self.cfg.max_inflight >= self.inflight.len() {
+            // The budget cannot bind, so the flag is read only by
+            // `inflight()`: a statistic, publishing nothing.
+            flag.store(true, Ordering::Relaxed);
+            return Ok(Admitted { flag, order: Ordering::Relaxed });
         }
-        Ok(Admitted { service: self })
+        flag.store(true, Ordering::SeqCst);
+        let others = self.inflight() - 1;
+        if others >= self.cfg.max_inflight {
+            flag.store(false, Ordering::SeqCst);
+            self.metrics.overloaded.inc();
+            self.trace.emit(lane.get(), Event::ServiceOverload { inflight: others });
+            return Err(ServiceError::Overloaded { inflight: others, budget: self.cfg.max_inflight });
+        }
+        Ok(Admitted { flag, order: Ordering::SeqCst })
     }
 
     /// Consults the health gates of every shard the operation touches at
@@ -746,18 +772,30 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> SnapshotService<V, C> {
     fn note_partial(&self, lane: ProcessId, segments: usize, served: Option<&ServiceStats>) {
         self.metrics.partial.inc();
         let Some(stats) = served else { return };
-        self.partial_served.fetch_add(1, Ordering::Relaxed);
+        self.partial_served.inc();
         if stats.fallback_full {
             self.metrics.fallback_full.inc();
         }
-        self.metrics
-            .partial_certified_ratio
-            .set(self.partial_certified_permille().min(i64::MAX as u64) as i64);
+        // The ratio is exactly 1000 while no fallback was served, and the
+        // gauge starts there: a healthy partial stores nothing.
+        if stats.fallback_full || self.metrics.partial_certified_ratio.get() != 1000 {
+            self.publish_certified_ratio();
+        }
         let rounds = if stats.native_subset { stats.underlying.double_collects } else { 0 };
         self.trace.emit(
             lane.get(),
             Event::PartialCollect { segments, rounds, fallback: stats.fallback_full },
         );
+    }
+
+    /// Stores [`partial_certified_permille`](Self::partial_certified_permille)
+    /// into the `service.partial.certified_ratio` gauge if it changed.
+    fn publish_certified_ratio(&self) {
+        let permille = self.partial_certified_permille() as i64;
+        let gauge = &self.metrics.partial_certified_ratio;
+        if gauge.get() != permille {
+            gauge.set(permille);
+        }
     }
 
     fn check_segment(&self, segment: usize) -> Result<(), ServiceError> {
@@ -798,14 +836,16 @@ impl<V: RegisterValue, C: TrySnapshotCore<V>> std::fmt::Debug for SnapshotServic
     }
 }
 
-/// RAII in-flight slot.
-struct Admitted<'a, V: RegisterValue, C: TrySnapshotCore<V>> {
-    service: &'a SnapshotService<V, C>,
+/// RAII in-flight flag: set by admission, cleared on drop with the
+/// ordering admission used.
+struct Admitted<'a> {
+    flag: &'a AtomicBool,
+    order: Ordering,
 }
 
-impl<V: RegisterValue, C: TrySnapshotCore<V>> Drop for Admitted<'_, V, C> {
+impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        self.service.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.flag.store(false, self.order);
     }
 }
 

@@ -515,6 +515,73 @@ fn full_budget_rejects_with_overloaded() {
     assert!(service.client(2).scan().is_ok());
 }
 
+/// Per-lane admission under a race: four lanes scan a core whose scans
+/// linger inside it (yielding, so the other lanes race in), against a
+/// budget of two. A request sets its lane's in-flight flag, counts the
+/// set flags and backs out on an excess, so no more than two requests
+/// are ever inside the core at once; every refusal is the typed
+/// `Overloaded`, and once the lanes finish no flag is left set.
+#[test]
+fn racing_lanes_never_exceed_the_admission_budget() {
+    const LANES: usize = 4;
+    const BUDGET: usize = 2;
+    const SCANS: usize = 2_000;
+    let inside = AtomicUsize::new(0);
+    let most_inside = AtomicUsize::new(0);
+    let core = ScanHook::new(UnboundedSnapshot::new(LANES, 0u64), |_, ctx, scan| {
+        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+        most_inside.fetch_max(now, Ordering::SeqCst);
+        for _ in 0..3 {
+            std::thread::yield_now();
+        }
+        let out = scan(ctx);
+        inside.fetch_sub(1, Ordering::SeqCst);
+        out
+    });
+    let registry = Registry::new();
+    let service = SnapshotService::with_config(
+        core,
+        ServiceConfig { max_inflight: BUDGET, ..ServiceConfig::default() },
+    )
+    .with_registry(&registry);
+
+    let refused: usize = std::thread::scope(|s| {
+        let lanes: Vec<_> = (0..LANES)
+            .map(|lane| {
+                let service = &service;
+                s.spawn(move || {
+                    let mut client = service.client(lane);
+                    let mut refused = 0;
+                    for _ in 0..SCANS {
+                        match client.scan() {
+                            Ok(view) => assert_eq!(view.len(), LANES),
+                            Err(ServiceError::Overloaded { inflight, budget }) => {
+                                assert_eq!(budget, BUDGET);
+                                assert!(inflight >= BUDGET, "refused with {inflight} others in");
+                                refused += 1;
+                            }
+                            Err(other) => panic!("expected Overloaded, got {other:?}"),
+                        }
+                    }
+                    refused
+                })
+            })
+            .collect();
+        lanes.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+
+    let most = most_inside.load(Ordering::SeqCst);
+    assert!(most <= BUDGET, "{most} requests were inside the core at once");
+    assert!(refused > 0, "four lingering lanes never contended for two slots");
+    assert_eq!(registry.counter("service.overloaded").get(), refused as u64);
+    assert_eq!(
+        registry.counter("service.scan.solo").get(),
+        (LANES * SCANS - refused) as u64,
+        "every admitted scan was served"
+    );
+    assert_eq!(service.inflight(), 0, "admission flags leaked");
+}
+
 #[test]
 fn failed_attempts_count_as_backend_errors_not_collects() {
     // A flaky backend: its first two scans fail with a retryable error,
