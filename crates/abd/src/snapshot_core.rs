@@ -669,4 +669,91 @@ mod tests {
         // The lane can be claimed again after the error.
         assert!(core.try_scan(&mut core.lane(p0), NONE).is_ok());
     }
+
+    /// The simulated network, except that while `stores_to` names a
+    /// replica, store phases reach that replica alone.
+    struct StoresTo {
+        net: Arc<Network>,
+        stores_to: std::sync::atomic::AtomicUsize,
+    }
+
+    /// `StoresTo::stores_to` when stores reach every replica.
+    const EVERY_REPLICA: usize = usize::MAX;
+
+    struct StoresToPhase<'a> {
+        inner: Box<dyn crate::Phase + 'a>,
+        only: usize,
+    }
+
+    impl crate::Phase for StoresToPhase<'_> {
+        fn send_where(&mut self, include: &mut dyn FnMut(usize) -> bool) -> usize {
+            let only = self.only;
+            self.inner.send_where(&mut |i| (only == EVERY_REPLICA || i == only) && include(i))
+        }
+    }
+
+    impl Transport for StoresTo {
+        fn replicas(&self) -> usize {
+            self.net.replicas()
+        }
+        fn kind(&self) -> &'static str {
+            "stores-to"
+        }
+        fn engine(&self) -> &crate::EngineState {
+            Transport::engine(&*self.net)
+        }
+        fn begin_phase(
+            &self,
+            id: crate::RequestId,
+            request: crate::PhaseRequest,
+            inbox: Arc<crate::ReplyInbox>,
+        ) -> Box<dyn crate::Phase + '_> {
+            let only = match request {
+                crate::PhaseRequest::Store { .. } => self.stores_to.load(Ordering::Acquire),
+                crate::PhaseRequest::Query { .. } => EVERY_REPLICA,
+            };
+            Box::new(StoresToPhase { inner: self.net.begin_phase(id, request, inbox), only })
+        }
+    }
+
+    #[test]
+    fn an_update_after_an_errored_one_is_never_shadowed_by_it() {
+        // Update v1's store reaches replica 2 alone and errors; update v2
+        // then completes on replicas 0 and 1. Had v2 reused v1's tag, the
+        // replicas' strictly-greater merge would leave v1 on replica 2, and
+        // every read answered first by replica 2 would return v1 with no
+        // write-back (its quorum "agrees" on the tag).
+        let net = fast_net(3);
+        let transport = Arc::new(StoresTo {
+            net: Arc::clone(&net),
+            stores_to: std::sync::atomic::AtomicUsize::new(EVERY_REPLICA),
+        });
+        let core = AbdSnapshotCore::over(Arc::clone(&transport) as Arc<dyn Transport>, 1, 0u32);
+        let p0 = ProcessId::new(0);
+        let mut lane = core.lane(p0);
+        transport.stores_to.store(2, Ordering::Release);
+        let short = RequestCtx::by(Deadline::after(Duration::from_millis(40)));
+        assert!(core.try_update(&mut lane, 0, 1, short).is_err(), "v1 reached one replica");
+        transport.stores_to.store(EVERY_REPLICA, Ordering::Release);
+        net.partition(&[2]);
+        let _ = core.try_update(&mut lane, 0, 2, NONE).unwrap();
+        net.heal();
+
+        // Slow replicas 0 and 1 down so that replica 2 answers first, then
+        // let any replica answer first.
+        let slow = crate::LinkFault::healthy()
+            .with_delay(Duration::from_millis(2), Duration::from_millis(2));
+        for round in 0..40 {
+            if round == 20 {
+                net.set_fault_all(crate::LinkFault::healthy());
+            } else if round == 0 {
+                net.set_fault(0, slow.clone());
+                net.set_fault(1, slow.clone());
+            }
+            let read = core.regs[0].try_read_by(ProcessId::new(round % 3), Deadline::none());
+            assert_eq!(read.unwrap().value, 2, "round {round}: a read returned v1");
+            let (view, _) = core.try_scan(&mut lane, NONE).unwrap();
+            assert_eq!(view[0], 2, "round {round}: a scan returned v1");
+        }
+    }
 }
