@@ -40,7 +40,9 @@
 //!   (Figure 2) run *fallibly* over `AbdRegister` lanes through
 //!   `snapshot-core`'s `TrySnapshotCore` interface: where the infallible
 //!   backend panics past the liveness boundary, this surfaces typed
-//!   `CoreError`s the `snapshot-service` front-end retries or sheds;
+//!   `CoreError`s the `snapshot-service` front-end retries or sheds. Each
+//!   lane is its register's only writer, so it writes in one store phase
+//!   under a tag from its own sequence number;
 //! * [`Transport`] — the seam between the quorum engine and its medium,
 //!   which only carries messages: the engine's timeout, retry policy,
 //!   metrics, trace and ids are one [`EngineState`] each transport builds

@@ -262,14 +262,41 @@ impl<V: Clone + Send + Sync + 'static> AbdRegister<V> {
         value: V,
         deadline: Deadline,
     ) -> Result<(), AbdError> {
-        let transport = &*self.transport;
-        let queried = query_many(transport, writer, deadline, &[self.id])?;
         let tag = Tag {
-            seq: queried[0].best.0.seq + 1,
+            seq: self.try_max_tag_by(writer, deadline)?.seq + 1,
             writer: writer.get(),
         };
+        self.try_store_by(writer, tag, value, deadline)
+    }
+
+    /// The highest tag a query quorum holds for this register: one query
+    /// round, no write-back (nothing is returned to linearize, only a
+    /// floor for the caller's next tag).
+    pub(crate) fn try_max_tag_by(
+        &self,
+        reader: ProcessId,
+        deadline: Deadline,
+    ) -> Result<Tag, AbdError> {
+        Ok(query_many(&*self.transport, reader, deadline, &[self.id])?[0].best.0)
+    }
+
+    /// The write as one store phase under the caller's `tag` — the whole
+    /// write for a register with a single writer, whose own counter is
+    /// its tag (Imbs et al., arXiv:1702.08176): nobody else creates tags
+    /// on the register, so a tag above every tag the writer issued is
+    /// above every tag a replica holds, and the query round would tell the
+    /// writer nothing. The caller must never issue a tag twice. Errors
+    /// leave the write *indeterminate*, as in
+    /// [`try_write_by`](Self::try_write_by).
+    pub(crate) fn try_store_by(
+        &self,
+        writer: ProcessId,
+        tag: Tag,
+        value: V,
+        deadline: Deadline,
+    ) -> Result<(), AbdError> {
         store_many(
-            transport,
+            &*self.transport,
             writer,
             deadline,
             &[(self.id, tag, self.codec.encode(value))],
@@ -580,7 +607,7 @@ fn run_quorum_phase(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::time::Duration;
 
@@ -860,7 +887,7 @@ mod tests {
     }
 
     /// The kinds of the phases `ring` saw start, in order (drains it).
-    fn phases_started(ring: &snapshot_obs::RingSink) -> Vec<AbdPhaseKind> {
+    pub(crate) fn phases_started(ring: &snapshot_obs::RingSink) -> Vec<AbdPhaseKind> {
         ring.drain()
             .into_iter()
             .filter_map(|e| match e.event {
@@ -870,7 +897,9 @@ mod tests {
             .collect()
     }
 
-    fn ring_traced_net(replicas: usize) -> (Arc<Network>, Arc<snapshot_obs::RingSink>) {
+    pub(crate) fn ring_traced_net(
+        replicas: usize,
+    ) -> (Arc<Network>, Arc<snapshot_obs::RingSink>) {
         use snapshot_obs::{RingSink, Sink, Trace};
         let ring = Arc::new(RingSink::new(4, 256));
         let net = Arc::new(Network::with_config(

@@ -12,7 +12,7 @@
 //! [`CoreError`] the service layer can retry, shed, or surface.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use snapshot_core::{CoreError, RequestCtx, ScanStats, SnapshotView, TrySnapshotCore};
@@ -21,7 +21,7 @@ use snapshot_registers::ProcessId;
 use snapshot_wire::{Reader, WireError, WireValue};
 
 use crate::transport::Transport;
-use crate::{AbdError, AbdRegister, Network, RegisterId};
+use crate::{AbdError, AbdRegister, Network, RegisterId, Tag};
 
 /// Contents of register `r_i` in Figure 2, stored as one ABD register
 /// value: `(value, seq, view)` written in one (emulated) atomic write.
@@ -91,14 +91,18 @@ fn core_error(e: AbdError) -> CoreError {
 /// register write of `(value, seq + 1, view)` — wait-free in register
 /// operations by the paper's pigeonhole bound of `n + 1` double collects.
 ///
-/// Every collect and every register write is up to two quorum phases that
-/// can starve: a drop, partition, or crashed majority surfaces as
+/// Every collect is one quorum phase, plus a write-back phase when its
+/// quorum disagreed; every register write is one store phase, stored
+/// under the ABD tag `(seq + 1, lane)`: a lane is its register's only
+/// writer, so its own sequence number is the tag, and no query round is
+/// needed to find one (a quiescent update is 3 phases). Any phase can
+/// starve: a drop, partition, or crashed majority surfaces as
 /// [`CoreError::Unavailable`] (retryable — heal the network and try
 /// again), and a poisoned fleet as [`CoreError::Failed`] (terminal). An
 /// errored update is *indeterminate*: the write may have reached some
 /// replicas and may yet become visible, exactly like a crashed writer in
-/// the paper's model — its sequence number is consumed either way, so a
-/// retry never reuses one.
+/// the paper's model — its sequence number, and so its tag, is consumed
+/// either way, so a retry never reuses one.
 ///
 /// The single-writer discipline is per **lane** ([`AbdLane`]): a lane
 /// is claimed once per client and owns its writer's sequence number, and
@@ -114,6 +118,12 @@ pub struct AbdSnapshotCore<V> {
     /// indeterminate write may have consumed a number the register does
     /// not show yet.
     parked: Box<[AtomicU64]>,
+    /// Whether each lane's parked number is above every tag its register
+    /// holds on a majority of replicas — true from the start for
+    /// freshly allocated registers, false for [`remote`](Self::remote)
+    /// ones until the lane's first update has queried them. Written
+    /// before `parked` on a drop, read after it on a claim.
+    synced: Box<[AtomicBool]>,
     n: usize,
 }
 
@@ -153,6 +163,7 @@ impl<V: Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
                 })
                 .collect(),
             parked: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            synced: (0..n).map(|_| AtomicBool::new(true)).collect(),
             transport,
             n,
         }
@@ -234,11 +245,15 @@ impl<V: WireValue + Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
     /// `(lane = i, segment = i)` ([`RegisterId::from_lane_segment`]), so
     /// every client of one cluster addresses the same registers.
     ///
-    /// Lane sequence numbers start at zero: run one client per lane
-    /// against a fresh cluster (the single-writer discipline, now
-    /// cluster-wide). A client restarted against surviving replica state
-    /// must not reuse a lane without re-reading its register first —
-    /// the service layer owns lanes for exactly this reason.
+    /// Run one client per lane at a time (the single-writer discipline,
+    /// now cluster-wide). The replicas may already hold the lane's
+    /// register from an earlier client, so a lane's first update runs one
+    /// query round on its own register before its write and continues
+    /// above the highest tag a majority holds; later updates take their
+    /// tag from the lane alone. Set-up sends nothing. One limit remains
+    /// (DESIGN.md §7): if the earlier client died mid-write, a tag it left
+    /// on a minority only can be tied, and one of the two values under it
+    /// may then be shadowed.
     ///
     /// Works over the simulated network too (the codec round-trips
     /// through the fault plane opaquely), which is how remote mode is
@@ -261,6 +276,7 @@ impl<V: WireValue + Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
                 })
                 .collect(),
             parked: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            synced: (0..n).map(|_| AtomicBool::new(false)).collect(),
             transport,
             n,
         }
@@ -268,25 +284,34 @@ impl<V: WireValue + Clone + Send + Sync + 'static> AbdSnapshotCore<V> {
 }
 
 /// One lane of an [`AbdSnapshotCore`]: the process id and its writer's
-/// last consumed sequence number, which Figure 2 keeps as local state.
-/// Dropping the lane parks the number in the core for the next claim —
-/// also after an errored operation, so a failed operation never wedges
-/// its lane.
+/// last consumed sequence number, which Figure 2 keeps as local state and
+/// which is also the ABD tag of the lane's last write. Dropping the lane
+/// parks the number in the core for the next claim — also after an
+/// errored operation, so a failed operation never wedges its lane.
 pub struct AbdLane<'a, V> {
     core: &'a AbdSnapshotCore<V>,
     pid: ProcessId,
     seq: u64,
+    /// Whether `seq` is known to be above every tag a majority holds on
+    /// the lane's register (see [`AbdSnapshotCore::remote`]).
+    synced: bool,
 }
 
 impl<V> Drop for AbdLane<'_, V> {
     fn drop(&mut self) {
-        self.core.parked[self.pid.get()].store(self.seq, Ordering::Release);
+        let i = self.pid.get();
+        self.core.synced[i].store(self.synced, Ordering::Relaxed);
+        self.core.parked[i].store(self.seq, Ordering::Release);
     }
 }
 
 impl<V> fmt::Debug for AbdLane<'_, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AbdLane").field("pid", &self.pid).field("seq", &self.seq).finish()
+        f.debug_struct("AbdLane")
+            .field("pid", &self.pid)
+            .field("seq", &self.seq)
+            .field("synced", &self.synced)
+            .finish()
     }
 }
 
@@ -313,7 +338,7 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
         assert!(i < self.n, "lane {i} out of range ({} lanes)", self.n);
         let seq = self.parked[i].swap(CLAIMED, Ordering::AcqRel);
         assert!(seq != CLAIMED, "lane {i} already claimed");
-        AbdLane { core: self, pid, seq }
+        AbdLane { core: self, pid, seq, synced: self.synced[i].load(Ordering::Relaxed) }
     }
 
     /// Every quorum wait underneath is capped at `ctx.deadline`, so a scan
@@ -332,8 +357,10 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
 
     /// A deadline-cut write is *indeterminate* exactly like a
     /// quorum-starved one; its sequence number is consumed either way, so
-    /// a retry never reuses one. The embedded scan's quorum passes and the
-    /// final register write run inside [`SpanKind::QuorumQuery`] /
+    /// a retry never reuses one. The write is one store phase under the
+    /// tag `(seq, lane)`; a lane not yet synced with its register first
+    /// runs one query round on it. The embedded scan's quorum passes, that
+    /// query and the store run inside [`SpanKind::QuorumQuery`] /
     /// [`SpanKind::QuorumStore`] spans parented under `ctx.span`.
     fn try_update(
         &self,
@@ -343,20 +370,30 @@ impl<V: Clone + Send + Sync + 'static> TrySnapshotCore<V> for AbdSnapshotCore<V>
         ctx: RequestCtx,
     ) -> Result<ScanStats, CoreError> {
         let pid = lane.pid;
+        let i = pid.get();
         assert_eq!(
-            segment,
-            pid.get(),
+            segment, i,
             "single-writer construction: lane {pid} cannot update segment {segment}"
         );
         let (view, mut stats) = self.scan_inner(pid, ctx)?; // Fig. 2 update line 1
+        let trace = &self.transport.engine().trace;
+        if !lane.synced {
+            let query = trace.span(i, SpanKind::QuorumQuery, ctx.span);
+            query.note("registers", 1);
+            let held = self.regs[i].try_max_tag_by(pid, ctx.deadline).map_err(core_error);
+            query.end(if held.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
+            lane.seq = lane.seq.max(held?.seq);
+            lane.synced = true;
+        }
         // Consumed before the write: an indeterminate (errored) write
-        // keeps its number.
+        // keeps its number, and with it its tag.
         lane.seq += 1;
         let seq = lane.seq;
-        let store = self.transport.engine().trace.span(pid.get(), SpanKind::QuorumStore, ctx.span);
+        let store = trace.span(i, SpanKind::QuorumStore, ctx.span);
         store.note("seq", seq);
-        let written = self.regs[pid.get()]
-            .try_write_by(pid, AbdRecord { value, seq, view }, ctx.deadline) // line 2
+        let tag = Tag { seq, writer: i };
+        let written = self.regs[i]
+            .try_store_by(pid, tag, AbdRecord { value, seq, view }, ctx.deadline) // line 2
             .map_err(core_error);
         store.end(if written.is_ok() { SpanStatus::Ok } else { SpanStatus::Error });
         written?;
@@ -755,5 +792,58 @@ mod tests {
             let (view, _) = core.try_scan(&mut lane, NONE).unwrap();
             assert_eq!(view[0], 2, "round {round}: a scan returned v1");
         }
+    }
+
+    #[test]
+    fn a_quiescent_update_is_three_phases_and_a_remote_lanes_first_is_four() {
+        use crate::register::tests::{phases_started, ring_traced_net};
+        use snapshot_obs::AbdPhaseKind::{Query, Store};
+
+        let p1 = ProcessId::new(1);
+        // Two collects, then the store: no query round for the tag.
+        let (net, ring) = ring_traced_net(3);
+        let core = AbdSnapshotCore::new(&net, 3, 0u32);
+        let mut lane = core.lane(p1);
+        for value in 1..=2 {
+            let _ = core.try_update(&mut lane, 1, value, NONE).unwrap();
+            assert_eq!(phases_started(&ring), vec![Query, Query, Store], "update {value}");
+        }
+
+        // A remote core's registers may hold an earlier client's writes:
+        // the lane's first update queries its own register once.
+        let (net, ring) = ring_traced_net(3);
+        let core = AbdSnapshotCore::remote(Arc::clone(&net) as Arc<dyn Transport>, 3, 0u32);
+        let mut lane = core.lane(p1);
+        let _ = core.try_update(&mut lane, 1, 1, NONE).unwrap();
+        assert_eq!(phases_started(&ring), vec![Query, Query, Query, Store]);
+        let _ = core.try_update(&mut lane, 1, 2, NONE).unwrap();
+        assert_eq!(phases_started(&ring), vec![Query, Query, Store]);
+        // The lane stays synced across a drop and a re-claim.
+        drop(lane);
+        let _ = core.try_update(&mut core.lane(p1), 1, 3, NONE).unwrap();
+        assert_eq!(phases_started(&ring), vec![Query, Query, Store]);
+    }
+
+    #[test]
+    fn a_restarted_remote_core_writes_above_its_predecessors_tags() {
+        // Two clients in turn on lane 0 of one cluster. Without the first
+        // update's query, the second client's write would carry tag
+        // (1, 0), below the first client's (K, 0): every replica would
+        // ignore it, and it would vanish without an error.
+        const K: u64 = 5;
+        let net = fast_net(3);
+        let p0 = ProcessId::new(0);
+        {
+            let first = AbdSnapshotCore::remote(Arc::clone(&net) as Arc<dyn Transport>, 2, 0u64);
+            let mut lane = first.lane(p0);
+            for value in 1..=K {
+                let _ = first.try_update(&mut lane, 0, value, NONE).unwrap();
+            }
+        }
+        let second = AbdSnapshotCore::remote(Arc::clone(&net) as Arc<dyn Transport>, 2, 0u64);
+        let mut lane = second.lane(p0);
+        let _ = second.try_update(&mut lane, 0, 100, NONE).unwrap();
+        assert_eq!(second.try_scan(&mut lane, NONE).unwrap().0.to_vec(), vec![100, 0]);
+        assert_eq!(second.regs[0].try_read_by(p0, Deadline::none()).unwrap().seq, K + 1);
     }
 }

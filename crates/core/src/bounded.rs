@@ -154,6 +154,7 @@ impl<V: RegisterValue, B: Backend> SwSnapshot<V> for BoundedSnapshot<V, B> {
             moved: vec![0; self.n],
             q_local: vec![false; self.n],
             pa: vec![false; self.n],
+            pass_a: Vec::new(),
         }
     }
 }
@@ -237,31 +238,46 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for BoundedSnapshot
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
-        let lane = lane.pid;
-        let i = lane.get();
+        let BoundedHandle { pid, moved, q_local, pass_a, .. } = lane;
+        let pid = *pid;
+        let i = pid.get();
         let k = segments.len();
-        let mut moved = vec![0u8; k];
+        for &j in segments {
+            moved[j] = 0;
+        }
+        // Pass b's values; returned as they stand when the round is clean.
+        let mut values = Vec::with_capacity(k);
         let mut stats = ScanStats::default();
-        let mut q_local = vec![false; k];
         loop {
             // Line 0.5 restricted to the subset; re-executed every retry
             // so a single handshake flip is blamed at most once.
-            for (x, &j) in segments.iter().enumerate() {
-                q_local[x] = self.regs[j].read_with(lane, |r| r.p[i]);
-                self.q[i][j].write(lane, q_local[x]);
+            for &j in segments {
+                q_local[j] = self.regs[j].read_with(pid, |r| r.p[i]);
+                self.q[i][j].write(pid, q_local[j]);
                 stats.reads += 1;
                 stats.writes += 1;
             }
-            let a: Vec<(bool, bool)> = segments
-                .iter()
-                .map(|&j| self.regs[j].read_with(lane, |r| (r.p[i], r.toggle)))
-                .collect();
-            let b: Vec<(bool, bool, V)> = segments
-                .iter()
-                .map(|&j| {
-                    self.regs[j].read_with(lane, |r| (r.p[i], r.toggle, r.value.clone()))
-                })
-                .collect();
+            pass_a.clear();
+            pass_a.extend(
+                segments.iter().map(|&j| self.regs[j].read_with(pid, |r| (r.p[i], r.toggle))),
+            );
+            values.clear();
+            let mut clean = true;
+            // The first subset writer blamed for the second time.
+            let mut lender = None;
+            for (&j, &a) in segments.iter().zip(pass_a.iter()) {
+                let b = self.regs[j].read_with(pid, |r| {
+                    values.push(r.value.clone());
+                    (r.p[i], r.toggle)
+                });
+                if !(a.0 == q_local[j] && b.0 == q_local[j] && a.1 == b.1) {
+                    clean = false;
+                    if moved[j] == 1 {
+                        lender = lender.or(Some(j));
+                    }
+                    moved[j] += 1;
+                }
+            }
             stats.double_collects += 1;
             stats.reads += 2 * k as u64;
             debug_assert!(
@@ -269,23 +285,16 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for BoundedSnapshot
                 "subset wait-freedom bound violated: {} double collects for k = {k}",
                 stats.double_collects
             );
-            let unmoved =
-                |x: usize| a[x].0 == q_local[x] && b[x].0 == q_local[x] && a[x].1 == b[x].1;
-            if (0..k).all(unmoved) {
-                return Ok(Some((b.into_iter().map(|(_, _, v)| v).collect(), stats)));
+            if let Some(j) = lender {
+                stats.borrowed = true;
+                stats.reads += 1;
+                let view = self.regs[j].read_with(pid, |r| r.view.clone());
+                values.clear();
+                values.extend(segments.iter().map(|&s| view[s].clone()));
+                return Ok(Some((values, stats)));
             }
-            for x in 0..k {
-                if !unmoved(x) {
-                    if moved[x] == 1 {
-                        stats.borrowed = true;
-                        stats.reads += 1;
-                        let view =
-                            self.regs[segments[x]].read_with(lane, |r| r.view.clone());
-                        let values = segments.iter().map(|&j| view[j].clone()).collect();
-                        return Ok(Some((values, stats)));
-                    }
-                    moved[x] += 1;
-                }
+            if clean {
+                return Ok(Some((values, stats)));
             }
         }
     }
@@ -305,12 +314,16 @@ pub struct BoundedHandle<'a, V: RegisterValue, B: Backend> {
     toggle: bool,
     /// Scanner-local record cache for the incremental collect path.
     cache: TrackedCollect<BndRecord<V>>,
-    /// Figure 3's `moved[j]`, reset at the start of every scan.
+    /// Figure 3's `moved[j]`, reset at the start of every scan (for a
+    /// subset scan, of its segments).
     moved: Vec<u8>,
     /// The last value this scan wrote to each `q_{i,j}`.
     q_local: Vec<bool>,
     /// Each partner's `p_{j,i}` as collect a saw it.
     pa: Vec<bool>,
+    /// A subset scan's collect a: `(p_{j,i}, toggle)` per requested
+    /// segment.
+    pass_a: Vec<(bool, bool)>,
 }
 
 impl<V: RegisterValue, B: Backend> BoundedHandle<'_, V, B> {

@@ -4,7 +4,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use snapshot_obs::{Algo, Event, RoundOutcome, Trace};
 use snapshot_registers::{
     collect, subset_collect, Backend, CachePadded, EpochBackend, PaddedBitRows, PaddedCells,
-    ProcessId, Register, RegisterValue, SubsetOutcome, TrackedCollect,
+    ProcessId, Register, RegisterValue, SubsetOutcome, TrackedCollect, Version,
 };
 
 use crate::api::HandleRegistry;
@@ -245,6 +245,7 @@ impl<V: RegisterValue, B: Backend, BM: Backend> MwSnapshot<V> for MultiWriterSna
             moved: vec![0; self.n],
             q_local: vec![false; self.n],
             h: vec![false; self.n],
+            versions: Vec::new(),
         }
     }
 }
@@ -332,11 +333,12 @@ impl<V: RegisterValue, B: Backend, BM: Backend> crate::TrySnapshotCore<V>
         // Interference budget: enough rounds to ride out a burst, small
         // enough that the fallback's O(n·m) bound still dominates cost.
         const MAX_ROUNDS: u32 = 4;
-        let slots: Vec<&BM::Cell<MwRecord<V>>> =
-            segments.iter().map(|&w| &*self.vals[w]).collect();
-        Ok(match subset_collect(lane.pid, &slots, MAX_ROUNDS) {
+        let value = |r: &MwRecord<V>| r.value.clone();
+        let outcome =
+            subset_collect(lane.pid, &self.vals, segments, MAX_ROUNDS, &mut lane.versions, value);
+        Ok(match outcome {
             SubsetOutcome::Clean { records, rounds, reads } => Some((
-                records.into_iter().map(|r| r.value).collect(),
+                records,
                 ScanStats { double_collects: rounds, borrowed: false, reads, writes: 0 },
             )),
             SubsetOutcome::Unsupported | SubsetOutcome::Contended { .. } => None,
@@ -363,6 +365,8 @@ pub struct MultiWriterHandle<'a, V: RegisterValue, B: Backend, BM: Backend> {
     q_local: Vec<bool>,
     /// Line 2.5's collect of `p_{j,i}`.
     h: Vec<bool>,
+    /// A subset scan's version probes, one per requested word.
+    versions: Vec<Version>,
 }
 
 impl<V: RegisterValue, B: Backend, BM: Backend> MultiWriterHandle<'_, V, B, BM> {

@@ -145,6 +145,7 @@ impl<V: RegisterValue, B: Backend> SwSnapshot<V> for UnboundedSnapshot<V, B> {
             seq,
             cache: TrackedCollect::new(),
             moved: vec![0; self.n],
+            pass_a: Vec::new(),
         }
     }
 }
@@ -225,17 +226,35 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for UnboundedSnapsh
         debug_assert!(!segments.is_empty(), "canonical subsets are non-empty");
         debug_assert!(segments.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         debug_assert!(segments.iter().all(|&s| s < self.n), "segment out of range");
-        let lane = lane.pid;
+        let UnboundedHandle { pid, moved, pass_a, .. } = lane;
+        let pid = *pid;
         let k = segments.len();
-        let mut moved = vec![0u8; k];
+        for &j in segments {
+            moved[j] = 0;
+        }
+        // Pass b's values; returned as they stand when the round is clean.
+        let mut values = Vec::with_capacity(k);
         let mut stats = ScanStats::default();
         loop {
-            let a: Vec<u64> =
-                segments.iter().map(|&j| self.regs[j].read_with(lane, |r| r.seq)).collect();
-            let b: Vec<(u64, V)> = segments
-                .iter()
-                .map(|&j| self.regs[j].read_with(lane, |r| (r.seq, r.value.clone())))
-                .collect();
+            pass_a.clear();
+            pass_a.extend(segments.iter().map(|&j| self.regs[j].read_with(pid, |r| r.seq)));
+            values.clear();
+            let mut clean = true;
+            // The first subset writer seen moving for the second time.
+            let mut lender = None;
+            for (&j, &seq_a) in segments.iter().zip(pass_a.iter()) {
+                let seq_b = self.regs[j].read_with(pid, |r| {
+                    values.push(r.value.clone());
+                    r.seq
+                });
+                if seq_b != seq_a {
+                    clean = false;
+                    if moved[j] == 1 {
+                        lender = lender.or(Some(j));
+                    }
+                    moved[j] += 1;
+                }
+            }
             stats.double_collects += 1;
             stats.reads += 2 * k as u64;
             debug_assert!(
@@ -243,21 +262,16 @@ impl<V: RegisterValue, B: Backend> crate::TrySnapshotCore<V> for UnboundedSnapsh
                 "subset wait-freedom bound violated: {} double collects for k = {k}",
                 stats.double_collects
             );
-            if (0..k).all(|x| a[x] == b[x].0) {
-                return Ok(Some((b.into_iter().map(|(_, v)| v).collect(), stats)));
+            if let Some(j) = lender {
+                stats.borrowed = true;
+                stats.reads += 1;
+                let view = self.regs[j].read_with(pid, |r| r.view.clone());
+                values.clear();
+                values.extend(segments.iter().map(|&s| view[s].clone()));
+                return Ok(Some((values, stats)));
             }
-            for x in 0..k {
-                if a[x] != b[x].0 {
-                    if moved[x] == 1 {
-                        stats.borrowed = true;
-                        stats.reads += 1;
-                        let view =
-                            self.regs[segments[x]].read_with(lane, |r| r.view.clone());
-                        let values = segments.iter().map(|&j| view[j].clone()).collect();
-                        return Ok(Some((values, stats)));
-                    }
-                    moved[x] += 1;
-                }
+            if clean {
+                return Ok(Some((values, stats)));
             }
         }
     }
@@ -276,8 +290,11 @@ pub struct UnboundedHandle<'a, V: RegisterValue, B: Backend> {
     seq: u64,
     /// Scanner-local record cache for the incremental collect path.
     cache: TrackedCollect<UnbRecord<V>>,
-    /// Figure 2's `moved[j]`, reset at the start of every scan.
+    /// Figure 2's `moved[j]`, reset at the start of every scan (for a
+    /// subset scan, of its segments).
     moved: Vec<u8>,
+    /// A subset scan's first collect of sequence numbers.
+    pass_a: Vec<u64>,
 }
 
 impl<V: RegisterValue, B: Backend> UnboundedHandle<'_, V, B> {

@@ -302,14 +302,15 @@ impl<T: Clone> TrackedCollect<T> {
 /// requested slots, or a typed reason it could not be produced.
 #[derive(Debug)]
 pub enum SubsetOutcome<T> {
-    /// Two adjacent probe passes agreed on every slot's version: each
-    /// record in `records` was read inside a window bracketed by equal
-    /// version probes, and all the windows overlap (they share the
-    /// instant between the two passes), so the records form an
-    /// instantaneous picture of the subset — see the soundness note on
-    /// [`subset_collect`].
+    /// A probe pass found every slot's version equal to the probe its
+    /// record was read after: each record in `records` was read inside a
+    /// window bracketed by equal version probes, and all the windows
+    /// overlap (they share the instant before that pass), so the records
+    /// form an instantaneous picture of the subset — see the soundness
+    /// note on [`subset_collect`].
     Clean {
-        /// One record per requested slot, in the caller's slot order.
+        /// One projected record per requested slot, in the caller's slot
+        /// order.
         records: Vec<T>,
         /// Probe passes performed after the priming pass (≥ 1).
         rounds: u32,
@@ -334,78 +335,75 @@ pub enum SubsetOutcome<T> {
 /// A bounded, version-filtered collect of a *subset* of registers: the
 /// interference filter behind the O(touched)-cost partial snapshots.
 ///
-/// The protocol is rounds of *probe-then-read* per slot. The priming
-/// pass probes each slot's [`version_hint`] and reads its record; each
-/// following pass re-probes every slot. When a whole pass finds every
-/// probe equal to the previous pass's, the **previous** pass's records
-/// are returned; otherwise the moved slots are re-read (probe first,
-/// then read) and the next pass begins. After `max_rounds` re-probe
-/// passes the call gives up with [`SubsetOutcome::Contended`].
+/// Collects `regs[j]` for each `j` in `slots`, keeping `project` of each
+/// record. The protocol is rounds of *probe-then-read* per slot. The
+/// priming pass probes each slot's [`version_hint`] and reads its record;
+/// each following pass re-probes every slot, and re-reads a slot right
+/// after a probe that moved. When a whole pass finds every probe equal to
+/// the one its record was read after, the records are returned. After
+/// `max_rounds` re-probe passes the call gives up with
+/// [`SubsetOutcome::Contended`]. `versions` is the caller's scratch for
+/// the probes (cleared here), so a warm caller allocates only the result.
 ///
 /// # Soundness
 ///
 /// The hint contract says equal probes prove no write took effect
 /// between them. Each returned record was read inside a window whose
-/// endpoints are equal probes of its slot, so the register held that
-/// record throughout its window; and every window contains the instant
-/// between the last two passes. At that instant every slot held the
-/// record returned for it: the records are an instantaneous picture of
-/// the subset, which is exactly a linearizable subset read for callers
-/// whose updates linearize at the register write.
+/// endpoints are equal probes of its slot — opened in an earlier pass,
+/// closed in the clean one — so the register held that record
+/// throughout its window; and every window contains the instant before
+/// the clean pass. At that instant every slot held the record returned
+/// for it: the records are an instantaneous picture of the subset, which
+/// is exactly a linearizable subset read for callers whose updates
+/// linearize at the register write.
 ///
 /// Quiescent cost: `k` reads plus `2k` probes for `k` slots — the
 /// priming pass and one clean confirmation pass — independent of how
 /// many registers the full object has.
 ///
 /// [`version_hint`]: Register::version_hint
-pub fn subset_collect<T: Clone, R: Register<T>>(
+pub fn subset_collect<T, U, R: Register<T>>(
     reader: ProcessId,
-    slots: &[R],
+    regs: &[R],
+    slots: &[usize],
     max_rounds: u32,
-) -> SubsetOutcome<T> {
-    let k = slots.len();
-    let mut versions = Vec::with_capacity(k);
-    for slot in slots {
-        match slot.version_hint() {
+    versions: &mut Vec<Version>,
+    project: impl Fn(&T) -> U,
+) -> SubsetOutcome<U> {
+    versions.clear();
+    for &j in slots {
+        match regs[j].version_hint() {
             Some(v) => versions.push(v),
             None => return SubsetOutcome::Unsupported,
         }
     }
     // Priming pass: every record is read *after* its version probe, so
-    // each cache entry's window opens at its probe.
-    let mut records: Vec<T> =
-        slots.iter().map(|slot| slot.read_with(reader, |r| r.clone())).collect();
-    let mut reads = k as u64;
+    // each window opens at its probe.
+    let mut records: Vec<U> = slots.iter().map(|&j| regs[j].read_with(reader, &project)).collect();
+    let mut reads = slots.len() as u64;
 
     for round in 1..=max_rounds {
         let mut clean = true;
-        let mut moved = vec![false; k];
-        for (j, slot) in slots.iter().enumerate() {
-            // A `None` here means the register changed its mind about
-            // keeping hints (no in-tree register does); treat it as a
-            // moved slot so we never certify through it.
-            let probe = slot.version_hint();
-            if probe != Some(versions[j]) {
-                clean = false;
-                moved[j] = true;
-                if let Some(v) = probe {
-                    versions[j] = v;
-                } else {
+        for (x, &j) in slots.iter().enumerate() {
+            let probe = regs[j].version_hint();
+            if probe != Some(versions[x]) {
+                // A `None` here means the register changed its mind about
+                // keeping hints (no in-tree register does); never certify
+                // through it.
+                let Some(v) = probe else {
                     return SubsetOutcome::Unsupported;
-                }
+                };
+                clean = false;
+                versions[x] = v;
+                // The probe just taken opens the fresh window.
+                records[x] = regs[j].read_with(reader, &project);
+                reads += 1;
             }
         }
         if clean {
             // Every record's window is bracketed by equal probes and
             // contains the instant before this pass: certified.
             return SubsetOutcome::Clean { records, rounds: round, reads };
-        }
-        for (j, slot) in slots.iter().enumerate() {
-            if moved[j] {
-                // Probe already taken above opens the fresh window.
-                records[j] = slot.read_with(reader, |r| r.clone());
-                reads += 1;
-            }
         }
     }
     SubsetOutcome::Contended { rounds: max_rounds, reads }
@@ -583,8 +581,7 @@ mod tests {
     fn quiescent_subset_collect_costs_k_reads() {
         let backend = EpochBackend::new();
         let regs: Vec<_> = (0..64u64).map(|i| backend.cell(i * 10)).collect();
-        let slots = [&regs[3], &regs[41]];
-        match subset_collect(P0, &slots, 4) {
+        match subset_collect(P0, &regs, &[3, 41], 4, &mut Vec::new(), u64::clone) {
             SubsetOutcome::Clean { records, rounds, reads } => {
                 assert_eq!(records, vec![30, 410]);
                 assert_eq!(rounds, 1, "one confirmation pass suffices when quiet");
@@ -598,8 +595,10 @@ mod tests {
     fn hintless_registers_are_reported_unsupported_before_any_read() {
         let backend = MutexBackend::new();
         let regs: Vec<_> = (0..4u64).map(|i| backend.cell(i)).collect();
-        let slots = [&regs[0], &regs[2]];
-        assert!(matches!(subset_collect(P0, &slots, 4), SubsetOutcome::Unsupported));
+        assert!(matches!(
+            subset_collect(P0, &regs, &[0, 2], 4, &mut Vec::new(), u64::clone),
+            SubsetOutcome::Unsupported
+        ));
     }
 
     #[test]
@@ -612,7 +611,7 @@ mod tests {
         // machinery: run once, write, run again — the second run must see
         // the new value with the same O(k) cost.
         regs[5].write(ProcessId::new(1), 55);
-        match subset_collect(P0, &[&regs[5], &regs[7]], 4) {
+        match subset_collect(P0, &regs, &[5, 7], 4, &mut Vec::new(), u64::clone) {
             SubsetOutcome::Clean { records, reads, .. } => {
                 assert_eq!(records, vec![55, 7]);
                 assert_eq!(reads, 2);
@@ -637,7 +636,7 @@ mod tests {
             }
         }
         let slots = [Restless(std::sync::atomic::AtomicU64::new(0))];
-        match subset_collect(P0, &slots, 3) {
+        match subset_collect(P0, &slots, &[0], 3, &mut Vec::new(), u64::clone) {
             SubsetOutcome::Contended { rounds, reads } => {
                 assert_eq!(rounds, 3);
                 // Priming read + one re-read per dirty pass (the last

@@ -1,12 +1,14 @@
 //! A warm, quiescent scan allocates exactly once: the `Arc<[V]>` of the
-//! view it returns.
+//! view it returns — and a warm, quiescent subset scan once too, the
+//! `Vec<V>` of the values it returns.
 //!
 //! Each handle keeps what its scans need between operations — the record
-//! cache, Figure 2–4's `moved` counts, the handshake buffers — and
-//! collects a clean view straight into the shared slice, so the steady
-//! state of a scan costs no allocator traffic beyond its result. A
-//! counting global allocator, scoped to the calling thread, checks it for
-//! the three wait-free constructions' handles.
+//! cache, Figure 2–4's `moved` counts, the handshake buffers, a subset
+//! scan's first pass or version probes — and collects a clean view
+//! straight into its result, so the steady state of a scan costs no
+//! allocator traffic beyond its result. A counting global allocator,
+//! scoped to the calling thread, checks it for the three wait-free
+//! constructions' handles.
 //!
 //! One test drives all three: the epoch scheme's occasional collection
 //! would allocate if another test's exiting thread had left it garbage to
@@ -16,8 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use snapshot_core::{
-    BoundedSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle, SnapshotView, SwSnapshot,
-    SwSnapshotHandle, UnboundedSnapshot,
+    BoundedSnapshot, MultiWriterSnapshot, MwSnapshot, MwSnapshotHandle, RequestCtx, SwSnapshot,
+    SwSnapshotHandle, TrySnapshotCore, UnboundedSnapshot,
 };
 use snapshot_registers::ProcessId;
 
@@ -64,12 +66,29 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `scan` and returns its view with the allocations it made on this
-/// thread.
-fn counted(scan: impl FnOnce() -> SnapshotView<u64>) -> (SnapshotView<u64>, u64) {
+/// Runs `scan` and returns its result with the allocations it made on
+/// this thread.
+fn counted<T>(scan: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
-    let view = scan();
-    (view, ALLOCATIONS.with(Cell::get) - before)
+    let result = scan();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Segments 1 and 3 of the object `lane` belongs to, by a warm subset
+/// scan, checking that it allocated only the returned vector.
+fn warm_subset<C: TrySnapshotCore<u64>>(core: &C, lane: &mut C::Lane<'_>, name: &str) {
+    let mut subset = || core.try_scan_subset(lane, &[1, 3], RequestCtx::none());
+    let _ = subset(); // primes the kept buffers
+    for _ in 0..SCANS {
+        let (scanned, allocations) = counted(&mut subset);
+        let (values, stats) = scanned.unwrap().expect("a quiescent subset scan is served");
+        assert_eq!(values, vec![11, 0]);
+        assert!(!stats.borrowed);
+        assert_eq!(
+            allocations, 1,
+            "{name}: a warm subset scan allocates its values only"
+        );
+    }
 }
 
 /// Scans per handle: enough to cross the epoch scheme's periodic
@@ -93,6 +112,7 @@ fn a_warm_quiescent_scan_allocates_only_its_view() {
             "UnboundedHandle: a warm scan allocates its view only"
         );
     }
+    warm_subset(&unbounded, &mut h, "UnboundedHandle");
 
     let bounded = BoundedSnapshot::new(N, 0u64);
     bounded.handle(ProcessId::new(1)).update(11);
@@ -106,6 +126,7 @@ fn a_warm_quiescent_scan_allocates_only_its_view() {
             "BoundedHandle: a warm scan allocates its view only"
         );
     }
+    warm_subset(&bounded, &mut h, "BoundedHandle");
 
     let multiwriter = MultiWriterSnapshot::new(2, N, 0u64);
     multiwriter.handle(ProcessId::new(1)).update(1, 11);
@@ -119,4 +140,5 @@ fn a_warm_quiescent_scan_allocates_only_its_view() {
             "MultiWriterHandle: a warm scan allocates its view only"
         );
     }
+    warm_subset(&multiwriter, &mut h, "MultiWriterHandle");
 }
